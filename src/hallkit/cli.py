@@ -41,7 +41,7 @@ def _emit(payload: dict, text: str, fmt_kind: str):
         print(text)
 
 
-def _add_type_flags(sub, gamma_required=True):
+def _add_type_flags(sub):
     sub.add_argument("--alpha", default="", help="subgroup type, e.g. 3,2,1")
     sub.add_argument("--beta", required=True, help="ambient type, e.g. 4,3,2")
     sub.add_argument("--gamma", default="", help="quotient type, e.g. 2,1")

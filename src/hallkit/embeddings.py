@@ -178,10 +178,6 @@ def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     return frozenset(x for x in ambient.all_elements() if ambient.pmul(x) in A)
 
 
-def intersect(A: SubgroupSet, X: SubgroupSet) -> SubgroupSet:
-    return A & X
-
-
 def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet:
     """The subgroup H + K, as a union of H-cosets indexed by K."""
     if len(H) < len(K):
@@ -191,16 +187,6 @@ def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> Sub
         if k not in out:
             out.update(ambient.add(h, k) for h in H)
     return frozenset(out)
-
-
-def p_power_submodule(ambient: AmbientModule, r: int) -> SubgroupSet:
-    """The submodule p^r B."""
-    return ambient.p_power_set(r)
-
-
-def sorted_elements(ambient: AmbientModule, A: SubgroupSet) -> tuple[tuple[int, ...], ...]:
-    """Canonical list of a subgroup's elements as coordinate tuples."""
-    return tuple(ambient.coords(a) for a in sorted(A))
 
 
 def _logp(n: int, p: int) -> int:

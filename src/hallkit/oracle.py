@@ -1,15 +1,16 @@
 """Brute-force ground truth at q = p.
 
 Everything here is exhaustive enumeration under the configured caps:
-subgroup lattices by closure BFS with canonical element-set keys, and
-morphism spaces by running over all admissible generator images.
-These counts are what every symbolic formula in the package is checked
-against.
+subgroup lattices by triangular generators, one coordinate at a time,
+which yields each subgroup exactly once; and morphism spaces by running
+over all admissible generator images.  These counts are what every
+symbolic formula in the package is checked against.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -44,95 +45,112 @@ class OracleReport:
 # subgroup enumeration
 
 
-def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[SubgroupSet]:
-    """Every subgroup of M(beta) exactly once, in a deterministic order.
-
-    BFS over index-p extensions: a subgroup U is grown by any x with
-    px in U, and duplicates are removed via canonical element-set keys.
-    """
-    beta = partition(beta)
+def _lattice_ambient(p: int, beta, cap: int | None) -> AmbientModule:
+    """M(beta), after checking its order against the subgroup cap."""
     amb = AmbientModule.get(p, beta)
     limit = subgroup_cap(cap)
     if amb.size > limit:
         raise CapExceeded(f"ambient order {amb.size} exceeds subgroup cap {limit}")
-    elements = amb.all_elements()
-    pmap = {x: amb.pmul(x) for x in elements}
-    zero: SubgroupSet = frozenset({0})
-    seen = {zero}
-    level = [zero]
-    yield zero
-    while level:
-        grown: set[SubgroupSet] = set()
-        for U in level:
-            for x in elements:
-                if x in U or pmap[x] not in U:
-                    continue
-                newset = set(U)
-                cur = x
-                for _ in range(p - 1):
-                    newset.update(amb.add(u, cur) for u in U)
-                    cur = amb.add(cur, x)
-                fz = frozenset(newset)
-                if fz not in seen:
-                    seen.add(fz)
-                    grown.add(fz)
-        level = sorted(grown, key=sorted)
-        yield from level
+    return amb
+
+
+def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[SubgroupSet]:
+    """Every subgroup of M(beta) exactly once, in a deterministic order.
+
+    Let B_k be the span of the first k coordinates and V_k = V & B_k.
+    Then V_{k+1} is either V_k or V_k + <(y, p^j)> with j < beta_{k+1},
+    where y is the least element of its coset in B_k / V_k and
+    p^{beta_{k+1} - j} y lies in V_k.  Every subgroup has exactly one
+    such chain of choices (its Hermite form, written over element sets),
+    so a depth-first walk over the choices yields each subgroup once,
+    without comparing it against the others.
+    """
+    amb = _lattice_ambient(p, beta, cap)
+    add, s = amb.add, len(amb.beta)
+    # levels[k] = (b, chains, steps) with b = beta_{k+1}: the multiples
+    # y, py, ..., p^b y of each y in B_k, in increasing packed order of y,
+    # and the generators p^j e_{k+1} for j < b.
+    levels = []
+    prefix: tuple[int, ...] = (0,)
+    for k, b in enumerate(amb.beta):
+        unit = amb.pack(tuple(int(i == k) for i in range(s)))
+        chains = [[y] for y in prefix]
+        for _ in range(b):
+            for chain in chains:
+                chain.append(amb.pmul(chain[-1]))
+        levels.append((b, chains, [amb.smul(p**j, unit) for j in range(b)]))
+        multiples = [amb.smul(c, unit) for c in range(p**b)]
+        prefix = tuple(sorted(add(x, u) for u in multiples for x in prefix))
+    stack = [(0, frozenset({0}))]
+    while stack:
+        k, W = stack.pop()
+        if k == s:
+            yield W
+            continue
+        b, chains, steps = levels[k]
+        stack.append((k + 1, W))
+        covered: set[int] = set()  # the cosets y + W already visited
+        for chain in chains:
+            y = chain[0]
+            if y in covered or chain[b] not in W:
+                continue
+            covered.update(add(y, w) for w in W)
+            e = next(i for i, z in enumerate(chain) if z in W)
+            for j in range(min(b - e, b - 1) + 1):
+                g = shift = add(y, steps[j])
+                V = list(W)
+                for _ in range(p ** (b - j) - 1):  # g has order p^{b-j} mod W
+                    V.extend([add(w, shift) for w in W])
+                    shift = add(shift, g)
+                stack.append((k + 1, frozenset(V)))
 
 
 _census_cache: dict[tuple[int, Partition], dict] = {}
 
 
-def _census(p: int, beta: Partition, by_tableau: bool, cap: int | None):
-    key = (p, beta)
-    entry = _census_cache.setdefault(key, {})
-    want = "tableaux" if by_tableau else "types"
-    if want in entry:
-        return entry
-    amb = AmbientModule.get(p, beta)
-    types: dict[tuple[Partition, Partition], int] = {}
-    tabs: dict[KleinTableau, int] = {}
+def _census(p: int, beta, cap: int | None) -> dict:
+    """Type-pair and Klein-tableau counts over every subgroup of M(beta),
+    from one enumeration cached per (p, beta).  The cap is checked on
+    every call, cached or not."""
+    amb = _lattice_ambient(p, beta, cap)
+    key = (p, amb.beta)
+    if key in _census_cache:
+        return _census_cache[key]
+    types, tabs = Counter(), Counter()
     start = time.monotonic()
-    for U in enumerate_subgroups(p, beta, cap):
-        alpha = module_type(amb, U)
-        gamma = quotient_type(amb, U)
-        types[(alpha, gamma)] = types.get((alpha, gamma), 0) + 1
-        if by_tableau:
-            tab = klein_tableau(Embedding(amb, subgroup=U))
-            tabs[tab] = tabs.get(tab, 0) + 1
-    entry["types"] = types
-    if by_tableau:
-        entry["tableaux"] = tabs
-    entry["elapsed"] = time.monotonic() - start
+    for U in enumerate_subgroups(p, amb.beta, cap):
+        types[(module_type(amb, U), quotient_type(amb, U))] += 1
+        tabs[klein_tableau(Embedding(amb, subgroup=U))] += 1
+    entry = {"types": types, "tableaux": tabs, "elapsed": time.monotonic() - start}
+    _census_cache[key] = entry
     return entry
 
 
 def hall_census(p: int, beta, cap: int | None = None) -> dict[tuple[Partition, Partition], int]:
     """Counts of subgroups keyed by (subgroup type, quotient type)."""
-    return dict(_census(p, partition(beta), False, cap)["types"])
+    return dict(_census(p, beta, cap)["types"])
 
 
 def hall_count(p: int, alpha, beta, gamma, cap: int | None = None) -> int:
     """Number of subgroups of the given type with the given quotient type."""
-    census = _census(p, partition(beta), False, cap)["types"]
+    census = _census(p, beta, cap)["types"]
     return census.get((partition(alpha), partition(gamma)), 0)
 
 
 def hall_count_by_tableau(p: int, beta, cap: int | None = None) -> dict[KleinTableau, int]:
     """Subgroup counts keyed by the Klein tableau of the embedding."""
-    return dict(_census(p, partition(beta), True, cap)["tableaux"])
+    return dict(_census(p, beta, cap)["tableaux"])
 
 
 def subgroup_report(p: int, beta, by_tableau: bool = False, cap: int | None = None) -> OracleReport:
-    beta = partition(beta)
-    entry = _census(p, beta, by_tableau, cap)
+    entry = _census(p, beta, cap)
     counts: dict = {"types": entry["types"]}
     if by_tableau:
         counts["tableaux"] = entry["tableaux"]
     return OracleReport(
-        description=f"subgroups of M({beta}) at p={p}",
+        description=f"subgroups of M({partition(beta)}) at p={p}",
         counts=counts,
-        elapsed=entry.get("elapsed", 0.0),
+        elapsed=entry["elapsed"],
     )
 
 

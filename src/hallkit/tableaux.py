@@ -156,10 +156,6 @@ class KleinTableau:
         return self.to_text()
 
 
-def lr_from_text(text: str) -> LRTableau:
-    return KleinTableau.from_text(text).lr
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from hallkit.cli import main
+from hallkit.hall import hall_polynomial
+from hallkit.qforms import evaluate
 
 
 def run(capsys, *argv):
@@ -94,6 +96,21 @@ def test_oracle_hall(capsys):
     payload = json.loads(out)
     assert payload["count"] == 9
     assert sorted(row["count"] for row in payload["by_tableau"]) == [1, 4, 4]
+
+
+def test_oracle_hall_odd_prime(capsys):
+    alpha, beta, gamma = (2, 1), (3, 2, 1), (2, 1)
+    code, out, _ = run(
+        capsys,
+        "oracle", "hall", "--prime", "3", "--beta", "3,2,1",
+        "--alpha", "2,1", "--gamma", "2,1", "--by-tableau", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    bd = hall_polynomial(alpha, beta, gamma)
+    assert payload["count"] == evaluate(bd.total, 3)
+    by_tab = {row["tableau_text"]: row["count"] for row in payload["by_tableau"]}
+    assert by_tab == {tab.to_text(): evaluate(poly, 3) for tab, poly in bd.per_tableau}
 
 
 def test_output_is_deterministic(capsys):

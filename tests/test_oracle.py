@@ -5,7 +5,7 @@ import pytest
 from hallkit import embeddings as emb
 from hallkit import oracle
 from hallkit.errors import CapExceeded
-from hallkit.partitions import partitions_of
+from hallkit.partitions import conjugate, contains, partitions_of
 from hallkit.qforms import evaluate
 from hallkit.hall import hall_polynomial
 from hallkit.tableaux import enumerate_klein
@@ -21,18 +21,32 @@ def test_enumerate_subgroups_counts():
 
 
 def test_enumerate_subgroups_unique_and_closed():
-    seen = set()
-    a = emb.AmbientModule.get(2, (2, 1, 1))
-    for U in oracle.enumerate_subgroups(2, (2, 1, 1)):
-        assert U not in seen
-        seen.add(U)
-        assert 0 in U
-        assert all(a.add(x, y) in U for x in U for y in U)
+    for p, beta in ((2, (2, 1, 1)), (3, (2, 1, 1)), (5, (2, 1))):
+        seen = set()
+        a = emb.AmbientModule.get(p, beta)
+        for U in oracle.enumerate_subgroups(p, beta):
+            assert U not in seen
+            seen.add(U)
+            assert 0 in U
+            assert all(a.add(x, y) in U for x in U for y in U)
 
 
 def test_subgroup_cap():
     with pytest.raises(CapExceeded):
         list(oracle.enumerate_subgroups(2, (11,)))
+
+
+def test_subgroup_cap_on_cached_census():
+    beta = (3, 2, 1)
+    assert oracle.hall_count(2, (2, 1), beta, (2, 1)) == 9  # fills the census cache
+    for call in (
+        lambda: oracle.hall_count(2, (2, 1), beta, (2, 1), cap=16),
+        lambda: oracle.hall_census(2, beta, cap=16),
+        lambda: oracle.hall_count_by_tableau(2, beta, cap=16),
+        lambda: oracle.subgroup_report(2, beta, cap=16),
+    ):
+        with pytest.raises(CapExceeded):
+            call()
 
 
 def test_hall_count_examples():
@@ -135,3 +149,36 @@ def test_counts_match_polynomials_small():
                     for gamma in partitions_of(n - k):
                         bd = hall_polynomial(alpha, beta, gamma)
                         assert evaluate(bd.total, 2) == census.get((alpha, gamma), 0)
+
+
+def _q_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _birkhoff_count(q: int, alpha, beta) -> int:
+    """Number of type-alpha subgroups of M(beta) at q = p (Birkhoff 1935)."""
+    if not contains(beta, alpha):
+        return 0
+    a, b = conjugate(alpha), conjugate(beta)
+    a += (0,) * (len(b) + 1 - len(a))
+    count = 1
+    for i, bi in enumerate(b):
+        count *= q ** (a[i + 1] * (bi - a[i])) * _q_binomial(bi - a[i + 1], a[i] - a[i + 1], q)
+    return count
+
+
+def test_census_matches_birkhoff_count():
+    for p, max_beta in ((2, 7), (3, 5), (5, 3)):
+        for n in range(max_beta + 1):
+            for beta in partitions_of(n):
+                by_alpha: dict = {}
+                for (alpha, _), count in oracle.hall_census(p, beta).items():
+                    by_alpha[alpha] = by_alpha.get(alpha, 0) + count
+                for k in range(n + 1):
+                    for alpha in partitions_of(k):
+                        want = _birkhoff_count(p, alpha, beta)
+                        assert by_alpha.get(alpha, 0) == want, (p, alpha, beta)
