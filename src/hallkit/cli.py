@@ -127,7 +127,7 @@ def cmd_embed(args) -> int:
 def cmd_oracle(args) -> int:
     alpha, beta, gamma = parse(args.alpha), parse(args.beta), parse(args.gamma)
     count = oracle.hall_count(args.prime, alpha, beta, gamma, args.subgroup_cap)
-    report = oracle.subgroup_report(args.prime, beta, args.by_tableau, args.subgroup_cap)
+    report = oracle.subgroup_report(args.prime, beta, args.subgroup_cap)
     payload = {
         "count": count,
         "description": report.description,
@@ -135,7 +135,7 @@ def cmd_oracle(args) -> int:
     }
     lines = [str(count)]
     if args.by_tableau:
-        by_tab = oracle.hall_count_by_tableau(args.prime, beta, args.subgroup_cap)
+        by_tab = report.counts["tableaux"]
         wanted = enumerate_klein(alpha, beta, gamma)
         payload["by_tableau"] = [
             {"tableau": tab.to_json(), "tableau_text": tab.to_text(), "count": by_tab.get(tab, 0)}

@@ -5,8 +5,16 @@ integers.  For p = 2 each coordinate occupies its own bit field with one
 guard bit, so addition is a single machine-int add-and-mask; for odd p a
 mixed-radix digit loop is used.  All subgroup-lattice operations
 (intersection, preimage, sums) work on exact element sets, which is
-simple and fast enough under the configured caps; types are extracted
-from layer cardinalities.
+simple and fast enough under the configured caps.
+
+Each construction exists once.  Types are read off the orders of the
+layers p^i M (``_layer_type``), from the chain A, pA, ..., 0 of a
+subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X.
+Bases come from one greedy rule (``_greedy_basis``): for a subgroup's
+generators, and for the quotient B/p^ell A of a truncation.  A
+truncation gives coordinates only to the |B/X| sums of basis multiples,
+one per coset, and reads each generator of A off its coset instead of
+mapping every ambient element to a coset representative.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Iterable, Sequence
 from .caps import general_cap
 from .errors import CapExceeded
 from .partitions import Partition, conjugate, partition, row_length
+from .s2cat import Bipicket, S2Object, object_of_tableau
 from .tableaux import KleinTableau, LRTableau
 
 SubgroupSet = frozenset  # of packed element ints, always containing 0
@@ -103,14 +112,6 @@ class AmbientModule:
             ((k * ((x // s) % m)) % m) * s for m, s in zip(self.mods, self._strides)
         )
 
-    def order_exponent(self, x: int) -> int:
-        """Smallest e with p^e * x = 0."""
-        e = 0
-        while x:
-            x = self.pmul(x)
-            e += 1
-        return e
-
     def all_elements(self) -> tuple[int, ...]:
         """All elements in increasing packed order (cached)."""
         if self._elements is None:
@@ -123,10 +124,7 @@ class AmbientModule:
     def p_power_set(self, r: int) -> SubgroupSet:
         """The submodule p^r B as an element set (cached chain)."""
         if self._pchain is None:
-            chain = [frozenset(self.all_elements())]
-            while len(chain[-1]) > 1:
-                chain.append(frozenset(self.pmul(x) for x in chain[-1]))
-            self._pchain = chain
+            self._pchain = p_chain(self, frozenset(self.all_elements()))
         if r >= len(self._pchain):
             return self._pchain[-1]
         return self._pchain[r]
@@ -189,28 +187,30 @@ def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> Sub
     return frozenset(out)
 
 
-def _logp(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{n} is not a power of {p}")
-        n //= p
-        e += 1
-    return e
+def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
+    """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent of A."""
+    chain = [A]
+    while len(chain[-1]) > 1:
+        chain.append(scale(ambient, chain[-1]))
+    return chain
+
+
+def _layer_type(orders: Sequence[int], p: int) -> Partition:
+    """Type of a module M from the orders |p^i M|, i = 0, 1, ..., ending
+    at 1: p^{i-1}M / p^i M has order p^d with d the number of parts >= i."""
+    dims = []
+    for big, small in zip(orders, orders[1:]):
+        ratio, d = big // small, 0
+        while ratio > 1:
+            ratio //= p
+            d += 1
+        dims.append(d)
+    return conjugate(partition(dims))
 
 
 def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
     """Type of a subgroup from its layer cardinalities |p^i U|."""
-    sizes = [len(U)]
-    cur = U
-    while len(cur) > 1:
-        cur = scale(ambient, cur)
-        sizes.append(len(cur))
-    dims = [
-        _logp(sizes[i - 1], ambient.p) - _logp(sizes[i], ambient.p)
-        for i in range(1, len(sizes))
-    ]
-    return conjugate(partition(dims))
+    return _layer_type([len(C) for C in p_chain(ambient, U)], ambient.p)
 
 
 def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
@@ -223,13 +223,8 @@ def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
         meet = sum(1 for x in small if x in big)
         sizes.append(len(piB) // meet)
         if sizes[-1] == 1:
-            break
+            return _layer_type(sizes, ambient.p)
         i += 1
-    dims = [
-        _logp(sizes[i - 1], ambient.p) - _logp(sizes[i], ambient.p)
-        for i in range(1, len(sizes))
-    ]
-    return conjugate(partition(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +276,7 @@ class Embedding:
     def chain(self) -> list[SubgroupSet]:
         """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent."""
         if self._achain is None:
-            chain = [self.subgroup]
-            while len(chain[-1]) > 1:
-                chain.append(scale(self.ambient, chain[-1]))
-            self._achain = chain
+            self._achain = p_chain(self.ambient, self.subgroup)
         return self._achain
 
     @property
@@ -316,30 +308,37 @@ class Embedding:
 
 
 def subgroup_basis(ambient: AmbientModule, A: SubgroupSet) -> tuple[int, ...]:
-    """A minimal generating set realizing the type of A, found greedily:
-    for each part m (descending) pick the smallest element of order p^m
-    that stays independent of the span built so far."""
+    """A minimal generating set realizing the type of A: for each part m
+    (descending), the smallest element of order p^m that stays
+    independent of the span built so far."""
     if len(A) == 1:
         return ()
-    typ = module_type(ambient, A)
-    S: SubgroupSet = frozenset({0})
+    return _greedy_basis(ambient, module_type(ambient, A), frozenset({0}), sorted(A))
+
+
+def _greedy_basis(
+    ambient: AmbientModule, typ: Partition, X: SubgroupSet, candidates: Sequence[int]
+) -> tuple[int, ...]:
+    """A basis of a subquotient of type typ over X, found greedily: for
+    each part m, the first candidate y with p^m y in X and p^{m-1} y
+    outside S, where S is X plus the span of the basis so far."""
+    S = X
     basis: list[int] = []
-    elems = sorted(A)
     for m in typ:
-        found = None
-        for y in elems:
-            if ambient.order_exponent(y) != m:
+        for y in candidates:
+            if y in S:
                 continue
             z = y
             for _ in range(m - 1):
                 z = ambient.pmul(z)
-            if z not in S:
-                found = y
+            if z not in S and ambient.pmul(z) in X:
                 break
-        if found is None:
+        else:
             raise AssertionError("basis extraction failed")
-        basis.append(found)
-        S = add_subgroups(ambient, S, span(ambient, (found,)))
+        basis.append(y)
+        S = add_subgroups(ambient, S, span(ambient, (y,)))
+    if len(S) != len(X) * ambient.p ** sum(typ):
+        raise AssertionError("greedy basis is not independent")
     return tuple(basis)
 
 
@@ -364,7 +363,7 @@ def klein_tableau(E: Embedding) -> KleinTableau:
     amb = E.ambient
     chain = E.chain()
     e = len(chain) - 1
-    gammas = tuple(quotient_type(amb, Ai) for Ai in chain)
+    gammas = lr_tableau(E).gammas
     n = amb.beta[0] if amb.beta else 0
     subs: dict[tuple[int, int], list[int]] = {}
     for ell in range(2, e + 1):
@@ -450,13 +449,9 @@ def random_embedding(p: int, beta, k: int, seed: int, cap: int | None = None) ->
     return Embedding(amb, gens=gens)
 
 
-def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:
-    """A concrete embedding whose Klein tableau is the given entries-<=2
-    tableau: the direct sum of the canonical picket/bipicket embeddings
-    of its decoded object."""
-    from .s2cat import Bipicket, object_of_tableau
-
-    obj = object_of_tableau(tab)
+def object_embedding(obj: S2Object, p: int, cap: int | None = None) -> Embedding:
+    """The direct sum of the canonical picket/bipicket embeddings of an
+    object's summands."""
     E = empty_embedding(p, cap)
     for x, k in obj.summands:
         piece = (
@@ -467,6 +462,12 @@ def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:
         for _ in range(k):
             E = direct_sum(E, piece, cap)
     return E
+
+
+def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:
+    """A concrete embedding whose Klein tableau is the given entries-<=2
+    tableau: the embedding of its decoded object."""
+    return object_embedding(object_of_tableau(tab), p, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +493,37 @@ def reduce(E: Embedding, s: int = 1) -> Embedding:
 def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
     """The approximation E|^ell = (A/p^ell A <= B/p^ell A).
 
-    Rebuilds the ambient as the quotient B/p^ell A with a freshly chosen
-    basis; any basis works since only types and tableaux are extracted.
+    The quotient B/X, X = p^ell A, gets a fresh ambient of its type with
+    a greedily chosen basis; any basis works since only types and
+    tableaux are extracted.  Coordinates are known only on the |B/X|
+    sums of basis multiples, one per coset, so each generator of A is
+    read off through its coset g + X and the new subgroup is spanned
+    from the images on demand.
     """
     if ell < 0:
         raise ValueError("level must be >= 0")
     chain = E.chain()
-    X = chain[ell] if ell < len(chain) else chain[-1]
+    X = chain[min(ell, len(chain) - 1)]
     if len(X) == 1:
         return E
-    return _quotient_embedding(E, X, cap)
+    amb = E.ambient
+    gamma = quotient_type(amb, X)
+    new_amb = AmbientModule.get(amb.p, gamma, cap)
+    basis = _greedy_basis(amb, gamma, X, amb.all_elements())
+    coords_of: dict[int, tuple[int, ...]] = {0: ()}
+    for y, m in zip(basis, gamma):
+        grown = {}
+        for val, c in coords_of.items():
+            for k in range(amb.p**m):
+                grown[val] = c + (k,)
+                val = amb.add(val, y)
+        coords_of = grown
+
+    def image(g: int) -> int:
+        rep = next(v for v in (amb.add(g, x) for x in X) if v in coords_of)
+        return new_amb.pack(coords_of[rep])
+
+    return Embedding(new_amb, gens=tuple(image(g) for g in E.generators()))
 
 
 def subfactor(E: Embedding, ell: int, u: int, cap: int | None = None) -> Embedding:
@@ -509,51 +531,3 @@ def subfactor(E: Embedding, ell: int, u: int, cap: int | None = None) -> Embeddi
     if not 0 <= u <= ell:
         raise ValueError("need 0 <= u <= ell")
     return reduce(truncate(E, ell, cap), ell - u)
-
-
-def _quotient_embedding(E: Embedding, X: SubgroupSet, cap: int | None = None) -> Embedding:
-    """(A/X <= B/X) for a subgroup X of A, over a fresh ambient of the
-    quotient's type."""
-    amb = E.ambient
-    canon: dict[int, int] = {}
-    for b in amb.all_elements():
-        if b in canon:
-            continue
-        for x in X:
-            canon[amb.add(b, x)] = b
-    gamma = quotient_type(amb, X)
-    new_amb = AmbientModule.get(amb.p, gamma, cap)
-
-    S: SubgroupSet = frozenset(X)
-    basis: list[int] = []
-    for m in gamma:
-        found = None
-        for y in amb.all_elements():
-            if y in S:
-                continue
-            z = y
-            for _ in range(m - 1):
-                z = amb.pmul(z)
-            if z in S or canon[amb.pmul(z)] != 0:
-                continue
-            found = y
-            break
-        if found is None:
-            raise AssertionError("quotient basis extraction failed")
-        basis.append(found)
-        S = add_subgroups(amb, S, span(amb, (found,)))
-
-    coord_of: dict[int, int] = {}
-    axes = [range(amb.p**m) for m in gamma]
-    for combo in product(*axes):
-        val = 0
-        for c, y in zip(combo, basis):
-            val = amb.add(val, amb.smul(c, y))
-        rep = canon[val]
-        if rep in coord_of:
-            raise AssertionError("quotient coordinates collide")
-        coord_of[rep] = new_amb.pack(combo)
-
-    A_new = frozenset(coord_of[canon[a]] for a in E.subgroup)
-    gens_new = tuple(coord_of[canon[g]] for g in E.generators())
-    return Embedding(new_amb, gens=gens_new, subgroup=A_new)

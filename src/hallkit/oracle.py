@@ -142,14 +142,12 @@ def hall_count_by_tableau(p: int, beta, cap: int | None = None) -> dict[KleinTab
     return dict(_census(p, beta, cap)["tableaux"])
 
 
-def subgroup_report(p: int, beta, by_tableau: bool = False, cap: int | None = None) -> OracleReport:
+def subgroup_report(p: int, beta, cap: int | None = None) -> OracleReport:
+    """Both censuses of M(beta), by type pair and by Klein tableau."""
     entry = _census(p, beta, cap)
-    counts: dict = {"types": entry["types"]}
-    if by_tableau:
-        counts["tableaux"] = entry["tableaux"]
     return OracleReport(
         description=f"subgroups of M({partition(beta)}) at p={p}",
-        counts=counts,
+        counts={"types": entry["types"], "tableaux": entry["tableaux"]},
         elapsed=entry["elapsed"],
     )
 

@@ -109,7 +109,8 @@ def test_criterion_6_exhaustive_hall_verification():
 def test_criterion_7_functor_identities():
     start = time.monotonic()
     report = verify.suite_theorem2(count=500, seed=20260808)
-    ok = report.passed
+    # all 500 are checked: none is skipped over the default cap
+    ok = report.passed and ", 0 skipped over cap;" in report.checks[0].detail
     print(f"  [{report.checks[0].detail}]")
     _report(7, "functor/tableau identities on 500 embeddings", ok, time.monotonic() - start, 600.0)
 

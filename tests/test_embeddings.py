@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -236,3 +238,35 @@ def test_embedding_json_roundtrip():
     assert data == {"p": 2, "beta": [4, 2], "gens": [[4, 2]]}
     again = emb.Embedding.from_json(data)
     assert again == E
+
+
+PINNED_FUNCTOR_DIGEST = "8a0464cf2b021620d3cbad7943278abacc68cdfed02087ea0935ff5009388b3a"
+
+
+def _functor_outputs() -> str:
+    """JSON of seeded random embeddings at p = 2, 3, 5 and of every
+    truncation, subfactor, lift and reduction of them, each with its
+    Klein tableau."""
+    rng = random.Random(20261017)
+    out = []
+    for p, max_size in ((2, 6), (3, 5), (5, 3)):
+        for n in range(1, max_size + 1):
+            for beta in partitions_of(n):
+                for k in (1, 2, 3):
+                    E = emb.random_embedding(p, beta, k, seed=rng.randrange(1 << 30))
+                    results = [E]
+                    for ell in range(E.exponent + 1):
+                        results.append(emb.truncate(E, ell))
+                        results += [emb.subfactor(E, ell, u) for u in range(ell + 1)]
+                    for s in (1, 2):
+                        results += [emb.lift(E, s), emb.reduce(E, s)]
+                    out += [[F.to_json(), emb.klein_tableau(F).to_json()] for F in results]
+    return json.dumps(out, sort_keys=True)
+
+
+def test_functor_outputs_pinned():
+    # Recorded from the element-set implementation before its truncation
+    # and basis extraction were rewritten; any change to a chosen basis,
+    # a quotient's coordinates or a tableau shows here.
+    digest = hashlib.sha256(_functor_outputs().encode()).hexdigest()
+    assert digest == PINNED_FUNCTOR_DIGEST

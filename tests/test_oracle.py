@@ -68,7 +68,7 @@ def test_by_tableau_counts_for_tiny_group():
 
 
 def test_subgroup_report():
-    rep = oracle.subgroup_report(2, (2, 1), by_tableau=True)
+    rep = oracle.subgroup_report(2, (2, 1))
     assert sum(rep.counts["types"].values()) == sum(rep.counts["tableaux"].values()) == 8
     assert "p=2" in rep.description
     assert rep.elapsed >= 0.0
