@@ -1,11 +1,13 @@
 """Concrete embeddings (A <= B) over a small prime.
 
-The ambient module B = (+) Z/p^{beta_i} stores elements as packed
-integers.  For p = 2 each coordinate occupies its own bit field with one
-guard bit, so addition is a single machine-int add-and-mask; for odd p a
-mixed-radix digit loop is used.  All subgroup-lattice operations
-(intersection, preimage, sums) work on exact element sets, which is
-simple and fast enough under the configured caps.
+The ambient module B = (+) Z/p^{beta_i} packs an element, at every
+prime, into one integer with a field of w + 1 bits per coordinate, 2^w
+>= every modulus m_i; packed order is the lexicographic order of the
+reversed coordinates.  The top bit of a field is a guard: adding a bias
+carries exactly the fields of a sum with u_i >= m_i into their guards,
+and those fields get m_i subtracted, with no per-coordinate loop.  All
+subgroup-lattice operations (intersection, preimage, sums) work on
+exact element sets, which is simple and fast enough under the caps.
 
 Each construction exists once.  Types are read off the orders of the
 layers p^i M (``_layer_type``), from the chain A, pA, ..., 0 of a
@@ -20,7 +22,7 @@ mapping every ambient element to a coset representative.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import count
 from typing import Iterable, Sequence
 
 from .caps import general_cap
@@ -32,8 +34,14 @@ from .tableaux import KleinTableau, LRTableau
 SubgroupSet = frozenset  # of packed element ints, always containing 0
 
 
+def _spread(elems: Iterable[int], field: range) -> Iterable[int]:
+    """The sums e + c, lazily; a function so that each level keeps its field."""
+    return (e + c for e in elems for c in field)
+
+
 class AmbientModule:
-    """The module (+) Z/p^{beta_i} with packed-integer element encoding."""
+    """The module (+) Z/p^{beta_i}; an element is one int with a guarded
+    bit field per coordinate (see the module docstring)."""
 
     _cache: dict[tuple[int, Partition], "AmbientModule"] = {}
 
@@ -47,23 +55,14 @@ class AmbientModule:
         if self.size > limit:
             raise CapExceeded(f"ambient order {self.size} exceeds cap {limit}")
         self.mods = tuple(p**b for b in self.beta)
-        if p == 2:
-            shifts, pos = [], 0
-            for b in self.beta:
-                shifts.append(pos)
-                pos += b + 1  # one guard bit per field
-            self._shifts = tuple(shifts)
-            self._mask = sum((m - 1) << s for m, s in zip(self.mods, shifts))
-            self._guards = sum(m << s for m, s in zip(self.mods, shifts))
-        else:
-            strides, acc = [], 1
-            for m in self.mods:
-                strides.append(acc)
-                acc *= m
-            self._strides = tuple(strides)
-        self._elements: tuple[int, ...] | None = None
-        self._pchain: list[SubgroupSet] | None = None
-        self._killed: dict[int, tuple[int, ...]] = {}
+        w = self._w = (max(self.mods, default=1) - 1).bit_length()
+        shifts = self._shifts = tuple(i * (w + 1) for i in range(len(self.mods)))
+        self._bias = sum(((1 << w) - m) << s for m, s in zip(self.mods, shifts))
+        self._guards = sum(1 << (s + w) for s in shifts)
+        self._moduli = sum(m << s for m, s in zip(self.mods, shifts))
+        self._p_minus_1 = range(p - 1)
+        self._grids: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._powers: dict[int, SubgroupSet] = {}
 
     @classmethod
     def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
@@ -79,69 +78,57 @@ class AmbientModule:
     def pack(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.beta):
             raise ValueError("coordinate count mismatch")
-        if self.p == 2:
-            return sum((c % m) << s for c, m, s in zip(coords, self.mods, self._shifts))
-        return sum((c % m) * s for c, m, s in zip(coords, self.mods, self._strides))
+        return sum((c % m) << s for c, m, s in zip(coords, self.mods, self._shifts))
 
     def coords(self, x: int) -> tuple[int, ...]:
-        if self.p == 2:
-            return tuple((x >> s) & (m - 1) for m, s in zip(self.mods, self._shifts))
-        return tuple((x // s) % m for m, s in zip(self.mods, self._strides))
+        low = (1 << self._w) - 1
+        return tuple((x >> s) & low for s in self._shifts)
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return (x + y) & self._mask
-        return sum(
-            (((x // s) + (y // s)) % m) * s for m, s in zip(self.mods, self._strides)
-        )
+        # g holds the guard bit of each field with x_i + y_i >= m_i, and
+        # (g << 1) - (g >> w) is the mask of exactly those fields.
+        u = x + y
+        g = (u + self._bias) & self._guards
+        return u - (self._moduli & ((g << 1) - (g >> self._w)))
 
     def neg(self, x: int) -> int:
-        if self.p == 2:
-            return (self._guards - x) & self._mask
-        return sum(((m - (x // s) % m) % m) * s for m, s in zip(self.mods, self._strides))
+        return self.pack(tuple(-c for c in self.coords(x)))
 
     def pmul(self, x: int) -> int:
-        if self.p == 2:
-            return (x << 1) & self._mask
-        return self.smul(self.p, x)
+        u = x
+        for _ in self._p_minus_1:  # p - 1 additions of x
+            u = self.add(u, x)
+        return u
 
     def smul(self, k: int, x: int) -> int:
-        if self.p == 2:
-            return self.pack(tuple(k * c for c in self.coords(x)))
-        return sum(
-            ((k * ((x // s) % m)) % m) * s for m, s in zip(self.mods, self._strides)
-        )
+        return self.pack(tuple(k * c for c in self.coords(x)))
+
+    def _grid(self, steps: tuple[int, ...]) -> tuple[int, ...]:
+        """The elements whose coordinate i is a multiple of steps[i], in
+        increasing packed order (cached).  Each coordinate, from the last,
+        spreads the elements so far over its field; the levels are lazy,
+        so only the result is held in memory."""
+        if steps not in self._grids:
+            elems: Iterable[int] = (0,)
+            for m, s, step in zip(self.mods[::-1], self._shifts[::-1], steps[::-1]):
+                elems = _spread(elems, range(0, m << s, step << s))
+            self._grids[steps] = tuple(elems)
+        return self._grids[steps]
 
     def all_elements(self) -> tuple[int, ...]:
         """All elements in increasing packed order (cached)."""
-        if self._elements is None:
-            ranges = [range(m) for m in reversed(self.mods)]
-            self._elements = tuple(
-                self.pack(tuple(reversed(combo))) for combo in product(*ranges)
-            )
-        return self._elements
+        return self._grid((1,) * len(self.mods))
 
     def p_power_set(self, r: int) -> SubgroupSet:
-        """The submodule p^r B as an element set (cached chain)."""
-        if self._pchain is None:
-            self._pchain = p_chain(self, frozenset(self.all_elements()))
-        if r >= len(self._pchain):
-            return self._pchain[-1]
-        return self._pchain[r]
+        """The submodule p^r B as an element set (cached)."""
+        if r not in self._powers:
+            steps = tuple(self.p ** min(r, b) for b in self.beta)
+            self._powers[r] = frozenset(self._grid(steps))
+        return self._powers[r]
 
     def killed_by(self, k: int) -> tuple[int, ...]:
         """Elements annihilated by p^k, sorted (cached)."""
-        if k not in self._killed:
-            axes = []
-            for b, m in zip(self.beta, self.mods):
-                step = self.p ** max(0, b - k)
-                axes.append(range(0, m, step))
-            elems = sorted(
-                self.pack(tuple(reversed(combo)))
-                for combo in product(*[list(a) for a in reversed(axes)])
-            )
-            self._killed[k] = tuple(elems)
-        return self._killed[k]
+        return self._grid(tuple(self.p ** max(0, b - k) for b in self.beta))
 
     def __repr__(self) -> str:
         return f"AmbientModule(p={self.p}, beta={self.beta})"
@@ -168,7 +155,7 @@ def span(ambient: AmbientModule, gens: Iterable[int]) -> SubgroupSet:
 
 def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     """The subgroup pA."""
-    return frozenset(ambient.pmul(a) for a in A)
+    return frozenset(map(ambient.pmul, A))
 
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
@@ -216,15 +203,11 @@ def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
 def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
     """Type of B/X via |p^i(B/X)| = |p^i B| / |p^i B intersect X|."""
     sizes = []
-    i = 0
-    while True:
+    for i in count():
         piB = ambient.p_power_set(i)
-        small, big = (X, piB) if len(X) <= len(piB) else (piB, X)
-        meet = sum(1 for x in small if x in big)
-        sizes.append(len(piB) // meet)
+        sizes.append(len(piB) // len(piB & X))
         if sizes[-1] == 1:
             return _layer_type(sizes, ambient.p)
-        i += 1
 
 
 # ---------------------------------------------------------------------------

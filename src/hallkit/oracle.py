@@ -20,10 +20,9 @@ from .embeddings import (
     AmbientModule,
     Embedding,
     SubgroupSet,
+    _layer_type,
     klein_tableau,
     lift,
-    module_type,
-    quotient_type,
     reduce,
     span,
 )
@@ -119,8 +118,10 @@ def _census(p: int, beta, cap: int | None) -> dict:
     types, tabs = Counter(), Counter()
     start = time.monotonic()
     for U in enumerate_subgroups(p, amb.beta, cap):
-        types[(module_type(amb, U), quotient_type(amb, U))] += 1
-        tabs[klein_tableau(Embedding(amb, subgroup=U))] += 1
+        E = Embedding(amb, subgroup=U)
+        tab = klein_tableau(E)
+        types[(_layer_type([len(C) for C in E.chain()], p), tab.gammas[0])] += 1
+        tabs[tab] += 1
     entry = {"types": types, "tableaux": tabs, "elapsed": time.monotonic() - start}
     _census_cache[key] = entry
     return entry

@@ -95,8 +95,10 @@ def test_criterion_6_exhaustive_hall_verification():
     start = time.monotonic()
     report = verify.suite_hall(prime=2, max_beta=7)
     by_name = {c.name: c for c in report.checks}
+    # every beta is checked: none is skipped over the default cap
     ok = (
         by_name["counts-match-oracle"].passed
+        and ", 0 betas skipped over cap," in by_name["counts-match-oracle"].detail
         and by_name["per-tableau-counts-match"].passed
         and by_name["alpha-gamma-symmetry"].passed
         and by_name["tableau-census-refines-type-census"].passed

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -42,18 +43,24 @@ def test_span_examples():
 
 
 def test_packed_arithmetic_matches_coordinates():
-    for p in (2, 3, 5):
-        a = amb(p, (3, 2, 1) if p < 5 else (2, 1))
-        rng = random.Random(p)
+    # every prime; at p = 2 both equal parts (no bias) and unequal parts,
+    # whose shorter fields need the bias to raise their guard bits
+    for p, beta in [(2, (3, 2, 1)), (2, (2, 2)), (3, (2, 1, 1)), (5, (2, 1)), (7, (2, 1))]:
+        a = amb(p, beta)
+        vectors = list(product(*(range(m) for m in a.mods)))
+        assert all(a.coords(a.pack(c)) == c for c in vectors)
+        # packed order is the lexicographic order of reversed coordinates
         elems = a.all_elements()
-        for _ in range(200):
-            x, y = rng.choice(elems), rng.choice(elems)
-            cx, cy = a.coords(x), a.coords(y)
-            want = tuple((u + v) % m for u, v, m in zip(cx, cy, a.mods))
-            assert a.coords(a.add(x, y)) == want
+        assert [a.coords(x) for x in elems] == sorted(vectors, key=lambda c: c[::-1])
+        for x in elems:
+            cx = a.coords(x)
             assert a.add(x, a.neg(x)) == 0
             assert a.coords(a.pmul(x)) == tuple((p * u) % m for u, m in zip(cx, a.mods))
-            assert a.coords(a.smul(7, x)) == tuple((7 * u) % m for u, m in zip(cx, a.mods))
+            for k in (7, -3):
+                assert a.coords(a.smul(k, x)) == tuple((k * u) % m for u, m in zip(cx, a.mods))
+            for y in elems:
+                want = tuple((u + v) % m for u, v, m in zip(cx, a.coords(y), a.mods))
+                assert a.coords(a.add(x, y)) == want
 
 
 def test_subgroup_identities():

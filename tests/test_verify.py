@@ -1,6 +1,8 @@
+import json
 import re
 
 from hallkit import verify
+from hallkit.cli import main
 
 
 def skipped(check) -> int:
@@ -28,3 +30,27 @@ def test_formulas_count_brute_force_skips():
     assert checks["end-aut-brute-anchors"].detail.startswith("skipped over cap")
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
 
+
+def test_hall_skips_betas_over_cap():
+    # |M(beta)| = 16 > 8 for the five beta of size 4: their censuses are
+    # skipped and counted, and the report is still produced.
+    rep = verify.suite_hall(prime=2, max_beta=4, cap=8)
+    checks = {c.name: c for c in rep.checks}
+    assert rep.passed, checks
+    assert ", 5 betas skipped over cap," in checks["counts-match-oracle"].detail
+
+
+def test_roundtrip_skips_realizations_over_cap():
+    # at p = 3 the realizations with |beta| = 4 need 81 > 64 elements
+    rep = verify.suite_roundtrip(max_beta=4, realize_max=4, cap=64)
+    checks = {c.name: c for c in rep.checks}
+    assert rep.passed, checks
+    assert skipped(checks["realization-fidelity"]) > 0
+
+
+def test_cli_verify_reports_skips_over_cap(capsys):
+    code = main(["verify", "--suite", "hall", "--max-beta", "4", "--cap", "8"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["passed"] is True
+    (check,) = [c for c in payload["suites"][0]["checks"] if c["name"] == "counts-match-oracle"]
+    assert ", 5 betas skipped over cap," in check["detail"]
