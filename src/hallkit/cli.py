@@ -218,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suite to run (repeatable); default all",
     )
-    sp.add_argument("--prime", type=int, default=2)
+    sp.add_argument(
+        "--prime", type=int, default=2,
+        help="prime of formulas and hall; roundtrip and theorem2 run p = 2 and 3",
+    )
     sp.add_argument("--max-beta", type=int, default=7)
     sp.add_argument("--seed", type=int, default=20260808)
     sp.add_argument("--count", type=int, default=500, help="random embeddings for theorem2")

@@ -11,7 +11,9 @@ exact element sets, which is simple and fast enough under the caps.
 
 Each construction exists once.  Types are read off the orders of the
 layers p^i M (``_layer_type``), from the chain A, pA, ..., 0 of a
-subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X.
+subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X;
+a reduction p^s A is read off the same chain.  p^{-1}A is the union of
+the socle cosets a/p + B[p] over a in A & pB, with no scan of B.
 Bases come from one greedy rule (``_greedy_basis``): for a subgroup's
 generators, and for the quotient B/p^ell A of a truncation.  A
 truncation gives coordinates only to the |B/X| sums of basis multiples,
@@ -159,8 +161,14 @@ def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
 
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
-    """The subgroup p^{-1}A = {b : pb in A}; scans the ambient."""
-    return frozenset(x for x in ambient.all_elements() if ambient.pmul(x) in A)
+    """The subgroup p^{-1}A = {b : pb in A}: the cosets a/p + B[p] over a
+    in A & pB, where a/p divides each coordinate of a by p."""
+    p, add, socle = ambient.p, ambient.add, ambient.killed_by(1)
+    roots = [
+        ambient.pack(tuple(c // p for c in ambient.coords(a)))
+        for a in A & ambient.p_power_set(1)
+    ]
+    return frozenset(add(r, k) for r in roots for k in socle)
 
 
 def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet:
@@ -252,8 +260,12 @@ class Embedding:
         return self._subgroup
 
     def generators(self) -> tuple[int, ...]:
+        """The given generators, or a minimal generating set realizing the
+        type of A: for each part m (descending), the smallest element of
+        order p^m that stays independent of the span built so far."""
         if self._gens is None:
-            self._gens = subgroup_basis(self.ambient, self.subgroup)
+            typ = _layer_type([len(C) for C in self.chain()], self.p)
+            self._gens = _greedy_basis(self.ambient, typ, frozenset({0}), sorted(self.subgroup))
         return self._gens
 
     def chain(self) -> list[SubgroupSet]:
@@ -288,15 +300,6 @@ class Embedding:
     @classmethod
     def from_json(cls, data: dict, cap: int | None = None) -> "Embedding":
         return cls.from_coords(data["p"], data["beta"], data["gens"], cap)
-
-
-def subgroup_basis(ambient: AmbientModule, A: SubgroupSet) -> tuple[int, ...]:
-    """A minimal generating set realizing the type of A: for each part m
-    (descending), the smallest element of order p^m that stays
-    independent of the span built so far."""
-    if len(A) == 1:
-        return ()
-    return _greedy_basis(ambient, module_type(ambient, A), frozenset({0}), sorted(A))
 
 
 def _greedy_basis(
@@ -413,13 +416,10 @@ def direct_sum(E1: Embedding, E2: Embedding, cap: int | None = None) -> Embeddin
         both = list(c1) + list(c2)
         return amb.pack(tuple(both[k] for k in src))
 
-    a1 = [E1.ambient.coords(a) for a in E1.subgroup]
-    a2 = [E2.ambient.coords(a) for a in E2.subgroup]
     zero1, zero2 = (0,) * len(E1.beta), (0,) * len(E2.beta)
-    A = frozenset(mix(c1, c2) for c1 in a1 for c2 in a2)
     gens = [mix(E1.ambient.coords(g), zero2) for g in E1.generators()]
     gens += [mix(zero1, E2.ambient.coords(g)) for g in E2.generators()]
-    return Embedding(amb, gens=gens, subgroup=A)
+    return Embedding(amb, gens=gens)
 
 
 def random_embedding(p: int, beta, k: int, seed: int, cap: int | None = None) -> Embedding:
@@ -466,11 +466,11 @@ def lift(E: Embedding, s: int = 1) -> Embedding:
 
 
 def reduce(E: Embedding, s: int = 1) -> Embedding:
-    """Replace A by p^s A."""
-    A = E.subgroup
-    for _ in range(s):
-        A = scale(E.ambient, A)
-    return Embedding(E.ambient, subgroup=A)
+    """Replace A by p^s A, read off the p-chain of A."""
+    if s < 0:
+        raise ValueError("need s >= 0")
+    chain = E.chain()
+    return Embedding(E.ambient, subgroup=chain[min(s, len(chain) - 1)])
 
 
 def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:

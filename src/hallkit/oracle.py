@@ -2,9 +2,12 @@
 
 Everything here is exhaustive enumeration under the configured caps:
 subgroup lattices by triangular generators, one coordinate at a time,
-which yields each subgroup exactly once; and morphism spaces by running
-over all admissible generator images.  These counts are what every
-symbolic formula in the package is checked against.
+which yields each subgroup exactly once; and morphisms by one walk over
+the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
+Hom counts count that walk, Aut counts keep its maps that are invertible
+mod p, and the orbit check spans the generator images of the invertible
+maps into the whole ambient.  These counts are what every symbolic
+formula in the package is checked against.
 """
 
 from __future__ import annotations
@@ -157,12 +160,12 @@ def subgroup_report(p: int, beta, cap: int | None = None) -> OracleReport:
 # morphism counting
 
 
-def _unit_det_mod_p(columns: list[tuple[int, ...]], p: int) -> bool:
-    """True iff the matrix with the given columns is invertible mod p."""
-    n = len(columns)
-    M = [[columns[j][i] % p for j in range(n)] for i in range(n)]
+def _invertible_mod_p(rows: list[tuple[int, ...]], p: int) -> bool:
+    """True iff the square matrix with the given rows, entries already
+    reduced mod p, is invertible mod p."""
+    M, n = list(rows), len(rows)
     for i in range(n):
-        piv = next((r for r in range(i, n) if M[r][i] % p), None)
+        piv = next((r for r in range(i, n) if M[r][i]), None)
         if piv is None:
             return False
         M[i], M[piv] = M[piv], M[i]
@@ -174,24 +177,16 @@ def _unit_det_mod_p(columns: list[tuple[int, ...]], p: int) -> bool:
     return True
 
 
-def _run_morphisms(
-    E: Embedding,
-    F: Embedding,
-    *,
-    require_subgroup: bool = True,
-    invertible_only: bool = False,
-    orbit: set | None = None,
-    cap: int | None = None,
-) -> int:
-    """Core enumeration over all module maps B_E -> B_F.
+def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]:
+    """Every module map B_E -> B_F that carries A_E into A_F.
 
-    A map is admissible when it carries A_E into A_F (if required) and,
-    for endomorphism counts, reduces to an invertible matrix over the
-    residue field.  Returns the number of admissible maps.
+    A map is fixed by the images of the unit vectors: the i-th goes to an
+    element of B_F killed by p^{beta_i}.  Each map is yielded as
+    (idx, images): idx[i] indexes the i-th unit image in
+    ``F.ambient.killed_by(beta_i)``, and images are the images of E's
+    generators.  A map is dropped at its first generator image outside A_F.
     """
     ambE, ambF = E.ambient, F.ambient
-    if invertible_only and ambE.beta != ambF.beta:
-        return 0
     allowed = [ambF.killed_by(b) for b in ambE.beta]
     total = 1
     for block in allowed:
@@ -199,55 +194,47 @@ def _run_morphisms(
     limit = general_cap(cap)
     if total > limit:
         raise CapExceeded(f"hom space of size {total} exceeds cap {limit}")
-    gens = E.generators()
-    gcoords = [ambE.coords(g) for g in gens]
-    target = F.subgroup
-    s = len(ambE.beta)
-    pre = [
-        [[ambF.smul(c[i], y) for y in allowed[i]] for i in range(s)] for c in gcoords
+    add, target = ambF.add, F.subgroup
+    # per generator, per coordinate: its multiple of every admissible unit image
+    tables = [
+        [[ambF.smul(c, y) for y in block] for c, block in zip(ambE.coords(g), allowed)]
+        for g in E.generators()
     ]
-    coords_cache = [[ambF.coords(y) for y in block] for block in allowed]
-    count = 0
     for idx in product(*[range(len(block)) for block in allowed]):
-        if require_subgroup:
-            ok = True
-            for t in range(len(gens)):
-                img = 0
-                row = pre[t]
-                for i in range(s):
-                    img = ambF.add(img, row[i][idx[i]])
-                if img not in target:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        if invertible_only:
-            cols = [coords_cache[i][idx[i]] for i in range(s)]
-            if not _unit_det_mod_p(cols, ambF.p):
-                continue
-        if orbit is not None:
-            images = [allowed[i][idx[i]] for i in range(s)]
-            fgens = []
-            for c in gcoords:
-                img = 0
-                for i in range(s):
-                    img = ambF.add(img, ambF.smul(c[i], images[i]))
-                fgens.append(img)
-            orbit.add(span(ambF, fgens))
-        count += 1
-    return count
+        images = []
+        for table in tables:
+            img = 0
+            for column, j in zip(table, idx):
+                img = add(img, column[j])
+            if img not in target:
+                break
+            images.append(img)
+        else:
+            yield idx, images
+
+
+def _invertible_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[list[int]]:
+    """The generator images of the maps of ``_module_maps(E, F)`` that are
+    invertible mod p; F lives in E's ambient."""
+    amb, p = E.ambient, E.p
+    residues = [
+        [tuple(c % p for c in amb.coords(y)) for y in amb.killed_by(b)] for b in amb.beta
+    ]
+    for idx, images in _module_maps(E, F, cap):
+        if _invertible_mod_p([block[j] for block, j in zip(residues, idx)], p):
+            yield images
 
 
 def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:
     """Number of morphisms (A_E <= B_E) -> (A_F <= B_F): module maps
     B_E -> B_F carrying A_E into A_F."""
-    return _run_morphisms(E, F, cap=cap)
+    return sum(1 for _ in _module_maps(E, F, cap))
 
 
 def aut_count(E: Embedding, cap: int | None = None) -> int:
     """Number of automorphisms of the embedding: invertible module maps
     of the ambient fixing the subgroup setwise."""
-    return _run_morphisms(E, E, invertible_only=True, cap=cap)
+    return sum(1 for _ in _invertible_maps(E, E, cap))
 
 
 def aut_count_module(p: int, beta, cap: int | None = None) -> int:
@@ -259,14 +246,14 @@ def aut_count_module(p: int, beta, cap: int | None = None) -> int:
 def orbit_check(E: Embedding, cap: int | None = None) -> bool:
     """Compare the orbit of A under ambient automorphisms, counted
     directly, with the quotient of the two brute-force group orders."""
-    orbit: set[SubgroupSet] = set()
-    autB = _run_morphisms(
-        E, E, require_subgroup=False, invertible_only=True, orbit=orbit, cap=cap
-    )
+    amb = E.ambient
+    whole = Embedding(amb, subgroup=amb.all_elements())
+    autB, orbit = 0, set()
+    for images in _invertible_maps(E, whole, cap):
+        autB += 1
+        orbit.add(span(amb, images))
     autE = aut_count(E, cap)
-    if autB % autE:
-        return False
-    return len(orbit) == autB // autE
+    return autB % autE == 0 and len(orbit) == autB // autE
 
 
 def adjointness_check(E: Embedding, F: Embedding, s: int, cap: int | None = None) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EntryTooLarge
-from .partitions import Partition, merge, partition, row_length
+from .partitions import partition, row_length
 from .qforms import QOrderFactored, gl_order
 from .tableaux import KleinTableau, direct_sum_tableau, forced_subscript_count
 
@@ -94,20 +94,6 @@ class S2Object:
         for x in indecs:
             out[x] = out.get(x, 0) + 1
         return cls.make(out)
-
-    @property
-    def total_size(self) -> int:
-        return sum(x.size * k for x, k in self.summands)
-
-    def ambient_type(self) -> Partition:
-        """Type of the total module: one column m per picket, columns m and
-        r per bipicket, with multiplicity."""
-        parts: Partition = ()
-        for x, k in self.summands:
-            cols = (x.m,) if isinstance(x, Picket) else (x.m, x.r)
-            for _ in range(k):
-                parts = merge(parts, cols)
-        return parts
 
     def multiplicity(self, x: Indecomposable) -> int:
         for y, k in self.summands:

@@ -87,6 +87,10 @@ class SuiteReport:
 BRUTE_BUDGET = 1 << 14
 
 
+def _names(primes) -> str:
+    return ", ".join(map(str, primes))
+
+
 def _add_brute(rep: SuiteReport, name: str, run) -> None:
     """Add the check that run() returns as (passed, detail), or report it
     skipped when one of its brute-force counts exceeds the cap."""
@@ -227,7 +231,7 @@ def suite_roundtrip(
                             bad += 1
                     except CapExceeded:
                         skipped += 1
-    detail = f"{total} realizations, {skipped} skipped over cap, {bad} bad"
+    detail = f"{total} realizations (p = {_names(primes)}), {skipped} skipped over cap, {bad} bad"
     rep.add("realization-fidelity", bad == 0, detail)
 
     rep.elapsed = time.monotonic() - start
@@ -310,7 +314,7 @@ def suite_theorem2(
     rep.add(
         "functor-tableau-identities",
         not failures,
-        f"{count} embeddings (seed {seed}), {skipped} skipped over cap; "
+        f"{count} embeddings (seed {seed}; p = {_names(primes)}), {skipped} skipped over cap; "
         + ("; ".join(failures[:5]) if failures else "all identities hold"),
     )
     rep.elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from hallkit import embeddings as emb
+from hallkit import oracle
 from hallkit.caps import general_cap
 from hallkit.errors import CapExceeded, EntryTooLarge
 from hallkit.partitions import partitions_of
@@ -74,6 +75,15 @@ def test_subgroup_identities():
             assert emb.preimage(a, pA) == emb.add_subgroups(a, A, soc)
             assert emb.scale(a, emb.preimage(a, pA)) == pA
             assert emb.scale(a, frozenset({0})) == frozenset({0})
+
+
+def test_preimage_matches_definition():
+    # p^{-1}A is built from A & pB; the reference scans B for {b : pb in A}
+    for p, beta in [(2, (3, 2, 1)), (3, (2, 1, 1)), (5, (2, 1))]:
+        a = amb(p, beta)
+        for A in oracle.enumerate_subgroups(p, beta):
+            want = frozenset(x for x in a.all_elements() if a.pmul(x) in A)
+            assert emb.preimage(a, A) == want
 
 
 def test_module_and_quotient_types():
@@ -192,6 +202,8 @@ def test_lift_reduce_identities():
             assert emb.reduce(emb.lift(down)).subgroup == down.subgroup
             # p p^{-1} A = A cap rad B
             assert emb.scale(a, emb.preimage(a, E.subgroup)) == E.subgroup & a.p_power_set(1)
+    with pytest.raises(ValueError):
+        emb.reduce(E, -1)
 
 
 def test_truncate_and_subfactor():

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from hallkit import embeddings as emb
-from hallkit import oracle
+from hallkit import oracle, verify
 from hallkit.errors import CapExceeded
 from hallkit.partitions import conjugate, contains, partitions_of
 from hallkit.qforms import evaluate
 from hallkit.hall import hall_polynomial
+from hallkit.s2cat import aut_order_module
 from hallkit.tableaux import enumerate_klein
 
 
@@ -102,12 +103,25 @@ def test_hom_and_aut_counts():
         F = emb.picket_embedding(2, 0, m)
         expect = 2 ** sum(min(part, m) for part in gamma0)
         assert oracle.hom_count(E, F) == expect
+    # with no generators every module map counts: p^{sum min(b_i, c_j)}
+    cases = [(2, (3, 1), (2, 2)), (3, (2, 1), (2, 1)), (3, (1, 1, 1), (2,)), (5, (2,), (1, 1))]
+    for p, beta, gamma in cases:
+        E = emb.Embedding.from_coords(p, beta, [])
+        F = emb.Embedding.from_coords(p, gamma, [])
+        assert oracle.hom_count(E, F) == p ** sum(min(b, c) for b in beta for c in gamma)
 
 
 def test_aut_count_module():
     assert oracle.aut_count_module(2, (2, 1)) == 8
     assert oracle.aut_count_module(2, (1, 1)) == 6
     assert oracle.aut_count_module(3, (1, 1)) == 48
+    # every beta whose End(M(beta)) fits the brute-force budget
+    for p in (2, 3):
+        for n in range(1, 15):
+            for beta in partitions_of(n):
+                if p ** sum(min(b, c) for b in beta for c in beta) <= verify.BRUTE_BUDGET:
+                    want = evaluate(aut_order_module(beta), p)
+                    assert oracle.aut_count_module(p, beta) == want, (p, beta)
 
 
 def test_hom_cap():
@@ -125,6 +139,9 @@ def test_orbit_checks():
     for _ in range(5):
         beta = random.Random(rng.random()).choice([(2, 1), (2, 2), (3, 1), (1, 1, 1)])
         E = emb.random_embedding(2, beta, 2, seed=rng.randrange(1 << 20))
+        assert oracle.orbit_check(E)
+    for beta in [(2, 1), (1, 1), (3, 1), (2, 2)]:
+        E = emb.random_embedding(3, beta, 1, seed=rng.randrange(1 << 20))
         assert oracle.orbit_check(E)
 
 

@@ -31,6 +31,16 @@ def test_formulas_count_brute_force_skips():
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
 
 
+def test_details_name_the_primes_that_ran():
+    # roundtrip and theorem2 take their primes as arguments, not from
+    # verify --prime; their details say which ran
+    rep = verify.suite_roundtrip(max_beta=2, realize_max=3, primes=(5,))
+    checks = {c.name: c for c in rep.checks}
+    assert "realizations (p = 5), 0 skipped over cap" in checks["realization-fidelity"].detail
+    (check,) = verify.suite_theorem2(count=4).checks
+    assert "(seed 20260808; p = 2, 3), 0 skipped over cap;" in check.detail
+
+
 def test_hall_skips_betas_over_cap():
     # |M(beta)| = 16 > 8 for the five beta of size 4: their censuses are
     # skipped and counted, and the report is still produced.
