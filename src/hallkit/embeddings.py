@@ -1,4 +1,4 @@
-"""Concrete embeddings (A <= B) over a small prime.
+"""Concrete embeddings (A <= B) over a prime p.
 
 The ambient module B = (+) Z/p^{beta_i} packs an element, at every
 prime, into one integer with a field of w + 1 bits per coordinate, 2^w
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from itertools import count
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .caps import general_cap
@@ -48,8 +49,8 @@ class AmbientModule:
     _cache: dict[tuple[int, Partition], "AmbientModule"] = {}
 
     def __init__(self, p: int, beta, cap: int | None = None):
-        if p not in (2, 3, 5, 7):
-            raise ValueError(f"p must be a prime in 2..7, got {p}")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"p must be a prime, got {p}")
         self.p = p
         self.beta = partition(beta)
         self.size = p ** sum(self.beta)
@@ -92,9 +93,6 @@ class AmbientModule:
         u = x + y
         g = (u + self._bias) & self._guards
         return u - (self._moduli & ((g << 1) - (g >> self._w)))
-
-    def neg(self, x: int) -> int:
-        return self.pack(tuple(-c for c in self.coords(x)))
 
     def pmul(self, x: int) -> int:
         u = x

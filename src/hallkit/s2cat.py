@@ -90,10 +90,7 @@ class S2Object:
 
     @classmethod
     def of(cls, *indecs: Indecomposable) -> "S2Object":
-        out: dict[Indecomposable, int] = {}
-        for x in indecs:
-            out[x] = out.get(x, 0) + 1
-        return cls.make(out)
+        return cls.make((x, 1) for x in indecs)
 
     def multiplicity(self, x: Indecomposable) -> int:
         for y, k in self.summands:
@@ -120,14 +117,14 @@ class S2Object:
 
     @classmethod
     def from_json(cls, data: dict) -> "S2Object":
-        mults: dict[Indecomposable, int] = {}
+        pairs = []
         for item in data["summands"]:
             if item["kind"] == "P":
                 x: Indecomposable = Picket(item["ell"], item["m"])
             else:
                 x = bipicket(item["m"], item["r"])
-            mults[x] = mults.get(x, 0) + item.get("mult", 1)
-        return cls.make(mults)
+            pairs.append((x, item.get("mult", 1)))
+        return cls.make(pairs)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -141,7 +138,7 @@ def parse_object(text: str) -> S2Object:
     text = text.strip()
     if text in ("", "0"):
         return S2Object.make({})
-    mults: dict[Indecomposable, int] = {}
+    pairs = []
     for chunk in text.split("+"):
         mt = _TERM.match(chunk.strip().replace(" ", ""))
         if not mt:
@@ -149,8 +146,8 @@ def parse_object(text: str) -> S2Object:
         k = int(mt.group(1) or 1)
         a, b = int(mt.group(3)), int(mt.group(4))
         x = Picket(a, b) if mt.group(2) == "P" else bipicket(a, b)
-        mults[x] = mults.get(x, 0) + k
-    return S2Object.make(mults)
+        pairs.append((x, k))
+    return S2Object.make(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +197,14 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
         return tab.subs_at(2, m)
 
     sub_total = {r: tab.count_symbols(2, subs={r}) for r in range(1, top + 1)}
-    mults: dict[Indecomposable, int] = {}
+    pairs: list[tuple[Indecomposable, int]] = []
     for m in range(1, top + 1):
-        for r in twos(m):
-            x = bipicket(m, r)
-            mults[x] = mults.get(x, 0) + 1
+        pairs.extend((bipicket(m, r), 1) for r in twos(m))
         ones = row_length(g1, m) - row_length(g0, m)
         p1 = ones - sub_total.get(m, 0)
         if p1 < 0:
             raise ValueError("invalid Klein tableau: condition (iv) violated")
-        if p1:
-            mults[Picket(1, m)] = mults.get(Picket(1, m), 0) + p1
+        pairs.append((Picket(1, m), p1))
         # empty columns of height m, plus columns of height m+1 whose only
         # symbol is a free 2_m at the bottom
         empty_cols = sum(
@@ -220,10 +214,8 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
         if e >= 2:
             forced = forced_subscript_count((g0, g1, g2), 2, m + 1)
             free_2m = sum(1 for r in twos(m + 1) if r == m) - forced
-        p0 = empty_cols + free_2m
-        if p0:
-            mults[Picket(0, m)] = mults.get(Picket(0, m), 0) + p0
-    return S2Object.make(mults)
+        pairs.append((Picket(0, m), empty_cols + free_2m))
+    return S2Object.make(pairs)
 
 
 def enumerate_indecomposables(max_size: int) -> tuple[Indecomposable, ...]:

@@ -6,6 +6,11 @@ satisfies the lattice permutation property.  A Klein tableau refines it:
 every box with entry ``ell >= 2`` carries a subscript ``r``.  Subscripts
 are stored per (entry, row) cell as a weakly increasing multiset; the
 in-row normalization makes that representation lossless.
+
+Every enumeration walks chains down from the top partition with one
+strip walker, ``_co_strips``: the LR tableaux of a type remove strips of
+the sizes conjugate(alpha) down to the floor gamma, and the tableaux with
+entries <= 2 remove at most two strips, with no floor.
 """
 
 from __future__ import annotations
@@ -271,47 +276,61 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 # enumeration
 
 
-def _strip_extensions(
-    lam: Partition, strip_size: int, bound: Partition, slack: int
+def _co_strips(
+    mu: Partition, size: int, floor: Partition, slack: int | None
 ) -> Iterator[Partition]:
-    """Partitions mu with lam <= mu <= bound, |mu|-|lam| = strip_size, at
-    most one new box per column, and bound_i - mu_i <= slack everywhere.
+    """Partitions lam <= mu with mu \\ lam a horizontal strip of ``size``
+    boxes, floor <= lam, and lam_i - floor_i <= slack unless slack is None.
 
-    The slack prunes chains that can no longer climb to ``bound`` with the
-    remaining number of strips.
+    The slack prunes chains that can no longer come down to the floor with
+    the remaining number of strips.  The floor must fit inside mu.
     """
-    n = len(bound)
-    lamp = _padded(lam, n)
-    blocks: list[tuple[int, int, int]] = []  # (start, length, value)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and lamp[j] == lamp[i]:
-            j += 1
-        blocks.append((i, j - i, lamp[i]))
-        i = j
+    n = len(mu)
+    low = _padded(floor, n)
+    out = list(mu)
 
-    out = list(lamp)
-
-    def rec(b: int, remaining: int) -> Iterator[Partition]:
-        if b == len(blocks):
-            if remaining == 0:
-                yield partition(out)
+    def rec(i: int, remaining: int) -> Iterator[Partition]:
+        if remaining > n - i:
             return
-        start, length, v = blocks[b]
-        for c in range(min(length, remaining), -1, -1):
-            # incremented columns form a prefix of the block
-            if c and v + 1 > bound[start + c - 1]:
-                continue
-            if c < length and bound[start + c] - v > slack:
-                continue
-            for i in range(start, start + c):
-                out[i] = v + 1
-            yield from rec(b + 1, remaining - c)
-            for i in range(start, start + c):
-                out[i] = v
+        if i == n:
+            yield partition(out)
+            return
+        v = mu[i]
+        # keeping column i must leave lam weakly decreasing
+        if (i == 0 or out[i - 1] >= v) and (slack is None or v - low[i] <= slack):
+            yield from rec(i + 1, remaining)
+        if remaining and v > low[i] and (slack is None or v - 1 - low[i] <= slack):
+            out[i] = v - 1
+            yield from rec(i + 1, remaining - 1)
+            out[i] = v
 
-    yield from rec(0, strip_size)
+    yield from rec(0, size)
+
+
+def _lr_chains(
+    beta: Partition, sizes: Sequence[int], floor: Partition | None = None
+) -> Iterator[tuple[Partition, ...]]:
+    """LR chains [g0, ..., ge = beta] whose strip ell has sizes[ell-1]
+    boxes, walked down from beta with the lattice property checked on
+    each pair of consecutive strips.
+
+    A floor gamma of size |beta| - sum(sizes) forces g0 = gamma, since g0
+    contains gamma and has its size.
+    """
+    n = len(beta)
+
+    def rec(ell: int, chain: tuple[Partition, ...], upper: tuple[int, ...] | None):
+        if ell == 0:
+            yield chain
+            return
+        top = chain[0]
+        slack = None if floor is None else ell - 1
+        for lam in _co_strips(top, sizes[ell - 1], floor or (), slack):
+            diff = _strip_diff(top, lam, n)
+            if upper is None or _lattice_ok(diff, upper):
+                yield from rec(ell - 1, (lam,) + chain, diff)
+
+    yield from rec(len(sizes), (beta,), None)
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
@@ -319,159 +338,100 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
     if sum(alpha) + sum(gamma) != sum(beta) or not contains(beta, gamma):
         return ()
-    e = alpha[0] if alpha else 0
-    if e == 0:
-        return (LRTableau((beta,)),) if beta == gamma else ()
-    sizes = conjugate(alpha)
-    n = len(beta)
-    results: list[LRTableau] = []
-
-    def rec(chain: list[Partition], prev_diff: tuple[int, ...] | None):
-        ell = len(chain)
-        if ell == e + 1:
-            results.append(LRTableau(tuple(chain)))
-            return
-        for mu in _strip_extensions(chain[-1], sizes[ell - 1], beta, e - ell):
-            cur_diff = _strip_diff(mu, chain[-1], n)
-            if prev_diff is not None and not _lattice_ok(prev_diff, cur_diff):
-                continue
-            chain.append(mu)
-            rec(chain, cur_diff)
-            chain.pop()
-
-    rec([gamma], None)
-    results.sort(key=lambda t: t.gammas)
-    return tuple(results)
+    chains = sorted(_lr_chains(beta, conjugate(alpha), gamma))
+    return tuple(LRTableau(gs) for gs in chains)
 
 
 def _cell_multisets(
-    free: int, max_sub: int, caps: Mapping[int, int]
+    free: int, max_sub: int, caps: dict[int, int]
 ) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples of length ``free`` over 1..max_sub whose
-    per-value counts stay within caps."""
+    """Weakly increasing tuples of length ``free`` over 1..max_sub, in
+    lexicographic order, each value r drawn from caps[r].
 
-    def rec(k: int, lowest: int, acc: tuple[int, ...], used: dict[int, int]):
+    While a tuple is yielded, caps holds what is left after drawing it.
+    """
+
+    def rec(k: int, lowest: int, acc: tuple[int, ...]):
         if k == 0:
             yield acc
             return
         for r in range(lowest, max_sub + 1):
-            if used.get(r, 0) + 1 > caps.get(r, 0):
-                continue
-            used[r] = used.get(r, 0) + 1
-            yield from rec(k - 1, r, acc + (r,), used)
-            used[r] -= 1
+            if caps.get(r, 0) > 0:
+                caps[r] -= 1
+                yield from rec(k - 1, r, acc + (r,))
+                caps[r] += 1
 
-    yield from rec(free, 1, (), {})
+    yield from rec(free, 1, ())
+
+
+def _level_subscripts(
+    gs: tuple[Partition, ...], ell: int
+) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """Subscript cells (ell, row, subs) for entry ell, in canonical order.
+
+    Row m gets its forced subscripts m-1 (iii) and free ones in 1..m-1
+    (ii); all of them together use r at most as often as strip ell-1 has
+    boxes in row r (iv).  The forced ones are taken from those caps first.
+    """
+    counts = strip_row_counts(gs[ell], gs[ell - 1])
+    caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
+    cells = []
+    for m in sorted(counts):
+        need = forced_subscript_count(gs, ell, m)
+        caps[m - 1] = caps.get(m - 1, 0) - need
+        cells.append((m, counts[m] - need, (m - 1,) * need))
+    if any(c < 0 for c in caps.values()):
+        return
+
+    def rec(idx: int, acc: tuple):
+        if idx == len(cells):
+            yield acc
+            return
+        m, free, forced = cells[idx]
+        for choice in _cell_multisets(free, m - 1, caps):
+            yield from rec(idx + 1, acc + ((ell, m, choice + forced),))
+
+    yield from rec(0, ())
 
 
 def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
     """All Klein tableaux refining a valid LR tableau, in canonical order.
 
     Choices for distinct entries are independent, so the result is a
-    cartesian product of per-entry subscript assignments.
+    cartesian product of per-entry subscript assignments; each level
+    comes in canonical order, so the product does too.
     """
-    gs = lr.gammas
-    e = len(gs) - 1
-    per_level: list[list[dict[Cell, tuple[int, ...]]]] = []
-    for ell in range(2, e + 1):
-        counts = strip_row_counts(gs[ell], gs[ell - 1])
-        caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
-        cells = []
-        floor: dict[int, int] = {}
-        for m in sorted(counts):
-            need = forced_subscript_count(gs, ell, m)
-            cells.append((m, counts[m], need))
-            if need:
-                floor[m - 1] = floor.get(m - 1, 0) + need
-        if any(floor[r] > caps.get(r, 0) for r in floor):
-            return ()
-        level: list[dict[Cell, tuple[int, ...]]] = []
-
-        def rec(idx: int, acc: dict[Cell, tuple[int, ...]], used: dict[int, int]):
-            if idx == len(cells):
-                level.append(dict(acc))
-                return
-            m, cnt, need = cells[idx]
-            remaining_caps = {
-                r: caps.get(r, 0) - used.get(r, 0) for r in caps
-            }
-            for choice in _cell_multisets(cnt - need, m - 1, remaining_caps):
-                full = tuple(sorted(choice + (m - 1,) * need))
-                new_used = dict(used)
-                for r in full:
-                    new_used[r] = new_used.get(r, 0) + 1
-                if any(new_used[r] > caps.get(r, 0) for r in new_used):
-                    continue
-                acc[(ell, m)] = full
-                rec(idx + 1, acc, new_used)
-                del acc[(ell, m)]
-
-        rec(0, {}, {})
-        if not level:
-            return ()
-        per_level.append(level)
-
-    results = []
-    for combo in product(*per_level):
-        subs: dict[Cell, tuple[int, ...]] = {}
-        for assignment in combo:
-            subs.update(assignment)
-        results.append(KleinTableau.make(gs, subs))
-    results.sort(key=lambda t: (t.gammas, t.subscripts))
-    return tuple(results)
+    gs = tuple(partition(g) for g in lr.gammas)
+    levels = (_level_subscripts(gs, ell) for ell in range(2, len(gs)))
+    return tuple(KleinTableau(gs, sum(combo, ())) for combo in product(*levels))
 
 
 def enumerate_klein(alpha, beta, gamma) -> tuple[KleinTableau, ...]:
     """All Klein tableaux of type (alpha, beta, gamma), canonical order."""
-    out: list[KleinTableau] = []
-    for lr in enumerate_lr(alpha, beta, gamma):
-        out.extend(enumerate_klein_refinements(lr))
-    out.sort(key=lambda t: (t.gammas, t.subscripts))
-    return tuple(out)
-
-
-def co_strips(mu: Partition) -> Iterator[Partition]:
-    """All partitions lam <= mu with mu \\ lam a horizontal strip."""
-    blocks: list[tuple[int, int]] = []  # (length, value)
-    i = 0
-    while i < len(mu):
-        j = i
-        while j < len(mu) and mu[j] == mu[i]:
-            j += 1
-        blocks.append((j - i, mu[i]))
-        i = j
-
-    def rec(b: int, acc: list[int]) -> Iterator[Partition]:
-        if b == len(blocks):
-            yield partition(acc)
-            return
-        length, v = blocks[b]
-        for c in range(length + 1):
-            # decremented columns form a suffix of the block
-            yield from rec(b + 1, acc + [v] * (length - c) + [v - 1] * c)
-
-    yield from rec(0, [])
+    return tuple(
+        tab
+        for lr in enumerate_lr(alpha, beta, gamma)
+        for tab in enumerate_klein_refinements(lr)
+    )
 
 
 def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     """All Klein tableaux with the given top partition and entries <= 2.
 
     These are canonical chains: the top strip is nonempty unless e = 0.
+    Their strip sizes are the conjugates (), (a,) and (a, b) of types
+    alpha with parts at most 2.
     """
     beta = partition(beta)
-    out: list[KleinTableau] = [KleinTableau.make([beta])]
-    for g1 in co_strips(beta):
-        if g1 == beta:
-            continue
-        out.append(KleinTableau.make([g1, beta]))
-        n = len(beta)
-        top_diff = _strip_diff(beta, g1, n)
-        for g0 in co_strips(g1):
-            if g0 == g1:
-                continue
-            if not _lattice_ok(_strip_diff(g1, g0, n), top_diff):
-                continue
-            out.extend(enumerate_klein_refinements(LRTableau((g0, g1, beta))))
+    n = len(beta)
+    sizes = [()] + [(a,) for a in range(1, n + 1)]
+    sizes += [(a, b) for a in range(1, n + 1) for b in range(1, a + 1)]
+    out = [
+        tab
+        for s in sizes
+        for gs in _lr_chains(beta, s)
+        for tab in enumerate_klein_refinements(LRTableau(gs))
+    ]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.subscripts))
     return tuple(out)
 

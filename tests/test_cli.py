@@ -129,6 +129,12 @@ def test_domain_error_exits_one(capsys):
     assert json.loads(err)["error"] == "CapExceeded"
 
 
+def test_non_prime_exits_one(capsys):
+    code, _, err = run(capsys, "embed", "tableau", "--prime", "4", "--beta", "2,1", "--gens", "")
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "p must be a prime, got 4"}
+
+
 def test_bad_partition_exits_one(capsys):
     code, _, err = run(capsys, "hall", "--alpha", "1,2", "--beta", "2,1", "--gamma", "")
     assert code == 1

@@ -46,7 +46,8 @@ def test_span_examples():
 def test_packed_arithmetic_matches_coordinates():
     # every prime; at p = 2 both equal parts (no bias) and unequal parts,
     # whose shorter fields need the bias to raise their guard bits
-    for p, beta in [(2, (3, 2, 1)), (2, (2, 2)), (3, (2, 1, 1)), (5, (2, 1)), (7, (2, 1))]:
+    cases = [(2, (3, 2, 1)), (2, (2, 2)), (3, (2, 1, 1)), (5, (2, 1)), (7, (2, 1)), (11, (1, 1))]
+    for p, beta in cases:
         a = amb(p, beta)
         vectors = list(product(*(range(m) for m in a.mods)))
         assert all(a.coords(a.pack(c)) == c for c in vectors)
@@ -55,13 +56,18 @@ def test_packed_arithmetic_matches_coordinates():
         assert [a.coords(x) for x in elems] == sorted(vectors, key=lambda c: c[::-1])
         for x in elems:
             cx = a.coords(x)
-            assert a.add(x, a.neg(x)) == 0
             assert a.coords(a.pmul(x)) == tuple((p * u) % m for u, m in zip(cx, a.mods))
             for k in (7, -3):
                 assert a.coords(a.smul(k, x)) == tuple((k * u) % m for u, m in zip(cx, a.mods))
             for y in elems:
                 want = tuple((u + v) % m for u, v, m in zip(cx, a.coords(y), a.mods))
                 assert a.coords(a.add(x, y)) == want
+
+
+def test_ambient_rejects_non_primes():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            emb.AmbientModule(p, (1,))
 
 
 def test_subgroup_identities():

@@ -158,14 +158,15 @@ def test_adjointness_checks():
 
 
 def test_counts_match_polynomials_small():
-    for n in range(6):
-        for beta in partitions_of(n):
-            census = oracle.hall_census(2, beta)
-            for k in range(n + 1):
-                for alpha in partitions_of(k):
-                    for gamma in partitions_of(n - k):
-                        bd = hall_polynomial(alpha, beta, gamma)
-                        assert evaluate(bd.total, 2) == census.get((alpha, gamma), 0)
+    for p, max_beta in ((2, 5), (11, 2), (13, 2)):
+        for n in range(max_beta + 1):
+            for beta in partitions_of(n):
+                census = oracle.hall_census(p, beta)
+                for k in range(n + 1):
+                    for alpha in partitions_of(k):
+                        for gamma in partitions_of(n - k):
+                            bd = hall_polynomial(alpha, beta, gamma)
+                            assert evaluate(bd.total, p) == census.get((alpha, gamma), 0)
 
 
 def _q_binomial(n: int, k: int, q: int) -> int:

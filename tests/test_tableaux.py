@@ -4,6 +4,7 @@ import pytest
 
 from hallkit.errors import RangeError
 from hallkit.partitions import partitions_of
+from hallkit.s2cat import enumerate_objects, tableau_of_object
 from hallkit.tableaux import (
     KleinTableau,
     LRTableau,
@@ -201,6 +202,17 @@ def test_entries2_enumerator_matches_type_enumerator():
                     for gamma in partitions_of(n - k):
                         by_type.update(enumerate_klein(alpha, beta, gamma))
             assert direct == by_type
+
+
+def test_entries2_enumerator_is_complete():
+    # the reference is the object bijection, independent of the strip walker
+    by_top: dict = {}
+    for obj in enumerate_objects(8):
+        tab = tableau_of_object(obj)
+        by_top.setdefault(tab.beta, set()).add(tab)
+    for n in range(9):
+        for beta in partitions_of(n):
+            assert set(enumerate_klein_entries2(beta)) == by_top.get(beta, set())
 
 
 def test_klein_count_at_least_lr_count():
