@@ -17,7 +17,13 @@ from .errors import HallkitError
 from .hall import hall_polynomial
 from .partitions import fmt, parse
 from .s2cat import object_of_tableau, parse_object, tableau_of_object
-from .tableaux import KleinTableau, ascii_diagram, enumerate_klein, enumerate_lr
+from .tableaux import (
+    KleinTableau,
+    ascii_diagram,
+    enumerate_klein,
+    enumerate_lr,
+    validate_klein,
+)
 
 
 def _parse_tableau(text: str) -> KleinTableau:
@@ -25,6 +31,16 @@ def _parse_tableau(text: str) -> KleinTableau:
     if text.startswith("{"):
         return KleinTableau.from_json(json.loads(text))
     return KleinTableau.from_text(text)
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_gens(text: str) -> list[list[int]]:
@@ -94,6 +110,9 @@ def cmd_tableaux(args) -> int:
 def cmd_decompose(args) -> int:
     if args.tableau is not None:
         tab = _parse_tableau(args.tableau)
+        ok, reason = validate_klein(tab)
+        if not ok:
+            raise ValueError(f"not a Klein tableau: {reason}")
         obj = object_of_tableau(tab)
         payload = {"object": obj.to_json(), "text": obj.to_text()}
         _emit(payload, obj.to_text(), args.format)
@@ -222,9 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--prime", type=int, default=2,
         help="prime of formulas and hall; roundtrip and theorem2 run p = 2 and 3",
     )
-    sp.add_argument("--max-beta", type=int, default=7)
+    sp.add_argument("--max-beta", type=_non_negative, default=7)
     sp.add_argument("--seed", type=int, default=20260808)
-    sp.add_argument("--count", type=int, default=500, help="random embeddings for theorem2")
+    sp.add_argument(
+        "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
+    )
     sp.add_argument("--cap", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -23,7 +23,7 @@ def _clean(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     return items
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPolynomial:
     """Integer polynomial in q, stored as sorted (exponent, coefficient) pairs."""
 
@@ -138,7 +138,7 @@ class QPolynomial:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QOrderFactored:
     """A group order in factored form q^power * prod_j (q^j - 1)^{e_j}.
 

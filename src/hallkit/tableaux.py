@@ -35,7 +35,7 @@ from .partitions import (
 Cell = tuple[int, int]  # (entry, row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LRTableau:
     """Chain of partitions [g0, ..., ge]; entry ell fills g_ell \\ g_{ell-1}."""
 
@@ -58,7 +58,7 @@ class LRTableau:
         return self.gammas[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KleinTableau:
     """An LR chain plus per-(entry, row) subscript multisets.
 
@@ -127,11 +127,17 @@ class KleinTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "KleinTableau":
-        subs = {
-            (item["entry"], item["row"]): item["subs"]
-            for item in data.get("subscripts", [])
-        }
-        return cls.make(data["gammas"], subs)
+        """Inverse of ``to_json``; ValueError on any malformed field."""
+        try:
+            subs = {
+                (item["entry"], item["row"]): item["subs"]
+                for item in data.get("subscripts", [])
+            }
+            return cls.make(data["gammas"], subs)
+        except KeyError as exc:
+            raise ValueError(f"tableau JSON lacks the field {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
     def to_text(self) -> str:
         """Compact text: gammas joined by '/', then ';entry@row:r1+r2,...'."""
@@ -293,7 +299,9 @@ def _co_strips(
         if remaining > n - i:
             return
         if i == n:
-            yield partition(out)
+            # out stays weakly decreasing (see the keep test below), so
+            # its zeros, if any, trail and dropping them leaves a partition
+            yield tuple(x for x in out if x)
             return
         v = mu[i]
         # keeping column i must leave lam weakly decreasing
@@ -451,13 +459,16 @@ def restrict(tab: KleinTableau, ell: int, u: int) -> KleinTableau:
     if not 0 <= u <= ell <= e + 1:
         raise RangeError(f"need 0 <= u <= ell <= e+1, got u={u}, ell={ell}, e={e}")
     shift = ell - u
-    gammas = tuple(tab.gammas[min(idx, e)] for idx in range(shift, ell + 1))
-    subs = {
-        (entry - shift, m): ss
+    gammas = tab.gammas[shift : ell + 1]
+    if ell > e:
+        gammas += (tab.gammas[e],)
+    # shifting every entry by the same amount keeps the (entry, row) order
+    subs = tuple(
+        (entry - shift, m, ss)
         for entry, m, ss in tab.subscripts
         if entry - shift >= 2 and entry <= ell
-    }
-    return KleinTableau.make(gammas, subs)
+    )
+    return KleinTableau(gammas, subs)
 
 
 def direct_sum_tableau(a: KleinTableau, b: KleinTableau) -> KleinTableau:

@@ -86,6 +86,29 @@ def test_decompose_both_ways(capsys):
     assert out.strip() == "T(4,2)"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        '{"gammas": 5}',
+        '{"gammas": [[3, 1], [3, 2], [4, 2]], "subscripts": [{"entry": 2, "subs": [2]}]}',
+    ],
+)
+def test_malformed_tableau_json_exits_one(capsys, text):
+    code, out, err = run(capsys, "decompose", "--tableau", text)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_invalid_tableau_exits_one(capsys):
+    code, out, err = run(capsys, "decompose", "--tableau", "2/1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "not a Klein tableau: chain not weakly increasing at level 1",
+    }
+
+
 def test_oracle_hall(capsys):
     code, out, _ = run(
         capsys,
@@ -144,6 +167,15 @@ def test_bad_partition_exits_one(capsys):
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["hall", "--alpha", "1"])  # missing required --beta
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--suite", "theorem2", "--count", "-3"), ("--suite", "hall", "--max-beta", "-1")]
+)
+def test_negative_verify_sizes_exit_two(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
     assert exc.value.code == 2
 
 

@@ -5,17 +5,20 @@ from hallkit.hall import (
     dominant_refinement,
     expected_degree,
     hall_multiplicity,
+    hall_multiplicity_factored,
     hall_polynomial,
     lr_multiplicity,
 )
 from hallkit.partitions import partitions_of
-from hallkit.qforms import QPolynomial
+from hallkit.qforms import QOrderFactored, QPolynomial
+from hallkit.s2cat import aut_order, object_of_tableau
 from hallkit.tableaux import (
     KleinTableau,
     LRTableau,
     enumerate_klein,
     enumerate_klein_refinements,
     enumerate_lr,
+    restrict,
 )
 
 
@@ -117,3 +120,26 @@ def test_multiplicities_are_monic_small():
                 for gamma in partitions_of(6 - k):
                     for tab in enumerate_klein(alpha, beta, gamma):
                         assert hall_multiplicity(tab).is_monic()
+
+
+def test_memoised_factors_match_direct_product():
+    tabs = [
+        tab
+        for n in range(8)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+        for tab in enumerate_klein(alpha, beta, gamma)
+    ]
+    # warm the memo on every beta first, so a key shared by two different
+    # restrictions shows up as a mismatch below
+    for tab in tabs:
+        hall_multiplicity_factored(tab)
+    for tab in reversed(tabs):
+        want = QOrderFactored.one()
+        for ell in range(2, tab.e + 2):
+            numer = aut_order(object_of_tableau(restrict(tab, ell, 1)))
+            denom = aut_order(object_of_tableau(restrict(tab, ell, 2)))
+            want = want * (numer / denom)
+        assert hall_multiplicity_factored(tab) == want
