@@ -135,9 +135,8 @@ def cmd_embed(args) -> int:
         payload = {"gammas": [list(g) for g in tab.gammas]}
         _emit(payload, "/".join(fmt(g) or "-" for g in tab.gammas), args.format)
     else:  # type
-        amb = E.ambient
-        alpha = emb.module_type(amb, E.subgroup)
-        gamma = emb.quotient_type(amb, E.subgroup)
+        alpha = E.subgroup_type()
+        gamma = emb.quotient_type(E.ambient, E.subgroup)
         payload = {"alpha": list(alpha), "beta": list(E.beta), "gamma": list(gamma)}
         _emit(payload, f"({fmt(alpha)}) <= ({fmt(E.beta)}) quotient ({fmt(gamma)})", args.format)
     return 0

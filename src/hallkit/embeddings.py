@@ -11,18 +11,29 @@ exact element sets, which is simple and fast enough under the caps.
 
 Each construction exists once.  Types are read off the orders of the
 layers p^i M (``_layer_type``), from the chain A, pA, ..., 0 of a
-subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X;
-a reduction p^s A is read off the same chain.  p^{-1}A is the union of
-the socle cosets a/p + B[p] over a in A & pB, with no scan of B.
-Bases come from one greedy rule (``_greedy_basis``): for a subgroup's
-generators, and for the quotient B/p^ell A of a truncation.  A
-truncation gives coordinates only to the |B/X| sums of basis multiples,
-one per coset, and reads each generator of A off its coset instead of
-mapping every ambient element to a coset representative.
+subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X.
+p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
+with no scan of B.  Bases come from one greedy rule (``_greedy_basis``):
+for a subgroup's generators, and for the quotient B/p^ell A of a
+truncation.  A truncation gives coordinates only to the |B/X| sums of
+basis multiples, one per coset, and reads each generator of A off its
+coset instead of mapping every ambient element to a coset
+representative.
+
+Each result is built once per embedding.  An ``Embedding`` caches its
+span, its p-chain, its greedy generators and its truncations, one per
+level ell below the exponent (from there on the truncation is E itself);
+a cached truncation still has its quotient order checked against the
+cap.  Derived embeddings inherit their chains instead of scaling again:
+``reduce(E, s)`` takes the tail E.chain()[s:], so a subfactor takes a
+tail of its cached truncation's chain, and ``lift`` starts its chain
+p^{-1}A, A & pB from the intersection it takes the preimage of, scaling
+the rest only when the chain is first used.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import count
 from math import isqrt
@@ -37,9 +48,10 @@ from .tableaux import KleinTableau, LRTableau
 SubgroupSet = frozenset  # of packed element ints, always containing 0
 
 
-def _spread(elems: Iterable[int], field: range) -> Iterable[int]:
-    """The sums e + c, lazily; a function so that each level keeps its field."""
-    return (e + c for e in elems for c in field)
+def _spread(elems: Iterable[int], field: Iterable[int], add=operator.add) -> Iterable[int]:
+    """The sums e + c over e in elems and c in field, lazily, with c
+    running fastest; a function so that each level keeps its field."""
+    return (add(e, c) for e in elems for c in field)
 
 
 class AmbientModule:
@@ -101,7 +113,14 @@ class AmbientModule:
         return u
 
     def smul(self, k: int, x: int) -> int:
-        return self.pack(tuple(k * c for c in self.coords(x)))
+        low = (1 << self._w) - 1
+        return sum((k * ((x >> s) & low) % m) << s for m, s in zip(self.mods, self._shifts))
+
+    def divp(self, x: int) -> int:
+        """The element whose coordinates are those of x divided by p,
+        rounded down (exact on pB)."""
+        p, low = self.p, (1 << self._w) - 1
+        return sum((((x >> s) & low) // p) << s for s in self._shifts)
 
     def _grid(self, steps: tuple[int, ...]) -> tuple[int, ...]:
         """The elements whose coordinate i is a multiple of steps[i], in
@@ -160,13 +179,13 @@ def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     """The subgroup p^{-1}A = {b : pb in A}: the cosets a/p + B[p] over a
-    in A & pB, where a/p divides each coordinate of a by p."""
-    p, add, socle = ambient.p, ambient.add, ambient.killed_by(1)
-    roots = [
-        ambient.pack(tuple(c // p for c in ambient.coords(a)))
-        for a in A & ambient.p_power_set(1)
-    ]
-    return frozenset(add(r, k) for r in roots for k in socle)
+    in A & pB, where a/p divides each coordinate of a by p.  Coordinate i
+    of a/p is below p^{beta_i - 1} and that of a socle element is a
+    multiple of it below p^{beta_i}, so no field of a sum reaches its
+    modulus and the packed sum is the plain one."""
+    roots = map(ambient.divp, A & ambient.p_power_set(1))
+    socle = ambient.killed_by(1)
+    return frozenset({r + k for r in roots for k in socle})
 
 
 def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet:
@@ -182,7 +201,11 @@ def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> Sub
 
 def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
     """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent of A."""
-    chain = [A]
+    return _complete_chain(ambient, [A])
+
+
+def _complete_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> list[SubgroupSet]:
+    """Extend a start [A, pA, ..., p^k A] of a p-chain, in place, down to 0."""
     while len(chain[-1]) > 1:
         chain.append(scale(ambient, chain[-1]))
     return chain
@@ -235,6 +258,7 @@ class Embedding:
         self._gens = tuple(gens) if gens is not None else None
         self._subgroup = frozenset(subgroup) if subgroup is not None else None
         self._achain: list[SubgroupSet] | None = None
+        self._truncations: dict[int, Embedding] = {}
 
     @classmethod
     def from_coords(
@@ -262,19 +286,25 @@ class Embedding:
         type of A: for each part m (descending), the smallest element of
         order p^m that stays independent of the span built so far."""
         if self._gens is None:
-            typ = _layer_type([len(C) for C in self.chain()], self.p)
+            typ = self.subgroup_type()
             self._gens = _greedy_basis(self.ambient, typ, frozenset({0}), sorted(self.subgroup))
         return self._gens
 
     def chain(self) -> list[SubgroupSet]:
-        """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent."""
-        if self._achain is None:
-            self._achain = p_chain(self.ambient, self.subgroup)
-        return self._achain
+        """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent.
+        Built on first use, from the start a derived embedding was given."""
+        chain = self._achain
+        if chain is None or len(chain[-1]) > 1:
+            chain = self._achain = _complete_chain(self.ambient, chain or [self.subgroup])
+        return chain
 
     @property
     def exponent(self) -> int:
         return len(self.chain()) - 1
+
+    def subgroup_type(self) -> Partition:
+        """Type of A, read off the orders of its p-chain."""
+        return _layer_type([len(C) for C in self.chain()], self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -298,6 +328,13 @@ class Embedding:
     @classmethod
     def from_json(cls, data: dict, cap: int | None = None) -> "Embedding":
         return cls.from_coords(data["p"], data["beta"], data["gens"], cap)
+
+
+def _from_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> Embedding:
+    """The embedding of chain[0], given a start of its p-chain."""
+    E = Embedding(ambient, subgroup=chain[0])
+    E._achain = chain
+    return E
 
 
 def _greedy_basis(
@@ -456,19 +493,24 @@ def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:
 
 
 def lift(E: Embedding, s: int = 1) -> Embedding:
-    """Replace A by p^{-s} A."""
-    A = E.subgroup
+    """Replace A by p^{-s} A.  Each step takes X to p^{-1}X = p^{-1}(X & pB),
+    and X & pB = p(p^{-1}X) is the second link of the result's chain,
+    which continues from there when first used."""
+    amb, A = E.ambient, E.subgroup
+    if s <= 0:
+        return Embedding(amb, subgroup=A)
     for _ in range(s):
-        A = preimage(E.ambient, A)
-    return Embedding(E.ambient, subgroup=A)
+        radical = A & amb.p_power_set(1)
+        A = preimage(amb, radical)
+    return _from_chain(amb, [A, radical] if len(A) > 1 else [A])
 
 
 def reduce(E: Embedding, s: int = 1) -> Embedding:
-    """Replace A by p^s A, read off the p-chain of A."""
+    """Replace A by p^s A, with the tail of the p-chain of A as its chain."""
     if s < 0:
         raise ValueError("need s >= 0")
     chain = E.chain()
-    return Embedding(E.ambient, subgroup=chain[min(s, len(chain) - 1)])
+    return _from_chain(E.ambient, chain[min(s, len(chain) - 1):])
 
 
 def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
@@ -479,15 +521,20 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
     tableaux are extracted.  Coordinates are known only on the |B/X|
     sums of basis multiples, one per coset, so each generator of A is
     read off through its coset g + X and the new subgroup is spanned
-    from the images on demand.
+    from the images on demand.  Each level is built once per embedding;
+    a cached one has the order of its quotient checked against the cap
+    like a new one.
     """
     if ell < 0:
         raise ValueError("level must be >= 0")
-    chain = E.chain()
-    X = chain[min(ell, len(chain) - 1)]
-    if len(X) == 1:
+    if ell >= E.exponent:  # p^ell A = 0
         return E
     amb = E.ambient
+    cut = E._truncations.get(ell)
+    if cut is not None:
+        AmbientModule.get(amb.p, cut.beta, cap)  # the cap check of a new one
+        return cut
+    X = E.chain()[ell]
     gamma = quotient_type(amb, X)
     new_amb = AmbientModule.get(amb.p, gamma, cap)
     basis = _greedy_basis(amb, gamma, X, amb.all_elements())
@@ -504,7 +551,8 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
         rep = next(v for v in (amb.add(g, x) for x in X) if v in coords_of)
         return new_amb.pack(coords_of[rep])
 
-    return Embedding(new_amb, gens=tuple(image(g) for g in E.generators()))
+    cut = E._truncations[ell] = Embedding(new_amb, gens=tuple(map(image, E.generators())))
+    return cut
 
 
 def subfactor(E: Embedding, ell: int, u: int, cap: int | None = None) -> Embedding:

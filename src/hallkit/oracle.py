@@ -4,10 +4,12 @@ Everything here is exhaustive enumeration under the configured caps:
 subgroup lattices by triangular generators, one coordinate at a time,
 which yields each subgroup exactly once; and morphisms by one walk over
 the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
-Hom counts count that walk, Aut counts keep its maps that are invertible
-mod p, and the orbit check spans the generator images of the invertible
-maps into the whole ambient.  These counts are what every symbolic
-formula in the package is checked against.
+The walk builds each generator's image once per prefix of unit images
+and adds the last unit's term per map.  Hom counts count that walk, Aut
+counts keep its maps that are invertible mod p (a rank test on each
+block of equal parts), and the orbit check spans the generator images
+of the invertible maps into the whole ambient.  These counts are what
+every symbolic formula in the package is checked against.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from itertools import groupby, product
+from typing import Iterable, Iterator
 
 from .caps import general_cap, subgroup_cap
 from .embeddings import (
     AmbientModule,
     Embedding,
     SubgroupSet,
-    _layer_type,
+    _spread,
     klein_tableau,
     lift,
     reduce,
@@ -123,7 +125,7 @@ def _census(p: int, beta, cap: int | None) -> dict:
     for U in enumerate_subgroups(p, amb.beta, cap):
         E = Embedding(amb, subgroup=U)
         tab = klein_tableau(E)
-        types[(_layer_type([len(C) for C in E.chain()], p), tab.gammas[0])] += 1
+        types[(E.subgroup_type(), tab.gammas[0])] += 1
         tabs[tab] += 1
     entry = {"types": types, "tableaux": tabs, "elapsed": time.monotonic() - start}
     _census_cache[key] = entry
@@ -184,7 +186,12 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
     element of B_F killed by p^{beta_i}.  Each map is yielded as
     (idx, images): idx[i] indexes the i-th unit image in
     ``F.ambient.killed_by(beta_i)``, and images are the images of E's
-    generators.  A map is dropped at its first generator image outside A_F.
+    generators, in the order of ``itertools.product`` over idx.  Each
+    generator's images stream from nested lazy sums, one level per
+    coordinate: the image over a prefix of idx is built once and shared
+    by every map extending it, so a map costs one addition per generator
+    for its last unit image.  A map is kept when all its generator images
+    lie in A_F.
     """
     ambE, ambF = E.ambient, F.ambient
     allowed = [ambF.killed_by(b) for b in ambE.beta]
@@ -195,33 +202,39 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
     if total > limit:
         raise CapExceeded(f"hom space of size {total} exceeds cap {limit}")
     add, target = ambF.add, F.subgroup
-    # per generator, per coordinate: its multiple of every admissible unit image
-    tables = [
-        [[ambF.smul(c, y) for y in block] for c, block in zip(ambE.coords(g), allowed)]
-        for g in E.generators()
-    ]
-    for idx in product(*[range(len(block)) for block in allowed]):
-        images = []
-        for table in tables:
-            img = 0
-            for column, j in zip(table, idx):
-                img = add(img, column[j])
-            if img not in target:
-                break
-            images.append(img)
-        else:
+    streams = []
+    for g in E.generators():
+        # the generator's images over every idx, in product order
+        images: Iterable[int] = (0,)
+        for c, block in zip(ambE.coords(g), allowed):
+            images = _spread(images, [ambF.smul(c, y) for y in block], add)
+        streams.append(images)
+    for idx, *images in zip(product(*[range(len(block)) for block in allowed]), *streams):
+        if target.issuperset(images):
             yield idx, images
 
 
 def _invertible_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[list[int]]:
     """The generator images of the maps of ``_module_maps(E, F)`` that are
-    invertible mod p; F lives in E's ambient."""
+    invertible mod p; F lives in E's ambient.
+
+    The image of e_i is killed by p^{beta_i}, so its coordinates j with
+    beta_j > beta_i vanish mod p: the residue matrix is block-triangular
+    by part size, and it is invertible iff each square block of equal
+    parts is.  Only those blocks are rank-tested.
+    """
     amb, p = E.ambient, E.p
-    residues = [
-        [tuple(c % p for c in amb.coords(y)) for y in amb.killed_by(b)] for b in amb.beta
-    ]
+    # per run of equal parts b: its rows, and the residue mod p of every
+    # admissible image of such a row (an element killed by p^b) on the
+    # run's columns
+    runs, start = [], 0
+    for b, run in groupby(amb.beta):
+        rows = range(start, start + len(list(run)))
+        cols = slice(rows.start, rows.stop)
+        runs.append((rows, [tuple(c % p for c in amb.coords(y)[cols]) for y in amb.killed_by(b)]))
+        start = rows.stop
     for idx, images in _module_maps(E, F, cap):
-        if _invertible_mod_p([block[j] for block, j in zip(residues, idx)], p):
+        if all(_invertible_mod_p([res[idx[i]] for i in rows], p) for rows, res in runs):
             yield images
 
 

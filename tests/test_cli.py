@@ -71,6 +71,16 @@ def test_embed_type(capsys):
     assert json.loads(out) == {"alpha": [2], "beta": [4, 2], "gamma": [3, 1]}
 
 
+def test_embed_type_output_pinned(capsys):
+    argv = ["embed", "type", "--prime", "3", "--beta", "3,2,1", "--gens", "4,1,2;9,0,1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "(3,1) <= (3,2,1) quotient (2)\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == '{"alpha": [3, 1], "beta": [3, 2, 1], "gamma": [2]}\n'
+
+
 def test_decompose_both_ways(capsys):
     code, out, _ = run(capsys, "decompose", "--object", "T(4,2) + P(1,3)")
     assert code == 0

@@ -223,6 +223,46 @@ def test_truncate_and_subfactor():
     assert emb.klein_tableau(emb.subfactor(S, 2, 1)) == restrict(tab, 2, 1)
 
 
+def test_cached_truncation_checks_cap():
+    E = emb.random_embedding(3, (3, 2, 1), 2, seed=4)
+    assert E.exponent >= 2
+    cut = emb.truncate(E, 1)
+    assert emb.truncate(E, 1) is cut
+    below = cut.ambient.size - 1
+    with pytest.raises(CapExceeded) as cached:
+        emb.truncate(E, 1, cap=below)
+    # a cold embedding fails the same way
+    cold = emb.random_embedding(3, (3, 2, 1), 2, seed=4)
+    with pytest.raises(CapExceeded) as fresh:
+        emb.truncate(cold, 1, cap=below)
+    assert str(cached.value) == str(fresh.value)
+    assert emb.truncate(E, 1, cap=cut.ambient.size) is cut
+    # at or past the exponent p^ell A = 0, and E is its own truncation
+    for ell in (E.exponent, E.exponent + 1, E.exponent + 3):
+        assert emb.truncate(E, ell) is E
+        assert emb.truncate(E, ell, cap=1) is E
+
+
+def test_inherited_chains_match_recomputed():
+    # reduce, lift and subfactor hand their results a known start of the
+    # p-chain; it must equal the chain scaled from scratch
+    rng = random.Random(31)
+    for p, max_size in ((2, 5), (3, 4), (5, 3)):
+        for n in range(1, max_size + 1):
+            for beta in partitions_of(n):
+                E = emb.random_embedding(p, beta, rng.randrange(1, 4), seed=rng.randrange(1 << 30))
+                e = E.exponent
+                derived = [emb.reduce(E, s) for s in range(e + 2)]
+                derived += [emb.lift(E, s) for s in range(3)]
+                derived += [
+                    emb.subfactor(E, ell, u) for ell in range(e + 2) for u in range(ell + 1)
+                ]
+                for X in derived:
+                    assert X.chain() == emb.p_chain(X.ambient, X.subgroup), (p, beta)
+    zero = emb.empty_embedding(2)
+    assert emb.lift(zero).chain() == [frozenset({0})]
+
+
 def test_random_embedding_is_reproducible():
     E1 = emb.random_embedding(2, (3, 2, 1), 2, seed=7)
     E2 = emb.random_embedding(2, (3, 2, 1), 2, seed=7)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from hallkit.errors import CapExceeded
 from hallkit.partitions import conjugate, contains, partitions_of
 from hallkit.qforms import evaluate
 from hallkit.hall import hall_polynomial
-from hallkit.s2cat import aut_order_module
+from hallkit.s2cat import aut_order_module, enumerate_objects
 from hallkit.tableaux import enumerate_klein
 
 
@@ -122,6 +123,102 @@ def test_aut_count_module():
                 if p ** sum(min(b, c) for b in beta for c in beta) <= verify.BRUTE_BUDGET:
                     want = evaluate(aut_order_module(beta), p)
                     assert oracle.aut_count_module(p, beta) == want, (p, beta)
+
+
+def _product_walk(E, F):
+    """The module-map walk as first written: every idx of
+    itertools.product, each generator image summed from scratch."""
+    ambE, ambF = E.ambient, F.ambient
+    allowed = [ambF.killed_by(b) for b in ambE.beta]
+    tables = [
+        [[ambF.smul(c, y) for y in block] for c, block in zip(ambE.coords(g), allowed)]
+        for g in E.generators()
+    ]
+    for idx in product(*[range(len(block)) for block in allowed]):
+        images = []
+        for table in tables:
+            img = 0
+            for column, j in zip(table, idx):
+                img = ambF.add(img, column[j])
+            if img not in F.subgroup:
+                break
+            images.append(img)
+        else:
+            yield idx, images
+
+
+def test_module_map_walk_matches_product_walk():
+    # every ordered pair of small embeddings, among them the empty
+    # ambient, a generator-free one and subgroup-defined ones
+    rng = random.Random(8)
+    pairs = 0
+    for p in (2, 3):
+        pool = [emb.empty_embedding(p), emb.Embedding.from_coords(p, (2, 1), [])]
+        pool += [emb.object_embedding(obj, p) for obj in enumerate_objects(3)]
+        for n in range(1, 4):
+            for beta in partitions_of(n):
+                E = emb.random_embedding(p, beta, rng.randrange(1, 4), seed=rng.randrange(1 << 20))
+                pool += [E, emb.lift(E), emb.reduce(E)]
+        for E, F in product(pool, repeat=2):
+            if p ** sum(min(b, c) for b in E.beta for c in F.beta) <= 1 << 10:
+                assert list(oracle._module_maps(E, F, None)) == list(_product_walk(E, F))
+                pairs += 1
+    assert pairs == 3479
+
+
+def _full_rank_mod_p(rows, p):
+    """Gaussian elimination over the whole residue matrix."""
+    M, n = [list(r) for r in rows], len(rows)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if M[r][i]), None)
+        if piv is None:
+            return False
+        M[i], M[piv] = M[piv], M[i]
+        inv = pow(M[i][i], -1, p)
+        for r in range(i + 1, n):
+            factor = M[r][i] * inv % p
+            if factor:
+                M[r] = [(a - factor * b) % p for a, b in zip(M[r], M[i])]
+    return True
+
+
+def _full_rank_maps(E, F):
+    """Generator images of the maps of E -> F whose whole residue matrix
+    mod p is invertible."""
+    amb, p = E.ambient, E.p
+    residues = [[tuple(c % p for c in amb.coords(y)) for y in amb.killed_by(b)] for b in amb.beta]
+    for idx, images in oracle._module_maps(E, F, None):
+        if _full_rank_mod_p([block[j] for block, j in zip(residues, idx)], p):
+            yield images
+
+
+def test_block_rank_test_matches_full_elimination():
+    # every object of size <= 5 whose End(B) has at most 2^12 maps
+    budget = 1 << 12
+    for p, want_checked in ((2, 77), (3, 38)):
+        checked, modules = 0, set()
+        for obj in enumerate_objects(5):
+            E = emb.object_embedding(obj, p)
+            try:
+                aut = oracle.aut_count(E, budget)
+            except CapExceeded:
+                continue
+            checked += 1
+            want = sum(1 for _ in _full_rank_maps(E, E))
+            assert aut == want, (p, obj)
+            amb = E.ambient
+            whole = emb.Embedding(amb, subgroup=amb.all_elements())
+            aut_b, orbit = 0, set()
+            for images in _full_rank_maps(E, whole):
+                aut_b += 1
+                orbit.add(emb.span(amb, images))
+            assert oracle.orbit_check(E) == (aut_b % want == 0 and len(orbit) == aut_b // want)
+            if E.beta not in modules:
+                modules.add(E.beta)
+                zero = emb.Embedding(amb, gens=())
+                module_aut = sum(1 for _ in _full_rank_maps(zero, zero))
+                assert oracle.aut_count_module(p, E.beta) == module_aut, (p, E.beta)
+        assert checked == want_checked
 
 
 def test_hom_cap():
