@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--gens", default="", help="semicolon-separated coordinate vectors, e.g. '4,2;1,0'")
-    sp.add_argument("--cap", type=int, default=None, help="override the ambient-order cap")
+    sp.add_argument("--cap", type=_non_negative, default=None, help="override the ambient-order cap")
     _add_format_flag(sp)
     sp.set_defaults(func=cmd_embed)
 
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, default=2)
     _add_type_flags(sp)
     sp.add_argument("--by-tableau", action="store_true")
-    sp.add_argument("--subgroup-cap", type=int, default=None)
+    sp.add_argument("--subgroup-cap", type=_non_negative, default=None)
     _add_format_flag(sp)
     sp.set_defaults(func=cmd_oracle)
 
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
     )
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=_non_negative, default=None)
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -41,9 +41,9 @@ from typing import Iterable, Sequence
 
 from .caps import general_cap
 from .errors import CapExceeded
-from .partitions import Partition, conjugate, partition, row_length
+from .partitions import Partition, conjugate, partition
 from .s2cat import Bipicket, S2Object, object_of_tableau
-from .tableaux import KleinTableau, LRTableau
+from .tableaux import KleinTableau, LRTableau, strip_row_counts
 
 SubgroupSet = frozenset  # of packed element ints, always containing 0
 
@@ -401,10 +401,8 @@ def klein_tableau(E: Embedding) -> KleinTableau:
             cur = quotient_type(amb, X)
             if cur == prev_type:
                 continue
-            for m in range(1, (cur[0] if cur else 0) + 1):
-                grow = row_length(cur, m) - row_length(prev_type, m)
-                if grow:
-                    subs.setdefault((ell, m), []).extend([r] * grow)
+            for m, grow in strip_row_counts(cur, prev_type).items():
+                subs.setdefault((ell, m), []).extend([r] * grow)
             prev_type = cur
         if prev_type != gammas[ell]:
             raise AssertionError("subscript chain did not reach the strip top")

@@ -5,10 +5,11 @@ subgroup lattices by triangular generators, one coordinate at a time,
 which yields each subgroup exactly once; and morphisms by one walk over
 the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
 The walk builds each generator's image once per prefix of unit images
-and adds the last unit's term per map.  Hom counts count that walk, Aut
-counts keep its maps that are invertible mod p (a rank test on each
-block of equal parts), and the orbit check spans the generator images
-of the invertible maps into the whole ambient.  These counts are what
+and adds the last unit's term per map.  Hom counts count that walk;
+End and Aut counts come from one walk over E's endomorphisms, Aut
+keeping the maps that are invertible mod p (a rank test on each block
+of equal parts); and the orbit check spans the generator images of the
+invertible maps into the whole ambient.  These counts are what
 every symbolic formula in the package is checked against.
 """
 
@@ -214,9 +215,11 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
             yield idx, images
 
 
-def _invertible_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[list[int]]:
-    """The generator images of the maps of ``_module_maps(E, F)`` that are
-    invertible mod p; F lives in E's ambient.
+def _flagged_maps(
+    E: Embedding, F: Embedding, cap: int | None
+) -> Iterator[tuple[bool, list[int]]]:
+    """The maps of ``_module_maps(E, F)`` as (invertible mod p, generator
+    images); F lives in E's ambient.
 
     The image of e_i is killed by p^{beta_i}, so its coordinates j with
     beta_j > beta_i vanish mod p: the residue matrix is block-triangular
@@ -234,8 +237,8 @@ def _invertible_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[li
         runs.append((rows, [tuple(c % p for c in amb.coords(y)[cols]) for y in amb.killed_by(b)]))
         start = rows.stop
     for idx, images in _module_maps(E, F, cap):
-        if all(_invertible_mod_p([res[idx[i]] for i in rows], p) for rows, res in runs):
-            yield images
+        full_rank = (_invertible_mod_p([res[idx[i]] for i in rows], p) for rows, res in runs)
+        yield all(full_rank), images
 
 
 def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:
@@ -244,10 +247,21 @@ def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:
     return sum(1 for _ in _module_maps(E, F, cap))
 
 
+def end_aut_counts(E: Embedding, cap: int | None = None) -> tuple[int, int]:
+    """|End E| and |Aut E| from one walk over the endomorphisms of E:
+    module maps of the ambient carrying the subgroup into itself, and
+    those of them invertible mod p."""
+    end = aut = 0
+    for invertible, _ in _flagged_maps(E, E, cap):
+        end += 1
+        aut += invertible
+    return end, aut
+
+
 def aut_count(E: Embedding, cap: int | None = None) -> int:
     """Number of automorphisms of the embedding: invertible module maps
     of the ambient fixing the subgroup setwise."""
-    return sum(1 for _ in _invertible_maps(E, E, cap))
+    return end_aut_counts(E, cap)[1]
 
 
 def aut_count_module(p: int, beta, cap: int | None = None) -> int:
@@ -262,9 +276,10 @@ def orbit_check(E: Embedding, cap: int | None = None) -> bool:
     amb = E.ambient
     whole = Embedding(amb, subgroup=amb.all_elements())
     autB, orbit = 0, set()
-    for images in _invertible_maps(E, whole, cap):
-        autB += 1
-        orbit.add(span(amb, images))
+    for invertible, images in _flagged_maps(E, whole, cap):
+        if invertible:
+            autB += 1
+            orbit.add(span(amb, images))
     autE = aut_count(E, cap)
     return autB % autE == 0 and len(orbit) == autB // autE
 

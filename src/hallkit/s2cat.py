@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EntryTooLarge
-from .partitions import partition, row_length
+from .partitions import partition
 from .qforms import QOrderFactored, gl_order
-from .tableaux import KleinTableau, direct_sum_tableau, forced_subscript_count
+from .tableaux import KleinTableau, direct_sum_tableau, forced_subscript_count, strip_row_counts
 
 
 @dataclass(frozen=True, order=True)
@@ -197,11 +197,11 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
         return tab.subs_at(2, m)
 
     sub_total = {r: tab.count_symbols(2, subs={r}) for r in range(1, top + 1)}
+    ones = strip_row_counts(g1, g0)
     pairs: list[tuple[Indecomposable, int]] = []
     for m in range(1, top + 1):
         pairs.extend((bipicket(m, r), 1) for r in twos(m))
-        ones = row_length(g1, m) - row_length(g0, m)
-        p1 = ones - sub_total.get(m, 0)
+        p1 = ones[m] - sub_total.get(m, 0)
         if p1 < 0:
             raise ValueError("invalid Klein tableau: condition (iv) violated")
         pairs.append((Picket(1, m), p1))

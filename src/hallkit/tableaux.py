@@ -10,13 +10,18 @@ in-row normalization makes that representation lossless.
 Every enumeration walks chains down from the top partition with one
 strip walker, ``_co_strips``: the LR tableaux of a type remove strips of
 the sizes conjugate(alpha) down to the floor gamma, and the tableaux with
-entries <= 2 remove at most two strips, with no floor.
+entries <= 2 remove at most two strips, with no floor.  The subscripts
+of entry ell come from ``itertools``: each row m draws its free ones by
+``combinations_with_replacement`` over 1..m-1 and appends its forced
+m-1's, and a product over the rows keeps the choices that use each r at
+most as often as strip ell-1 has boxes in row r (condition (iv)).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RangeError
@@ -29,7 +34,6 @@ from .partitions import (
     merge,
     parse,
     partition,
-    row_length,
 )
 
 Cell = tuple[int, int]  # (entry, row)
@@ -220,14 +224,11 @@ def tableau_type(tab: LRTableau | KleinTableau) -> tuple[Partition, Partition, P
     return alpha, gs[-1], gs[0]
 
 
-def strip_row_counts(upper: Partition, lower: Partition) -> dict[int, int]:
-    """Boxes per diagram row in the skew upper \\ lower."""
-    counts = {}
-    for m in range(1, (upper[0] if upper else 0) + 1):
-        c = row_length(upper, m) - row_length(lower, m)
-        if c:
-            counts[m] = c
-    return counts
+def strip_row_counts(upper: Partition, lower: Partition) -> Counter[int]:
+    """Boxes per diagram row in the skew upper \\ lower: column i adds its
+    rows lower_i+1..upper_i."""
+    low = _padded(lower, len(upper))
+    return Counter([m for u, v in zip(upper, low) for m in range(v + 1, u + 1)])
 
 
 def forced_subscript_count(gammas: Sequence[Partition], ell: int, m: int) -> int:
@@ -259,21 +260,20 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
     for ell in range(2, e + 1):
         counts = strip_row_counts(gs[ell], gs[ell - 1])
         caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
-        usage: dict[int, int] = {}
+        usage: Counter[int] = Counter()
         rows = set(counts) | {m for (l2, m) in declared if l2 == ell}
         for m in sorted(rows):
             subs = declared.get((ell, m), ())
-            if len(subs) != counts.get(m, 0):
-                return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {counts.get(m, 0)}"
+            if len(subs) != counts[m]:
+                return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {counts[m]}"
             if any(not 1 <= r <= m - 1 for r in subs):
                 return False, f"cell ({ell},{m}) subscript out of range (ii)"
             need = forced_subscript_count(gs, ell, m)
             if sum(1 for r in subs if r == m - 1) < need:
                 return False, f"cell ({ell},{m}) misses forced subscript {m - 1} (iii)"
-            for r in subs:
-                usage[r] = usage.get(r, 0) + 1
+            usage.update(subs)
         for r, used in usage.items():
-            if used > caps.get(r, 0):
+            if used > caps[r]:
                 return False, f"too many symbols {ell}_{r} for row {r} (iv)"
     return True, None
 
@@ -350,26 +350,9 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     return tuple(LRTableau(gs) for gs in chains)
 
 
-def _cell_multisets(
-    free: int, max_sub: int, caps: dict[int, int]
-) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples of length ``free`` over 1..max_sub, in
-    lexicographic order, each value r drawn from caps[r].
-
-    While a tuple is yielded, caps holds what is left after drawing it.
-    """
-
-    def rec(k: int, lowest: int, acc: tuple[int, ...]):
-        if k == 0:
-            yield acc
-            return
-        for r in range(lowest, max_sub + 1):
-            if caps.get(r, 0) > 0:
-                caps[r] -= 1
-                yield from rec(k - 1, r, acc + (r,))
-                caps[r] += 1
-
-    yield from rec(free, 1, ())
+def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
+    """True iff subs uses each symbol r at most caps[r] times."""
+    return all(subs.count(r) <= caps[r] for r in set(subs))
 
 
 def _level_subscripts(
@@ -377,29 +360,25 @@ def _level_subscripts(
 ) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
     """Subscript cells (ell, row, subs) for entry ell, in canonical order.
 
-    Row m gets its forced subscripts m-1 (iii) and free ones in 1..m-1
-    (ii); all of them together use r at most as often as strip ell-1 has
-    boxes in row r (iv).  The forced ones are taken from those caps first.
+    The caps of (iv) count the boxes of strip ell-1 in each row r.  Row m
+    draws its free subscripts (ii) by ``combinations_with_replacement``
+    over the r in 1..m-1 with a nonzero cap, in lexicographic order, and
+    appends its forced m-1's (iii); a choice over the caps on its own is
+    dropped.  Of the product over the rows, which keeps that order, only
+    the choices whose combined use fits the caps are kept.
     """
     counts = strip_row_counts(gs[ell], gs[ell - 1])
     caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
-    cells = []
+    rows = []
     for m in sorted(counts):
         need = forced_subscript_count(gs, ell, m)
-        caps[m - 1] = caps.get(m - 1, 0) - need
-        cells.append((m, counts[m] - need, (m - 1,) * need))
-    if any(c < 0 for c in caps.values()):
-        return
-
-    def rec(idx: int, acc: tuple):
-        if idx == len(cells):
-            yield acc
-            return
-        m, free, forced = cells[idx]
-        for choice in _cell_multisets(free, m - 1, caps):
-            yield from rec(idx + 1, acc + ((ell, m, choice + forced),))
-
-    yield from rec(0, ())
+        symbols = [r for r in range(1, m) if caps[r]]
+        free = combinations_with_replacement(symbols, counts[m] - need)
+        choices = (c + (m - 1,) * need for c in free)
+        rows.append([(ell, m, subs) for subs in choices if _fits(subs, caps)])
+    for cells in product(*rows):
+        if _fits(sum((subs for _, _, subs in cells), ()), caps):
+            yield cells
 
 
 def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:

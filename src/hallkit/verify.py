@@ -10,8 +10,11 @@ Four suites, bundled so CI can run one command:
                     embeddings (reductions, approximations, adjointness,
                     symbol-multiplicity equality).
 * ``hall``       -- exhaustive Hall-polynomial verification: evaluation
-                    at q = p equals subgroup counts, per-tableau counts
-                    match, (alpha, gamma)-symmetry, degrees and monicity.
+                    at q = p equals subgroup counts and per-tableau counts
+                    match (these need the subgroup census, so a beta over
+                    the subgroup cap skips them and is counted); the
+                    symbolic (alpha, gamma)-symmetry, degree and
+                    monicity checks run on every beta and never skip.
 
 Each check is a named pass/fail with a short detail string; suites are
 deterministic given their seed.
@@ -164,14 +167,12 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
             if hom_len_tableau(tab, y) != hom_len_obj(obj, y):
                 symbolic_bad += 1
         try:
-            E = emb.object_embedding(obj, p, cap)
-            aut_ok = evaluate(aut_order(obj), p) == oracle.aut_count(E, budget)
-            end_ok = p ** end_power(obj) == oracle.hom_count(E, E, budget)
+            end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), budget)
         except CapExceeded:
             skipped += 1
             continue
         checked += 1
-        bad += (not aut_ok) + (not end_ok)
+        bad += (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
     rep.add("tableau-hom-lengths-agree", symbolic_bad == 0, f"{symbolic_bad} mismatches")
     rep.add(
         "aut-end-orders-vs-brute",
@@ -333,15 +334,24 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
                 census = oracle.hall_census(p, beta, cap)
                 by_tab = oracle.hall_count_by_tableau(p, beta, cap)
             except CapExceeded:
+                census = by_tab = None
                 skipped += 1
-                continue
-            if sum(census.values()) != sum(by_tab.values()):
+            if census is not None and sum(census.values()) != sum(by_tab.values()):
                 refine_bad += 1
+            totals = {}
             for k in range(n + 1):
                 for alpha in partitions_of(k):
                     for gamma in partitions_of(n - k):
-                        instances += 1
                         bd = hall_polynomial(alpha, beta, gamma)
+                        totals[(alpha, gamma)] = bd.total
+                        monic_bad += sum(1 for _, poly in bd.per_tableau if not poly.is_monic())
+                        if not bd.total.is_zero() and bd.total.degree != expected_degree(
+                            alpha, beta, gamma
+                        ):
+                            degree_bad += 1
+                        if census is None:
+                            continue
+                        instances += 1
                         if evaluate(bd.total, p) != census.get((alpha, gamma), 0):
                             count_bad += 1
                         tab_total = 0
@@ -349,18 +359,12 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
                             if evaluate(poly, p) != by_tab.get(tab, 0):
                                 tableau_bad += 1
                             tab_total += by_tab.get(tab, 0)
-                            if not poly.is_monic():
-                                monic_bad += 1
                         if tab_total != census.get((alpha, gamma), 0):
                             refine_bad += 1
-                        if alpha <= gamma:
-                            mirrored = hall_polynomial(gamma, beta, alpha)
-                            if mirrored.total != bd.total:
-                                symmetry_bad += 1
-                        if not bd.total.is_zero() and bd.total.degree != expected_degree(
-                            alpha, beta, gamma
-                        ):
-                            degree_bad += 1
+            symmetry_bad += sum(
+                1 for (alpha, gamma), total in totals.items()
+                if alpha <= gamma and totals[(gamma, alpha)] != total
+            )
     detail = f"{instances} instances, {skipped} betas skipped over cap, {count_bad} bad"
     rep.add("counts-match-oracle", count_bad == 0, detail)
     rep.add("per-tableau-counts-match", tableau_bad == 0, f"{tableau_bad} bad")

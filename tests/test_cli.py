@@ -181,11 +181,19 @@ def test_usage_error_exits_two():
 
 
 @pytest.mark.parametrize(
-    "flags", [("--suite", "theorem2", "--count", "-3"), ("--suite", "hall", "--max-beta", "-1")]
+    "flags",
+    [
+        ("verify", "--suite", "theorem2", "--count", "-3"),
+        ("verify", "--suite", "hall", "--max-beta", "-1"),
+        ("verify", "--suite", "roundtrip", "--cap", "-3"),
+        ("embed", "tableau", "--prime", "2", "--beta", "2,1", "--cap", "-1"),
+        ("oracle", "hall", "--beta", "2,1", "--subgroup-cap", "-1"),
+    ],
 )
 def test_negative_verify_sizes_exit_two(flags):
+    # sizes and caps are checked at parse time, like every usage error
     with pytest.raises(SystemExit) as exc:
-        main(["verify", *flags])
+        main(list(flags))
     assert exc.value.code == 2
 
 

@@ -200,12 +200,13 @@ def test_block_rank_test_matches_full_elimination():
         for obj in enumerate_objects(5):
             E = emb.object_embedding(obj, p)
             try:
-                aut = oracle.aut_count(E, budget)
+                end, aut = oracle.end_aut_counts(E, budget)
             except CapExceeded:
                 continue
             checked += 1
             want = sum(1 for _ in _full_rank_maps(E, E))
-            assert aut == want, (p, obj)
+            assert aut == want == oracle.aut_count(E, budget), (p, obj)
+            assert end == oracle.hom_count(E, E, budget), (p, obj)
             amb = E.ambient
             whole = emb.Embedding(amb, subgroup=amb.all_elements())
             aut_b, orbit = 0, set()

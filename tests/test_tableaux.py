@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from hallkit.errors import RangeError
-from hallkit.partitions import partitions_of
+from hallkit.partitions import partitions_of, row_length
 from hallkit.s2cat import enumerate_objects, tableau_of_object
 from hallkit.tableaux import (
     KleinTableau,
@@ -114,6 +115,37 @@ def test_every_lr_tableau_has_a_refinement():
                     for gamma in partitions_of(n - k):
                         for lr in enumerate_lr(alpha, beta, gamma):
                             assert enumerate_klein_refinements(lr)
+
+
+def _brute_force_refinements(lr):
+    """Every product of per-cell subscript multisets (from product over
+    1..m-1, sorted and de-duplicated) that validate_klein accepts, sorted
+    by subscripts."""
+    gs = lr.gammas
+    cells = []
+    for ell in range(2, len(gs)):
+        for m in range(1, max(gs[ell], default=0) + 1):
+            k = row_length(gs[ell], m) - row_length(gs[ell - 1], m)
+            if k:
+                options = sorted({tuple(sorted(t)) for t in product(range(1, m), repeat=k)})
+                cells.append([(ell, m, subs) for subs in options])
+    tabs = (KleinTableau(gs, combo) for combo in product(*cells))
+    return sorted((t for t in tabs if validate_klein(t)[0]), key=lambda t: t.subscripts)
+
+
+def test_klein_refinements_match_brute_force():
+    # complete and in canonical order, for every LR tableau with |beta| <= 7
+    lrs = tabs = 0
+    for n in range(8):
+        for beta in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    for gamma in partitions_of(n - k):
+                        for lr in enumerate_lr(alpha, beta, gamma):
+                            got = enumerate_klein_refinements(lr)
+                            assert list(got) == _brute_force_refinements(lr), lr
+                            lrs, tabs = lrs + 1, tabs + len(got)
+    assert (lrs, tabs) == (637, 642)
 
 
 def test_restrict_worked_example():

@@ -1,8 +1,10 @@
 import json
 import re
+from collections import Counter
 
 from hallkit import verify
 from hallkit.cli import main
+from hallkit.partitions import partitions_of
 
 
 def skipped(check) -> int:
@@ -48,6 +50,31 @@ def test_hall_skips_betas_over_cap():
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 5 betas skipped over cap," in checks["counts-match-oracle"].detail
+
+
+def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
+    # the betas of size 4 are over the cap, yet the symbolic checks compute
+    # every one of their triples; the symmetry check reuses the mirrored
+    # triple's polynomial, so no triple is computed twice
+    calls = Counter()
+    real = verify.hall_polynomial
+
+    def counting(alpha, beta, gamma):
+        calls[(alpha, beta, gamma)] += 1
+        return real(alpha, beta, gamma)
+
+    monkeypatch.setattr(verify, "hall_polynomial", counting)
+    rep = verify.suite_hall(prime=2, max_beta=4, cap=8)
+    assert rep.passed
+    over_cap = {
+        (alpha, beta, gamma)
+        for beta in partitions_of(4)
+        for k in range(5)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(4 - k)
+    }
+    assert over_cap <= set(calls)
+    assert set(calls.values()) == {1}
 
 
 def test_roundtrip_skips_realizations_over_cap():
