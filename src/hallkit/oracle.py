@@ -224,21 +224,32 @@ def _flagged_maps(
     The image of e_i is killed by p^{beta_i}, so its coordinates j with
     beta_j > beta_i vanish mod p: the residue matrix is block-triangular
     by part size, and it is invertible iff each square block of equal
-    parts is.  Only those blocks are rank-tested.
+    parts is.  Only those blocks are rank-tested, each distinct block
+    once per walk.
     """
     amb, p = E.ambient, E.p
-    # per run of equal parts b: its rows, and the residue mod p of every
-    # admissible image of such a row (an element killed by p^b) on the
-    # run's columns
+    # per run of equal parts b: its rows, the admissible images of such a
+    # row (elements killed by p^b), and the rank test of each block seen
+    # so far, keyed on the run's slice of idx
     runs, start = [], 0
     for b, run in groupby(amb.beta):
-        rows = range(start, start + len(list(run)))
-        cols = slice(rows.start, rows.stop)
-        runs.append((rows, [tuple(c % p for c in amb.coords(y)[cols]) for y in amb.killed_by(b)]))
+        rows = slice(start, start + len(list(run)))
+        runs.append((rows, amb.killed_by(b), {}))
         start = rows.stop
+
+    def full_rank(idx: tuple[int, ...]) -> bool:
+        for rows, admissible, seen in runs:
+            key = idx[rows]
+            if key not in seen:
+                # the block: residues mod p of the row images on the run's columns
+                block = [tuple(c % p for c in amb.coords(admissible[k])[rows]) for k in key]
+                seen[key] = _invertible_mod_p(block, p)
+            if not seen[key]:
+                return False
+        return True
+
     for idx, images in _module_maps(E, F, cap):
-        full_rank = (_invertible_mod_p([res[idx[i]] for i in rows], p) for rows, res in runs)
-        yield all(full_rank), images
+        yield full_rank(idx), images
 
 
 def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:

@@ -10,11 +10,19 @@ in-row normalization makes that representation lossless.
 Every enumeration walks chains down from the top partition with one
 strip walker, ``_co_strips``: the LR tableaux of a type remove strips of
 the sizes conjugate(alpha) down to the floor gamma, and the tableaux with
-entries <= 2 remove at most two strips, with no floor.  The subscripts
-of entry ell come from ``itertools``: each row m draws its free ones by
-``combinations_with_replacement`` over 1..m-1 and appends its forced
-m-1's, and a product over the rows keeps the choices that use each r at
-most as often as strip ell-1 has boxes in row r (condition (iv)).
+entries <= 2 remove at most two strips, with no floor.  The walker fixes
+the columns of a strip right to left and counts s, the strip's boxes in
+the columns fixed so far.  It cuts a branch as soon as s falls below the
+same count of the strip above (the lattice property, column by column),
+or the boxes left above the floor in those columns cannot hold s boxes
+of each strip still below (pigeonhole: by the lattice property each of
+them has at least s boxes there, and at most one per column).
+
+The subscripts of entry ell come from ``itertools``: each row m draws its
+free ones by ``combinations_with_replacement`` over 1..m-1 and appends
+its forced m-1's, and a product over the rows keeps the choices that use
+each r at most as often as strip ell-1 has boxes in row r (condition
+(iv)).
 """
 
 from __future__ import annotations
@@ -283,62 +291,96 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 
 
 def _co_strips(
-    mu: Partition, size: int, floor: Partition, slack: int | None
-) -> Iterator[Partition]:
+    mu: Partition,
+    size: int,
+    floor: Partition | None,
+    upper: Sequence[int],
+    below: int,
+) -> Iterator[tuple[Partition, tuple[int, ...]]]:
     """Partitions lam <= mu with mu \\ lam a horizontal strip of ``size``
-    boxes, floor <= lam, and lam_i - floor_i <= slack unless slack is None.
+    boxes that can still head an LR chain of ``below`` more strips, each
+    with the strip's suffix counts: suffix[i] is its boxes in columns >= i.
 
-    The slack prunes chains that can no longer come down to the floor with
-    the remaining number of strips.  The floor must fit inside mu.
+    Columns are fixed right to left, each kept or dropped by one box.
+    ``upper`` holds the suffix counts of the strip above (zeros at the
+    top of a chain, at least len(mu) + 1 of them).  Once column i is
+    fixed, with s boxes of the new strip in columns >= i, the branch is
+    cut when either bound fails:
+
+    - lattice: s >= upper[i], the lattice property of the two strips at
+      column i;
+    - pigeonhole: sum over j >= i of (lam_j - floor_j) >= below * s, since
+      by the lattice property each strip below has at least s boxes in
+      those columns, and a strip has at most one box per column.
+
+    With a floor, lam_i - floor_i <= below too (slack): each strip below
+    removes at most one box of column i.  With no floor, the pigeonhole
+    bound uses floor 0 and there is no slack bound.  The floor must fit
+    inside mu.
     """
     n = len(mu)
-    low = _padded(floor, n)
-    out = list(mu)
+    low = _padded(floor or (), n)
+    # the highest lam_i that keeps the floor reachable
+    high = mu if floor is None else tuple(f + below for f in low)
+    out = list(mu) + [0]  # lam, with a zero past its last column
+    suffix = [0] * (n + 1)
 
-    def rec(i: int, remaining: int) -> Iterator[Partition]:
-        if remaining > n - i:
+    def rec(i: int, remaining: int, s: int, room: int):
+        # columns >= i are fixed: s boxes of the strip, room = sum of
+        # lam_j - floor_j over them
+        if remaining > i:
             return
-        if i == n:
-            # out stays weakly decreasing (see the keep test below), so
+        if i == 0:
+            # out stays weakly decreasing (see the drop test below), so
             # its zeros, if any, trail and dropping them leaves a partition
-            yield tuple(x for x in out if x)
+            yield tuple(x for x in out if x), tuple(suffix)
             return
-        v = mu[i]
-        # keeping column i must leave lam weakly decreasing
-        if (i == 0 or out[i - 1] >= v) and (slack is None or v - low[i] <= slack):
-            yield from rec(i + 1, remaining)
-        if remaining and v > low[i] and (slack is None or v - 1 - low[i] <= slack):
+        i -= 1
+        v, f = mu[i], low[i]
+        if v <= high[i] and s >= upper[i] and room + v - f >= below * s:
+            suffix[i] = s
+            yield from rec(i, remaining, s, room + v - f)
+        # dropping column i must leave lam weakly decreasing
+        if (
+            remaining
+            and f < v <= high[i] + 1
+            and out[i + 1] < v
+            and s + 1 >= upper[i]
+            and room + v - 1 - f >= below * (s + 1)
+        ):
             out[i] = v - 1
-            yield from rec(i + 1, remaining - 1)
+            suffix[i] = s + 1
+            yield from rec(i, remaining - 1, s + 1, room + v - 1 - f)
             out[i] = v
 
-    yield from rec(0, size)
+    # the strip has no box in column n or right of it, so the lattice
+    # property leaves none there for the strip above
+    if not upper[n]:
+        yield from rec(n, size, 0, 0)
 
 
 def _lr_chains(
     beta: Partition, sizes: Sequence[int], floor: Partition | None = None
 ) -> Iterator[tuple[Partition, ...]]:
     """LR chains [g0, ..., ge = beta] whose strip ell has sizes[ell-1]
-    boxes, walked down from beta with the lattice property checked on
-    each pair of consecutive strips.
+    boxes, walked down from beta one strip at a time by ``_co_strips``.
 
-    A floor gamma of size |beta| - sum(sizes) forces g0 = gamma, since g0
-    contains gamma and has its size.
+    Each strip's suffix counts become the ``upper`` of the strip below,
+    so the lattice property is checked column by column as that strip is
+    walked, and the pigeonhole bound cuts a branch as soon as the strips
+    still to come cannot fit under it.  A floor gamma of size
+    |beta| - sum(sizes) forces g0 = gamma, since g0 contains gamma and has
+    its size.
     """
-    n = len(beta)
 
-    def rec(ell: int, chain: tuple[Partition, ...], upper: tuple[int, ...] | None):
+    def rec(ell: int, chain: tuple[Partition, ...], upper: tuple[int, ...]):
         if ell == 0:
             yield chain
             return
-        top = chain[0]
-        slack = None if floor is None else ell - 1
-        for lam in _co_strips(top, sizes[ell - 1], floor or (), slack):
-            diff = _strip_diff(top, lam, n)
-            if upper is None or _lattice_ok(diff, upper):
-                yield from rec(ell - 1, (lam,) + chain, diff)
+        for lam, suffix in _co_strips(chain[0], sizes[ell - 1], floor, upper, ell - 1):
+            yield from rec(ell - 1, (lam,) + chain, suffix)
 
-    yield from rec(len(sizes), (beta,), None)
+    yield from rec(len(sizes), (beta,), (0,) * (len(beta) + 1))
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
@@ -356,22 +398,29 @@ def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
 
 
 def _level_subscripts(
-    gs: tuple[Partition, ...], ell: int
+    gs: tuple[Partition, ...], ell: int, counts: Counter[int], caps: Counter[int]
 ) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
     """Subscript cells (ell, row, subs) for entry ell, in canonical order.
 
-    The caps of (iv) count the boxes of strip ell-1 in each row r.  Row m
-    draws its free subscripts (ii) by ``combinations_with_replacement``
-    over the r in 1..m-1 with a nonzero cap, in lexicographic order, and
-    appends its forced m-1's (iii); a choice over the caps on its own is
-    dropped.  Of the product over the rows, which keeps that order, only
-    the choices whose combined use fits the caps are kept.
+    ``counts`` and ``caps`` are the boxes per row of strips ell and ell-1;
+    the caps are those of (iv).  Row m draws its free subscripts (ii) by
+    ``combinations_with_replacement`` over the r in 1..m-1 with a nonzero
+    cap, in lexicographic order, and appends its forced m-1's (iii): one
+    per column whose strip-ell box in row m sits on a strip-(ell-1) box.
+    A choice over the caps on its own is dropped.  Of the product over
+    the rows, which keeps that order, only the choices whose combined use
+    fits the caps are kept.
     """
-    counts = strip_row_counts(gs[ell], gs[ell - 1])
-    caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
+    top = gs[ell]
+    n = len(top)
+    forced = Counter(
+        t
+        for t, mid, low in zip(top, _padded(gs[ell - 1], n), _padded(gs[ell - 2], n))
+        if mid == t - 1 and low < mid
+    )
     rows = []
     for m in sorted(counts):
-        need = forced_subscript_count(gs, ell, m)
+        need = forced[m]
         symbols = [r for r in range(1, m) if caps[r]]
         free = combinations_with_replacement(symbols, counts[m] - need)
         choices = (c + (m - 1,) * need for c in free)
@@ -386,10 +435,16 @@ def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
 
     Choices for distinct entries are independent, so the result is a
     cartesian product of per-entry subscript assignments; each level
-    comes in canonical order, so the product does too.
+    comes in canonical order, so the product does too.  The row counts
+    of each strip are taken once: strip ell's are the counts of level
+    ell and the caps of level ell+1.
     """
-    gs = tuple(partition(g) for g in lr.gammas)
-    levels = (_level_subscripts(gs, ell) for ell in range(2, len(gs)))
+    gs = lr.gammas
+    strips = [strip_row_counts(gs[ell], gs[ell - 1]) for ell in range(1, len(gs))]
+    levels = (
+        _level_subscripts(gs, ell, strips[ell - 1], strips[ell - 2])
+        for ell in range(2, len(gs))
+    )
     return tuple(KleinTableau(gs, sum(combo, ())) for combo in product(*levels))
 
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hallkit.cli import main
 from hallkit.hall import hall_polynomial
 from hallkit.qforms import evaluate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -205,3 +211,14 @@ def test_verify_single_fast_suite(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["suites"][0]["suite"] == "theorem2"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hallkit", "hall", "--alpha", "3,2,1", "--beta", "4,3,2", "--gamma", "2,1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "2*q^2 + q - 1"

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hallkit.errors import RangeError
-from hallkit.partitions import partitions_of, row_length
+from hallkit.partitions import conjugate, partitions_of, row_length
 from hallkit.s2cat import enumerate_objects, tableau_of_object
 from hallkit.tableaux import (
     KleinTableau,
@@ -16,6 +16,7 @@ from hallkit.tableaux import (
     enumerate_lr,
     restrict,
     tableau_type,
+    _lr_chains,
     validate_klein,
     validate_lr,
 )
@@ -74,6 +75,47 @@ def test_enumerate_lr_outputs_have_requested_type():
                             ok, reason = validate_lr(tab.gammas)
                             assert ok, reason
                             assert tableau_type(tab) == (alpha, beta, gamma)
+
+
+def _unpruned_chains(beta, sizes):
+    """Every chain down from beta that removes, at level ell, each 0/1
+    drop of the columns with sizes[ell-1] boxes and leaves a partition,
+    kept when validate_lr accepts it, sorted."""
+    n = len(beta)
+    chains = [(beta,)]
+    for size in reversed(sizes):
+        lower = []
+        for chain in chains:
+            top = chain[0] + (0,) * (n - len(chain[0]))
+            for drops in product((0, 1), repeat=n):
+                lam = [v - d for v, d in zip(top, drops)]
+                if sum(drops) == size and min(lam, default=0) >= 0 and lam == sorted(lam, reverse=True):
+                    lower.append((tuple(x for x in lam if x),) + chain)
+        chains = lower
+    return sorted(gs for gs in chains if validate_lr(gs)[0])
+
+
+def test_lr_chains_match_unpruned_walk():
+    # the lattice and pigeonhole cuts of the strip walker lose no chain
+    triples = chains = 0
+    for n in range(9):
+        for beta in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    by_base: dict = {}
+                    for gs in _unpruned_chains(beta, conjugate(alpha)):
+                        by_base.setdefault(gs[0], []).append(gs)
+                    for gamma in partitions_of(n - k):
+                        got = [lr.gammas for lr in enumerate_lr(alpha, beta, gamma)]
+                        assert got == by_base.get(gamma, []), (alpha, beta, gamma)
+                        triples, chains = triples + 1, chains + len(got)
+            # with no floor, as for the tableaux with entries <= 2
+            a_max = len(beta) + 1
+            sizes = [()] + [(a,) for a in range(1, a_max + 1)]
+            sizes += [(a, b) for a in range(1, a_max + 1) for b in range(1, a + 1)]
+            for s in sizes:
+                assert sorted(_lr_chains(beta, s)) == _unpruned_chains(beta, s), (beta, s)
+    assert (triples, chains) == (6830, 1351)
 
 
 def test_klein_refinement_examples():
