@@ -10,8 +10,8 @@ accumulate in factored form and are expanded once at the end.
 
 The short restrictions repeat heavily across tableaux and across type
 triples, so each restriction's order is computed once per process: a
-least-recently-used memo of at most 2^14 entries maps the restriction,
-with a trailing repeated level trimmed, to its frozen factored order.
+least-recently-used memo of at most 2^14 entries maps each restriction
+the formula reads to its frozen factored order.
 """
 
 from __future__ import annotations
@@ -56,26 +56,12 @@ def _aut_order_of(short: KleinTableau) -> QOrderFactored:
     return aut_order(object_of_tableau(short))
 
 
-def _restricted_aut_order(tab: KleinTableau, ell: int, u: int) -> QOrderFactored:
-    """Aut order of the object decoded from ``restrict(tab, ell, u)``.
-
-    A trailing level equal to the one below it adds no boxes and no
-    subscripts, so the padded restriction at ell = e+1 decodes to the same
-    object as its trimmed chain; trimming lets both share one memo entry.
-    """
-    short = restrict(tab, ell, u)
-    gs = short.gammas
-    if len(gs) > 1 and gs[-1] == gs[-2]:
-        short = KleinTableau(gs[:-1], short.subscripts)
-    return _aut_order_of(short)
-
-
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
     """The multiplicity of one Klein tableau as a factored-form product."""
     result = QOrderFactored.one()
     for ell in range(2, tab.e + 2):
-        numer = _restricted_aut_order(tab, ell, 1)
-        denom = _restricted_aut_order(tab, ell, 2)
+        numer = _aut_order_of(restrict(tab, ell, 1))
+        denom = _aut_order_of(restrict(tab, ell, 2))
         result = result * (numer / denom)
     return result
 

@@ -76,16 +76,13 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
     # y, py, ..., p^b y of each y in B_k, in increasing packed order of y,
     # and the generators p^j e_{k+1} for j < b.
     levels = []
-    prefix: tuple[int, ...] = (0,)
     for k, b in enumerate(amb.beta):
         unit = amb.pack(tuple(int(i == k) for i in range(s)))
-        chains = [[y] for y in prefix]
+        chains = [[y] for y in amb._grid((1,) * k + amb.mods[k:])]
         for _ in range(b):
             for chain in chains:
                 chain.append(amb.pmul(chain[-1]))
         levels.append((b, chains, [amb.smul(p**j, unit) for j in range(b)]))
-        multiples = [amb.smul(c, unit) for c in range(p**b)]
-        prefix = tuple(sorted(add(x, u) for u in multiples for x in prefix))
     stack = [(0, frozenset({0}))]
     while stack:
         k, W = stack.pop()

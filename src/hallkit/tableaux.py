@@ -107,10 +107,6 @@ class KleinTableau:
     def base(self) -> Partition:
         return self.gammas[0]
 
-    @property
-    def lr(self) -> LRTableau:
-        return LRTableau(self.gammas)
-
     def subs_at(self, entry: int, row: int) -> tuple[int, ...]:
         for ell, m, subs in self.subscripts:
             if ell == entry and m == row:

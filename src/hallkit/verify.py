@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import embeddings as emb
 from . import oracle
-from .caps import general_cap
+from .caps import general_cap, subgroup_cap
 from .errors import CapExceeded
 from .hall import expected_degree, hall_polynomial
 from .partitions import partitions_of
@@ -185,7 +185,6 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
         == m + 3 * r - 1
         for m in range(3, 9)
         for r in range(1, m - 1)
-        if r <= m - 2
     )
     rep.add("bipicket-end-length-closed-form", ok)
 
@@ -326,13 +325,14 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
     rep = SuiteReport("hall")
     start = time.monotonic()
     p = prime
+    census_cap = min(subgroup_cap(), general_cap(cap))
     count_bad = tableau_bad = symmetry_bad = degree_bad = monic_bad = refine_bad = 0
     instances = skipped = 0
     for n in range(max_beta + 1):
         for beta in partitions_of(n):
             try:
-                census = oracle.hall_census(p, beta, cap)
-                by_tab = oracle.hall_count_by_tableau(p, beta, cap)
+                census = oracle.hall_census(p, beta, census_cap)
+                by_tab = oracle.hall_count_by_tableau(p, beta, census_cap)
             except CapExceeded:
                 census = by_tab = None
                 skipped += 1

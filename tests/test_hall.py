@@ -1,5 +1,6 @@
 import pytest
 
+from hallkit import hall
 from hallkit.errors import NoRefinement
 from hallkit.hall import (
     dominant_refinement,
@@ -143,3 +144,23 @@ def test_memoised_factors_match_direct_product():
             denom = aut_order(object_of_tableau(restrict(tab, ell, 2)))
             want = want * (numer / denom)
         assert hall_multiplicity_factored(tab) == want
+
+
+def test_memo_holds_one_entry_per_restriction():
+    # each restriction the telescoping product reads is its own memo key:
+    # one miss per distinct restrict(tab, ell, u), none shared or merged
+    hall._aut_order_of.cache_clear()
+    keys = set()
+    for n in range(7):
+        for beta in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    for gamma in partitions_of(n - k):
+                        for tab in enumerate_klein(alpha, beta, gamma):
+                            hall_multiplicity_factored(tab)
+                            keys.update(
+                                restrict(tab, ell, u)
+                                for ell in range(2, tab.e + 2)
+                                for u in (1, 2)
+                            )
+    assert hall._aut_order_of.cache_info().misses == len(keys)

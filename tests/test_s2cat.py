@@ -75,8 +75,9 @@ def test_roundtrip_small():
 
 
 def test_padded_chain_decodes_to_the_same_object():
-    # hall's Aut-order memo keys restrictions with trailing repeated
-    # levels trimmed; that is sound only if padding never changes the object
+    # restrict pads the chain with a repeated top level at ell = e+1, and
+    # hall's last telescoping factor reads that padded chain: padding must
+    # never change the decoded object
     for n in range(9):
         for beta in partitions_of(n):
             for tab in enumerate_klein_entries2(beta):

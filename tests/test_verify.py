@@ -52,6 +52,16 @@ def test_hall_skips_betas_over_cap():
     assert ", 5 betas skipped over cap," in checks["counts-match-oracle"].detail
 
 
+def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
+    # --cap is the general cap: it may lower the census bound, but the
+    # betas of size 5 (|M(beta)| = 32) stay over a subgroup cap of 16
+    monkeypatch.setenv("HALLKIT_SUBGROUP_CAP", "16")
+    rep = verify.suite_hall(prime=2, max_beta=5, cap=64)
+    checks = {c.name: c for c in rep.checks}
+    assert rep.passed, checks
+    assert ", 7 betas skipped over cap," in checks["counts-match-oracle"].detail
+
+
 def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
     # the betas of size 4 are over the cap, yet the symbolic checks compute
     # every one of their triples; the symmetry check reuses the mirrored
