@@ -9,9 +9,11 @@ and those fields get m_i subtracted, with no per-coordinate loop.  All
 subgroup-lattice operations (intersection, preimage, sums) work on
 exact element sets, which is simple and fast enough under the caps.
 
-Each construction exists once.  Types are read off the orders of the
-layers p^i M (``_layer_type``), from the chain A, pA, ..., 0 of a
-subgroup (``p_chain``) or from |p^i B| / |p^i B & X| for a quotient B/X.
+Each construction exists once.  ``direct_sum`` packs any number of
+summands into one ambient, so an object's embedding is one sum.  Types
+are read off the orders of the layers p^i M (``_layer_type``), from the
+chain A, pA, ..., 0 of a subgroup (``p_chain``) or from
+|p^i B| / |p^i B & X| for a quotient B/X.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
 with no scan of B.  Bases come from one greedy rule (``_greedy_basis``):
 for a subgroup's generators, and for the quotient B/p^ell A of a
@@ -432,26 +434,24 @@ def empty_embedding(p: int, cap: int | None = None) -> Embedding:
     return Embedding.from_coords(p, (), [], cap)
 
 
-def direct_sum(E1: Embedding, E2: Embedding, cap: int | None = None) -> Embedding:
-    """Block-diagonal sum with columns re-sorted into a partition."""
-    if E1.p != E2.p:
+def direct_sum(*summands: Embedding, cap: int | None = None) -> Embedding:
+    """Block-diagonal sum of one or more embeddings over one prime, in one
+    ambient whose columns are re-sorted into a partition (ties keep the
+    summands' order); each generator is packed once."""
+    if not summands:
+        raise ValueError("a direct sum needs a summand to fix the prime")
+    p = summands[0].p
+    if any(E.p != p for E in summands):
         raise ValueError("summands must share the prime")
-    p = E1.p
-    cols = [(part, 0, i) for i, part in enumerate(E1.beta)]
-    cols += [(part, 1, i) for i, part in enumerate(E2.beta)]
-    order = sorted(range(len(cols)), key=lambda j: (-cols[j][0], cols[j][1], cols[j][2]))
-    beta = tuple(cols[j][0] for j in order)
-    amb = AmbientModule.get(p, beta, cap)
-    offset = len(E1.beta)
-    src = [(cols[j][2] if cols[j][1] == 0 else cols[j][2] + offset) for j in order]
-
-    def mix(c1: Sequence[int], c2: Sequence[int]) -> int:
-        both = list(c1) + list(c2)
-        return amb.pack(tuple(both[k] for k in src))
-
-    zero1, zero2 = (0,) * len(E1.beta), (0,) * len(E2.beta)
-    gens = [mix(E1.ambient.coords(g), zero2) for g in E1.generators()]
-    gens += [mix(zero1, E2.ambient.coords(g)) for g in E2.generators()]
+    # (-part, summand, column) of every column, in the order of the sum
+    cols = sorted((-part, k, i) for k, E in enumerate(summands) for i, part in enumerate(E.beta))
+    amb = AmbientModule.get(p, [-part for part, _, _ in cols], cap)
+    slot = {(k, i): j for j, (_, k, i) in enumerate(cols)}
+    gens = []
+    for k, E in enumerate(summands):
+        for g in E.generators():
+            at = {slot[k, i]: c for i, c in enumerate(E.ambient.coords(g))}
+            gens.append(amb.pack([at.get(j, 0) for j in range(len(cols))]))
     return Embedding(amb, gens=gens)
 
 
@@ -467,17 +467,17 @@ def random_embedding(p: int, beta, k: int, seed: int, cap: int | None = None) ->
 
 def object_embedding(obj: S2Object, p: int, cap: int | None = None) -> Embedding:
     """The direct sum of the canonical picket/bipicket embeddings of an
-    object's summands."""
-    E = empty_embedding(p, cap)
+    object's summands, after the empty embedding, so the zero object has
+    one too."""
+    pieces = []
     for x, k in obj.summands:
         piece = (
             bipicket_embedding(p, x.m, x.r, cap)
             if isinstance(x, Bipicket)
             else picket_embedding(p, x.ell, x.m, cap)
         )
-        for _ in range(k):
-            E = direct_sum(E, piece, cap)
-    return E
+        pieces += [piece] * k
+    return direct_sum(empty_embedding(p, cap), *pieces, cap=cap)
 
 
 def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:

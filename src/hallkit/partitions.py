@@ -9,7 +9,7 @@ for parts-as-columns.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import comb
 from typing import Iterable, Iterator
 
@@ -43,10 +43,6 @@ def parse(text: str) -> Partition:
 def fmt(lam: Partition) -> str:
     """Text form of a partition; the empty partition is the empty string."""
     return ",".join(str(x) for x in lam)
-
-
-def size(lam: Partition) -> int:
-    return sum(lam)
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -84,9 +80,9 @@ def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
     return all(0 <= a - b <= 1 for a, b in zip_longest(lam, mu, fillvalue=0))
 
 
-def merge(lam: Partition, mu: Partition) -> Partition:
+def merge(*lams: Partition) -> Partition:
     """Parts of a direct sum: the multiset union, sorted decreasingly."""
-    return tuple(sorted(lam + mu, reverse=True))
+    return tuple(sorted(chain.from_iterable(lams), reverse=True))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -7,18 +7,23 @@ cyclic subgroup of order p^ell inside a cyclic group of order p^m
 cyclic p^2-bounded subgroup into a sum of two cyclic groups of orders
 p^m, p^r with 1 <= r <= m-2.  The boundary case r = m-1 is stored
 canonically as Picket(2, m).
+
+The bijection with entries-<=2 Klein tableaux is one pass each way: one
+n-ary direct sum of the summands' tableaux, and one read of the level-2
+symbols, the 1-boxes, the forced subscripts and the empty columns.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EntryTooLarge
 from .partitions import partition
 from .qforms import QOrderFactored, gl_order
-from .tableaux import KleinTableau, direct_sum_tableau, forced_subscript_count, strip_row_counts
+from .tableaux import KleinTableau, direct_sum_tableau, forced_subscripts, strip_row_counts
 
 
 @dataclass(frozen=True, order=True)
@@ -167,54 +172,36 @@ def _indec_tableau(x: Indecomposable) -> KleinTableau:
 
 def tableau_of_object(obj: S2Object) -> KleinTableau:
     """Klein tableau of a direct sum of pickets and bipickets."""
-    tab = KleinTableau.make([()])
-    for x, k in obj.summands:
-        piece = _indec_tableau(x)
-        for _ in range(k):
-            tab = direct_sum_tableau(tab, piece)
-    return tab
+    return direct_sum_tableau(*(_indec_tableau(x) for x, k in obj.summands for _ in range(k)))
 
 
 def object_of_tableau(tab: KleinTableau) -> S2Object:
     """Decode an entries-<=2 Klein tableau into its multiset of summands.
 
     Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry
-    exceeds 2.
+    exceeds 2.  Each symbol 2_r in row m is a bipicket T(m, r) (a picket
+    P(2, m) when r = m-1) and uses a 1-box of row r; the 1-boxes left
+    over are pickets P(1, m).  A P(0, m) is an empty column of height m,
+    or a column of height m+1 whose only symbol is a free 2_m at the
+    bottom: one of the 2_m in row m+1 beyond those forced (iii).
     """
     gs = tab.gammas
     e = len(gs) - 1
     for ell in range(3, e + 1):
         if gs[ell] != gs[ell - 1]:
             raise EntryTooLarge(f"tableau has entries up to {e}")
-    g0 = gs[0]
-    g1 = gs[min(1, e)]
-    g2 = gs[min(2, e)]
-    beta = gs[-1]
-    top = beta[0] if beta else 0
-    g0_padded = g0 + (0,) * (len(beta) - len(g0))
-
-    def twos(m: int) -> tuple[int, ...]:
-        return tab.subs_at(2, m)
-
-    sub_total = {r: tab.count_symbols(2, subs={r}) for r in range(1, top + 1)}
+    g0, g1, g2 = gs[0], gs[min(1, e)], gs[min(2, e)]
+    twos = [(m, r) for ell, m, ss in tab.subscripts if ell == 2 for r in ss]
     ones = strip_row_counts(g1, g0)
-    pairs: list[tuple[Indecomposable, int]] = []
-    for m in range(1, top + 1):
-        pairs.extend((bipicket(m, r), 1) for r in twos(m))
-        p1 = ones[m] - sub_total.get(m, 0)
-        if p1 < 0:
-            raise ValueError("invalid Klein tableau: condition (iv) violated")
-        pairs.append((Picket(1, m), p1))
-        # empty columns of height m, plus columns of height m+1 whose only
-        # symbol is a free 2_m at the bottom
-        empty_cols = sum(
-            1 for i in range(len(beta)) if beta[i] == m and g0_padded[i] == m
-        )
-        free_2m = 0
-        if e >= 2:
-            forced = forced_subscript_count((g0, g1, g2), 2, m + 1)
-            free_2m = sum(1 for r in twos(m + 1) if r == m) - forced
-        pairs.append((Picket(0, m), empty_cols + free_2m))
+    ones.subtract(r for _, r in twos)
+    if any(k < 0 for k in ones.values()):
+        raise ValueError("invalid Klein tableau: condition (iv) violated")
+    empty = Counter(b for b, g in zip(gs[-1], g0) if b == g)
+    empty.update(r for m, r in twos if r == m - 1)
+    empty.subtract({m - 1: k for m, k in forced_subscripts(g2, g1, g0).items()})
+    pairs = [(bipicket(m, r), 1) for m, r in twos]
+    pairs += [(Picket(1, m), k) for m, k in ones.items()]
+    pairs += [(Picket(0, m), k) for m, k in empty.items()]
     return S2Object.make(pairs)
 
 

@@ -22,7 +22,8 @@ The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
 its forced m-1's, and a product over the rows keeps the choices that use
 each r at most as often as strip ell-1 has boxes in row r (condition
-(iv)).
+(iv)).  The decoder in ``s2cat`` shares ``forced_subscripts``.  A direct
+sum of any number of tableaux merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ class KleinTableau:
     def from_json(cls, data: dict) -> "KleinTableau":
         """Inverse of ``to_json``; ValueError on any malformed field."""
         try:
-            subs = {
-                (item["entry"], item["row"]): item["subs"]
+            subs = _cells(
+                ((int(item["entry"]), int(item["row"])), item["subs"])
                 for item in data.get("subscripts", [])
-            }
+            )
             return cls.make(data["gammas"], subs)
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the field {exc}") from exc
@@ -163,16 +164,25 @@ class KleinTableau:
         text = text.strip()
         gpart, _, spart = text.partition(";")
         gammas = [parse("" if tok == "-" else tok) for tok in gpart.split("/")]
-        subs: dict[Cell, list[int]] = {}
-        if spart:
-            for chunk in spart.split(","):
-                cell, _, values = chunk.partition(":")
-                ell, _, m = cell.partition("@")
-                subs[(int(ell), int(m))] = [int(v) for v in values.split("+")]
-        return cls.make(gammas, subs)
+        cells = []
+        for chunk in spart.split(",") if spart else ():
+            cell, _, values = chunk.partition(":")
+            ell, _, m = cell.partition("@")
+            cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
+        return cls.make(gammas, _cells(cells))
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _cells(items: Iterable[tuple[Cell, list[int]]]) -> dict[Cell, list[int]]:
+    """Subscripts per (entry, row) cell; ValueError when a cell repeats."""
+    cells: dict[Cell, list[int]] = {}
+    for (ell, m), subs in items:
+        if (ell, m) in cells:
+            raise ValueError(f"cell ({ell},{m}) is given twice")
+        cells[ell, m] = subs
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,15 @@ def forced_subscript_count(gammas: Sequence[Partition], ell: int, m: int) -> int
     t, md, lo = _padded(top, n), _padded(mid, n), _padded(low, n)
     return sum(
         1 for i in range(n) if t[i] == m and md[i] == m - 1 and lo[i] < m - 1
+    )
+
+
+def forced_subscripts(top: Partition, mid: Partition, low: Partition) -> Counter[int]:
+    """``forced_subscript_count`` of every row m at once: the boxes of
+    top \\ mid in row m sitting directly on a box of mid \\ low."""
+    n = len(top)
+    return Counter(
+        t for t, md, lo in zip(top, _padded(mid, n), _padded(low, n)) if md == t - 1 and lo < md
     )
 
 
@@ -407,13 +426,7 @@ def _level_subscripts(
     the rows, which keeps that order, only the choices whose combined use
     fits the caps are kept.
     """
-    top = gs[ell]
-    n = len(top)
-    forced = Counter(
-        t
-        for t, mid, low in zip(top, _padded(gs[ell - 1], n), _padded(gs[ell - 2], n))
-        if mid == t - 1 and low < mid
-    )
+    forced = forced_subscripts(gs[ell], gs[ell - 1], gs[ell - 2])
     rows = []
     for m in sorted(counts):
         need = forced[m]
@@ -501,19 +514,17 @@ def restrict(tab: KleinTableau, ell: int, u: int) -> KleinTableau:
     return KleinTableau(gammas, subs)
 
 
-def direct_sum_tableau(a: KleinTableau, b: KleinTableau) -> KleinTableau:
-    """Tableau of a direct sum: merge chains levelwise and, per row, merge
-    the symbol multisets of the summands."""
-    e = max(a.e, b.e)
-    gammas = tuple(
-        merge(a.gammas[min(ell, a.e)], b.gammas[min(ell, b.e)])
-        for ell in range(e + 1)
-    )
-    subs: dict[Cell, tuple[int, ...]] = {}
-    for tab in (a, b):
+def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
+    """Tableau of a direct sum of any number of summands: merge the chains
+    levelwise and, per (entry, row) cell, the symbol multisets, then
+    normalise once.  The empty sum is the tableau of the zero object."""
+    e = max((tab.e for tab in tabs), default=0)
+    gammas = [merge(*(tab.gammas[min(ell, tab.e)] for tab in tabs)) for ell in range(e + 1)]
+    cells: dict[Cell, list[int]] = {}
+    for tab in tabs:
         for entry, m, ss in tab.subscripts:
-            subs[(entry, m)] = tuple(sorted(subs.get((entry, m), ()) + ss))
-    return KleinTableau.make(gammas, subs)
+            cells.setdefault((entry, m), []).extend(ss)
+    return KleinTableau.make(gammas, cells)
 
 
 # ---------------------------------------------------------------------------

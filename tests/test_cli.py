@@ -116,6 +116,20 @@ def test_malformed_tableau_json_exits_one(capsys, text):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_repeated_cell_text_exits_one(capsys):
+    code, out, err = run(capsys, "decompose", "--tableau", "3,2,1/3,3,2/4,3,2;2@4:1,2@4:2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "cell (2,4) is given twice"}
+
+
+def test_repeated_cell_json_exits_one(capsys):
+    cell = {"entry": 2, "row": 4, "subs": [2]}
+    text = json.dumps({"gammas": [[3, 2, 1], [3, 3, 2], [4, 3, 2]], "subscripts": [cell, cell]})
+    code, out, err = run(capsys, "decompose", "--tableau", text)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "cell (2,4) is given twice"}
+
+
 def test_invalid_tableau_exits_one(capsys):
     code, out, err = run(capsys, "decompose", "--tableau", "2/1")
     assert code == 1 and out == ""

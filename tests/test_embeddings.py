@@ -10,7 +10,13 @@ from hallkit import oracle
 from hallkit.caps import general_cap
 from hallkit.errors import CapExceeded, EntryTooLarge
 from hallkit.partitions import partitions_of
-from hallkit.s2cat import Picket, S2Object, tableau_of_object
+from hallkit.s2cat import (
+    Picket,
+    S2Object,
+    enumerate_objects,
+    object_of_tableau,
+    tableau_of_object,
+)
 from hallkit.tableaux import (
     KleinTableau,
     direct_sum_tableau,
@@ -335,3 +341,38 @@ def test_functor_outputs_pinned():
     # a quotient's coordinates or a tableau shows here.
     digest = hashlib.sha256(_functor_outputs().encode()).hexdigest()
     assert digest == PINNED_FUNCTOR_DIGEST
+
+
+PINNED_BIJECTION_DIGEST = "e4d04e74e31e1c63fb209fee9d03753fc384e9fe04ce7cf3d7c145f2082701e5"
+
+
+def _bijection_outputs() -> str:
+    """JSON of the tableau <-> object bijection both ways, and of the
+    realizations of entries-<=2 tableaux at p = 2, 3, 5."""
+    objects = [[str(obj), tableau_of_object(obj).to_text()] for obj in enumerate_objects(10)]
+    tabs = {n: [t for b in partitions_of(n) for t in enumerate_klein_entries2(b)] for n in range(11)}
+    decoded = [[t.to_text(), str(object_of_tableau(t))] for n in range(11) for t in tabs[n]]
+    realized = [
+        [p, t.to_text(), emb.realize(t, p).to_json()]
+        for p, max_size in ((2, 7), (3, 5), (5, 3))
+        for n in range(max_size + 1)
+        for t in tabs[n]
+    ]
+    return json.dumps([objects, decoded, realized], sort_keys=True)
+
+
+def test_bijection_outputs_pinned():
+    # Recorded before tableau_of_object, object_of_tableau and
+    # object_embedding were rebuilt on n-ary direct sums; any change to an
+    # encoded tableau, a decoded object or a realization shows here.
+    digest = hashlib.sha256(_bijection_outputs().encode()).hexdigest()
+    assert digest == PINNED_BIJECTION_DIGEST
+
+
+def test_direct_sum_nary_matches_fold():
+    for p in (2, 3):
+        a = emb.bipicket_embedding(p, 4, 2)
+        b = emb.picket_embedding(p, 1, 3)
+        c = emb.random_embedding(p, (2, 1), 2, seed=7)
+        nary = emb.direct_sum(a, b, c)
+        assert nary.to_json() == emb.direct_sum(emb.direct_sum(a, b), c).to_json()

@@ -264,6 +264,9 @@ def test_direct_sum_commutative_associative():
     assert direct_sum_tableau(direct_sum_tableau(a, b), c) == direct_sum_tableau(
         a, direct_sum_tableau(b, c)
     )
+    assert direct_sum_tableau(a, b, c) == direct_sum_tableau(direct_sum_tableau(a, b), c)
+    assert direct_sum_tableau() == KleinTableau.make([()])
+    assert direct_sum_tableau(c) == c
 
 
 def test_entries2_enumerator_matches_type_enumerator():
