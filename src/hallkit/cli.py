@@ -251,9 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_tableau_values(argv: list[str]) -> list[str]:
+    """argparse reads a value starting with '-' as a flag, and a text
+    tableau whose first partition is empty starts with '-'; so
+    ``--tableau -/1/2`` is rewritten to ``--tableau=-/1/2``.  A value
+    starting with '--' is left alone: it is another flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tableau" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--tableau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_tableau_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "suite", None) is None and args.command == "verify":
         args.suite = ["all"]
     try:

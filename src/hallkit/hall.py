@@ -5,13 +5,21 @@ automorphism-group-order ratios: for each entry level ell from 2 to e+1,
 divide the automorphism-group order of the object decoded from the
 1-restriction at ell by the one decoded from the 2-restriction.  Both
 restrictions have entries at most 2, so both objects are sums of pickets
-and bipickets and their orders are exact factored forms.  Quotients
-accumulate in factored form and are expanded once at the end.
+and bipickets and their orders are exact factored forms.  The levels'
+exponents are added into one exponent vector, which is expanded once.
 
-The short restrictions repeat heavily across tableaux and across type
-triples, so each restriction's order is computed once per process: a
-least-recently-used memo of at most 2^14 entries maps each restriction
-the formula reads to its frozen factored order.
+Restrictions, ratios and products all repeat heavily across tableaux
+and type triples, so three least-recently-used memos of at most 2^14
+entries each hold them once per process:
+
+- ``_aut_order_of`` maps each restriction restrict(T, ell, u), u = 1, 2,
+  as ``restrict`` returns it (padded at ell = e+1), to its frozen
+  factored Aut order;
+- ``_level_factor`` maps each 2-restriction restrict(T, ell, 2) to the
+  level's ratio as (power, ((j, e_j), ...)); the 1-restriction it divides
+  is restrict(restrict(T, ell, 2), 2, 1), the same key as
+  restrict(T, ell, 1);
+- ``_expansion`` maps each frozen factored product to its polynomial.
 """
 
 from __future__ import annotations
@@ -56,19 +64,37 @@ def _aut_order_of(short: KleinTableau) -> QOrderFactored:
     return aut_order(object_of_tableau(short))
 
 
+@lru_cache(maxsize=1 << 14)
+def _level_factor(short2: KleinTableau) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The telescoping factor of one level, keyed on its 2-restriction:
+    Aut of the 1-restriction over Aut of the 2-restriction, as
+    (power, ((j, e_j), ...)) with no zero exponent."""
+    ratio = _aut_order_of(restrict(short2, 2, 1)) / _aut_order_of(short2)
+    return ratio.power, ratio.factors
+
+
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
     """The multiplicity of one Klein tableau as a factored-form product."""
-    result = QOrderFactored.one()
+    power = 0
+    exps: dict[int, int] = {}
     for ell in range(2, tab.e + 2):
-        numer = _aut_order_of(restrict(tab, ell, 1))
-        denom = _aut_order_of(restrict(tab, ell, 2))
-        result = result * (numer / denom)
-    return result
+        level_power, factors = _level_factor(restrict(tab, ell, 2))
+        power += level_power
+        for j, e in factors:
+            exps[j] = exps.get(j, 0) + e
+    return QOrderFactored.from_parts(power, exps)
+
+
+@lru_cache(maxsize=1 << 14)
+def _expansion(form: QOrderFactored) -> QPolynomial:
+    # expand is looked up on the class on every miss, so a wrapper
+    # installed there sees each real expansion.
+    return form.expand()
 
 
 def hall_multiplicity(tab: KleinTableau) -> QPolynomial:
     """Polynomial counting the subgroups whose embedding has this tableau."""
-    return hall_multiplicity_factored(tab).expand()
+    return _expansion(hall_multiplicity_factored(tab))
 
 
 def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import EntryTooLarge
 from .partitions import partition
-from .qforms import QOrderFactored, gl_order
+from .qforms import QOrderFactored
 from .tableaux import KleinTableau, direct_sum_tableau, forced_subscripts, strip_row_counts
 
 
@@ -179,7 +180,8 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
     """Decode an entries-<=2 Klein tableau into its multiset of summands.
 
     Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry
-    exceeds 2.  Each symbol 2_r in row m is a bipicket T(m, r) (a picket
+    exceeds 2, and ValueError on a subscript cell of any entry but 2.
+    Each symbol 2_r in row m is a bipicket T(m, r) (a picket
     P(2, m) when r = m-1) and uses a 1-box of row r; the 1-boxes left
     over are pickets P(1, m).  A P(0, m) is an empty column of height m,
     or a column of height m+1 whose only symbol is a free 2_m at the
@@ -191,7 +193,13 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
         if gs[ell] != gs[ell - 1]:
             raise EntryTooLarge(f"tableau has entries up to {e}")
     g0, g1, g2 = gs[0], gs[min(1, e)], gs[min(2, e)]
-    twos = [(m, r) for ell, m, ss in tab.subscripts if ell == 2 for r in ss]
+    twos = []
+    for ell, m, ss in tab.subscripts:
+        if ell != 2 or e < 2:
+            raise ValueError(
+                f"invalid Klein tableau: subscript cell for entry {ell} outside 2..{min(e, 2)}"
+            )
+        twos += ((m, r) for r in ss)
     ones = strip_row_counts(g1, g0)
     ones.subtract(r for _, r in twos)
     if any(k < 0 for k in ones.values()):
@@ -242,12 +250,14 @@ def enumerate_objects(max_size: int) -> tuple[S2Object, ...]:
 # Hom lengths
 
 
+@lru_cache(maxsize=1 << 14)
 def hom_len_indec(x: Indecomposable, y: Indecomposable) -> int:
     """log_q of the number of morphisms from x to y.
 
     Picket-to-picket, bipicket-to-picket and picket-to-bipicket cases are
     closed forms; bipicket-to-bipicket goes through the tableau route so
-    the two never collapse into one implementation.
+    the two never collapse into one implementation.  That route builds a
+    tableau per call, so every length is memoised (at most 2^14 pairs).
     """
     if isinstance(x, Picket) and isinstance(y, Picket):
         u, v, ell, m = x.ell, x.m, y.ell, y.m
@@ -319,13 +329,15 @@ def aut_order(obj: S2Object) -> QOrderFactored:
 
     In a Krull-Remak-Schmidt category the units of End are the preimage of
     the units of End modulo its radical, a product of matrix rings over the
-    residue field; hence #Aut = #End * prod(|GL_k| / q^(k^2)).
+    residue field; hence #Aut = #End * prod(|GL_k| / q^(k^2)) over the
+    multiplicities k.  With |GL_k| = q^(k(k-1)/2) prod_{j<=k} (q^j - 1),
+    that is one exponent vector: q to the power
+    end_power - sum k^2 + sum k(k-1)/2 = end_power - sum k(k+1)/2, and
+    (q^j - 1) to the number of summands of multiplicity at least j.
     """
-    power = end_power(obj) - sum(k * k for _, k in obj.summands)
-    result = QOrderFactored.q_power(power)
-    for _, k in obj.summands:
-        result = result * gl_order(k)
-    return result
+    mults = [k for _, k in obj.summands]
+    power = end_power(obj) - sum(k * (k + 1) // 2 for k in mults)
+    return QOrderFactored.from_parts(power, Counter(j for k in mults for j in range(1, k + 1)))
 
 
 def aut_order_module(beta) -> QOrderFactored:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RangeError
@@ -38,6 +38,7 @@ from .partitions import (
     Partition,
     conjugate,
     contains,
+    dominated,
     fmt,
     is_horizontal_strip,
     merge,
@@ -398,10 +399,28 @@ def _lr_chains(
     yield from rec(len(sizes), (beta,), (0,) * (len(beta) + 1))
 
 
+def _lr_possible(alpha: Partition, beta: Partition, gamma: Partition) -> bool:
+    """Necessary conditions for an LR tableau of type (alpha, beta, gamma):
+    |alpha| + |gamma| = |beta|, alpha, gamma inside beta, and
+    alpha u gamma <= beta <= alpha + gamma in dominance order (u the
+    multiset union of parts, + the partwise sum).  Conjugation swaps u
+    with + and reverses dominance, so the conditions read the same with
+    parts as rows, where they are classical, and as columns."""
+    return (
+        sum(alpha) + sum(gamma) == sum(beta)
+        and contains(beta, alpha)
+        and contains(beta, gamma)
+        and dominated(merge(alpha, gamma), beta)
+        and dominated(beta, tuple(a + c for a, c in zip_longest(alpha, gamma, fillvalue=0)))
+    )
+
+
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
-    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains."""
+    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains.
+
+    A type that fails ``_lr_possible`` has none and is not walked."""
     alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if sum(alpha) + sum(gamma) != sum(beta) or not contains(beta, gamma):
+    if not _lr_possible(alpha, beta, gamma):
         return ()
     chains = sorted(_lr_chains(beta, conjugate(alpha), gamma))
     return tuple(LRTableau(gs) for gs in chains)

@@ -130,6 +130,17 @@ def test_repeated_cell_json_exits_one(capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "cell (2,4) is given twice"}
 
 
+def test_tableau_text_starting_with_dash(capsys):
+    # the empty first partition '-' is read as the flag's value, joined or not
+    for argv in (["--tableau", "-/1/2;2@2:1"], ["--tableau=-/1/2;2@2:1"]):
+        code, out, err = run(capsys, "decompose", *argv)
+        assert (code, out, err) == (0, "P(2,2)\n", "")
+    # a value that is another flag is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--tableau", "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_invalid_tableau_exits_one(capsys):
     code, out, err = run(capsys, "decompose", "--tableau", "2/1")
     assert code == 1 and out == ""

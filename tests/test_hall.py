@@ -150,6 +150,7 @@ def test_memo_holds_one_entry_per_restriction():
     # each restriction the telescoping product reads is its own memo key:
     # one miss per distinct restrict(tab, ell, u), none shared or merged
     hall._aut_order_of.cache_clear()
+    hall._level_factor.cache_clear()
     keys = set()
     for n in range(7):
         for beta in partitions_of(n):
@@ -164,3 +165,17 @@ def test_memo_holds_one_entry_per_restriction():
                                 for u in (1, 2)
                             )
     assert hall._aut_order_of.cache_info().misses == len(keys)
+
+
+def test_expansion_memo_expands_each_distinct_product_once():
+    hall._expansion.cache_clear()
+    forms = set()
+    for n in range(8):
+        for beta in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    for gamma in partitions_of(n - k):
+                        for tab in enumerate_klein(alpha, beta, gamma):
+                            assert hall_multiplicity(tab) == hall_multiplicity_factored(tab).expand()
+                            forms.add(hall_multiplicity_factored(tab))
+    assert hall._expansion.cache_info().misses == len(forms)

@@ -64,6 +64,18 @@ def test_object_of_tableau_rejects_large_entries():
         object_of_tableau(tab)
 
 
+def test_object_of_tableau_rejects_cells_of_other_entries():
+    # validate_klein rejects both; the decoder must not read past them
+    tab = KleinTableau.make([(), (1,), (2,)], {(2, 2): [1], (5, 2): [1]})
+    with pytest.raises(ValueError, match="entry 5 outside 2..2"):
+        object_of_tableau(tab)
+    with pytest.raises(ValueError, match="entry 2 outside 2..1"):
+        object_of_tableau(KleinTableau.make([(), (1,)], {(2, 2): [1]}))
+    assert object_of_tableau(KleinTableau.make([(), (1,), (2,)], {(2, 2): [1]})) == S2Object.of(
+        Picket(2, 2)
+    )
+
+
 def test_roundtrip_small():
     for n in range(7):
         for beta in partitions_of(n):
@@ -121,6 +133,15 @@ def test_aut_order_anchor_values():
         20, {1: 3}
     )
     assert aut_order(S2Object.of(T42, P13)) == QO(20, {1: 2})
+
+
+def test_aut_order_matches_gl_product():
+    # the one exponent vector equals q^(end - sum k^2) * prod |GL_k|
+    for obj in enumerate_objects(8):
+        want = QOrderFactored.q_power(end_power(obj) - sum(k * k for _, k in obj.summands))
+        for _, k in obj.summands:
+            want = want * gl_order(k)
+        assert aut_order(obj) == want, obj
 
 
 def test_aut_order_module_examples():

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hallkit.errors import RangeError
-from hallkit.partitions import conjugate, partitions_of, row_length
+from hallkit.partitions import conjugate, contains, partitions_of, row_length
 from hallkit.s2cat import enumerate_objects, tableau_of_object
 from hallkit.tableaux import (
     KleinTableau,
@@ -17,6 +17,7 @@ from hallkit.tableaux import (
     restrict,
     tableau_type,
     _lr_chains,
+    _lr_possible,
     validate_klein,
     validate_lr,
 )
@@ -116,6 +117,23 @@ def test_lr_chains_match_unpruned_walk():
             for s in sizes:
                 assert sorted(_lr_chains(beta, s)) == _unpruned_chains(beta, s), (beta, s)
     assert (triples, chains) == (6830, 1351)
+
+
+def test_dominance_check_rejects_only_triples_without_chains():
+    # every triple the check rejects has no LR chain in the unfiltered walk
+    triples = rejected = zero = 0
+    for n in range(10):
+        for beta in partitions_of(n):
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    for gamma in partitions_of(n - k):
+                        walk = _lr_chains(beta, conjugate(alpha), gamma)
+                        has_chain = contains(beta, gamma) and next(walk, None) is not None
+                        if not _lr_possible(alpha, beta, gamma):
+                            assert not has_chain, (alpha, beta, gamma)
+                            rejected += 1
+                        triples, zero = triples + 1, zero + (not has_chain)
+    assert (triples, zero, rejected) == (15830, 13110, 12676)
 
 
 def test_klein_refinement_examples():
