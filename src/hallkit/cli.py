@@ -254,12 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_tableau_values(argv: list[str]) -> list[str]:
     """argparse reads a value starting with '-' as a flag, and a text
     tableau whose first partition is empty starts with '-'; so
-    ``--tableau -/1/2`` is rewritten to ``--tableau=-/1/2``.  A value
-    starting with '--' is left alone: it is another flag."""
+    ``--tableau -/1/2`` is rewritten to ``--tableau=-/1/2``, and so is
+    any abbreviation argparse accepts for the flag (``--tab -/1/2``).  A
+    value starting with '--' is left alone: it is another flag."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--tableau" and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"--tableau={arg}"
+        flag = out[-1] if out else ""
+        is_tableau_flag = len(flag) > 2 and "--tableau".startswith(flag)
+        if is_tableau_flag and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)
     return out

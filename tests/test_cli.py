@@ -131,14 +131,19 @@ def test_repeated_cell_json_exits_one(capsys):
 
 
 def test_tableau_text_starting_with_dash(capsys):
-    # the empty first partition '-' is read as the flag's value, joined or not
-    for argv in (["--tableau", "-/1/2;2@2:1"], ["--tableau=-/1/2;2@2:1"]):
-        code, out, err = run(capsys, "decompose", *argv)
-        assert (code, out, err) == (0, "P(2,2)\n", "")
+    # the empty first partition '-' is read as the flag's value, joined or
+    # not, after the full flag name or any abbreviation argparse accepts
+    for flag in ("--tableau", "--tab", "--t"):
+        for argv in ([flag, "-/1/2;2@2:1"], [f"{flag}=-/1/2;2@2:1"]):
+            code, out, err = run(capsys, "decompose", *argv)
+            assert (code, out, err) == (0, "P(2,2)\n", "")
+    code, out, err = run(capsys, "decompose", "--tab", "3,2,1/3,3,2/4,3,2;2@4:2")
+    assert (code, out, err) == (0, "P(1,3) + T(4,2)\n", "")
     # a value that is another flag is still a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", "--tableau", "--format", "json"])
-    assert exc.value.code == 2
+    for flag in ("--tableau", "--tab"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", flag, "--format", "json"])
+        assert exc.value.code == 2
 
 
 def test_invalid_tableau_exits_one(capsys):

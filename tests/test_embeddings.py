@@ -109,6 +109,26 @@ def test_module_and_quotient_types():
     assert emb.quotient_type(T.ambient, pA) == (3, 2)
 
 
+def test_types_match_torsion_counts():
+    # Independent of the layer orders: a subgroup U of type alpha has
+    # |U & B[p^k]| = p^{sum min(alpha_i, k)}, and a quotient B/U of type
+    # gamma has |p^{-k}U / U| = p^{sum min(gamma_i, k)}.  Up to k = n + 1
+    # these counts determine both partitions.
+    for p, max_size in ((2, 6), (3, 4), (5, 3)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                a = amb(p, beta)
+                torsion = [frozenset(a.killed_by(k)) for k in range(n + 2)]
+                for U in oracle.enumerate_subgroups(p, beta):
+                    alpha = emb.Embedding(a, subgroup=U).subgroup_type()
+                    gamma = emb.quotient_type(a, U)
+                    V = U
+                    for k in range(1, n + 2):
+                        V = emb.preimage(a, V)
+                        assert len(U & torsion[k]) == p ** sum(min(x, k) for x in alpha)
+                        assert len(V) == len(U) * p ** sum(min(x, k) for x in gamma)
+
+
 def test_lr_tableau_examples():
     T = emb.bipicket_embedding(2, 4, 2)
     assert emb.lr_tableau(T).gammas == ((3, 1), (3, 2), (4, 2))

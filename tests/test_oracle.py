@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -298,3 +300,46 @@ def test_census_matches_birkhoff_count():
                     for alpha in partitions_of(k):
                         want = _birkhoff_count(p, alpha, beta)
                         assert by_alpha.get(alpha, 0) == want, (p, alpha, beta)
+
+
+def test_type_memo_one_miss_per_order_vector(monkeypatch):
+    memo = emb._layer_type
+    keys = set()
+
+    def spy(orders, p):
+        keys.add((orders, p))
+        return memo(orders, p)
+
+    monkeypatch.setattr(emb, "_layer_type", spy)
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    memo.cache_clear()
+    for n in range(8):
+        for beta in partitions_of(n):
+            oracle.hall_census(2, beta)
+    assert memo.cache_info().misses == len(keys)
+    for key in keys:
+        assert memo(*key) == memo.__wrapped__(*key)
+
+
+PINNED_CENSUS_DIGEST = "865d9ee8fc460b3bf8385291f32b9bb8f3af5433d2a07e3bc3e440cf523d18b5"
+
+
+def _census_outputs() -> str:
+    """Sorted JSON lines of both censuses of every beta with |beta| <= 7
+    at p = 2 and |beta| <= 5 at p = 3."""
+    lines = []
+    for p, max_size in ((2, 7), (3, 5)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                for (a, g), c in oracle.hall_census(p, beta).items():
+                    lines.append(json.dumps([p, list(beta), "types", [list(a), list(g)], c]))
+                for t, c in oracle.hall_count_by_tableau(p, beta).items():
+                    lines.append(json.dumps([p, list(beta), "tableau", t.to_json(), c], sort_keys=True))
+    return "\n".join(sorted(lines))
+
+
+def test_census_outputs_pinned():
+    # Recorded before the type memo and the direct construction of census
+    # tableaux; any change to a subgroup's type pair or tableau shows here.
+    digest = hashlib.sha256(_census_outputs().encode()).hexdigest()
+    assert digest == PINNED_CENSUS_DIGEST
