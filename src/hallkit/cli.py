@@ -144,16 +144,16 @@ def cmd_embed(args) -> int:
 
 def cmd_oracle(args) -> int:
     alpha, beta, gamma = parse(args.alpha), parse(args.beta), parse(args.gamma)
-    count = oracle.hall_count(args.prime, alpha, beta, gamma, args.subgroup_cap)
-    report = oracle.subgroup_report(args.prime, beta, args.subgroup_cap)
+    census = oracle.census(args.prime, beta, args.subgroup_cap)
+    count = census.types.get((alpha, gamma), 0)
     payload = {
         "count": count,
-        "description": report.description,
-        "elapsed": round(report.elapsed, 3),
+        "description": f"subgroups of M({beta}) at p={args.prime}",
+        "elapsed": round(census.elapsed, 3),
     }
     lines = [str(count)]
     if args.by_tableau:
-        by_tab = report.counts["tableaux"]
+        by_tab = census.tableaux
         wanted = enumerate_klein(alpha, beta, gamma)
         payload["by_tableau"] = [
             {"tableau": tab.to_json(), "tableau_text": tab.to_text(), "count": by_tab.get(tab, 0)}

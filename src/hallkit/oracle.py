@@ -11,6 +11,13 @@ keeping the maps that are invertible mod p (a rank test on each block
 of equal parts); and the orbit check spans the generator images of the
 invertible maps into the whole ambient.  These counts are what
 every symbolic formula in the package is checked against.
+
+The census of M(beta) is one read-only ``Census`` record per (p, beta).
+It counts each subgroup once, by the Klein tableau of its embedding.  A
+tableau of type (alpha, beta, gamma) carries the subgroup's type alpha
+(the conjugate of its strip sizes) and quotient type gamma (its base),
+so a type pair's count is the sum of its tableaux' counts:
+g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .caps import general_cap, subgroup_cap
 from .embeddings import (
@@ -34,16 +42,7 @@ from .embeddings import (
 )
 from .errors import CapExceeded
 from .partitions import Partition, partition
-from .tableaux import KleinTableau
-
-
-@dataclass
-class OracleReport:
-    """A labelled bundle of exact counts plus the time they took."""
-
-    description: str
-    counts: dict
-    elapsed: float = 0.0
+from .tableaux import KleinTableau, tableau_type
 
 
 # ---------------------------------------------------------------------------
@@ -107,53 +106,51 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
                 stack.append((k + 1, frozenset(V)))
 
 
-_census_cache: dict[tuple[int, Partition], dict] = {}
+@dataclass(frozen=True)
+class Census:
+    """The subgroups of M(beta) counted by the Klein tableau of their
+    embedding, and by (subgroup type, quotient type), with the time the
+    count took.  Both mappings are read-only views."""
+
+    tableaux: Mapping[KleinTableau, int]
+    types: Mapping[tuple[Partition, Partition], int]
+    elapsed: float
 
 
-def _census(p: int, beta, cap: int | None) -> dict:
-    """Type-pair and Klein-tableau counts over every subgroup of M(beta),
-    from one enumeration cached per (p, beta).  The cap is checked on
-    every call, cached or not."""
+_censuses: dict[tuple[int, Partition], Census] = {}
+
+
+def census(p: int, beta, cap: int | None = None) -> Census:
+    """The census of M(beta), from one enumeration cached per (p, beta).
+    The cap is checked on every call, cached or not."""
     amb = _lattice_ambient(p, beta, cap)
     key = (p, amb.beta)
-    if key in _census_cache:
-        return _census_cache[key]
-    types, tabs = Counter(), Counter()
-    start = time.monotonic()
-    for U in enumerate_subgroups(p, amb.beta, cap):
-        E = Embedding(amb, subgroup=U)
-        tab = klein_tableau(E)
-        types[(E.subgroup_type(), tab.gammas[0])] += 1
-        tabs[tab] += 1
-    entry = {"types": types, "tableaux": tabs, "elapsed": time.monotonic() - start}
-    _census_cache[key] = entry
-    return entry
+    if key not in _censuses:
+        start = time.monotonic()
+        tableaux = Counter(
+            klein_tableau(Embedding(amb, subgroup=U)) for U in enumerate_subgroups(p, amb.beta, cap)
+        )
+        types = Counter()
+        for tab, count in tableaux.items():
+            types[(tableau_type(tab)[0], tab.base)] += count
+        elapsed = time.monotonic() - start
+        _censuses[key] = Census(MappingProxyType(tableaux), MappingProxyType(types), elapsed)
+    return _censuses[key]
 
 
 def hall_census(p: int, beta, cap: int | None = None) -> dict[tuple[Partition, Partition], int]:
     """Counts of subgroups keyed by (subgroup type, quotient type)."""
-    return dict(_census(p, beta, cap)["types"])
+    return dict(census(p, beta, cap).types)
 
 
 def hall_count(p: int, alpha, beta, gamma, cap: int | None = None) -> int:
     """Number of subgroups of the given type with the given quotient type."""
-    census = _census(p, beta, cap)["types"]
-    return census.get((partition(alpha), partition(gamma)), 0)
+    return census(p, beta, cap).types.get((partition(alpha), partition(gamma)), 0)
 
 
 def hall_count_by_tableau(p: int, beta, cap: int | None = None) -> dict[KleinTableau, int]:
     """Subgroup counts keyed by the Klein tableau of the embedding."""
-    return dict(_census(p, beta, cap)["tableaux"])
-
-
-def subgroup_report(p: int, beta, cap: int | None = None) -> OracleReport:
-    """Both censuses of M(beta), by type pair and by Klein tableau."""
-    entry = _census(p, beta, cap)
-    return OracleReport(
-        description=f"subgroups of M({partition(beta)}) at p={p}",
-        counts={"types": entry["types"], "tableaux": entry["tableaux"]},
-        elapsed=entry["elapsed"],
-    )
+    return dict(census(p, beta, cap).tableaux)
 
 
 # ---------------------------------------------------------------------------

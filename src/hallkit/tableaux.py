@@ -386,17 +386,18 @@ def _lr_chains(
     walked, and the pigeonhole bound cuts a branch as soon as the strips
     still to come cannot fit under it.  A floor gamma of size
     |beta| - sum(sizes) forces g0 = gamma, since g0 contains gamma and has
-    its size.
+    its size.  The strips are walked with an explicit stack, not one
+    recursion per strip, so a chain may have any number of strips; the
+    chains come out in no particular order.
     """
-
-    def rec(ell: int, chain: tuple[Partition, ...], upper: tuple[int, ...]):
+    stack = [(len(sizes), (beta,), (0,) * (len(beta) + 1))]
+    while stack:
+        ell, chain, upper = stack.pop()
         if ell == 0:
             yield chain
-            return
+            continue
         for lam, suffix in _co_strips(chain[0], sizes[ell - 1], floor, upper, ell - 1):
-            yield from rec(ell - 1, (lam,) + chain, suffix)
-
-    yield from rec(len(sizes), (beta,), (0,) * (len(beta) + 1))
+            stack.append((ell - 1, (lam,) + chain, suffix))
 
 
 def _lr_possible(alpha: Partition, beta: Partition, gamma: Partition) -> bool:

@@ -331,13 +331,11 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
     for n in range(max_beta + 1):
         for beta in partitions_of(n):
             try:
-                census = oracle.hall_census(p, beta, census_cap)
-                by_tab = oracle.hall_count_by_tableau(p, beta, census_cap)
+                record = oracle.census(p, beta, census_cap)
+                census, by_tab = record.types, record.tableaux
             except CapExceeded:
                 census = by_tab = None
                 skipped += 1
-            if census is not None and sum(census.values()) != sum(by_tab.values()):
-                refine_bad += 1
             totals = {}
             for k in range(n + 1):
                 for alpha in partitions_of(k):

@@ -167,6 +167,59 @@ def test_oracle_hall(capsys):
     assert sorted(row["count"] for row in payload["by_tableau"]) == [1, 4, 4]
 
 
+ORACLE_ARGS = (
+    "oracle", "hall", "--prime", "2", "--beta", "4,3,2",
+    "--alpha", "3,2,1", "--gamma", "2,1", "--by-tableau",
+)
+
+
+def _census_row(count, text, gammas, subscripts):
+    return {
+        "count": count,
+        "tableau": {
+            "gammas": gammas,
+            "subscripts": [{"entry": e, "row": r, "subs": subs} for e, r, subs in subscripts],
+        },
+        "tableau_text": text,
+    }
+
+
+def test_oracle_hall_output_pinned(capsys):
+    # the worked example 2q^2 + q - 1 = q^2 + (q - 1) + q^2 at q = 2, counted
+    code, out, _ = run(capsys, *ORACLE_ARGS)
+    assert code == 0
+    assert out == (
+        "9\n"
+        "  2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:2  ->  1\n"
+        "  2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:3  ->  4\n"
+        "  2,1/3,2,1/4,2,2/4,3,2;2@2:1,2@4:3,3@3:2  ->  4\n"
+    )
+    code, out, _ = run(capsys, *ORACLE_ARGS, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("elapsed") >= 0
+    left = [[2, 1], [3, 2, 1], [3, 3, 2], [4, 3, 2]]
+    right = [[2, 1], [3, 2, 1], [4, 2, 2], [4, 3, 2]]
+    assert payload == {
+        "count": 9,
+        "description": "subgroups of M((4, 3, 2)) at p=2",
+        "by_tableau": [
+            _census_row(
+                1, "2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:2",
+                left, [(2, 2, [1]), (2, 3, [2]), (3, 4, [2])],
+            ),
+            _census_row(
+                4, "2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:3",
+                left, [(2, 2, [1]), (2, 3, [2]), (3, 4, [3])],
+            ),
+            _census_row(
+                4, "2,1/3,2,1/4,2,2/4,3,2;2@2:1,2@4:3,3@3:2",
+                right, [(2, 2, [1]), (2, 4, [3]), (3, 3, [2])],
+            ),
+        ],
+    }
+
+
 def test_oracle_hall_odd_prime(capsys):
     alpha, beta, gamma = (2, 1), (3, 2, 1), (2, 1)
     code, out, _ = run(
@@ -180,6 +233,13 @@ def test_oracle_hall_odd_prime(capsys):
     assert payload["count"] == evaluate(bd.total, 3)
     by_tab = {row["tableau_text"]: row["count"] for row in payload["by_tableau"]}
     assert by_tab == {tab.to_text(): evaluate(poly, 3) for tab, poly in bd.per_tableau}
+
+
+def test_long_single_row_chain(capsys):
+    # 2,000 strips of one box each: the strip walk must not recurse per strip
+    code, out, _ = run(capsys, "hall", "--beta", "2000", "--alpha", "2000")
+    assert code == 0
+    assert out.strip() == "1"
 
 
 def test_output_is_deterministic(capsys):

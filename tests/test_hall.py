@@ -57,6 +57,12 @@ def test_hall_polynomial_simple_cases():
     assert hall_polynomial((2,), (1, 1), ()).per_tableau == ()
 
 
+def test_long_single_row_chain():
+    # M(2000) has one subgroup of type (2000): the chain has 2,000 strips
+    # of one box each, more than the interpreter's recursion limit
+    assert hall_polynomial((2000,), (2000,), ()).total == QPolynomial.one()
+
+
 def test_breakdown_sums_to_total():
     for beta in partitions_of(6):
         for k in range(7):

@@ -12,7 +12,7 @@ from hallkit.partitions import conjugate, contains, partitions_of
 from hallkit.qforms import evaluate
 from hallkit.hall import hall_polynomial
 from hallkit.s2cat import aut_order_module, enumerate_objects
-from hallkit.tableaux import enumerate_klein
+from hallkit.tableaux import enumerate_klein, tableau_type
 
 
 def test_enumerate_subgroups_counts():
@@ -47,7 +47,7 @@ def test_subgroup_cap_on_cached_census():
         lambda: oracle.hall_count(2, (2, 1), beta, (2, 1), cap=16),
         lambda: oracle.hall_census(2, beta, cap=16),
         lambda: oracle.hall_count_by_tableau(2, beta, cap=16),
-        lambda: oracle.subgroup_report(2, beta, cap=16),
+        lambda: oracle.census(2, beta, cap=16),
     ):
         with pytest.raises(CapExceeded):
             call()
@@ -71,11 +71,33 @@ def test_by_tableau_counts_for_tiny_group():
     assert sorted(by_tab.values()) == [1, 1]
 
 
-def test_subgroup_report():
-    rep = oracle.subgroup_report(2, (2, 1))
-    assert sum(rep.counts["types"].values()) == sum(rep.counts["tableaux"].values()) == 8
-    assert "p=2" in rep.description
-    assert rep.elapsed >= 0.0
+def test_census_record():
+    record = oracle.census(2, (2, 1))
+    assert sum(record.types.values()) == sum(record.tableaux.values()) == 8
+    assert record.elapsed >= 0.0
+    assert oracle.census(2, (2, 1)) is record
+    # the cached record cannot be changed through what a caller is given
+    tab = next(iter(record.tableaux))
+    with pytest.raises(TypeError):
+        record.tableaux[tab] = 0
+    with pytest.raises(TypeError):
+        record.types[((), (2, 1))] = 0
+    oracle.hall_count_by_tableau(2, (2, 1))[tab] = 0
+    oracle.hall_census(2, (2, 1)).clear()
+    record = oracle.census(2, (2, 1))
+    assert sum(record.types.values()) == sum(record.tableaux.values()) == 8
+
+
+def test_census_types_are_tableau_types():
+    # the census reads a subgroup's type off its tableau; check it against
+    # the layer orders of the subgroup itself
+    for p, max_size in ((2, 6), (3, 4), (5, 3)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                amb = emb.AmbientModule.get(p, beta)
+                for U in oracle.enumerate_subgroups(p, beta):
+                    E = emb.Embedding(amb, subgroup=U)
+                    assert E.subgroup_type() == tableau_type(emb.klein_tableau(E))[0]
 
 
 def test_census_consistency():
@@ -311,7 +333,7 @@ def test_type_memo_one_miss_per_order_vector(monkeypatch):
         return memo(orders, p)
 
     monkeypatch.setattr(emb, "_layer_type", spy)
-    monkeypatch.setattr(oracle, "_census_cache", {})
+    monkeypatch.setattr(oracle, "_censuses", {})
     memo.cache_clear()
     for n in range(8):
         for beta in partitions_of(n):
