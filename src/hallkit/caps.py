@@ -1,6 +1,6 @@
 """Size caps for the brute-force layers.
 
-Two knobs: a general cap on ambient-module orders and hom-space
+Two knobs: a general cap on primes, ambient-module orders and hom-space
 enumerations (env ``HALLKIT_CAP``, default 2**20) and a stricter cap on
 full subgroup-lattice enumeration (env ``HALLKIT_SUBGROUP_CAP``, default
 2**10).  CLI flags override the environment.

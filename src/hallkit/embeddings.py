@@ -73,12 +73,15 @@ class AmbientModule:
     _cache: dict[tuple[int, Partition], "AmbientModule"] = {}
 
     def __init__(self, p: int, beta, cap: int | None = None):
+        # the cap comes first, so trial division takes at most isqrt(cap) steps
+        limit = general_cap(cap)
+        if p > limit:
+            raise CapExceeded(f"p = {p} exceeds cap {limit}")
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"p must be a prime, got {p}")
         self.p = p
         self.beta = partition(beta)
         self.size = p ** sum(self.beta)
-        limit = general_cap(cap)
         if self.size > limit:
             raise CapExceeded(f"ambient order {self.size} exceeds cap {limit}")
         self.mods = tuple(p**b for b in self.beta)
@@ -95,7 +98,8 @@ class AmbientModule:
     def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
         key = (p, partition(beta))
         amb = cls._cache.get(key)
-        if amb is None or amb.size > general_cap(cap):
+        # p too, as __init__ does, for a module of order 1 (beta empty)
+        if amb is None or max(p, amb.size) > general_cap(cap):
             amb = cls(p, beta, cap)
             cls._cache[key] = amb
         return amb

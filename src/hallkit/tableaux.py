@@ -7,30 +7,33 @@ every box with entry ``ell >= 2`` carries a subscript ``r``.  Subscripts
 are stored per (entry, row) cell as a weakly increasing multiset; the
 in-row normalization makes that representation lossless.
 
-Every enumeration walks chains down from the top partition with one
-strip walker, ``_co_strips``: the LR tableaux of a type remove strips of
-the sizes conjugate(alpha) down to the floor gamma, and the tableaux with
-entries <= 2 remove at most two strips, with no floor.  The walker fixes
-the columns of a strip right to left and counts s, the strip's boxes in
-the columns fixed so far.  It cuts a branch as soon as s falls below the
-same count of the strip above (the lattice property, column by column),
-or the boxes left above the floor in those columns cannot hold s boxes
-of each strip still below (pigeonhole: by the lattice property each of
-them has at least s boxes there, and at most one per column).
+Every enumeration walks chains down from the top partition in one loop,
+``_lr_chains``, on one explicit stack of frames: the LR tableaux of a
+type remove strips of the sizes conjugate(alpha) down to the floor
+gamma, and the tableaux with entries <= 2 remove at most two strips,
+with no floor.  Each pop fixes one column of the current strip, right
+to left, and counts s, the strip's boxes in the columns fixed so far.
+A branch is cut as soon as s falls below the same count of the strip
+above (the lattice property, column by column), or the boxes left above
+the floor in those columns cannot hold s boxes of each strip still below
+(pigeonhole: by the lattice property each of them has at least s boxes
+there, and at most one per column).  ``validate_lr`` compares the same
+suffix counts, ``_suffix_counts``.
 
 The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
 its forced m-1's, and a product over the rows keeps the choices that use
 each r at most as often as strip ell-1 has boxes in row r (condition
-(iv)).  The decoder in ``s2cat`` shares ``forced_subscripts``.  A direct
-sum of any number of tableaux merges all chains and symbols in one step.
+(iv)).  ``validate_klein`` and the decoder in ``s2cat`` read the forced
+ones from ``forced_subscripts``.  A direct sum of any number of tableaux
+merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product, zip_longest
+from itertools import accumulate, combinations_with_replacement, product, zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import RangeError
@@ -194,19 +197,11 @@ def _padded(lam: Partition, n: int) -> tuple[int, ...]:
     return lam + (0,) * (n - len(lam))
 
 
-def _strip_diff(upper: Partition, lower: Partition, n: int) -> tuple[int, ...]:
-    up, lo = _padded(upper, n), _padded(lower, n)
-    return tuple(u - v for u, v in zip(up, lo))
-
-
-def _lattice_ok(prev_diff: Sequence[int], cur_diff: Sequence[int]) -> bool:
-    suffix_prev = suffix_cur = 0
-    for k in range(len(cur_diff) - 1, -1, -1):
-        suffix_prev += prev_diff[k]
-        suffix_cur += cur_diff[k]
-        if suffix_cur > suffix_prev:
-            return False
-    return True
+def _suffix_counts(upper: Partition, lower: Partition) -> tuple[int, ...]:
+    """suffix[i] = the boxes of the strip upper \\ lower in columns >= i,
+    for i = 0..len(upper); the last one is 0."""
+    diffs = [u - v for u, v in zip(upper, _padded(lower, len(upper)))]
+    return tuple(accumulate(reversed(diffs), initial=0))[::-1]
 
 
 def validate_lr(gammas: Sequence[Partition]) -> tuple[bool, str | None]:
@@ -217,16 +212,17 @@ def validate_lr(gammas: Sequence[Partition]) -> tuple[bool, str | None]:
         return False, f"not a partition chain: {exc}"
     if not gs:
         return False, "empty chain"
-    n = max(len(g) for g in gs)
     for ell in range(1, len(gs)):
         if not contains(gs[ell], gs[ell - 1]):
             return False, f"chain not weakly increasing at level {ell}"
         if not is_horizontal_strip(gs[ell], gs[ell - 1]):
             return False, f"strip {ell} is not horizontal"
+    # lattice: for every i, strip ell has at most as many boxes in the
+    # columns >= i as strip ell-1
+    suffixes = [_suffix_counts(gs[ell], gs[ell - 1]) for ell in range(1, len(gs))]
     for ell in range(2, len(gs)):
-        prev = _strip_diff(gs[ell - 1], gs[ell - 2], n)
-        cur = _strip_diff(gs[ell], gs[ell - 1], n)
-        if not _lattice_ok(prev, cur):
+        pairs = zip_longest(suffixes[ell - 1], suffixes[ell - 2], fillvalue=0)
+        if any(cur > prev for cur, prev in pairs):
             return False, f"lattice permutation fails at level {ell}"
     return True, None
 
@@ -246,22 +242,9 @@ def strip_row_counts(upper: Partition, lower: Partition) -> Counter[int]:
     return Counter([m for u, v in zip(upper, low) for m in range(v + 1, u + 1)])
 
 
-def forced_subscript_count(gammas: Sequence[Partition], ell: int, m: int) -> int:
-    """Boxes of entry ell in row m sitting directly below an (ell-1)-box.
-
-    Those boxes must carry subscript m-1.
-    """
-    top, mid, low = gammas[ell], gammas[ell - 1], gammas[ell - 2]
-    n = len(top)
-    t, md, lo = _padded(top, n), _padded(mid, n), _padded(low, n)
-    return sum(
-        1 for i in range(n) if t[i] == m and md[i] == m - 1 and lo[i] < m - 1
-    )
-
-
 def forced_subscripts(top: Partition, mid: Partition, low: Partition) -> Counter[int]:
-    """``forced_subscript_count`` of every row m at once: the boxes of
-    top \\ mid in row m sitting directly on a box of mid \\ low."""
+    """Per row m, the boxes of top \\ mid in row m sitting directly on a
+    box of mid \\ low; each of them carries the subscript m-1 (iii)."""
     n = len(top)
     return Counter(
         t for t, md, lo in zip(top, _padded(mid, n), _padded(low, n)) if md == t - 1 and lo < md
@@ -284,6 +267,7 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
     for ell in range(2, e + 1):
         counts = strip_row_counts(gs[ell], gs[ell - 1])
         caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
+        forced = forced_subscripts(gs[ell], gs[ell - 1], gs[ell - 2])
         usage: Counter[int] = Counter()
         rows = set(counts) | {m for (l2, m) in declared if l2 == ell}
         for m in sorted(rows):
@@ -292,8 +276,7 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
                 return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {counts[m]}"
             if any(not 1 <= r <= m - 1 for r in subs):
                 return False, f"cell ({ell},{m}) subscript out of range (ii)"
-            need = forced_subscript_count(gs, ell, m)
-            if sum(1 for r in subs if r == m - 1) < need:
+            if subs.count(m - 1) < forced[m]:
                 return False, f"cell ({ell},{m}) misses forced subscript {m - 1} (iii)"
             usage.update(subs)
         for r, used in usage.items():
@@ -306,98 +289,56 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 # enumeration
 
 
-def _co_strips(
-    mu: Partition,
-    size: int,
-    floor: Partition | None,
-    upper: Sequence[int],
-    below: int,
-) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-    """Partitions lam <= mu with mu \\ lam a horizontal strip of ``size``
-    boxes that can still head an LR chain of ``below`` more strips, each
-    with the strip's suffix counts: suffix[i] is its boxes in columns >= i.
-
-    Columns are fixed right to left, each kept or dropped by one box.
-    ``upper`` holds the suffix counts of the strip above (zeros at the
-    top of a chain, at least len(mu) + 1 of them).  Once column i is
-    fixed, with s boxes of the new strip in columns >= i, the branch is
-    cut when either bound fails:
-
-    - lattice: s >= upper[i], the lattice property of the two strips at
-      column i;
-    - pigeonhole: sum over j >= i of (lam_j - floor_j) >= below * s, since
-      by the lattice property each strip below has at least s boxes in
-      those columns, and a strip has at most one box per column.
-
-    With a floor, lam_i - floor_i <= below too (slack): each strip below
-    removes at most one box of column i.  With no floor, the pigeonhole
-    bound uses floor 0 and there is no slack bound.  The floor must fit
-    inside mu.
-    """
-    n = len(mu)
-    low = _padded(floor or (), n)
-    # the highest lam_i that keeps the floor reachable
-    high = mu if floor is None else tuple(f + below for f in low)
-    out = list(mu) + [0]  # lam, with a zero past its last column
-    suffix = [0] * (n + 1)
-
-    def rec(i: int, remaining: int, s: int, room: int):
-        # columns >= i are fixed: s boxes of the strip, room = sum of
-        # lam_j - floor_j over them
-        if remaining > i:
-            return
-        if i == 0:
-            # out stays weakly decreasing (see the drop test below), so
-            # its zeros, if any, trail and dropping them leaves a partition
-            yield tuple(x for x in out if x), tuple(suffix)
-            return
-        i -= 1
-        v, f = mu[i], low[i]
-        if v <= high[i] and s >= upper[i] and room + v - f >= below * s:
-            suffix[i] = s
-            yield from rec(i, remaining, s, room + v - f)
-        # dropping column i must leave lam weakly decreasing
-        if (
-            remaining
-            and f < v <= high[i] + 1
-            and out[i + 1] < v
-            and s + 1 >= upper[i]
-            and room + v - 1 - f >= below * (s + 1)
-        ):
-            out[i] = v - 1
-            suffix[i] = s + 1
-            yield from rec(i, remaining - 1, s + 1, room + v - 1 - f)
-            out[i] = v
-
-    # the strip has no box in column n or right of it, so the lattice
-    # property leaves none there for the strip above
-    if not upper[n]:
-        yield from rec(n, size, 0, 0)
-
-
 def _lr_chains(
     beta: Partition, sizes: Sequence[int], floor: Partition | None = None
 ) -> Iterator[tuple[Partition, ...]]:
     """LR chains [g0, ..., ge = beta] whose strip ell has sizes[ell-1]
-    boxes, walked down from beta one strip at a time by ``_co_strips``.
+    boxes, in no particular order, walked down from beta on one stack.
 
-    Each strip's suffix counts become the ``upper`` of the strip below,
-    so the lattice property is checked column by column as that strip is
-    walked, and the pigeonhole bound cuts a branch as soon as the strips
-    still to come cannot fit under it.  A floor gamma of size
-    |beta| - sum(sizes) forces g0 = gamma, since g0 contains gamma and has
-    its size.  The strips are walked with an explicit stack, not one
-    recursion per strip, so a chain may have any number of strips; the
-    chains come out in no particular order.
+    A frame holds the strips left ell, the chain so far (chain[0] = mu,
+    the partition strip ell is removed from), the suffix counts ``upper``
+    of the strip above (zeros at the top), the column i, the boxes still
+    to drop, s, room, and the columns >= i of lam = g_{ell-1} fixed so
+    far.  s is the strip's boxes in columns >= i, room the sum of
+    lam_j - floor_j over them.  A popped frame is cut when the boxes
+    still to drop do not fit in the i columns left, when s < upper[i]
+    (lattice) or when room < (ell-1) * s (pigeonhole).  Otherwise it
+    fixes column i-1, pushing the frames that keep mu's part and that
+    drop it by one box; with a floor gamma, lam_i - gamma_i <= ell-1
+    (slack: each strip below removes at most one box of column i), and
+    g0 = gamma since it contains gamma and has its size.  With no floor,
+    room counts from 0 and there is no slack bound.  A frame with every
+    column fixed starts the next strip, with its suffix counts as upper.
     """
-    stack = [(len(sizes), (beta,), (0,) * (len(beta) + 1))]
+    if not sizes:
+        yield (beta,)
+        return
+    low = _padded(floor or (), len(beta))
+    # lam keeps a zero past its last column
+    stack = [(len(sizes), (beta,), (0,) * (len(beta) + 1), len(beta), sizes[-1], 0, 0, (0,))]
     while stack:
-        ell, chain, upper = stack.pop()
-        if ell == 0:
-            yield chain
+        ell, chain, upper, i, remaining, s, room, fixed = stack.pop()
+        if remaining > i or s < upper[i] or room < (ell - 1) * s:
             continue
-        for lam, suffix in _co_strips(chain[0], sizes[ell - 1], floor, upper, ell - 1):
-            stack.append((ell - 1, (lam,) + chain, suffix))
+        if i:
+            i -= 1
+            v, f = chain[0][i], low[i]
+            high = v if floor is None else f + ell - 1
+            if v <= high:
+                stack.append((ell, chain, upper, i, remaining, s, room + v - f, (v,) + fixed))
+            # dropping column i must leave lam weakly decreasing
+            if remaining and f < v <= high + 1 and fixed[0] < v:
+                stack.append(
+                    (ell, chain, upper, i, remaining - 1, s + 1, room + v - 1 - f, (v - 1,) + fixed)
+                )
+            continue
+        # lam is weakly decreasing, so its zeros trail
+        lam = tuple(x for x in fixed if x)
+        if ell == 1:
+            yield (lam,) + chain
+        else:
+            suffix = _suffix_counts(chain[0], lam)
+            stack.append((ell - 1, (lam,) + chain, suffix, len(lam), sizes[ell - 2], 0, 0, (0,)))
 
 
 def _lr_possible(alpha: Partition, beta: Partition, gamma: Partition) -> bool:

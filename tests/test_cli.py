@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,14 @@ def test_long_single_row_chain(capsys):
     assert out.strip() == "1"
 
 
+def test_long_single_column_strip(capsys):
+    # beta = alpha = (1^1000): one strip with a box in each of 1,000 columns
+    ones = ",".join(["1"] * 1000)
+    code, out, _ = run(capsys, "hall", "--beta", ones, "--alpha", ones)
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_output_is_deterministic(capsys):
     args = [
         "hall", "--alpha", "3,2,1", "--gamma", "2,1", "--beta", "4,3,2",
@@ -262,6 +271,22 @@ def test_non_prime_exits_one(capsys):
     code, _, err = run(capsys, "embed", "tableau", "--prime", "4", "--beta", "2,1", "--gens", "")
     assert code == 1
     assert json.loads(err) == {"error": "ValueError", "message": "p must be a prime, got 4"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "tableau", "--beta", "1", "--gens", "1"),
+        ("oracle", "hall", "--beta", "1", "--alpha", "1"),
+    ],
+)
+def test_prime_above_cap_exits_one_at_once(capsys, argv):
+    # the cap is checked before any trial division by the primes up to sqrt(p)
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv, "--prime", "1000000000000000003")
+    assert time.monotonic() - start < 2
+    assert code == 1
+    assert json.loads(err)["error"] == "CapExceeded"
 
 
 def test_bad_partition_exits_one(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -314,6 +315,18 @@ def test_cap_enforced():
     with pytest.raises(CapExceeded):
         emb.AmbientModule(2, (30,))
     assert general_cap(None) >= 1 << 10
+
+
+def test_prime_above_cap_fails_on_the_cap():
+    # a prime past the cap is refused before it is tested for primality
+    start = time.monotonic()
+    with pytest.raises(CapExceeded):
+        emb.Embedding.from_coords(1000000000000000003, (1,), [(1,)])
+    assert time.monotonic() - start < 2
+    # a cached ambient of order 1 fails the same way as a fresh one
+    emb.AmbientModule.get(3, ())
+    with pytest.raises(CapExceeded):
+        emb.AmbientModule.get(3, (), cap=2)
 
 
 def test_env_cap_override(monkeypatch):

@@ -63,6 +63,20 @@ def test_long_single_row_chain():
     assert hall_polynomial((2000,), (2000,), ()).total == QPolynomial.one()
 
 
+def test_long_single_column_strip():
+    # beta = alpha = (1^1000): one strip of 1,000 boxes, one per column, more
+    # columns than the interpreter's recursion limit
+    ones = (1,) * 1000
+    assert hall_polynomial(ones, ones, ()).total == QPolynomial.one()
+
+
+def test_long_floor_walk():
+    # the subgroups of order p in (Z/p)^1000 number 1 + q + ... + q^999: a
+    # one-box strip walked over 1,000 columns above the floor (1^999)
+    got = hall_polynomial((1,), (1,) * 1000, (1,) * 999).total
+    assert got == poly({k: 1 for k in range(1000)})
+
+
 def test_breakdown_sums_to_total():
     for beta in partitions_of(6):
         for k in range(7):

@@ -52,6 +52,58 @@ def test_validate_lr_lattice_violation():
     assert not ok and "lattice" in reason
 
 
+@pytest.mark.parametrize(
+    "gammas, reason",
+    [
+        ([(1, 2)], "not a partition chain: parts must be weakly decreasing: (1, 2)"),
+        ([], "empty chain"),
+        ([(2,), (1,)], "chain not weakly increasing at level 1"),
+        ([(), (2,)], "strip 1 is not horizontal"),
+        ([(1,), (2,), (2, 1)], "lattice permutation fails at level 2"),
+        ([(), (1,), (2,), (2, 1)], "lattice permutation fails at level 3"),
+    ],
+)
+def test_validate_lr_reasons(gammas, reason):
+    assert validate_lr(gammas) == (False, reason)
+
+
+# the worked-example chain; its entry-2 boxes in rows 2 and 3 sit on
+# entry-1 boxes, so their subscripts 1 and 2 are forced
+CHAIN = [(2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "tab, reason",
+    [
+        (KleinTableau.make([(1,), (2,)], {(2, 2): [1]}), "subscript cell for entry 2 outside 2..1"),
+        (
+            KleinTableau(tuple(CHAIN), ((2, 2, (1,)), (2, 3, (2, 1)), (3, 4, (2,)))),
+            "cell (2,3) subscripts not weakly increasing",
+        ),
+        (KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [2]}), "cell (3,4) has 0 subscripts, needs 1"),
+        (
+            KleinTableau.make(CHAIN, {(2, 1): [1], (2, 2): [1], (2, 3): [2], (3, 4): [2]}),
+            "cell (2,1) has 1 subscripts, needs 0",
+        ),
+        (
+            KleinTableau.make(CHAIN, {(2, 2): [2], (2, 3): [2], (3, 4): [2]}),
+            "cell (2,2) subscript out of range (ii)",
+        ),
+        (
+            KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [1], (3, 4): [2]}),
+            "cell (2,3) misses forced subscript 2 (iii)",
+        ),
+        (
+            KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [2], (3, 4): [1]}),
+            "too many symbols 3_1 for row 1 (iv)",
+        ),
+        (KleinTableau.make([(1,), (2,), (2, 1)]), "lattice permutation fails at level 2"),
+    ],
+)
+def test_validate_klein_reasons(tab, reason):
+    assert validate_klein(tab) == (False, reason)
+
+
 def test_tableau_type_examples():
     tab = LRTableau(((2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)))
     assert tableau_type(tab) == ((3, 2, 1), (4, 3, 2), (2, 1))
