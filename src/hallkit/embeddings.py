@@ -24,12 +24,11 @@ from subscript runs it appends in increasing r, without a second pass
 through ``KleinTableau.make``, which stays the normaliser for outside
 input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
-with no scan of B.  Bases come from one greedy rule (``_greedy_basis``):
-for a subgroup's generators, and for the quotient B/p^ell A of a
-truncation.  A truncation gives coordinates only to the |B/X| sums of
-basis multiples, one per coset, and reads each generator of A off its
-coset instead of mapping every ambient element to a coset
-representative.
+with no scan of B.  Subgroups grow by one rule (``span`` from a base)
+and bases come from one greedy rule (``_greedy_basis``), for a
+subgroup's generators and for the quotient B/p^ell A of a truncation,
+which packs each generator of A from its row in the greedy rule's
+coordinate table.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
 span, its p-chain, its greedy generators and its truncations, one per
@@ -81,9 +80,11 @@ class AmbientModule:
             raise ValueError(f"p must be a prime, got {p}")
         self.p = p
         self.beta = partition(beta)
-        self.size = p ** sum(self.beta)
-        if self.size > limit:
-            raise CapExceeded(f"ambient order {self.size} exceeds cap {limit}")
+        n = sum(self.beta)
+        # p >= 2, so p^n is over the cap once n reaches its bit length
+        if n >= limit.bit_length() or p**n > limit:
+            raise CapExceeded(f"ambient order {p}^{n} exceeds cap {limit}")
+        self.size = p**n
         self.mods = tuple(p**b for b in self.beta)
         w = self._w = (max(self.mods, default=1) - 1).bit_length()
         shifts = self._shifts = tuple(i * (w + 1) for i in range(len(self.mods)))
@@ -173,9 +174,12 @@ class AmbientModule:
 # subgroup-set operations
 
 
-def span(ambient: AmbientModule, gens: Iterable[int]) -> SubgroupSet:
-    """Closure of a generator list under addition."""
-    H: set[int] = {0}
+def span(
+    ambient: AmbientModule, gens: Iterable[int], base: SubgroupSet = frozenset({0})
+) -> SubgroupSet:
+    """The subgroup base + <gens>: each generator g not yet in it adds the
+    cosets H + kg of the subgroup H built so far, until kg falls in H."""
+    H = set(base)
     for g in gens:
         if g in H:
             continue
@@ -202,17 +206,6 @@ def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     roots = map(ambient.divp, A & ambient.p_power_set(1))
     socle = ambient.killed_by(1)
     return frozenset({r + k for r in roots for k in socle})
-
-
-def add_subgroups(ambient: AmbientModule, H: SubgroupSet, K: SubgroupSet) -> SubgroupSet:
-    """The subgroup H + K, as a union of H-cosets indexed by K."""
-    if len(H) < len(K):
-        H, K = K, H
-    out = set(H)
-    for k in K:
-        if k not in out:
-            out.update(ambient.add(h, k) for h in H)
-    return frozenset(out)
 
 
 def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
@@ -305,7 +298,7 @@ class Embedding:
         order p^m that stays independent of the span built so far."""
         if self._gens is None:
             typ = self.subgroup_type()
-            self._gens = _greedy_basis(self.ambient, typ, frozenset({0}), sorted(self.subgroup))
+            self._gens = _greedy_basis(self.ambient, typ, frozenset({0}), sorted(self.subgroup))[0]
         return self._gens
 
     def chain(self) -> list[SubgroupSet]:
@@ -357,28 +350,36 @@ def _from_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> Embedding:
 
 def _greedy_basis(
     ambient: AmbientModule, typ: Partition, X: SubgroupSet, candidates: Sequence[int]
-) -> tuple[int, ...]:
-    """A basis of a subquotient of type typ over X, found greedily: for
-    each part m, the first candidate y with p^m y in X and p^{m-1} y
-    outside S, where S is X plus the span of the basis so far."""
-    S = X
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """A basis, found greedily, of the subquotient of type typ that the
+    candidates span over X, and the table mapping each s of that span to
+    the k with s - sum k_j y_j in X.  For each part m, y is the first
+    candidate with p^m y in X and p^{m-1} y outside the span S so far; so
+    the cosets S + ky, 0 <= k < p^m, are disjoint and one pass over the
+    table extends each row by k."""
+    coords = dict.fromkeys(X, ())
     basis: list[int] = []
     for m in typ:
         for y in candidates:
-            if y in S:
+            if y in coords:
                 continue
             z = y
             for _ in range(m - 1):
                 z = ambient.pmul(z)
-            if z not in S and ambient.pmul(z) in X:
+            if z not in coords and ambient.pmul(z) in X:
                 break
         else:
             raise AssertionError("basis extraction failed")
         basis.append(y)
-        S = add_subgroups(ambient, S, span(ambient, (y,)))
-    if len(S) != len(X) * ambient.p ** sum(typ):
-        raise AssertionError("greedy basis is not independent")
-    return tuple(basis)
+        grown = {}
+        for s, c in coords.items():
+            for k in range(ambient.p**m):
+                grown[s] = c + (k,)
+                s = ambient.add(s, y)
+        coords = grown
+    if len(coords) != len(candidates):
+        raise AssertionError("greedy basis does not span the candidates")
+    return tuple(basis), coords
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ def klein_tableau(E: Embedding) -> KleinTableau:
             if Y == prev_Y:
                 continue
             prev_Y = Y
-            X = add_subgroups(amb, pellA, scale(amb, Y))
+            X = span(amb, scale(amb, Y), pellA)
             cur = quotient_type(amb, X)
             if cur == prev_type:
                 continue
@@ -535,10 +536,10 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
 
     The quotient B/X, X = p^ell A, gets a fresh ambient of its type with
     a greedily chosen basis; any basis works since only types and
-    tableaux are extracted.  Coordinates are known only on the |B/X|
-    sums of basis multiples, one per coset, so each generator of A is
-    read off through its coset g + X and the new subgroup is spanned
-    from the images on demand.  Each level is built once per embedding;
+    tableaux are extracted.  The greedy rule's table gives every element
+    of B its coordinates over the basis, so each generator of A is
+    packed from its own row and the new subgroup is spanned from the
+    images on demand.  Each level is built once per embedding;
     a cached one has the order of its quotient checked against the cap
     like a new one.
     """
@@ -554,21 +555,9 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
     X = E.chain()[ell]
     gamma = quotient_type(amb, X)
     new_amb = AmbientModule.get(amb.p, gamma, cap)
-    basis = _greedy_basis(amb, gamma, X, amb.all_elements())
-    coords_of: dict[int, tuple[int, ...]] = {0: ()}
-    for y, m in zip(basis, gamma):
-        grown = {}
-        for val, c in coords_of.items():
-            for k in range(amb.p**m):
-                grown[val] = c + (k,)
-                val = amb.add(val, y)
-        coords_of = grown
-
-    def image(g: int) -> int:
-        rep = next(v for v in (amb.add(g, x) for x in X) if v in coords_of)
-        return new_amb.pack(coords_of[rep])
-
-    cut = E._truncations[ell] = Embedding(new_amb, gens=tuple(map(image, E.generators())))
+    _, coords = _greedy_basis(amb, gamma, X, amb.all_elements())
+    gens = tuple(new_amb.pack(coords[g]) for g in E.generators())
+    cut = E._truncations[ell] = Embedding(new_amb, gens=gens)
     return cut
 
 

@@ -69,12 +69,6 @@ class QPolynomial:
             out[e] = out.get(e, 0) + c
         return QPolynomial.from_dict(out)
 
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs:

@@ -149,7 +149,7 @@ class KleinTableau:
             return cls.make(data["gammas"], subs)
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
     def to_text(self) -> str:

@@ -109,6 +109,10 @@ def test_decompose_both_ways(capsys):
         "{}",
         '{"gammas": 5}',
         '{"gammas": [[3, 1], [3, 2], [4, 2]], "subscripts": [{"entry": 2, "subs": [2]}]}',
+        # numbers that json reads as float infinity
+        '{"gammas": [[1e400]]}',
+        '{"gammas": [[2], [2]], "subscripts": [{"entry": 2, "row": 2, "subs": [1e400]}]}',
+        '{"gammas": [[2], [2]], "subscripts": [{"entry": 1e400, "row": 2, "subs": [1]}]}',
     ],
 )
 def test_malformed_tableau_json_exits_one(capsys, text):
@@ -286,6 +290,23 @@ def test_prime_above_cap_exits_one_at_once(capsys, argv):
     code, _, err = run(capsys, *argv, "--prime", "1000000000000000003")
     assert time.monotonic() - start < 2
     assert code == 1
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "type", "--prime", "3", "--beta", "100000", "--gens", ""),
+        ("oracle", "hall", "--prime", "3", "--beta", "100000", "--alpha", "1"),
+        ("embed", "type", "--prime", "3", "--beta", "100000000", "--gens", ""),
+    ],
+)
+def test_huge_ambient_exits_one_at_once(capsys, argv):
+    # the order p^|beta| is neither computed nor printed in full
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 2
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "CapExceeded"
 
 

@@ -37,6 +37,17 @@ def random_subgroup(ambient, rng, k=2):
     return emb.span(ambient, gens)
 
 
+def union_of_cosets(ambient, H, K):
+    """Reference for H + K: the union of the H-cosets h + k over k in K."""
+    if len(H) < len(K):
+        H, K = K, H
+    out = set(H)
+    for k in K:
+        if k not in out:
+            out.update(ambient.add(h, k) for h in H)
+    return frozenset(out)
+
+
 def test_span_examples():
     a = amb(2, (3,))
     assert emb.span(a, ()) == frozenset({0})
@@ -85,9 +96,21 @@ def test_subgroup_identities():
         for _ in range(20):
             A = random_subgroup(a, rng)
             pA = emb.scale(a, A)
-            assert emb.preimage(a, pA) == emb.add_subgroups(a, A, soc)
+            assert emb.preimage(a, pA) == union_of_cosets(a, A, soc)
             assert emb.scale(a, emb.preimage(a, pA)) == pA
             assert emb.scale(a, frozenset({0})) == frozenset({0})
+
+
+def test_span_from_a_base_matches_union_of_cosets():
+    rng = random.Random(17)
+    for p, beta in [(2, (3, 2, 1)), (2, (4, 2)), (3, (2, 2, 1)), (3, (3, 1))]:
+        a = amb(p, beta)
+        for _ in range(25):
+            H = random_subgroup(a, rng, k=rng.randrange(3))
+            K = random_subgroup(a, rng, k=rng.randrange(3))
+            assert emb.span(a, K, H) == union_of_cosets(a, H, K)
+            # from the zero base, span is the plain closure
+            assert emb.span(a, K) == K
 
 
 def test_preimage_matches_definition():
@@ -250,6 +273,30 @@ def test_truncate_and_subfactor():
     assert emb.klein_tableau(emb.subfactor(S, 2, 1)) == restrict(tab, 2, 1)
 
 
+def test_truncation_table_resums():
+    # every row (s, k) of a truncation's table has s - sum k_j y_j in X,
+    # and the table covers B, so it names the coset of every element
+    rng = random.Random(29)
+    for p, beta in [(2, (3, 2, 1)), (2, (4, 2, 2)), (3, (3, 2)), (5, (2, 1))]:
+        a = amb(p, beta)
+        for _ in range(4):
+            E = emb.random_embedding(p, beta, rng.randrange(1, 4), seed=rng.randrange(1 << 30))
+            for ell in range(E.exponent):
+                X = E.chain()[ell]
+                gamma = emb.quotient_type(a, X)
+                basis, coords = emb._greedy_basis(a, gamma, X, a.all_elements())
+                assert len(basis) == len(gamma) and len(coords) == a.size
+                for s, ks in coords.items():
+                    assert len(ks) == len(gamma)
+                    back = s
+                    for k, y in zip(ks, basis):
+                        back = a.add(back, a.smul(-k, y))
+                    assert back in X
+                cut = emb.truncate(E, ell)
+                want = [cut.ambient.pack(coords[g]) for g in E.generators()]
+                assert list(cut.generators()) == want
+
+
 def test_cached_truncation_checks_cap():
     E = emb.random_embedding(3, (3, 2, 1), 2, seed=4)
     assert E.exponent >= 2
@@ -327,6 +374,23 @@ def test_prime_above_cap_fails_on_the_cap():
     emb.AmbientModule.get(3, ())
     with pytest.raises(CapExceeded):
         emb.AmbientModule.get(3, (), cap=2)
+
+
+def test_huge_ambient_fails_on_the_cap_at_once():
+    # |beta| is compared with the cap's bit length before p^|beta| is
+    # formed, so neither a 47,713-digit order nor a 10^8-fold power is built
+    start = time.monotonic()
+    for n in (100000, 100000000):
+        with pytest.raises(CapExceeded, match=rf"^ambient order 3\^{n} exceeds cap 1048576$"):
+            emb.AmbientModule(3, (n,), cap=1 << 20)
+    assert time.monotonic() - start < 2
+    # orders at the cap are accepted, one step past it is refused
+    for p, beta, cap in [(2, (20,), 1 << 20), (2, (2, 1), 8), (3, (2,), 9), (5, (1,), 5)]:
+        assert emb.AmbientModule(p, beta, cap=cap).size == cap
+        with pytest.raises(CapExceeded):
+            emb.AmbientModule(p, beta, cap=cap - 1)
+    with pytest.raises(CapExceeded, match="ambient order 2\\^4 exceeds cap 15"):
+        emb.AmbientModule(2, (4,), cap=15)
 
 
 def test_env_cap_override(monkeypatch):

@@ -379,6 +379,19 @@ def test_text_and_json_roundtrip():
         assert KleinTableau.from_json(tab.to_json()) == tab
 
 
+def test_overflowing_json_numbers_are_value_errors():
+    # json reads 1e400 as float infinity, which int() refuses with OverflowError
+    inf = float("1e400")
+    cases = [
+        {"gammas": [[inf]]},
+        {"gammas": [[2], [2]], "subscripts": [{"entry": 2, "row": 2, "subs": [inf]}]},
+        {"gammas": [[2], [2]], "subscripts": [{"entry": 2, "row": inf, "subs": [1]}]},
+    ]
+    for data in cases:
+        with pytest.raises(ValueError, match="^malformed tableau JSON"):
+            KleinTableau.from_json(data)
+
+
 def test_json_shape():
     assert PI_2.to_json() == {
         "gammas": [[2, 1], [3, 2, 1], [3, 3, 2], [4, 3, 2]],

@@ -33,6 +33,18 @@ def test_formulas_count_brute_force_skips():
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
 
 
+def test_formulas_skip_anchors_over_an_env_cap(capsys, monkeypatch):
+    # at HALLKIT_CAP=32 the 2^6-element ambient of T(4,2) is over the cap:
+    # the anchor and orbit checks that build it report themselves skipped
+    monkeypatch.setenv("HALLKIT_CAP", "32")
+    code = main(["verify", "--suite", "formulas"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["passed"] is True
+    checks = {c["name"]: c for c in payload["suites"][0]["checks"]}
+    for name in ("end-aut-brute-anchors", "orbit-formula"):
+        assert checks[name]["detail"] == "skipped over cap: ambient order 2^6 exceeds cap 32"
+
+
 def test_details_name_the_primes_that_ran():
     # roundtrip and theorem2 take their primes as arguments, not from
     # verify --prime; their details say which ran
