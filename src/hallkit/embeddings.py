@@ -27,8 +27,9 @@ p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
 with no scan of B.  Subgroups grow by one rule (``span`` from a base)
 and bases come from one greedy rule (``_greedy_basis``), for a
 subgroup's generators and for the quotient B/p^ell A of a truncation,
-which packs each generator of A from its row in the greedy rule's
-coordinate table.
+which keeps only the spans below each basis vector and packs each
+generator of A from the coordinates peeled off them (``_peel``), so no
+coordinate table of B is built.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
 span, its p-chain, its greedy generators and its truncations, one per
@@ -350,36 +351,51 @@ def _from_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> Embedding:
 
 def _greedy_basis(
     ambient: AmbientModule, typ: Partition, X: SubgroupSet, candidates: Sequence[int]
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], list[SubgroupSet]]:
     """A basis, found greedily, of the subquotient of type typ that the
-    candidates span over X, and the table mapping each s of that span to
-    the k with s - sum k_j y_j in X.  For each part m, y is the first
+    candidates span over X, and the spans S_j = X + <y_1, ..., y_j> in
+    force when y_{j+1} was chosen (spans[0] is X; the last span, all of
+    the candidates, is never built).  For each part m, y is the first
     candidate with p^m y in X and p^{m-1} y outside the span S so far; so
-    the cosets S + ky, 0 <= k < p^m, are disjoint and one pass over the
-    table extends each row by k."""
-    coords = dict.fromkeys(X, ())
+    the cosets S + ky, 0 <= k < p^m, are disjoint, and the candidates are
+    spanned exactly when |X| p^{|typ|} is their number."""
+    spans = [X]
     basis: list[int] = []
     for m in typ:
+        if basis:
+            spans.append(span(ambient, basis[-1:], spans[-1]))
+        S = spans[-1]
         for y in candidates:
-            if y in coords:
+            if y in S:
                 continue
             z = y
             for _ in range(m - 1):
                 z = ambient.pmul(z)
-            if z not in coords and ambient.pmul(z) in X:
+            if z not in S and ambient.pmul(z) in X:
                 break
         else:
             raise AssertionError("basis extraction failed")
         basis.append(y)
-        grown = {}
-        for s, c in coords.items():
-            for k in range(ambient.p**m):
-                grown[s] = c + (k,)
-                s = ambient.add(s, y)
-        coords = grown
-    if len(coords) != len(candidates):
+    if len(X) * ambient.p ** sum(typ) != len(candidates):
         raise AssertionError("greedy basis does not span the candidates")
-    return tuple(basis), coords
+    return tuple(basis), spans
+
+
+def _peel(ambient: AmbientModule, typ: Partition, basis, spans, g: int) -> tuple[int, ...]:
+    """The coordinates k of g over a greedy basis, g - sum k_j y_j in X:
+    from the last basis vector down, k_j is the k < p^{m_j} with
+    g - k y_j in the span S_{j-1} below y_j."""
+    ks = []
+    for m, y, S in zip(typ[::-1], basis[::-1], spans[::-1]):
+        minus_y = ambient.smul(-1, y)
+        for k in range(ambient.p**m):
+            if g in S:
+                break
+            g = ambient.add(g, minus_y)
+        else:
+            raise AssertionError("element outside the greedy span")
+        ks.append(k)
+    return tuple(ks[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +552,9 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
 
     The quotient B/X, X = p^ell A, gets a fresh ambient of its type with
     a greedily chosen basis; any basis works since only types and
-    tableaux are extracted.  The greedy rule's table gives every element
-    of B its coordinates over the basis, so each generator of A is
-    packed from its own row and the new subgroup is spanned from the
+    tableaux are extracted.  Each generator of A is packed from its
+    coordinates over the basis, peeled off the greedy rule's spans from
+    the last basis vector down, and the new subgroup is spanned from the
     images on demand.  Each level is built once per embedding;
     a cached one has the order of its quotient checked against the cap
     like a new one.
@@ -555,8 +571,8 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
     X = E.chain()[ell]
     gamma = quotient_type(amb, X)
     new_amb = AmbientModule.get(amb.p, gamma, cap)
-    _, coords = _greedy_basis(amb, gamma, X, amb.all_elements())
-    gens = tuple(new_amb.pack(coords[g]) for g in E.generators())
+    basis, spans = _greedy_basis(amb, gamma, X, amb.all_elements())
+    gens = tuple(new_amb.pack(_peel(amb, gamma, basis, spans, g)) for g in E.generators())
     cut = E._truncations[ell] = Embedding(new_amb, gens=gens)
     return cut
 

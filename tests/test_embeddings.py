@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -273,9 +274,39 @@ def test_truncate_and_subfactor():
     assert emb.klein_tableau(emb.subfactor(S, 2, 1)) == restrict(tab, 2, 1)
 
 
+def table_coords(ambient, typ, X, candidates):
+    """Reference for the greedy basis: the rule with the table mapping
+    each element s of the span to the k with s - sum k_j y_j in X, grown
+    one basis vector at a time by extending each row by k."""
+    coords = dict.fromkeys(X, ())
+    basis = []
+    for m in typ:
+        for y in candidates:
+            if y in coords:
+                continue
+            z = y
+            for _ in range(m - 1):
+                z = ambient.pmul(z)
+            if z not in coords and ambient.pmul(z) in X:
+                break
+        else:
+            raise AssertionError("basis extraction failed")
+        basis.append(y)
+        grown = {}
+        for s, c in coords.items():
+            for k in range(ambient.p**m):
+                grown[s] = c + (k,)
+                s = ambient.add(s, y)
+        coords = grown
+    if len(coords) != len(candidates):
+        raise AssertionError("greedy basis does not span the candidates")
+    return tuple(basis), coords
+
+
 def test_truncation_table_resums():
-    # every row (s, k) of a truncation's table has s - sum k_j y_j in X,
-    # and the table covers B, so it names the coset of every element
+    # the peeled coordinates of every s in B are the reference table's row:
+    # s - sum k_j y_j lies in X, and each tuple of prod Z/p^{m_j} names one
+    # coset of X, so it is hit exactly |X| times
     rng = random.Random(29)
     for p, beta in [(2, (3, 2, 1)), (2, (4, 2, 2)), (3, (3, 2)), (5, (2, 1))]:
         a = amb(p, beta)
@@ -284,17 +315,48 @@ def test_truncation_table_resums():
             for ell in range(E.exponent):
                 X = E.chain()[ell]
                 gamma = emb.quotient_type(a, X)
-                basis, coords = emb._greedy_basis(a, gamma, X, a.all_elements())
-                assert len(basis) == len(gamma) and len(coords) == a.size
-                for s, ks in coords.items():
-                    assert len(ks) == len(gamma)
+                basis, spans = emb._greedy_basis(a, gamma, X, a.all_elements())
+                want_basis, table = table_coords(a, gamma, X, a.all_elements())
+                assert basis == want_basis and len(spans) == max(len(gamma), 1)
+                hits = Counter()
+                for s in a.all_elements():
+                    ks = emb._peel(a, gamma, basis, spans, s)
+                    assert ks == table[s]
                     back = s
                     for k, y in zip(ks, basis):
                         back = a.add(back, a.smul(-k, y))
                     assert back in X
+                    hits[ks] += 1
+                assert set(hits) == set(product(*(range(p**m) for m in gamma)))
+                assert set(hits.values()) == {len(X)}
                 cut = emb.truncate(E, ell)
-                want = [cut.ambient.pack(coords[g]) for g in E.generators()]
+                want = [cut.ambient.pack(table[g]) for g in E.generators()]
                 assert list(cut.generators()) == want
+
+
+def test_generators_are_the_greedy_basis():
+    # subgroup-defined embeddings take the reference greedy basis of A
+    rng = random.Random(31)
+    for p, beta in [(2, (3, 2, 1)), (3, (3, 2)), (5, (2, 1))]:
+        a = amb(p, beta)
+        for _ in range(4):
+            E = emb.random_embedding(p, beta, rng.randrange(1, 3), seed=rng.randrange(1 << 30))
+            for F in (emb.lift(E), emb.reduce(E), emb.lift(E, 2), emb.reduce(E, 2)):
+                typ = F.subgroup_type()
+                want, _ = table_coords(a, typ, frozenset({0}), sorted(F.subgroup))
+                assert F.generators() == want
+
+
+def test_greedy_basis_checks_the_type():
+    # one box too many or too few is refused, not returned as a basis
+    a = amb(3, (3, 2, 1))
+    E = emb.random_embedding(3, (3, 2, 1), 2, seed=5)
+    X = E.chain()[2]
+    gamma = emb.quotient_type(a, X)
+    assert gamma == (2, 2, 1)
+    for typ in ((2, 2), (2, 1, 1), (3, 2, 1), (2, 2, 2), (2, 2, 1, 1)):
+        with pytest.raises(AssertionError):
+            emb._greedy_basis(a, typ, X, a.all_elements())
 
 
 def test_cached_truncation_checks_cap():
