@@ -8,6 +8,10 @@ carries exactly the fields of a sum with u_i >= m_i into their guards,
 and those fields get m_i subtracted, with no per-coordinate loop.  All
 subgroup-lattice operations (intersection, preimage, sums) work on
 exact element sets, which is simple and fast enough under the caps.
+Each ambient memoises x -> px: ``pmul`` multiplies an element once,
+and ``scale`` (every p-chain link, every ``klein_tableau`` level),
+the greedy basis's candidate test and the oracle's subgroup walk read
+the memo after that; it holds only elements they multiplied.
 
 Each construction exists once.  ``direct_sum`` packs any number of
 summands into one ambient, so an object's embedding is one sum.  Types
@@ -47,7 +51,6 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import count
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -95,6 +98,7 @@ class AmbientModule:
         self._p_minus_1 = range(p - 1)
         self._grids: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._powers: dict[int, SubgroupSet] = {}
+        self._times_p: dict[int, int] = {}  # x -> px, filled by pmul
 
     @classmethod
     def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
@@ -125,9 +129,12 @@ class AmbientModule:
         return u - (self._moduli & ((g << 1) - (g >> self._w)))
 
     def pmul(self, x: int) -> int:
-        u = x
-        for _ in self._p_minus_1:  # p - 1 additions of x
-            u = self.add(u, x)
+        u = self._times_p.get(x)
+        if u is None:
+            u = x
+            for _ in self._p_minus_1:  # p - 1 additions of x
+                u = self.add(u, x)
+            self._times_p[x] = u
         return u
 
     def smul(self, k: int, x: int) -> int:
@@ -194,8 +201,12 @@ def span(
 
 
 def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
-    """The subgroup pA."""
-    return frozenset(map(ambient.pmul, A))
+    """The subgroup pA: ``pmul`` multiplies the elements the ambient's
+    memo lacks, and the rest is a lookup."""
+    memo = ambient._times_p
+    for x in A.difference(memo):
+        ambient.pmul(x)
+    return frozenset(map(memo.__getitem__, A))
 
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
@@ -242,13 +253,13 @@ def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
 
 
 def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
-    """Type of B/X via |p^i(B/X)| = |p^i B| / |p^i B intersect X|."""
-    sizes = []
-    for i in count():
-        piB = ambient.p_power_set(i)
+    """Type of B/X via |p^i(B/X)| = |p^i B| / |p^i B intersect X|, with
+    |B| = ambient.size, so the set p^0 B is never built."""
+    sizes = [ambient.size // len(X)]
+    while sizes[-1] > 1:
+        piB = ambient.p_power_set(len(sizes))
         sizes.append(len(piB) // len(piB & X))
-        if sizes[-1] == 1:
-            return _layer_type(tuple(sizes), ambient.p)
+    return _layer_type(tuple(sizes), ambient.p)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +452,8 @@ def klein_tableau(E: Embedding) -> KleinTableau:
             for m, grow in strip_row_counts(cur, prev_type).items():
                 subs.setdefault((ell, m), []).extend([r] * grow)
             prev_type = cur
+            if cur == gammas[ell]:  # X_r only shrinks, to p^ell A
+                break
         if prev_type != gammas[ell]:
             raise AssertionError("subscript chain did not reach the strip top")
     cells = sorted((ell, m, tuple(rs)) for (ell, m), rs in subs.items())

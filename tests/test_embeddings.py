@@ -3,7 +3,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -132,6 +132,101 @@ def test_module_and_quotient_types():
     assert emb.quotient_type(T.ambient, T.subgroup) == (3, 1)
     pA = emb.scale(T.ambient, T.subgroup)
     assert emb.quotient_type(T.ambient, pA) == (3, 2)
+
+
+MEMO_CASES = [(2, (3, 2, 1)), (3, (2, 2, 1)), (5, (2, 1)), (7, (2, 1))]
+
+
+def times_p(ambient, x):
+    """Reference for px: p * u mod p^{beta_i} on each coordinate."""
+    return ambient.pack([ambient.p * u for u in ambient.coords(x)])
+
+
+def test_pmul_memo_matches_coordinates():
+    rng = random.Random(5)
+    for p, beta in MEMO_CASES:
+        # pmul on a cold memo, then on a warm one
+        a = emb.AmbientModule(p, beta)
+        for _ in range(2):
+            for x in a.all_elements():
+                assert a.pmul(x) == times_p(a, x)
+        # scale on a cold memo, then on a warm one
+        a = emb.AmbientModule(p, beta)
+        for _ in range(10):
+            A = random_subgroup(a, rng, k=rng.randrange(3))
+            want = frozenset(times_p(a, x) for x in A)
+            assert emb.scale(a, A) == want
+            assert emb.scale(a, A) == want
+
+
+def test_scale_memoises_exactly_the_subgroup():
+    rng = random.Random(6)
+    for p, beta in MEMO_CASES:
+        for k in range(3):
+            a = emb.AmbientModule(p, beta)
+            A = random_subgroup(a, rng, k=k)
+            emb.scale(a, A)
+            assert a._times_p.keys() == A
+            assert all(a._times_p[x] == times_p(a, x) for x in A)
+
+
+def test_quotient_type_builds_no_p0_set():
+    def old_quotient_type(ambient, X):
+        # |p^i B| / |p^i B & X| from i = 0, with p^i B read off coordinates
+        elems, p, sizes = ambient.all_elements(), ambient.p, []
+        for i in count():
+            piB = frozenset(
+                x
+                for x in elems
+                if all(u % p ** min(i, b) == 0 for u, b in zip(ambient.coords(x), ambient.beta))
+            )
+            sizes.append(len(piB) // len(piB & X))
+            if sizes[-1] == 1:
+                return emb._layer_type(tuple(sizes), p)
+
+    rng = random.Random(7)
+    for p, beta in [(2, (3, 2, 1)), (2, (4, 4)), (3, (2, 2, 1)), (5, (2, 1)), (7, (1, 1))]:
+        a = emb.AmbientModule(p, beta)
+        assert emb.quotient_type(a, frozenset({0})) == beta
+        assert emb.quotient_type(a, frozenset(a.all_elements())) == ()
+        for _ in range(15):
+            X = random_subgroup(a, rng, k=rng.randrange(4))
+            assert emb.quotient_type(a, X) == old_quotient_type(a, X)
+        assert 0 not in a._powers
+
+
+def _clear_pmul_memos():
+    for a in emb.AmbientModule._cache.values():
+        a._times_p.clear()
+
+
+def _functor_readings(p, beta, k, seed, cold):
+    """Klein and LR tableaux, every truncation and the lift of a seeded
+    embedding, each read from a fresh copy of it; with cold, after
+    clearing every cached ambient's x -> px memo."""
+
+    def read(f):
+        if cold:
+            _clear_pmul_memos()
+        return f(emb.random_embedding(p, beta, k, seed=seed))
+
+    e = emb.random_embedding(p, beta, k, seed=seed).exponent
+    return [
+        read(emb.klein_tableau),
+        read(emb.lr_tableau),
+        *(read(lambda E, ell=ell: emb.truncate(E, ell).to_json()) for ell in range(e + 1)),
+        read(lambda E: emb.lift(E).subgroup),
+    ]
+
+
+def test_pmul_memo_is_invisible():
+    rng = random.Random(8)
+    for p, max_size in ((2, 6), (3, 4), (5, 3)):
+        for n in range(1, max_size + 1):
+            for beta in partitions_of(n):
+                k, seed = rng.randrange(1, 4), rng.randrange(1 << 30)
+                cold = _functor_readings(p, beta, k, seed, cold=True)
+                assert _functor_readings(p, beta, k, seed, cold=False) == cold, (p, beta)
 
 
 def test_types_match_torsion_counts():
