@@ -2,13 +2,15 @@
 
 Deterministic text or JSON output for every subcommand; exit code 0 on
 success, 1 on a domain error (with a machine-readable diagnostic on
-stderr), 2 on usage errors.
+stderr), 2 on usage errors.  A reader that closes stdout early ends the
+command with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import embeddings as emb
@@ -274,7 +276,14 @@ def main(argv=None) -> int:
     if getattr(args, "suite", None) is None and args.command == "verify":
         args.suite = ["all"]
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed stdout raises inside this block
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except HallkitError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

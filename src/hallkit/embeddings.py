@@ -28,12 +28,12 @@ from subscript runs it appends in increasing r, without a second pass
 through ``KleinTableau.make``, which stays the normaliser for outside
 input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
-with no scan of B.  Subgroups grow by one rule (``span`` from a base)
-and bases come from one greedy rule (``_greedy_basis``), for a
-subgroup's generators and for the quotient B/p^ell A of a truncation,
-which keeps only the spans below each basis vector and packs each
-generator of A from the coordinates peeled off them (``_peel``), so no
-coordinate table of B is built.
+with no scan of B.  Subgroups grow by one rule, ``span`` from a base,
+here and in the oracle's walk, and bases come from one greedy rule
+(``_greedy_basis``), for a subgroup's generators and for the quotient
+B/p^ell A of a truncation, which keeps only the spans below each basis
+vector and packs each generator of A from the coordinates peeled off
+them (``_peel``), so no coordinate table of B is built.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
 span, its p-chain, its greedy generators and its truncations, one per
@@ -186,16 +186,17 @@ def span(
     ambient: AmbientModule, gens: Iterable[int], base: SubgroupSet = frozenset({0})
 ) -> SubgroupSet:
     """The subgroup base + <gens>: each generator g not yet in it adds the
-    cosets H + kg of the subgroup H built so far, until kg falls in H."""
-    H = set(base)
+    cosets H + kg of the subgroup H built so far, until kg falls in H;
+    the oracle's subgroup walk grows each extension W + <g> here too."""
+    add, H = ambient.add, base
     for g in gens:
         if g in H:
             continue
         grown = set(H)
         cur = g
         while cur not in grown:
-            grown.update(ambient.add(h, cur) for h in H)
-            cur = ambient.add(cur, g)
+            grown.update(add(h, cur) for h in H)
+            cur = add(cur, g)
         H = grown
     return frozenset(H)
 
@@ -543,8 +544,10 @@ def lift(E: Embedding, s: int = 1) -> Embedding:
     """Replace A by p^{-s} A.  Each step takes X to p^{-1}X = p^{-1}(X & pB),
     and X & pB = p(p^{-1}X) is the second link of the result's chain,
     which continues from there when first used."""
+    if s < 0:
+        raise ValueError("need s >= 0")
     amb, A = E.ambient, E.subgroup
-    if s <= 0:
+    if s == 0:
         return Embedding(amb, subgroup=A)
     for _ in range(s):
         radical = A & amb.p_power_set(1)

@@ -2,6 +2,7 @@
 
 Everything here is exhaustive enumeration under the configured caps:
 subgroup lattices by triangular generators, one coordinate at a time,
+each extension the ``span`` of one generator over the subgroup so far,
 which yields each subgroup exactly once; and morphisms by one walk over
 the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
 The walk builds each generator's image once per prefix of unit images
@@ -62,12 +63,12 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
     """Every subgroup of M(beta) exactly once, in a deterministic order.
 
     Let B_k be the span of the first k coordinates and V_k = V & B_k.
-    Then V_{k+1} is either V_k or V_k + <(y, p^j)> with j < beta_{k+1},
-    where y is the least element of its coset in B_k / V_k and
-    p^{beta_{k+1} - j} y lies in V_k.  Every subgroup has exactly one
-    such chain of choices (its Hermite form, written over element sets),
-    so a depth-first walk over the choices yields each subgroup once,
-    without comparing it against the others.
+    Then V_{k+1} is either V_k or ``span(amb, (y + p^j e_{k+1},), V_k)``
+    for j = 0, 1, ... below beta_{k+1} while p^{beta_{k+1} - j} y lies in
+    V_k, where y is the least element of its coset in B_k / V_k.  Every
+    subgroup has exactly one such chain of choices (its Hermite form,
+    written over element sets), so a depth-first walk over the choices
+    yields each subgroup once, without comparing it against the others.
     """
     amb = _lattice_ambient(p, beta, cap)
     add, s = amb.add, len(amb.beta)
@@ -76,12 +77,12 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
     # and the generators p^j e_{k+1} for j < b.
     levels = []
     for k, b in enumerate(amb.beta):
-        unit = amb.pack(tuple(int(i == k) for i in range(s)))
         chains = [[y] for y in amb._grid((1,) * k + amb.mods[k:])]
         for _ in range(b):
             for chain in chains:
                 chain.append(amb.pmul(chain[-1]))
-        levels.append((b, chains, [amb.smul(p**j, unit) for j in range(b)]))
+        steps = [amb.pack([p**j * (i == k) for i in range(s)]) for j in range(b)]
+        levels.append((b, chains, steps))
     stack = [(0, frozenset({0}))]
     while stack:
         k, W = stack.pop()
@@ -96,14 +97,10 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
             if y in covered or chain[b] not in W:
                 continue
             covered.update(add(y, w) for w in W)
-            e = next(i for i, z in enumerate(chain) if z in W)
-            for j in range(min(b - e, b - 1) + 1):
-                g = shift = add(y, steps[j])
-                V = list(W)
-                for _ in range(p ** (b - j) - 1):  # g has order p^{b-j} mod W
-                    V.extend([add(w, shift) for w in W])
-                    shift = add(shift, g)
-                stack.append((k + 1, frozenset(V)))
+            for j in range(b):
+                if chain[b - j] not in W:
+                    break
+                stack.append((k + 1, span(amb, (add(y, steps[j]),), W)))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 An LR tableau is a weakly increasing chain of partitions
 ``[g0, ..., ge]`` whose consecutive skews are horizontal strips and which
-satisfies the lattice permutation property.  A Klein tableau refines it:
-every box with entry ``ell >= 2`` carries a subscript ``r``.  Subscripts
-are stored per (entry, row) cell as a weakly increasing multiset; the
-in-row normalization makes that representation lossless.
+satisfies the lattice permutation property.  A Klein tableau is an LR
+tableau plus subscripts (``KleinTableau`` adds only them): every box with
+entry ``ell >= 2`` carries a subscript ``r``, stored per (entry, row) cell
+as a weakly increasing multiset, which the in-row order makes lossless.
 
 Every enumeration walks chains down from the top partition in one loop,
 ``_lr_chains``, on one explicit stack of frames: the LR tableaux of a
@@ -76,14 +76,13 @@ class LRTableau:
 
 
 @dataclass(frozen=True, slots=True)
-class KleinTableau:
-    """An LR chain plus per-(entry, row) subscript multisets.
+class KleinTableau(LRTableau):
+    """An LR tableau plus per-(entry, row) subscript multisets.
 
     ``subscripts`` holds triples (entry, row, subs) with subs a weakly
     increasing tuple, sorted by (entry, row); empty cells are omitted.
     """
 
-    gammas: tuple[Partition, ...]
     subscripts: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
 
     @classmethod
@@ -99,18 +98,6 @@ class KleinTableau:
             if subs:
                 cells.append((int(entry), int(row), subs))
         return cls(gs, tuple(sorted(cells)))
-
-    @property
-    def e(self) -> int:
-        return len(self.gammas) - 1
-
-    @property
-    def beta(self) -> Partition:
-        return self.gammas[-1]
-
-    @property
-    def base(self) -> Partition:
-        return self.gammas[0]
 
     def subs_at(self, entry: int, row: int) -> tuple[int, ...]:
         for ell, m, subs in self.subscripts:
@@ -227,7 +214,7 @@ def validate_lr(gammas: Sequence[Partition]) -> tuple[bool, str | None]:
     return True, None
 
 
-def tableau_type(tab: LRTableau | KleinTableau) -> tuple[Partition, Partition, Partition]:
+def tableau_type(tab: LRTableau) -> tuple[Partition, Partition, Partition]:
     """The triple (alpha, beta, gamma): strip sizes conjugated, top, base."""
     gs = tab.gammas
     sizes = [sum(gs[ell]) - sum(gs[ell - 1]) for ell in range(1, len(gs))]

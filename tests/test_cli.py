@@ -113,6 +113,8 @@ def test_decompose_both_ways(capsys):
         '{"gammas": [[1e400]]}',
         '{"gammas": [[2], [2]], "subscripts": [{"entry": 2, "row": 2, "subs": [1e400]}]}',
         '{"gammas": [[2], [2]], "subscripts": [{"entry": 1e400, "row": 2, "subs": [1]}]}',
+        # a tableau is a chain of at least one partition
+        '{"gammas": []}',
     ],
 )
 def test_malformed_tableau_json_exits_one(capsys, text):
@@ -358,3 +360,58 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "2*q^2 + q - 1"
+
+
+def test_tableaux_listing_text_and_json(capsys):
+    # each tableau in text form, followed by its ASCII diagram
+    code, out, _ = run(capsys, "tableaux", "klein", "--alpha", "3,2,1", "--beta", "4,3,2", "--gamma", "2,1")
+    assert code == 0
+    assert out == (
+        "2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:2\n"
+        ".    .    1\n.    1    2_1\n1    2_2\n3_2\n"
+        "2,1/3,2,1/3,3,2/4,3,2;2@2:1,2@3:2,3@4:3\n"
+        ".    .    1\n.    1    2_1\n1    2_2\n3_3\n"
+        "2,1/3,2,1/4,2,2/4,3,2;2@2:1,2@4:3,3@3:2\n"
+        ".    .    1\n.    1    2_1\n1    3_2\n2_3\n"
+    )
+    code, out, _ = run(
+        capsys, "tableaux", "lr", "--alpha", "3,2,1", "--beta", "4,3,2", "--gamma", "2,1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "tableaux": [
+            {"gammas": [[2, 1], [3, 2, 1], [3, 3, 2], [4, 3, 2]], "subscripts": []},
+            {"gammas": [[2, 1], [3, 2, 1], [4, 2, 2], [4, 3, 2]], "subscripts": []},
+        ]
+    }
+    code, out, _ = run(capsys, "tableaux", "klein", "--alpha", "5", "--beta", "4,3,2", "--gamma", "2,1,1")
+    assert (code, out) == (0, "(none)\n")
+
+
+def test_embed_lr_text_and_json(capsys):
+    argv = ("embed", "lr", "--prime", "2", "--beta", "4,2", "--gens", "4,2")
+    assert run(capsys, *argv) == (0, "3,1/3,2/4,2\n", "")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == {"gammas": [[3, 1], [3, 2], [4, 2]]}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_quietly(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the spawn, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hallkit", "hall", "--alpha", "3,2,1", "--beta", "4,3,2",
+             "--gamma", "2,1", "--per-tableau"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""

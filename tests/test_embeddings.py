@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from collections import Counter
 from itertools import count, product
@@ -630,3 +631,25 @@ def test_direct_sum_nary_matches_fold():
         c = emb.random_embedding(p, (2, 1), 2, seed=7)
         nary = emb.direct_sum(a, b, c)
         assert nary.to_json() == emb.direct_sum(emb.direct_sum(a, b), c).to_json()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: emb.Embedding(amb(2, (2, 1))), "need generators or an explicit subgroup"),
+        (lambda: amb(2, (2, 1)).pack((1,)), "coordinate count mismatch"),
+        (lambda: emb.picket_embedding(2, 3, 2), "need 0 <= ell <= m"),
+        (lambda: emb.bipicket_embedding(2, 3, 3), "need 1 <= r <= m-1"),
+        (lambda: emb.direct_sum(), "a direct sum needs a summand to fix the prime"),
+        (
+            lambda: emb.direct_sum(emb.picket_embedding(2, 1, 2), emb.picket_embedding(3, 1, 2)),
+            "summands must share the prime",
+        ),
+        (lambda: emb.truncate(emb.picket_embedding(2, 1, 2), -1), "level must be >= 0"),
+        (lambda: emb.subfactor(emb.picket_embedding(2, 1, 2), 1, 2), "need 0 <= u <= ell"),
+        (lambda: emb.lift(emb.picket_embedding(2, 1, 2), -1), "need s >= 0"),
+    ],
+)
+def test_embedding_constructions_reject_bad_arguments(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

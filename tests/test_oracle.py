@@ -35,6 +35,22 @@ def test_enumerate_subgroups_unique_and_closed():
             assert all(a.add(x, y) in U for x in U for y in U)
 
 
+PINNED_ENUMERATION_ORDER_DIGEST = "4edbc32130f661a179ab376dbb95169e7c003ef5385a7f03623378c25c82b0a2"
+
+
+def test_enumerate_subgroups_order_pinned():
+    # the census counts pin only which subgroups come out; this pins the
+    # order the walk yields them in, for every beta with |beta| <= 6 at
+    # p = 2, |beta| <= 4 at p = 3 and |beta| <= 3 at p = 5
+    digest = hashlib.sha256()
+    for p, max_size in ((2, 6), (3, 4), (5, 3)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                for U in oracle.enumerate_subgroups(p, beta):
+                    digest.update(json.dumps([p, list(beta), sorted(U)]).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_ENUMERATION_ORDER_DIGEST
+
+
 def test_subgroup_cap():
     with pytest.raises(CapExceeded):
         list(oracle.enumerate_subgroups(2, (11,)))
