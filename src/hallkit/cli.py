@@ -94,7 +94,7 @@ def cmd_hall(args) -> int:
 def cmd_tableaux(args) -> int:
     alpha, beta, gamma = parse(args.alpha), parse(args.beta), parse(args.gamma)
     if args.kind == "lr":
-        tabs = [KleinTableau(t.gammas) for t in enumerate_lr(alpha, beta, gamma)]
+        tabs = list(enumerate_lr(alpha, beta, gamma))
     else:
         tabs = list(enumerate_klein(alpha, beta, gamma))
     if args.count:
@@ -134,8 +134,7 @@ def cmd_embed(args) -> int:
         _emit(payload, f"{tab.to_text()}\n{ascii_diagram(tab)}", args.format)
     elif args.what == "lr":
         tab = emb.lr_tableau(E)
-        payload = {"gammas": [list(g) for g in tab.gammas]}
-        _emit(payload, "/".join(fmt(g) or "-" for g in tab.gammas), args.format)
+        _emit(tab.to_json(), tab.to_text(), args.format)
     else:  # type
         alpha = E.subgroup_type()
         gamma = emb.quotient_type(E.ambient, E.subgroup)

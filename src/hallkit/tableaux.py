@@ -74,6 +74,16 @@ class LRTableau:
     def base(self) -> Partition:
         return self.gammas[0]
 
+    def to_json(self) -> dict:
+        return {"gammas": [list(g) for g in self.gammas]}
+
+    def to_text(self) -> str:
+        """The gammas joined by '/', '-' for an empty one."""
+        return "/".join(fmt(g) or "-" for g in self.gammas)
+
+    def __str__(self) -> str:
+        return self.to_text()
+
 
 @dataclass(frozen=True, slots=True)
 class KleinTableau(LRTableau):
@@ -116,14 +126,14 @@ class KleinTableau(LRTableau):
             total += len(ss) if subs is None else sum(1 for r in ss if r in subs)
         return total
 
+    # slots=True builds a new class, which zero-argument super() does not
+    # see, so both renderings call LRTableau's by name
     def to_json(self) -> dict:
-        return {
-            "gammas": [list(g) for g in self.gammas],
-            "subscripts": [
-                {"entry": ell, "row": m, "subs": list(ss)}
-                for ell, m, ss in self.subscripts
-            ],
-        }
+        data = LRTableau.to_json(self)
+        data["subscripts"] = [
+            {"entry": ell, "row": m, "subs": list(ss)} for ell, m, ss in self.subscripts
+        ]
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "KleinTableau":
@@ -140,8 +150,8 @@ class KleinTableau(LRTableau):
             raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
     def to_text(self) -> str:
-        """Compact text: gammas joined by '/', then ';entry@row:r1+r2,...'."""
-        glist = "/".join(fmt(g) or "-" for g in self.gammas)
+        """The LR chain's text, then ';entry@row:r1+r2,...'."""
+        glist = LRTableau.to_text(self)
         if not self.subscripts:
             return glist
         cells = ",".join(
@@ -161,9 +171,6 @@ class KleinTableau(LRTableau):
             ell, _, m = cell.partition("@")
             cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
         return cls.make(gammas, _cells(cells))
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def _cells(items: Iterable[tuple[Cell, list[int]]]) -> dict[Cell, list[int]]:
@@ -479,8 +486,9 @@ def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
 # rendering
 
 
-def ascii_diagram(tab: KleinTableau) -> str:
-    """Aligned ASCII rendering; columns are parts, '.' marks empty boxes."""
+def ascii_diagram(tab: LRTableau) -> str:
+    """Aligned ASCII rendering; columns are parts, '.' marks empty boxes,
+    and a Klein tableau's boxes carry their subscripts."""
     beta = tab.beta
     if not beta:
         return "(empty)"
@@ -492,7 +500,7 @@ def ascii_diagram(tab: KleinTableau) -> str:
             level = next(ell for ell in range(len(gs)) if _padded(gs[ell], ncols)[i] >= m)
             entries[(i, m)] = "." if level == 0 else str(level)
     # distribute each cell's sorted subscripts to its columns left to right
-    for entry, m, ss in tab.subscripts:
+    for entry, m, ss in tab.subscripts if isinstance(tab, KleinTableau) else ():
         cols = [
             i
             for i in range(ncols)

@@ -18,6 +18,12 @@ Four suites, bundled so CI can run one command:
 
 Each check is a named pass/fail with a short detail string; suites are
 deterministic given their seed.
+
+The cap rule lives in ``_capped``, the module's one ``except
+CapExceeded``: every brute-force case runs through it, and a case with a
+count over the cap is skipped and said so.  A sweep counts its skipped
+cases in its detail; a one-shot check passes with the detail "skipped
+over cap: <reason>".  ``run_suites`` looks each suite up in one table.
 """
 
 from __future__ import annotations
@@ -94,14 +100,15 @@ def _names(primes) -> str:
     return ", ".join(map(str, primes))
 
 
-def _add_brute(rep: SuiteReport, name: str, run) -> None:
-    """Add the check that run() returns as (passed, detail), or report it
-    skipped when one of its brute-force counts exceeds the cap."""
+def _capped(skips: list[str], run, *args):
+    """run(*args), or None when one of its brute-force counts exceeds the
+    cap; the reason is then appended to skips.  Every brute-force check
+    runs through here: it is verify's one ``except CapExceeded``."""
     try:
-        passed, detail = run()
+        return run(*args)
     except CapExceeded as exc:
-        passed, detail = True, f"skipped over cap: {exc}"
-    rep.add(name, passed, detail)
+        skips.append(f"skipped over cap: {exc}")
+        return None
 
 
 def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
@@ -112,13 +119,14 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     start = time.monotonic()
     p = prime
     budget = min(BRUTE_BUDGET, general_cap(cap))
+    skips: list[str] = []
 
     def gl_orders():
         counts = [oracle.aut_count_module(p, (1,) * m, cap) for m in range(4)]
         want = [evaluate(gl_order(m), p) for m in range(4)]
         return counts == want, f"{counts} vs {want}"
 
-    _add_brute(rep, "gl-order-vs-brute", gl_orders)
+    rep.add("gl-order-vs-brute", *(_capped(skips, gl_orders) or (True, skips[-1])))
 
     anchors = [
         (S2Object.of(Bipicket(4, 2)), QOrderFactored.from_parts(8, {1: 1})),
@@ -134,51 +142,40 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     ok = all(aut_order(obj) == want for obj, want in anchors)
     rep.add("aut-order-anchors", ok, "; ".join(str(aut_order(o)) for o, _ in anchors))
 
-    # embeddings are built inside the guarded callables, so an ambient
+    # embeddings are built inside the capped callables, so an ambient
     # over the cap skips its check
     def end_aut_anchors():
         T42, T31 = emb.bipicket_embedding(p, 4, 2, cap), emb.bipicket_embedding(p, 3, 1, cap)
         end, aut = oracle.hom_count(T42, T42, cap), oracle.aut_count(T31, cap)
         return end == p**9 and aut == (p - 1) * p**4, f"End(T(4,2))={end}, Aut(T(3,1))={aut}"
 
-    _add_brute(rep, "end-aut-brute-anchors", end_aut_anchors)
+    rep.add("end-aut-brute-anchors", *(_capped(skips, end_aut_anchors) or (True, skips[-1])))
+
+    def hom_bad(x, y):
+        Ex, Ey = (emb.object_embedding(S2Object.of(z), p, cap) for z in (x, y))
+        return p ** hom_len_indec(x, y) != oracle.hom_count(Ex, Ey, cap)
 
     indecs = enumerate_indecomposables(6)
-    bad = skipped = 0
-    for x in indecs:
-        for y in indecs:
-            try:
-                Ex = emb.object_embedding(S2Object.of(x), p, cap)
-                Ey = emb.object_embedding(S2Object.of(y), p, cap)
-                if p ** hom_len_indec(x, y) != oracle.hom_count(Ex, Ey, cap):
-                    bad += 1
-            except CapExceeded:
-                skipped += 1
-    rep.add(
-        "hom-lengths-vs-brute",
-        bad == 0,
-        f"{len(indecs)}^2 indec pairs, {skipped} skipped over cap, {bad} bad",
-    )
+    pair_skips: list[str] = []
+    bad = sum(_capped(pair_skips, hom_bad, x, y) or 0 for x in indecs for y in indecs)
+    detail = f"{len(indecs)}^2 indec pairs, {len(pair_skips)} skipped over cap, {bad} bad"
+    rep.add("hom-lengths-vs-brute", bad == 0, detail)
 
-    bad = symbolic_bad = checked = skipped = 0
-    for obj in enumerate_objects(8):
+    def end_aut_bad(obj):
+        end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), budget)
+        return (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
+
+    objs = enumerate_objects(8)
+    bad = symbolic_bad = 0
+    over_budget: list[str] = []
+    for obj in objs:
         tab = tableau_of_object(obj)
-        for y in indecs:
-            if hom_len_tableau(tab, y) != hom_len_obj(obj, y):
-                symbolic_bad += 1
-        try:
-            end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), budget)
-        except CapExceeded:
-            skipped += 1
-            continue
-        checked += 1
-        bad += (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
+        symbolic_bad += sum(hom_len_tableau(tab, y) != hom_len_obj(obj, y) for y in indecs)
+        bad += _capped(over_budget, end_aut_bad, obj) or 0
     rep.add("tableau-hom-lengths-agree", symbolic_bad == 0, f"{symbolic_bad} mismatches")
-    rep.add(
-        "aut-end-orders-vs-brute",
-        bad == 0,
-        f"{checked} objects under budget, {skipped} skipped over budget, {bad} bad",
-    )
+    skipped = len(over_budget)
+    detail = f"{len(objs) - skipped} objects under budget, {skipped} skipped over budget, {bad} bad"
+    rep.add("aut-end-orders-vs-brute", bad == 0, detail)
 
     ok = all(
         hom_len_tableau(tableau_of_object(S2Object.of(Bipicket(m, r))), Bipicket(m, r))
@@ -196,7 +193,7 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
         )
         return all(oracle.orbit_check(E, cap) for E in cases), ""
 
-    _add_brute(rep, "orbit-formula", orbit_formula)
+    rep.add("orbit-formula", *(_capped(skips, orbit_formula) or (True, skips[-1])))
 
     rep.elapsed = time.monotonic() - start
     return rep
@@ -208,31 +205,28 @@ def suite_roundtrip(
     rep = SuiteReport("roundtrip")
     start = time.monotonic()
 
-    bad = total = 0
-    for n in range(max_beta + 1):
-        for beta in partitions_of(n):
-            for tab in enumerate_klein_entries2(beta):
-                total += 1
-                if tableau_of_object(object_of_tableau(tab)) != tab:
-                    bad += 1
-    rep.add("tableau-object-tableau", bad == 0, f"{total} tableaux, {bad} bad")
+    # the tableaux with entries <= 2, by |beta|, enumerated once for both
+    # directions of the bijection and for the realizations
+    by_size = [
+        [tab for beta in partitions_of(n) for tab in enumerate_klein_entries2(beta)]
+        for n in range(max(max_beta, realize_max) + 1)
+    ]
+    tabs = [tab for level in by_size[: max_beta + 1] for tab in level]
+    bad = sum(1 for tab in tabs if tableau_of_object(object_of_tableau(tab)) != tab)
+    rep.add("tableau-object-tableau", bad == 0, f"{len(tabs)} tableaux, {bad} bad")
 
     objs = enumerate_objects(max_beta)
     bad = sum(1 for obj in objs if object_of_tableau(tableau_of_object(obj)) != obj)
     rep.add("object-tableau-object", bad == 0, f"{len(objs)} objects, {bad} bad")
 
-    bad = total = skipped = 0
-    for p in primes:
-        for n in range(realize_max + 1):
-            for beta in partitions_of(n):
-                for tab in enumerate_klein_entries2(beta):
-                    total += 1
-                    try:
-                        if emb.klein_tableau(emb.realize(tab, p, cap)) != tab:
-                            bad += 1
-                    except CapExceeded:
-                        skipped += 1
-    detail = f"{total} realizations (p = {_names(primes)}), {skipped} skipped over cap, {bad} bad"
+    def realized_bad(tab, p):
+        return emb.klein_tableau(emb.realize(tab, p, cap)) != tab
+
+    tabs = [tab for level in by_size[: realize_max + 1] for tab in level]
+    skips: list[str] = []
+    bad = sum(_capped(skips, realized_bad, tab, p) or 0 for p in primes for tab in tabs)
+    total = len(tabs) * len(primes)
+    detail = f"{total} realizations (p = {_names(primes)}), {len(skips)} skipped over cap, {bad} bad"
     rep.add("realization-fidelity", bad == 0, detail)
 
     rep.elapsed = time.monotonic() - start
@@ -299,23 +293,22 @@ def suite_theorem2(
     betas = {
         p: [b for n in range(1, max_size + 1) for b in partitions_of(n)] for p in primes
     }
+
+    def battery(p, beta, k, E_seed):
+        return _embedding_battery(emb.random_embedding(p, beta, k, seed=E_seed, cap=cap), rng, cap)
+
     failures: list[str] = []
-    skipped = 0
+    skips: list[str] = []
     for i in range(count):
         p = primes[i % len(primes)]
         beta = betas[p][rng.randrange(len(betas[p]))]
         k, E_seed = rng.randrange(1, 4), rng.randrange(1 << 30)
-        try:
-            E = emb.random_embedding(p, beta, k, seed=E_seed, cap=cap)
-            found = _embedding_battery(E, rng, cap)
-        except CapExceeded:
-            skipped += 1
-            continue
+        found = _capped(skips, battery, p, beta, k, E_seed) or ()
         failures += [f"p={p} beta={beta}: {failure}" for failure in found]
     rep.add(
         "functor-tableau-identities",
         not failures,
-        f"{count} embeddings (seed {seed}; p = {_names(primes)}), {skipped} skipped over cap; "
+        f"{count} embeddings (seed {seed}; p = {_names(primes)}), {len(skips)} skipped over cap; "
         + ("; ".join(failures[:5]) if failures else "all identities hold"),
     )
     rep.elapsed = time.monotonic() - start
@@ -328,15 +321,11 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
     p = prime
     census_cap = min(subgroup_cap(), general_cap(cap))
     count_bad = tableau_bad = symmetry_bad = degree_bad = monic_bad = refine_bad = 0
-    instances = skipped = 0
+    instances = 0
+    skips: list[str] = []
     for n in range(max_beta + 1):
         for beta in partitions_of(n):
-            try:
-                record = oracle.census(p, beta, census_cap)
-                census, by_tab = record.types, record.tableaux
-            except CapExceeded:
-                census = by_tab = None
-                skipped += 1
+            record = _capped(skips, oracle.census, p, beta, census_cap)
             totals = {}
             for k in range(n + 1):
                 for alpha in partitions_of(k):
@@ -348,23 +337,24 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
                             alpha, beta, gamma
                         ):
                             degree_bad += 1
-                        if census is None:
+                        if record is None:
                             continue
                         instances += 1
-                        if evaluate(bd.total, p) != census.get((alpha, gamma), 0):
+                        want = record.types.get((alpha, gamma), 0)
+                        if evaluate(bd.total, p) != want:
                             count_bad += 1
                         tab_total = 0
                         for tab, poly in bd.per_tableau:
-                            if evaluate(poly, p) != by_tab.get(tab, 0):
+                            if evaluate(poly, p) != record.tableaux.get(tab, 0):
                                 tableau_bad += 1
-                            tab_total += by_tab.get(tab, 0)
-                        if tab_total != census.get((alpha, gamma), 0):
+                            tab_total += record.tableaux.get(tab, 0)
+                        if tab_total != want:
                             refine_bad += 1
             symmetry_bad += sum(
                 1 for (alpha, gamma), total in totals.items()
                 if alpha <= gamma and totals[(gamma, alpha)] != total
             )
-    detail = f"{instances} instances, {skipped} betas skipped over cap, {count_bad} bad"
+    detail = f"{instances} instances, {len(skips)} betas skipped over cap, {count_bad} bad"
     rep.add("counts-match-oracle", count_bad == 0, detail)
     rep.add("per-tableau-counts-match", tableau_bad == 0, f"{tableau_bad} bad")
     rep.add("tableau-census-refines-type-census", refine_bad == 0, f"{refine_bad} bad")
@@ -384,16 +374,13 @@ def run_suites(
     count: int = 500,
     cap: int | None = None,
 ) -> list[SuiteReport]:
-    reports = []
+    suites = {
+        "formulas": lambda: suite_formulas(prime, cap),
+        "roundtrip": lambda: suite_roundtrip(cap=cap),
+        "theorem2": lambda: suite_theorem2(count=count, seed=seed, cap=cap),
+        "hall": lambda: suite_hall(prime, max_beta, cap),
+    }
     for name in names:
-        if name == "formulas":
-            reports.append(suite_formulas(prime, cap))
-        elif name == "roundtrip":
-            reports.append(suite_roundtrip(cap=cap))
-        elif name == "theorem2":
-            reports.append(suite_theorem2(count=count, seed=seed, cap=cap))
-        elif name == "hall":
-            reports.append(suite_hall(prime, max_beta, cap))
-        else:
+        if name not in suites:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return reports
+    return [suites[name]() for name in names]

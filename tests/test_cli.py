@@ -332,13 +332,16 @@ def test_usage_error_exits_two():
         ("verify", "--suite", "roundtrip", "--cap", "-3"),
         ("embed", "tableau", "--prime", "2", "--beta", "2,1", "--cap", "-1"),
         ("oracle", "hall", "--beta", "2,1", "--subgroup-cap", "-1"),
+        ("verify", "--count", "x"),
     ],
 )
-def test_negative_verify_sizes_exit_two(flags):
+def test_negative_verify_sizes_exit_two(capsys, flags):
     # sizes and caps are checked at parse time, like every usage error
     with pytest.raises(SystemExit) as exc:
         main(list(flags))
     assert exc.value.code == 2
+    want = "not an integer: 'x'" if flags[-1] == "x" else "must be >= 0"
+    assert want in capsys.readouterr().err
 
 
 def test_verify_single_fast_suite(capsys):
@@ -380,8 +383,8 @@ def test_tableaux_listing_text_and_json(capsys):
     assert code == 0
     assert json.loads(out) == {
         "tableaux": [
-            {"gammas": [[2, 1], [3, 2, 1], [3, 3, 2], [4, 3, 2]], "subscripts": []},
-            {"gammas": [[2, 1], [3, 2, 1], [4, 2, 2], [4, 3, 2]], "subscripts": []},
+            {"gammas": [[2, 1], [3, 2, 1], [3, 3, 2], [4, 3, 2]]},
+            {"gammas": [[2, 1], [3, 2, 1], [4, 2, 2], [4, 3, 2]]},
         ]
     }
     code, out, _ = run(capsys, "tableaux", "klein", "--alpha", "5", "--beta", "4,3,2", "--gamma", "2,1,1")

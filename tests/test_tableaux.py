@@ -403,6 +403,15 @@ def test_json_shape():
     }
 
 
+def test_lr_chain_renders_as_the_klein_text_without_subscripts():
+    # a Klein tableau's text and JSON extend its LR chain's
+    lr = LRTableau(PI_2.gammas)
+    assert lr.to_text() == str(lr) == "2,1/3,2,1/3,3,2/4,3,2"
+    assert PI_2.to_text() == lr.to_text() + ";2@2:1,2@3:2,3@4:2"
+    assert lr.to_json() == {"gammas": PI_2.to_json()["gammas"]}
+    assert LRTableau(((), (1,))).to_text() == "-/1"
+
+
 def test_enumeration_is_deterministic():
     first = enumerate_klein((3, 2, 1), (4, 3, 2), (2, 1))
     second = enumerate_klein((3, 2, 1), (4, 3, 2), (2, 1))

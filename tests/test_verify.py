@@ -1,10 +1,19 @@
+import dataclasses
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
-from hallkit import verify
+import pytest
+
+from hallkit import embeddings as emb
+from hallkit import oracle, verify
 from hallkit.cli import main
+from hallkit.hall import hall_polynomial
 from hallkit.partitions import partitions_of
+from hallkit.qforms import QOrderFactored, QPolynomial, gl_order
+from hallkit.s2cat import Picket, S2Object, aut_order, tableau_of_object
+from hallkit.tableaux import KleinTableau, restrict
 
 
 def skipped(check) -> int:
@@ -113,3 +122,193 @@ def test_cli_verify_reports_skips_over_cap(capsys):
     assert code == 0 and payload["passed"] is True
     (check,) = [c for c in payload["suites"][0]["checks"] if c["name"] == "counts-match-oracle"]
     assert ", 5 betas skipped over cap," in check["detail"]
+
+
+# Failure paths: each check is made to fail by patching one name it reads,
+# and its pass flag and detail are pinned.
+
+
+def outcomes(rep) -> dict[str, tuple[bool, str]]:
+    return {c.name: (c.passed, c.detail) for c in rep.checks}
+
+
+def plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
+    monkeypatch.setattr(verify, "gl_order", lambda m: gl_order(m + 1))
+    monkeypatch.setattr(verify, "hom_len_indec", plus_one(verify.hom_len_indec))
+    monkeypatch.setattr(verify, "hom_len_tableau", plus_one(verify.hom_len_tableau))
+    monkeypatch.setattr(verify, "end_power", plus_one(verify.end_power))
+    monkeypatch.setattr(verify, "aut_order", lambda obj: aut_order(obj) * QOrderFactored.q_power(1))
+    skipped_anchor = (True, "skipped over cap: hom space of size 1024 exceeds cap 512")
+    assert outcomes(verify.suite_formulas(2, cap=512)) == {
+        "gl-order-vs-brute": (False, "[1, 1, 6, 168] vs [1, 6, 168, 20160]"),
+        "aut-order-anchors": (False, "q^9*(q-1); q^21*(q-1)^3; q^21*(q-1)^2"),
+        "end-aut-brute-anchors": skipped_anchor,
+        "hom-lengths-vs-brute": (False, "21^2 indec pairs, 1 skipped over cap, 440 bad"),
+        "tableau-hom-lengths-agree": (False, "19131 mismatches"),
+        # both Aut and End are wrong for every object: two mismatches each
+        "aut-end-orders-vs-brute": (False, "80 objects under budget, 831 skipped over budget, 160 bad"),
+        "bipicket-end-length-closed-form": (False, ""),
+        "orbit-formula": skipped_anchor,
+    }
+
+
+def test_formulas_anchors_fail_on_wrong_brute_counts(monkeypatch):
+    # at cap 1024 the anchor and orbit checks run instead of skipping
+    monkeypatch.setattr(oracle, "hom_count", plus_one(oracle.hom_count))
+    monkeypatch.setattr(oracle, "orbit_check", lambda E, cap=None: False)
+    checks = outcomes(verify.suite_formulas(2, cap=1024))
+    assert checks["end-aut-brute-anchors"] == (False, "End(T(4,2))=513, Aut(T(3,1))=16")
+    assert checks["hom-lengths-vs-brute"] == (False, "21^2 indec pairs, 0 skipped over cap, 441 bad")
+    assert checks["orbit-formula"] == (False, "")
+    assert {name for name, (passed, _) in checks.items() if not passed} == {
+        "end-aut-brute-anchors", "hom-lengths-vs-brute", "orbit-formula"
+    }
+
+
+@pytest.mark.parametrize(
+    "max_beta, realize_max, tableaux, realizations",
+    [
+        (3, 3, "22 tableaux, 22 bad", "44 realizations (p = 2, 3), 13 skipped over cap, 5 bad"),
+        (2, 3, "9 tableaux, 9 bad", "44 realizations (p = 2, 3), 13 skipped over cap, 5 bad"),
+        (3, 2, "22 tableaux, 22 bad", "18 realizations (p = 2, 3), 0 skipped over cap, 2 bad"),
+    ],
+)
+def test_roundtrip_fails_on_wrong_coders(monkeypatch, max_beta, realize_max, tableaux, realizations):
+    # the encoder adds a summand P(0,1); the decoder of embeddings drops
+    # every subscript, so only the realizations of subscript-free
+    # tableaux still match
+    def encode(obj):
+        return tableau_of_object(S2Object.make(obj.summands + ((Picket(0, 1), 1),)))
+
+    def decode(E, real=emb.klein_tableau):
+        return KleinTableau(real(E).gammas)
+
+    monkeypatch.setattr(verify, "tableau_of_object", encode)
+    monkeypatch.setattr(emb, "klein_tableau", decode)
+    rep = verify.suite_roundtrip(max_beta=max_beta, realize_max=realize_max, cap=16)
+    assert outcomes(rep) == {
+        "tableau-object-tableau": (False, tableaux),
+        "object-tableau-object": (False, tableaux.replace("tableaux", "objects")),
+        "realization-fidelity": (False, realizations),
+    }
+
+
+def test_theorem2_lists_the_first_failures(monkeypatch):
+    # a restriction one level too short; at cap 16 some embeddings are
+    # skipped inside the battery, after its random draws
+    monkeypatch.setattr(verify, "restrict", lambda t, ell, u: restrict(t, ell, max(u - 1, 0)))
+    first = (
+        "p=2 beta=(2, 1): reduce tableau s=0; p=2 beta=(2, 1): reduce tableau s=1; "
+        "p=2 beta=(2, 1): approximation tableau ell=1; p=2 beta=(2, 1): approximation tableau ell=2; "
+    )
+    (check,) = verify.suite_theorem2(count=6).checks
+    assert (check.passed, check.detail) == (
+        False,
+        "6 embeddings (seed 20260808; p = 2, 3), 0 skipped over cap; "
+        + first + "p=3 beta=(2, 2, 1, 1, 1, 1): reduce tableau s=0",
+    )
+    (check,) = verify.suite_theorem2(count=30, cap=16).checks
+    assert (check.passed, check.detail) == (
+        False,
+        "30 embeddings (seed 20260808; p = 2, 3), 28 skipped over cap; "
+        + first + "p=2 beta=(1, 1, 1, 1): reduce tableau s=0",
+    )
+
+
+def changed(triple, change):
+    """hall_polynomial with `change` applied to the breakdown of `triple`."""
+    def patched(alpha, beta, gamma):
+        bd = hall_polynomial(alpha, beta, gamma)
+        return change(bd) if (alpha, beta, gamma) == triple else bd
+    return patched
+
+
+def census_with_extra_subgroup(p, beta, cap=None, real=oracle.census):
+    """The census, with one more subgroup of type ((1), (1)) in M(1,1)."""
+    record = real(p, beta, cap)
+    if beta != (1, 1):
+        return record
+    types = dict(record.types)
+    types[(1,), (1,)] += 1
+    return dataclasses.replace(record, types=types)
+
+
+ONE = QPolynomial.one()
+PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
+
+
+@pytest.mark.parametrize(
+    "module, name, value, failing",
+    [
+        (
+            verify,
+            "hall_polynomial",
+            changed(PAIR, lambda bd: dataclasses.replace(bd, total=bd.total + ONE)),
+            {"counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad"},
+        ),
+        (
+            verify,
+            "hall_polynomial",
+            changed(((1,), (2, 1), (2,)), lambda bd: dataclasses.replace(bd, total=bd.total + ONE)),
+            {
+                "counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad",
+                "alpha-gamma-symmetry": "1 bad",
+            },
+        ),
+        (
+            verify,
+            "hall_polynomial",
+            changed(PAIR, lambda bd: dataclasses.replace(
+                bd, per_tableau=tuple((t, poly + ONE) for t, poly in bd.per_tableau))),
+            {"per-tableau-counts-match": "1 bad"},
+        ),
+        (
+            verify,
+            "hall_polynomial",
+            changed(PAIR, lambda bd: dataclasses.replace(
+                bd, per_tableau=tuple((t, poly + poly) for t, poly in bd.per_tableau))),
+            {"per-tableau-counts-match": "1 bad", "multiplicities-monic": "1 bad"},
+        ),
+        (verify, "expected_degree", plus_one(verify.expected_degree), {"degree-formula": "57 bad"}),
+        (
+            oracle,
+            "census",
+            census_with_extra_subgroup,
+            {
+                "counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad",
+                "tableau-census-refines-type-census": "1 bad",
+            },
+        ),
+    ],
+    ids=["total", "symmetry", "per-tableau", "monic", "degree", "census"],
+)
+def test_hall_checks_fail_on_wrong_counts(monkeypatch, module, name, value, failing):
+    monkeypatch.setattr(module, name, value)
+    checks = outcomes(verify.suite_hall(2, 4))
+    assert {check: detail for check, (passed, detail) in checks.items() if not passed} == failing
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(("nope",))
+
+
+TESTS_DIR = Path(__file__).parent
+
+
+def without_elapsed(payload: dict) -> dict:
+    for suite in payload["suites"]:
+        del suite["elapsed"]
+    return payload
+
+
+def test_capped_report_is_pinned(capsys):
+    # every suite skips something at cap 16
+    code = main(["verify", "--max-beta", "5", "--count", "20", "--cap", "16"])
+    payload = without_elapsed(json.loads(capsys.readouterr().out))
+    assert code == 0
+    assert payload == json.loads((TESTS_DIR / "golden_verify_capped.json").read_text())
