@@ -13,6 +13,11 @@ of equal parts); and the orbit check spans the generator images of the
 invertible maps into the whole ambient.  These counts are what
 every symbolic formula in the package is checked against.
 
+``hom_order`` counts Hom(E, F) without the walk, as the kernel of
+phi -> (phi(g_t) + A_F)_t on Hom(B_E, B_F), whose image order is the
+order of a span over Z/p^N (``zpn.span_exponent``);
+``adjointness_check`` reads it, and tests compare it with the walk.
+
 The census of M(beta) is one read-only ``Census`` record per (p, beta).
 It counts each subgroup once, by the Klein tableau of its embedding.  A
 tableau of type (alpha, beta, gamma) carries the subgroup's type alpha
@@ -44,6 +49,7 @@ from .embeddings import (
 from .errors import CapExceeded
 from .partitions import Partition, partition
 from .tableaux import KleinTableau, tableau_type
+from .zpn import span_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +177,11 @@ def _invertible_mod_p(rows: list[tuple[int, ...]], p: int) -> bool:
     return True
 
 
+def _check_primes(E: Embedding, F: Embedding) -> None:
+    if E.p != F.p:
+        raise ValueError("embeddings must share the prime")
+
+
 def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]:
     """Every module map B_E -> B_F that carries A_E into A_F.
 
@@ -185,6 +196,7 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
     for its last unit image.  A map is kept when all its generator images
     lie in A_F.
     """
+    _check_primes(E, F)
     ambE, ambF = E.ambient, F.ambient
     allowed = [ambF.killed_by(b) for b in ambE.beta]
     total = 1
@@ -249,6 +261,30 @@ def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:
     return sum(1 for _ in _module_maps(E, F, cap))
 
 
+def hom_order(E: Embedding, F: Embedding) -> int:
+    """|Hom(E, F)| as the order of a kernel, with no walk over maps.
+
+    Hom(E, F) is the kernel of Phi: Hom(B_E, B_F) -> (B_F / A_F)^k,
+    phi -> (phi(g_t) + A_F)_t over E's generators g_1 ... g_k.  The
+    basis maps e_i -> p^{max(0, c_j - b_i)} f_j span Hom(B_E, B_F), of
+    order p^{sum min(b_i, c_j)}; the image of one has g_t[i] times that
+    unit in copy t, column j.  So |im Phi| is the order of their span
+    with A_F's generators in every copy, over the order of A_F^k.
+    """
+    _check_primes(E, F)
+    p, beta, gamma = E.p, E.beta, F.beta
+    gens = [E.ambient.coords(g) for g in E.generators()]
+    relations = [F.ambient.coords(h) for h in F.generators()]
+    k, n = len(gens), len(gamma)
+    rows = [(0,) * (t * n) + h + (0,) * ((k - t - 1) * n) for t in range(k) for h in relations]
+    for i, b in enumerate(beta):
+        for j, c in enumerate(gamma):
+            unit = p ** max(0, c - b)
+            rows.append([g[i] * unit if col == j else 0 for g in gens for col in range(n)])
+    image = span_exponent(rows, gamma * k, p) - k * span_exponent(relations, gamma, p)
+    return p ** (sum(min(b, c) for b in beta for c in gamma) - image)
+
+
 def end_aut_counts(E: Embedding, cap: int | None = None) -> tuple[int, int]:
     """|End E| and |Aut E| from one walk over the endomorphisms of E:
     module maps of the ambient carrying the subgroup into itself, and
@@ -268,7 +304,7 @@ def aut_count(E: Embedding, cap: int | None = None) -> int:
 
 def aut_count_module(p: int, beta, cap: int | None = None) -> int:
     """Number of module automorphisms of M(beta)."""
-    amb = AmbientModule.get(p, beta)
+    amb = AmbientModule.get(p, beta, cap)
     return aut_count(Embedding(amb, gens=()), cap)
 
 
@@ -286,6 +322,7 @@ def orbit_check(E: Embedding, cap: int | None = None) -> bool:
     return autB % autE == 0 and len(orbit) == autB // autE
 
 
-def adjointness_check(E: Embedding, F: Embedding, s: int, cap: int | None = None) -> bool:
-    """Hom(E reduced s times, F) and Hom(E, F lifted s times) agree in size."""
-    return hom_count(reduce(E, s), F, cap) == hom_count(E, lift(F, s), cap)
+def adjointness_check(E: Embedding, F: Embedding, s: int) -> bool:
+    """Hom(E reduced s times, F) and Hom(E, F lifted s times) agree in
+    size, both counted as kernel orders."""
+    return hom_order(reduce(E, s), F) == hom_order(E, lift(F, s))

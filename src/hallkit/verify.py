@@ -262,7 +262,7 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
     m = rng.randrange(1, 4)
     F = emb.picket_embedding(E.p, rng.randrange(0, min(2, m) + 1), m, cap)
     s = rng.randrange(0, 3)
-    if not oracle.adjointness_check(E, F, s, cap):
+    if not oracle.adjointness_check(E, F, s):
         failures.append(f"adjointness s={s} F={F.beta}")
 
     n = amb.beta[0] if amb.beta else 0

@@ -152,6 +152,47 @@ def test_hom_and_aut_counts():
         assert oracle.hom_count(E, F) == p ** sum(min(b, c) for b in beta for c in gamma)
 
 
+def _derived_pool(p, max_size, rng):
+    """For each beta with |beta| <= max_size: an embedding with 0-2
+    random generators, its lift and its reduction."""
+    pool = []
+    for n in range(max_size + 1):
+        for beta in partitions_of(n):
+            E = emb.random_embedding(p, beta, rng.randrange(3), seed=rng.randrange(1 << 20))
+            pool += [E, emb.lift(E), emb.reduce(E)]
+    return pool
+
+
+def test_hom_order_matches_walk():
+    # every pair whose walk has at most 2^10 maps, with generated,
+    # generator-free, lifted and reduced embeddings on both sides
+    rng = random.Random(22)
+    pairs = 0
+    for p, max_e in ((2, 6), (3, 4), (5, 2)):
+        sources, targets = _derived_pool(p, max_e, rng), _derived_pool(p, 3, rng)
+        for E, F in product(sources, targets):
+            if p ** sum(min(b, c) for b in E.beta for c in F.beta) <= 1 << 10:
+                assert oracle.hom_order(E, F) == oracle.hom_count(E, F), (E, F)
+                pairs += 1
+    assert pairs == 2745
+
+
+def test_hom_counts_need_one_prime():
+    E, F = emb.picket_embedding(2, 1, 2), emb.picket_embedding(3, 1, 2)
+    for count in (oracle.hom_count, oracle.hom_order):
+        with pytest.raises(ValueError, match="embeddings must share the prime"):
+            count(E, F)
+    with pytest.raises(ValueError, match="embeddings must share the prime"):
+        oracle.adjointness_check(E, F, 1)
+
+
+def test_aut_count_module_reads_its_cap(monkeypatch):
+    monkeypatch.setenv("HALLKIT_CAP", "4")
+    assert oracle.aut_count_module(2, (2, 1), cap=64) == 8
+    with pytest.raises(CapExceeded):
+        oracle.aut_count_module(2, (2, 1))
+
+
 def test_aut_count_module():
     assert oracle.aut_count_module(2, (2, 1)) == 8
     assert oracle.aut_count_module(2, (1, 1)) == 6
