@@ -241,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--prime", type=int, default=2,
         help="prime of formulas and hall; roundtrip and theorem2 run p = 2 and 3",
     )
-    sp.add_argument("--max-beta", type=_non_negative, default=7)
-    sp.add_argument("--seed", type=int, default=20260808)
+    sp.add_argument(
+        "--max-beta", type=_non_negative, default=7, help="largest |beta| that hall checks"
+    )
+    sp.add_argument("--seed", type=int, default=20260808, help="random seed of theorem2")
     sp.add_argument(
         "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
     )

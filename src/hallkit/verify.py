@@ -16,21 +16,24 @@ Four suites, bundled so CI can run one command:
                     symbolic (alpha, gamma)-symmetry, degree and
                     monicity checks run on every beta and never skip.
 
-Each check is a named pass/fail with a short detail string; suites are
-deterministic given their seed.
-
-The cap rule lives in ``_capped``, the module's one ``except
-CapExceeded``: every brute-force case runs through it, and a case with a
-count over the cap is skipped and said so.  A sweep counts its skipped
-cases in its detail; a one-shot check passes with the detail "skipped
-over cap: <reason>".  ``run_suites`` looks each suite up in one table.
+Each check is a sweep: a name, a list of cases and a per-case test,
+run by ``_sweep``, the one place that counts.  Besides its detail string
+the check records ``run``, ``skipped`` (over the cap) and ``failed``
+cases and ``skip_reason``, the first skip's reason or "".  It passed
+exactly when ``failed`` is 0.  A case is what one cap guards: an
+indecomposable pair, an object, a realization, an embedding or a beta
+census.  A check with no cap counts the items it compares: tableaux,
+objects, (object, y) pairs, summands or triples.  A one-shot check is a
+sweep of one case; skipped, its detail is its skip reason.  Every case
+runs through ``_capped``, the module's one ``except CapExceeded``.
+Suites are deterministic given their seed.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import embeddings as emb
 from . import oracle
@@ -62,38 +65,43 @@ SUITES = ("formulas", "roundtrip", "theorem2", "hall")
 @dataclass
 class Check:
     name: str
-    passed: bool
-    detail: str = ""
+    detail: str
+    run: int
+    skipped: int
+    failed: int
+    skip_reason: str
+
+    @property
+    def passed(self) -> bool:
+        return self.failed == 0
 
 
 @dataclass
 class SuiteReport:
     suite: str
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+    checks: list[Check]
+    elapsed: float
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append(Check(name, bool(passed), detail))
 
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
             "passed": self.passed,
             "elapsed": round(self.elapsed, 3),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [{"passed": c.passed, **asdict(c)} for c in self.checks],
         }
 
 
 # Bound on the hom-space size of the per-object Aut/End sweep, under the
 # general cap; larger objects are counted as skipped.
 BRUTE_BUDGET = 1 << 14
+
+# The primes and the largest |beta| of theorem2's random embeddings.
+THEOREM2_PRIMES = (2, 3)
+THEOREM2_MAX_SIZE = 8
 
 
 def _names(primes) -> str:
@@ -102,8 +110,8 @@ def _names(primes) -> str:
 
 def _capped(skips: list[str], run, *args):
     """run(*args), or None when one of its brute-force counts exceeds the
-    cap; the reason is then appended to skips.  Every brute-force check
-    runs through here: it is verify's one ``except CapExceeded``."""
+    cap; the reason is then appended to skips.  Every case runs through
+    here: it is verify's one ``except CapExceeded``."""
     try:
         return run(*args)
     except CapExceeded as exc:
@@ -111,36 +119,47 @@ def _capped(skips: list[str], run, *args):
         return None
 
 
+def _bad(outcomes, skips) -> str:
+    return f"{sum(outcomes)} bad"
+
+
+def _sweep(name: str, test, cases, detail=_bad, fault=bool) -> Check:
+    """The check `name`: test(*case), never None, on each case through
+    ``_capped``.  A case fails when fault(its outcome); detail(outcomes,
+    skips) is written from the cases that ran and the skip reasons.  Cases
+    are drawn one at a time, so a generator may share the test's rng."""
+    skips: list[str] = []
+    outcomes = [out for case in cases if (out := _capped(skips, test, *case)) is not None]
+    failed = sum(1 for out in outcomes if fault(out))
+    reason = skips[0] if skips else ""
+    return Check(name, detail(outcomes, skips), len(outcomes), len(skips), failed, reason)
+
+
+def _one_shot(name: str, test) -> Check:
+    """A sweep of one case, where test() returns (ok, detail)."""
+    return _sweep(name, test, [()], lambda outs, skips: outs[0][1] if outs else skips[0],
+                  fault=lambda out: not out[0])
+
+
 def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     """Brute-force checks skip, and say so, whatever exceeds the cap: the
     sweeps count their skipped pairs and objects, an anchor check reports
     itself skipped.  Closed-form checks always run in full."""
-    rep = SuiteReport("formulas")
     start = time.monotonic()
     p = prime
     budget = min(BRUTE_BUDGET, general_cap(cap))
-    skips: list[str] = []
 
     def gl_orders():
         counts = [oracle.aut_count_module(p, (1,) * m, cap) for m in range(4)]
         want = [evaluate(gl_order(m), p) for m in range(4)]
         return counts == want, f"{counts} vs {want}"
 
-    rep.add("gl-order-vs-brute", *(_capped(skips, gl_orders) or (True, skips[-1])))
-
     anchors = [
         (S2Object.of(Bipicket(4, 2)), QOrderFactored.from_parts(8, {1: 1})),
-        (
-            S2Object.of(Picket(1, 4), Picket(0, 3), Picket(0, 2)),
-            QOrderFactored.from_parts(20, {1: 3}),
-        ),
-        (
-            S2Object.of(Bipicket(4, 2), Picket(1, 3)),
-            QOrderFactored.from_parts(20, {1: 2}),
-        ),
+        (S2Object.of(Picket(1, 4), Picket(0, 3), Picket(0, 2)),
+         QOrderFactored.from_parts(20, {1: 3})),
+        (S2Object.of(Bipicket(4, 2), Picket(1, 3)), QOrderFactored.from_parts(20, {1: 2})),
     ]
-    ok = all(aut_order(obj) == want for obj, want in anchors)
-    rep.add("aut-order-anchors", ok, "; ".join(str(aut_order(o)) for o, _ in anchors))
 
     # embeddings are built inside the capped callables, so an ambient
     # over the cap skips its check
@@ -149,41 +168,14 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
         end, aut = oracle.hom_count(T42, T42, cap), oracle.aut_count(T31, cap)
         return end == p**9 and aut == (p - 1) * p**4, f"End(T(4,2))={end}, Aut(T(3,1))={aut}"
 
-    rep.add("end-aut-brute-anchors", *(_capped(skips, end_aut_anchors) or (True, skips[-1])))
-
     def hom_bad(x, y):
         Ex, Ey = (emb.object_embedding(S2Object.of(z), p, cap) for z in (x, y))
         return p ** hom_len_indec(x, y) != oracle.hom_count(Ex, Ey, cap)
 
-    indecs = enumerate_indecomposables(6)
-    pair_skips: list[str] = []
-    bad = sum(_capped(pair_skips, hom_bad, x, y) or 0 for x in indecs for y in indecs)
-    detail = f"{len(indecs)}^2 indec pairs, {len(pair_skips)} skipped over cap, {bad} bad"
-    rep.add("hom-lengths-vs-brute", bad == 0, detail)
-
+    # an object fails once, and counts in the detail once per wrong order
     def end_aut_bad(obj):
         end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), budget)
         return (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
-
-    objs = enumerate_objects(8)
-    bad = symbolic_bad = 0
-    over_budget: list[str] = []
-    for obj in objs:
-        tab = tableau_of_object(obj)
-        symbolic_bad += sum(hom_len_tableau(tab, y) != hom_len_obj(obj, y) for y in indecs)
-        bad += _capped(over_budget, end_aut_bad, obj) or 0
-    rep.add("tableau-hom-lengths-agree", symbolic_bad == 0, f"{symbolic_bad} mismatches")
-    skipped = len(over_budget)
-    detail = f"{len(objs) - skipped} objects under budget, {skipped} skipped over budget, {bad} bad"
-    rep.add("aut-end-orders-vs-brute", bad == 0, detail)
-
-    ok = all(
-        hom_len_tableau(tableau_of_object(S2Object.of(Bipicket(m, r))), Bipicket(m, r))
-        == m + 3 * r - 1
-        for m in range(3, 9)
-        for r in range(1, m - 1)
-    )
-    rep.add("bipicket-end-length-closed-form", ok)
 
     def orbit_formula():
         cases = (
@@ -193,44 +185,57 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
         )
         return all(oracle.orbit_check(E, cap) for E in cases), ""
 
-    rep.add("orbit-formula", *(_capped(skips, orbit_formula) or (True, skips[-1])))
-
-    rep.elapsed = time.monotonic() - start
-    return rep
+    indecs, objs = enumerate_indecomposables(6), enumerate_objects(8)
+    checks = [
+        _one_shot("gl-order-vs-brute", gl_orders),
+        _sweep("aut-order-anchors", lambda obj, want: aut_order(obj) != want, anchors,
+               lambda *_: "; ".join(str(aut_order(o)) for o, _ in anchors)),
+        _one_shot("end-aut-brute-anchors", end_aut_anchors),
+        _sweep("hom-lengths-vs-brute", hom_bad, [(x, y) for x in indecs for y in indecs],
+               lambda bad, skips: f"{len(indecs)}^2 indec pairs, {len(skips)} skipped over cap, "
+               f"{sum(bad)} bad"),
+        _sweep("tableau-hom-lengths-agree",
+               lambda tab, obj, y: hom_len_tableau(tab, y) != hom_len_obj(obj, y),
+               [(tab, obj, y) for obj in objs for tab in [tableau_of_object(obj)] for y in indecs],
+               lambda bad, _: f"{sum(bad)} mismatches"),
+        _sweep("aut-end-orders-vs-brute", end_aut_bad, [(obj,) for obj in objs],
+               lambda bad, skips: f"{len(bad)} objects under budget, "
+               f"{len(skips)} skipped over budget, {sum(bad)} bad"),
+        _sweep("bipicket-end-length-closed-form",
+               lambda x: hom_len_tableau(tableau_of_object(S2Object.of(x)), x)
+               != x.m + 3 * x.r - 1,
+               [(Bipicket(m, r),) for m in range(3, 9) for r in range(1, m - 1)], lambda *_: ""),
+        _one_shot("orbit-formula", orbit_formula),
+    ]
+    return SuiteReport("formulas", checks, time.monotonic() - start)
 
 
 def suite_roundtrip(
     max_beta: int = 10, realize_max: int = 8, primes=(2, 3), cap: int | None = None
 ) -> SuiteReport:
-    rep = SuiteReport("roundtrip")
     start = time.monotonic()
-
-    # the tableaux with entries <= 2, by |beta|, enumerated once for both
+    # the tableaux with entries <= 2 by |beta|, enumerated once for both
     # directions of the bijection and for the realizations
     by_size = [
         [tab for beta in partitions_of(n) for tab in enumerate_klein_entries2(beta)]
         for n in range(max(max_beta, realize_max) + 1)
     ]
-    tabs = [tab for level in by_size[: max_beta + 1] for tab in level]
-    bad = sum(1 for tab in tabs if tableau_of_object(object_of_tableau(tab)) != tab)
-    rep.add("tableau-object-tableau", bad == 0, f"{len(tabs)} tableaux, {bad} bad")
-
-    objs = enumerate_objects(max_beta)
-    bad = sum(1 for obj in objs if object_of_tableau(tableau_of_object(obj)) != obj)
-    rep.add("object-tableau-object", bad == 0, f"{len(objs)} objects, {bad} bad")
-
-    def realized_bad(tab, p):
-        return emb.klein_tableau(emb.realize(tab, p, cap)) != tab
-
-    tabs = [tab for level in by_size[: realize_max + 1] for tab in level]
-    skips: list[str] = []
-    bad = sum(_capped(skips, realized_bad, tab, p) or 0 for p in primes for tab in tabs)
-    total = len(tabs) * len(primes)
-    detail = f"{total} realizations (p = {_names(primes)}), {len(skips)} skipped over cap, {bad} bad"
-    rep.add("realization-fidelity", bad == 0, detail)
-
-    rep.elapsed = time.monotonic() - start
-    return rep
+    tabs = [(tab,) for level in by_size[: max_beta + 1] for tab in level]
+    realized = [(tab, p) for p in primes for level in by_size[: realize_max + 1] for tab in level]
+    checks = [
+        _sweep("tableau-object-tableau",
+               lambda tab: tableau_of_object(object_of_tableau(tab)) != tab, tabs,
+               lambda bad, _: f"{len(bad)} tableaux, {sum(bad)} bad"),
+        _sweep("object-tableau-object",
+               lambda obj: object_of_tableau(tableau_of_object(obj)) != obj,
+               [(obj,) for obj in enumerate_objects(max_beta)],
+               lambda bad, _: f"{len(bad)} objects, {sum(bad)} bad"),
+        _sweep("realization-fidelity",
+               lambda tab, p: emb.klein_tableau(emb.realize(tab, p, cap)) != tab, realized,
+               lambda bad, skips: f"{len(realized)} realizations (p = {_names(primes)}), "
+               f"{len(skips)} skipped over cap, {sum(bad)} bad"),
+    ]
+    return SuiteReport("roundtrip", checks, time.monotonic() - start)
 
 
 def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) -> list[str]:
@@ -283,86 +288,80 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
     return failures
 
 
-def suite_theorem2(
-    count: int = 500, seed: int = 20260808, primes=(2, 3), max_size: int = 8,
-    cap: int | None = None,
-) -> SuiteReport:
-    rep = SuiteReport("theorem2")
+def suite_theorem2(count: int = 500, seed: int = 20260808, cap: int | None = None) -> SuiteReport:
     start = time.monotonic()
-    rng = random.Random(seed)
-    betas = {
-        p: [b for n in range(1, max_size + 1) for b in partitions_of(n)] for p in primes
-    }
+    rng, primes = random.Random(seed), THEOREM2_PRIMES
+    betas = [beta for n in range(1, THEOREM2_MAX_SIZE + 1) for beta in partitions_of(n)]
+
+    def draws():
+        # one case at a time: each is drawn after the previous battery's draws
+        for i in range(count):
+            beta = betas[rng.randrange(len(betas))]
+            yield primes[i % len(primes)], beta, rng.randrange(1, 4), rng.randrange(1 << 30)
 
     def battery(p, beta, k, E_seed):
-        return _embedding_battery(emb.random_embedding(p, beta, k, seed=E_seed, cap=cap), rng, cap)
+        E = emb.random_embedding(p, beta, k, seed=E_seed, cap=cap)
+        return [f"p={p} beta={beta}: {failure}" for failure in _embedding_battery(E, rng, cap)]
 
-    failures: list[str] = []
-    skips: list[str] = []
-    for i in range(count):
-        p = primes[i % len(primes)]
-        beta = betas[p][rng.randrange(len(betas[p]))]
-        k, E_seed = rng.randrange(1, 4), rng.randrange(1 << 30)
-        found = _capped(skips, battery, p, beta, k, E_seed) or ()
-        failures += [f"p={p} beta={beta}: {failure}" for failure in found]
-    rep.add(
-        "functor-tableau-identities",
-        not failures,
-        f"{count} embeddings (seed {seed}; p = {_names(primes)}), {len(skips)} skipped over cap; "
-        + ("; ".join(failures[:5]) if failures else "all identities hold"),
-    )
-    rep.elapsed = time.monotonic() - start
-    return rep
+    def detail(found, skips):
+        failures = [failure for listed in found for failure in listed]
+        return (
+            f"{count} embeddings (seed {seed}; p = {_names(primes)}), "
+            f"{len(skips)} skipped over cap; "
+            + ("; ".join(failures[:5]) if failures else "all identities hold")
+        )
+
+    check = _sweep("functor-tableau-identities", battery, draws(), detail)
+    return SuiteReport("theorem2", [check], time.monotonic() - start)
 
 
 def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> SuiteReport:
-    rep = SuiteReport("hall")
     start = time.monotonic()
     p = prime
     census_cap = min(subgroup_cap(), general_cap(cap))
-    count_bad = tableau_bad = symmetry_bad = degree_bad = monic_bad = refine_bad = 0
-    instances = 0
-    skips: list[str] = []
-    for n in range(max_beta + 1):
-        for beta in partitions_of(n):
-            record = _capped(skips, oracle.census, p, beta, census_cap)
-            totals = {}
-            for k in range(n + 1):
-                for alpha in partitions_of(k):
-                    for gamma in partitions_of(n - k):
-                        bd = hall_polynomial(alpha, beta, gamma)
-                        totals[(alpha, gamma)] = bd.total
-                        monic_bad += sum(1 for _, poly in bd.per_tableau if not poly.is_monic())
-                        if not bd.total.is_zero() and bd.total.degree != expected_degree(
-                            alpha, beta, gamma
-                        ):
-                            degree_bad += 1
-                        if record is None:
-                            continue
-                        instances += 1
-                        want = record.types.get((alpha, gamma), 0)
-                        if evaluate(bd.total, p) != want:
-                            count_bad += 1
-                        tab_total = 0
-                        for tab, poly in bd.per_tableau:
-                            if evaluate(poly, p) != record.tableaux.get(tab, 0):
-                                tableau_bad += 1
-                            tab_total += record.tableaux.get(tab, 0)
-                        if tab_total != want:
-                            refine_bad += 1
-            symmetry_bad += sum(
-                1 for (alpha, gamma), total in totals.items()
-                if alpha <= gamma and totals[(gamma, alpha)] != total
-            )
-    detail = f"{instances} instances, {len(skips)} betas skipped over cap, {count_bad} bad"
-    rep.add("counts-match-oracle", count_bad == 0, detail)
-    rep.add("per-tableau-counts-match", tableau_bad == 0, f"{tableau_bad} bad")
-    rep.add("tableau-census-refines-type-census", refine_bad == 0, f"{refine_bad} bad")
-    rep.add("alpha-gamma-symmetry", symmetry_bad == 0, f"{symmetry_bad} bad")
-    rep.add("multiplicities-monic", monic_bad == 0, f"{monic_bad} bad")
-    rep.add("degree-formula", degree_bad == 0, f"{degree_bad} bad")
-    rep.elapsed = time.monotonic() - start
-    return rep
+    # every (alpha, beta, gamma) breakdown, computed once for all six checks
+    bds = {
+        beta: {
+            (alpha, gamma): hall_polynomial(alpha, beta, gamma)
+            for k in range(n + 1) for alpha in partitions_of(k) for gamma in partitions_of(n - k)
+        }
+        for n in range(max_beta + 1) for beta in partitions_of(n)
+    }
+    triples = [(alpha, beta, gamma, bd) for beta in bds for (alpha, gamma), bd in bds[beta].items()]
+
+    # the census checks take a beta census as their case
+    def count_faults(beta):
+        types = oracle.census(p, beta, census_cap).types
+        return [evaluate(bd.total, p) != types.get(key, 0) for key, bd in bds[beta].items()]
+
+    def tableau_faults(beta):
+        tableaux = oracle.census(p, beta, census_cap).tableaux
+        return sum(evaluate(poly, p) != tableaux.get(tab, 0)
+                   for bd in bds[beta].values() for tab, poly in bd.per_tableau)
+
+    def refine_faults(beta):
+        record = oracle.census(p, beta, census_cap)
+        return sum(sum(record.tableaux.get(tab, 0) for tab, _ in bd.per_tableau)
+                   != record.types.get(key, 0) for key, bd in bds[beta].items())
+
+    def degree_bad(alpha, beta, gamma, bd):
+        return not bd.total.is_zero() and bd.total.degree != expected_degree(alpha, beta, gamma)
+
+    censuses = [(beta,) for beta in bds]
+    checks = [
+        _sweep("counts-match-oracle", count_faults, censuses,
+               lambda bad, skips: f"{sum(map(len, bad))} instances, "
+               f"{len(skips)} betas skipped over cap, {sum(map(sum, bad))} bad", fault=any),
+        _sweep("per-tableau-counts-match", tableau_faults, censuses),
+        _sweep("tableau-census-refines-type-census", refine_faults, censuses),
+        _sweep("alpha-gamma-symmetry", lambda bd, mirror: bd.total != mirror.total,
+               [(bd, bds[beta][(gamma, alpha)])
+                for alpha, beta, gamma, bd in triples if alpha <= gamma]),
+        _sweep("multiplicities-monic", lambda poly: not poly.is_monic(),
+               [(poly,) for *_, bd in triples for _, poly in bd.per_tableau]),
+        _sweep("degree-formula", degree_bad, triples),
+    ]
+    return SuiteReport("hall", checks, time.monotonic() - start)
 
 
 def run_suites(

@@ -16,10 +16,9 @@ from hallkit.s2cat import Picket, S2Object, aut_order, tableau_of_object
 from hallkit.tableaux import KleinTableau, restrict
 
 
-def skipped(check) -> int:
-    match = re.search(r"(\d+) skipped over", check.detail)
-    assert match, check.detail
-    return int(match.group(1))
+def tally(rep) -> dict[str, tuple[int, int, int]]:
+    """(run, skipped, failed) of each check."""
+    return {c.name: (c.run, c.skipped, c.failed) for c in rep.checks}
 
 
 def test_theorem2_skips_embeddings_over_cap():
@@ -28,18 +27,34 @@ def test_theorem2_skips_embeddings_over_cap():
     rep = verify.suite_theorem2(count=40, cap=512)
     (check,) = rep.checks
     assert check.passed, check.detail
-    assert skipped(check) > 0
+    assert "40 embeddings (seed 20260808; p = 2, 3), 13 skipped over cap;" in check.detail
+    assert tally(rep) == {"functor-tableau-identities": (27, 13, 0)}
+    assert check.skip_reason == "skipped over cap: ambient order 3^8 exceeds cap 512"
 
 
 def test_formulas_count_brute_force_skips():
     # End(T(4,2)) has 2^10 maps: over the cap, so the pair is skipped in the
     # sweep and the anchor checks that need it report themselves skipped.
-    checks = {c.name: c for c in verify.suite_formulas(prime=2, cap=512).checks}
+    rep = verify.suite_formulas(prime=2, cap=512)
+    checks = {c.name: c for c in rep.checks}
     assert all(c.passed for c in checks.values()), checks
-    assert skipped(checks["hom-lengths-vs-brute"]) > 0
-    assert skipped(checks["aut-end-orders-vs-brute"]) > 0
+    assert ", 1 skipped over cap," in checks["hom-lengths-vs-brute"].detail
+    assert ", 831 skipped over budget," in checks["aut-end-orders-vs-brute"].detail
     assert checks["end-aut-brute-anchors"].detail.startswith("skipped over cap")
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
+    assert tally(rep) == {
+        "gl-order-vs-brute": (1, 0, 0),
+        "aut-order-anchors": (3, 0, 0),
+        "end-aut-brute-anchors": (0, 1, 0),
+        "hom-lengths-vs-brute": (440, 1, 0),
+        "tableau-hom-lengths-agree": (19131, 0, 0),
+        "aut-end-orders-vs-brute": (80, 831, 0),
+        "bipicket-end-length-closed-form": (21, 0, 0),
+        "orbit-formula": (0, 1, 0),
+    }
+    # a skipped one-shot check's detail is its skip reason
+    anchor = checks["end-aut-brute-anchors"]
+    assert anchor.skip_reason == anchor.detail
 
 
 def test_formulas_skip_anchors_over_an_env_cap(capsys, monkeypatch):
@@ -50,8 +65,13 @@ def test_formulas_skip_anchors_over_an_env_cap(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["passed"] is True
     checks = {c["name"]: c for c in payload["suites"][0]["checks"]}
+    reason = "skipped over cap: ambient order 2^6 exceeds cap 32"
     for name in ("end-aut-brute-anchors", "orbit-formula"):
-        assert checks[name]["detail"] == "skipped over cap: ambient order 2^6 exceeds cap 32"
+        assert checks[name]["detail"] == reason
+        assert checks[name] == {
+            "name": name, "passed": True, "detail": reason,
+            "run": 0, "skipped": 1, "failed": 0, "skip_reason": reason,
+        }
 
 
 def test_details_name_the_primes_that_ran():
@@ -64,6 +84,18 @@ def test_details_name_the_primes_that_ran():
     assert "(seed 20260808; p = 2, 3), 0 skipped over cap;" in check.detail
 
 
+# (run, skipped, failed) of the three census checks and of the symbolic
+# checks of suite_hall(2, 4) when the five beta of size 4 are over the cap
+HALL_4_CAPPED = {
+    "counts-match-oracle": (7, 5, 0),
+    "per-tableau-counts-match": (7, 5, 0),
+    "tableau-census-refines-type-census": (7, 5, 0),
+    "alpha-gamma-symmetry": (78, 0, 0),
+    "multiplicities-monic": (57, 0, 0),
+    "degree-formula": (143, 0, 0),
+}
+
+
 def test_hall_skips_betas_over_cap():
     # |M(beta)| = 16 > 8 for the five beta of size 4: their censuses are
     # skipped and counted, and the report is still produced.
@@ -71,6 +103,7 @@ def test_hall_skips_betas_over_cap():
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 5 betas skipped over cap," in checks["counts-match-oracle"].detail
+    assert tally(rep) == HALL_4_CAPPED
 
 
 def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
@@ -81,6 +114,24 @@ def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 7 betas skipped over cap," in checks["counts-match-oracle"].detail
+    assert (checks["counts-match-oracle"].run, checks["counts-match-oracle"].skipped) == (12, 7)
+
+
+def test_census_checks_count_their_skipped_betas(capsys):
+    # at cap 0 all 7 beta censuses of size <= 3 are skipped: every census
+    # check says so in its counts, though two of their details read "0 bad"
+    code = main(["verify", "--suite", "hall", "--cap", "0", "--max-beta", "3", "--count", "5"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    checks = {c["name"]: c for c in payload["suites"][0]["checks"]}
+    reason = "skipped over cap: ambient order 1 exceeds subgroup cap 0"
+    for name in ("per-tableau-counts-match", "tableau-census-refines-type-census"):
+        assert checks[name] == {
+            "name": name, "passed": True, "detail": "0 bad",
+            "run": 0, "skipped": 7, "failed": 0, "skip_reason": reason,
+        }
+    assert checks["counts-match-oracle"]["detail"] == "0 instances, 7 betas skipped over cap, 0 bad"
+    assert (checks["counts-match-oracle"]["run"], checks["counts-match-oracle"]["skipped"]) == (0, 7)
 
 
 def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
@@ -113,7 +164,12 @@ def test_roundtrip_skips_realizations_over_cap():
     rep = verify.suite_roundtrip(max_beta=4, realize_max=4, cap=64)
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
-    assert skipped(checks["realization-fidelity"]) > 0
+    assert ", 30 skipped over cap," in checks["realization-fidelity"].detail
+    assert tally(rep) == {
+        "tableau-object-tableau": (52, 0, 0),
+        "object-tableau-object": (52, 0, 0),
+        "realization-fidelity": (74, 30, 0),
+    }
 
 
 def test_cli_verify_reports_skips_over_cap(capsys):
@@ -122,6 +178,7 @@ def test_cli_verify_reports_skips_over_cap(capsys):
     assert code == 0 and payload["passed"] is True
     (check,) = [c for c in payload["suites"][0]["checks"] if c["name"] == "counts-match-oracle"]
     assert ", 5 betas skipped over cap," in check["detail"]
+    assert (check["run"], check["skipped"], check["failed"]) == HALL_4_CAPPED[check["name"]]
 
 
 # Failure paths: each check is made to fail by patching one name it reads,
@@ -143,7 +200,8 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
     monkeypatch.setattr(verify, "end_power", plus_one(verify.end_power))
     monkeypatch.setattr(verify, "aut_order", lambda obj: aut_order(obj) * QOrderFactored.q_power(1))
     skipped_anchor = (True, "skipped over cap: hom space of size 1024 exceeds cap 512")
-    assert outcomes(verify.suite_formulas(2, cap=512)) == {
+    rep = verify.suite_formulas(2, cap=512)
+    assert outcomes(rep) == {
         "gl-order-vs-brute": (False, "[1, 1, 6, 168] vs [1, 6, 168, 20160]"),
         "aut-order-anchors": (False, "q^9*(q-1); q^21*(q-1)^3; q^21*(q-1)^2"),
         "end-aut-brute-anchors": skipped_anchor,
@@ -154,19 +212,34 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
         "bipicket-end-length-closed-form": (False, ""),
         "orbit-formula": skipped_anchor,
     }
+    assert tally(rep) == {
+        "gl-order-vs-brute": (1, 0, 1),
+        "aut-order-anchors": (3, 0, 3),
+        "end-aut-brute-anchors": (0, 1, 0),
+        "hom-lengths-vs-brute": (440, 1, 440),
+        "tableau-hom-lengths-agree": (19131, 0, 19131),
+        # an object fails once, though both of its orders are wrong
+        "aut-end-orders-vs-brute": (80, 831, 80),
+        "bipicket-end-length-closed-form": (21, 0, 21),
+        "orbit-formula": (0, 1, 0),
+    }
 
 
 def test_formulas_anchors_fail_on_wrong_brute_counts(monkeypatch):
     # at cap 1024 the anchor and orbit checks run instead of skipping
     monkeypatch.setattr(oracle, "hom_count", plus_one(oracle.hom_count))
     monkeypatch.setattr(oracle, "orbit_check", lambda E, cap=None: False)
-    checks = outcomes(verify.suite_formulas(2, cap=1024))
+    rep = verify.suite_formulas(2, cap=1024)
+    checks = outcomes(rep)
     assert checks["end-aut-brute-anchors"] == (False, "End(T(4,2))=513, Aut(T(3,1))=16")
     assert checks["hom-lengths-vs-brute"] == (False, "21^2 indec pairs, 0 skipped over cap, 441 bad")
     assert checks["orbit-formula"] == (False, "")
     assert {name for name, (passed, _) in checks.items() if not passed} == {
         "end-aut-brute-anchors", "hom-lengths-vs-brute", "orbit-formula"
     }
+    counts = tally(rep)
+    assert counts["end-aut-brute-anchors"] == counts["orbit-formula"] == (1, 0, 1)
+    assert counts["hom-lengths-vs-brute"] == (441, 0, 441)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +268,17 @@ def test_roundtrip_fails_on_wrong_coders(monkeypatch, max_beta, realize_max, tab
         "object-tableau-object": (False, tableaux.replace("tableaux", "objects")),
         "realization-fidelity": (False, realizations),
     }
+    # (run, skipped, failed) of both coder checks and of the realizations
+    coded, realized = {
+        (3, 3): ((22, 0, 22), (31, 13, 5)),
+        (2, 3): ((9, 0, 9), (31, 13, 5)),
+        (3, 2): ((22, 0, 22), (18, 0, 2)),
+    }[max_beta, realize_max]
+    assert tally(rep) == {
+        "tableau-object-tableau": coded,
+        "object-tableau-object": coded,
+        "realization-fidelity": realized,
+    }
 
 
 def test_theorem2_lists_the_first_failures(monkeypatch):
@@ -211,12 +295,14 @@ def test_theorem2_lists_the_first_failures(monkeypatch):
         "6 embeddings (seed 20260808; p = 2, 3), 0 skipped over cap; "
         + first + "p=3 beta=(2, 2, 1, 1, 1, 1): reduce tableau s=0",
     )
+    assert (check.run, check.skipped, check.failed) == (6, 0, 6)
     (check,) = verify.suite_theorem2(count=30, cap=16).checks
     assert (check.passed, check.detail) == (
         False,
         "30 embeddings (seed 20260808; p = 2, 3), 28 skipped over cap; "
         + first + "p=2 beta=(1, 1, 1, 1): reduce tableau s=0",
     )
+    assert (check.run, check.skipped, check.failed) == (2, 28, 2)
 
 
 def changed(triple, change):
@@ -248,15 +334,15 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
             verify,
             "hall_polynomial",
             changed(PAIR, lambda bd: dataclasses.replace(bd, total=bd.total + ONE)),
-            {"counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad"},
+            {"counts-match-oracle": ("143 instances, 0 betas skipped over cap, 1 bad", 1)},
         ),
         (
             verify,
             "hall_polynomial",
             changed(((1,), (2, 1), (2,)), lambda bd: dataclasses.replace(bd, total=bd.total + ONE)),
             {
-                "counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad",
-                "alpha-gamma-symmetry": "1 bad",
+                "counts-match-oracle": ("143 instances, 0 betas skipped over cap, 1 bad", 1),
+                "alpha-gamma-symmetry": ("1 bad", 1),
             },
         ),
         (
@@ -264,23 +350,23 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
             "hall_polynomial",
             changed(PAIR, lambda bd: dataclasses.replace(
                 bd, per_tableau=tuple((t, poly + ONE) for t, poly in bd.per_tableau))),
-            {"per-tableau-counts-match": "1 bad"},
+            {"per-tableau-counts-match": ("1 bad", 1)},
         ),
         (
             verify,
             "hall_polynomial",
             changed(PAIR, lambda bd: dataclasses.replace(
                 bd, per_tableau=tuple((t, poly + poly) for t, poly in bd.per_tableau))),
-            {"per-tableau-counts-match": "1 bad", "multiplicities-monic": "1 bad"},
+            {"per-tableau-counts-match": ("1 bad", 1), "multiplicities-monic": ("1 bad", 1)},
         ),
-        (verify, "expected_degree", plus_one(verify.expected_degree), {"degree-formula": "57 bad"}),
+        (verify, "expected_degree", plus_one(verify.expected_degree), {"degree-formula": ("57 bad", 57)}),
         (
             oracle,
             "census",
             census_with_extra_subgroup,
             {
-                "counts-match-oracle": "143 instances, 0 betas skipped over cap, 1 bad",
-                "tableau-census-refines-type-census": "1 bad",
+                "counts-match-oracle": ("143 instances, 0 betas skipped over cap, 1 bad", 1),
+                "tableau-census-refines-type-census": ("1 bad", 1),
             },
         ),
     ],
@@ -288,8 +374,12 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
 )
 def test_hall_checks_fail_on_wrong_counts(monkeypatch, module, name, value, failing):
     monkeypatch.setattr(module, name, value)
-    checks = outcomes(verify.suite_hall(2, 4))
-    assert {check: detail for check, (passed, detail) in checks.items() if not passed} == failing
+    rep = verify.suite_hall(2, 4)
+    assert {c.name: (c.detail, c.failed) for c in rep.checks if not c.passed} == failing
+    # uncapped, every case of HALL_4_CAPPED runs
+    assert {name: run for name, (run, _, _) in tally(rep).items()} == {
+        name: run + skipped for name, (run, skipped, _) in HALL_4_CAPPED.items()
+    }
 
 
 def test_unknown_suite_is_a_value_error():
@@ -312,3 +402,20 @@ def test_capped_report_is_pinned(capsys):
     payload = without_elapsed(json.loads(capsys.readouterr().out))
     assert code == 0
     assert payload == json.loads((TESTS_DIR / "golden_verify_capped.json").read_text())
+
+
+def test_golden_counts_agree_with_details():
+    # in both pinned reports a check passed exactly when no case failed, and
+    # every skip count a detail names is the check's skipped count
+    for golden in ("golden_verify_default.json", "golden_verify_capped.json"):
+        payload = json.loads((TESTS_DIR / golden).read_text())
+        for check in (c for suite in payload["suites"] for c in suite["checks"]):
+            assert check["passed"] == (check["failed"] == 0), check
+            assert bool(check["skipped"]) == bool(check["skip_reason"]), check
+            named = re.search(r"(\d+) (?:betas )?skipped over", check["detail"])
+            if named:
+                assert int(named.group(1)) == check["skipped"], check
+            elif check["detail"].startswith("skipped over cap"):
+                # a skipped one-shot check
+                assert (check["run"], check["skipped"]) == (0, 1), check
+                assert check["detail"] == check["skip_reason"], check
