@@ -12,13 +12,13 @@ DEFAULT_CAP = 1 << 20
 DEFAULT_SUBGROUP_CAP = 1 << 10
 
 
+def _read(override, env: str, default: int) -> int:
+    return int(override if override is not None else os.environ.get(env, default))
+
+
 def general_cap(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("HALLKIT_CAP", DEFAULT_CAP))
+    return _read(override, "HALLKIT_CAP", DEFAULT_CAP)
 
 
 def subgroup_cap(override=None) -> int:
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("HALLKIT_SUBGROUP_CAP", DEFAULT_SUBGROUP_CAP))
+    return _read(override, "HALLKIT_SUBGROUP_CAP", DEFAULT_SUBGROUP_CAP)

@@ -59,6 +59,18 @@ def _emit(payload: dict, text: str, fmt_kind: str):
         print(text)
 
 
+def _diagram(tab) -> str:
+    """A tableau's compact text above its ASCII diagram."""
+    return f"{tab.to_text()}\n{ascii_diagram(tab)}"
+
+
+def _add_rows(payload: dict, lines: list[str], key: str, field: str, rows) -> None:
+    """Per (tableau, value) row, a JSON record in payload[key] and a text line."""
+    payload[key] = [{"tableau": t.to_json(), "tableau_text": t.to_text(), field: v}
+                    for t, v in rows]
+    lines += [f"  {t.to_text()}  ->  {v}" for t, v in rows]
+
+
 def _add_type_flags(sub):
     sub.add_argument("--alpha", default="", help="subgroup type, e.g. 3,2,1")
     sub.add_argument("--beta", required=True, help="ambient type, e.g. 4,3,2")
@@ -81,12 +93,8 @@ def cmd_hall(args) -> int:
     }
     lines = [bd.total.to_text()]
     if args.per_tableau:
-        payload["per_tableau"] = [
-            {"tableau": tab.to_json(), "tableau_text": tab.to_text(), "multiplicity": poly.to_text()}
-            for tab, poly in bd.per_tableau
-        ]
-        for tab, poly in bd.per_tableau:
-            lines.append(f"  {tab.to_text()}  ->  {poly.to_text()}")
+        rows = [(tab, poly.to_text()) for tab, poly in bd.per_tableau]
+        _add_rows(payload, lines, "per_tableau", "multiplicity", rows)
     _emit(payload, "\n".join(lines), args.format)
     return 0
 
@@ -101,11 +109,7 @@ def cmd_tableaux(args) -> int:
         _emit({"count": len(tabs)}, str(len(tabs)), args.format)
         return 0
     payload = {"tableaux": [t.to_json() for t in tabs]}
-    blocks = []
-    for t in tabs:
-        blocks.append(t.to_text())
-        blocks.append(ascii_diagram(t))
-    _emit(payload, "\n".join(blocks) if blocks else "(none)", args.format)
+    _emit(payload, "\n".join(map(_diagram, tabs)) if tabs else "(none)", args.format)
     return 0
 
 
@@ -122,7 +126,7 @@ def cmd_decompose(args) -> int:
         obj = parse_object(args.object)
         tab = tableau_of_object(obj)
         payload = {"tableau": tab.to_json(), "text": tab.to_text()}
-        _emit(payload, f"{tab.to_text()}\n{ascii_diagram(tab)}", args.format)
+        _emit(payload, _diagram(tab), args.format)
     return 0
 
 
@@ -131,7 +135,7 @@ def cmd_embed(args) -> int:
     if args.what == "tableau":
         tab = emb.klein_tableau(E)
         payload = {"tableau": tab.to_json(), "text": tab.to_text()}
-        _emit(payload, f"{tab.to_text()}\n{ascii_diagram(tab)}", args.format)
+        _emit(payload, _diagram(tab), args.format)
     elif args.what == "lr":
         tab = emb.lr_tableau(E)
         _emit(tab.to_json(), tab.to_text(), args.format)
@@ -154,20 +158,15 @@ def cmd_oracle(args) -> int:
     }
     lines = [str(count)]
     if args.by_tableau:
-        by_tab = census.tableaux
-        wanted = enumerate_klein(alpha, beta, gamma)
-        payload["by_tableau"] = [
-            {"tableau": tab.to_json(), "tableau_text": tab.to_text(), "count": by_tab.get(tab, 0)}
-            for tab in wanted
-        ]
-        for tab in wanted:
-            lines.append(f"  {tab.to_text()}  ->  {by_tab.get(tab, 0)}")
+        rows = [(tab, census.tableaux.get(tab, 0)) for tab in enumerate_klein(alpha, beta, gamma)]
+        _add_rows(payload, lines, "by_tableau", "count", rows)
     _emit(payload, "\n".join(lines), args.format)
     return 0
 
 
 def cmd_verify(args) -> int:
-    names = verify.SUITES if "all" in args.suite else tuple(dict.fromkeys(args.suite))
+    suites = args.suite or ["all"]  # no --suite runs them all
+    names = verify.SUITES if "all" in suites else tuple(dict.fromkeys(suites))
     reports = verify.run_suites(
         names,
         prime=args.prime,
@@ -248,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
     )
-    sp.add_argument("--cap", type=_non_negative, default=None)
+    sp.add_argument("--cap", type=_non_negative, default=None, help="general cap of "
+                    "every suite; it can lower, never raise, hall's census bound and the "
+                    "Aut/End sweep's 2^14 bound")
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -274,8 +275,6 @@ def _join_tableau_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_tableau_values(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "suite", None) is None and args.command == "verify":
-        args.suite = ["all"]
     try:
         code = args.func(args)
         # flush here, so that a closed stdout raises inside this block

@@ -14,10 +14,11 @@ the greedy basis's candidate test and the oracle's subgroup walk read
 the memo after that; it holds only elements they multiplied.
 
 Each construction exists once.  ``direct_sum`` packs any number of
-summands into one ambient, so an object's embedding is one sum.  Types
-are read off the orders of the layers p^i M (``_layer_type``), from the
-chain A, pA, ..., 0 of a subgroup (``p_chain``) or from
-|p^i B| / |p^i B & X| for a quotient B/X.  Every type reading
+summands into one ambient, so an object's embedding is one sum.  One
+loop, ``Embedding.chain``, extends the p-chain A, pA, ..., 0 of a
+subgroup (``p_chain`` reads it off an embedding).  Types are read off
+the orders of the layers p^i M (``_layer_type``), from the p-chain or
+from |p^i B| / |p^i B & X| for a quotient B/X.  Every type reading
 (``module_type``, ``Embedding.subgroup_type``, ``quotient_type``) goes
 through one bounded ``lru_cache`` keyed on the tuple of layer orders and
 p: the census of every beta with |beta| <= 7 at p = 2 reads 107,417
@@ -42,8 +43,8 @@ a cached truncation still has its quotient order checked against the
 cap.  Derived embeddings inherit their chains instead of scaling again:
 ``reduce(E, s)`` takes the tail E.chain()[s:], so a subfactor takes a
 tail of its cached truncation's chain, and ``lift`` starts its chain
-p^{-1}A, A & pB from the intersection it takes the preimage of, scaling
-the rest only when the chain is first used.
+p^{-1}A, A & pB from the intersection it takes the preimage of (A alone
+when s = 0); ``Embedding.chain`` scales the rest when first used.
 """
 
 from __future__ import annotations
@@ -221,18 +222,6 @@ def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     return frozenset({r + k for r in roots for k in socle})
 
 
-def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
-    """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent of A."""
-    return _complete_chain(ambient, [A])
-
-
-def _complete_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> list[SubgroupSet]:
-    """Extend a start [A, pA, ..., p^k A] of a p-chain, in place, down to 0."""
-    while len(chain[-1]) > 1:
-        chain.append(scale(ambient, chain[-1]))
-    return chain
-
-
 @lru_cache(maxsize=1 << 14)
 def _layer_type(orders: tuple[int, ...], p: int) -> Partition:
     """Type of a module M from the orders |p^i M|, i = 0, 1, ..., ending
@@ -246,11 +235,6 @@ def _layer_type(orders: tuple[int, ...], p: int) -> Partition:
             d += 1
         dims.append(d)
     return conjugate(partition(dims))
-
-
-def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
-    """Type of a subgroup from its layer cardinalities |p^i U|."""
-    return _layer_type(tuple(map(len, p_chain(ambient, U))), ambient.p)
 
 
 def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
@@ -316,10 +300,13 @@ class Embedding:
 
     def chain(self) -> list[SubgroupSet]:
         """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent.
-        Built on first use, from the start a derived embedding was given."""
+        Built on first use, from the start a derived embedding was given;
+        this is the one loop that extends a p-chain."""
         chain = self._achain
-        if chain is None or len(chain[-1]) > 1:
-            chain = self._achain = _complete_chain(self.ambient, chain or [self.subgroup])
+        if chain is None:
+            chain = self._achain = [self.subgroup]
+        while len(chain[-1]) > 1:
+            chain.append(scale(self.ambient, chain[-1]))
         return chain
 
     @property
@@ -352,6 +339,16 @@ class Embedding:
     @classmethod
     def from_json(cls, data: dict, cap: int | None = None) -> "Embedding":
         return cls.from_coords(data["p"], data["beta"], data["gens"], cap)
+
+
+def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
+    """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent of A."""
+    return Embedding(ambient, subgroup=A).chain()
+
+
+def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
+    """Type of a subgroup from its layer cardinalities |p^i U|."""
+    return Embedding(ambient, subgroup=U).subgroup_type()
 
 
 def _from_chain(ambient: AmbientModule, chain: list[SubgroupSet]) -> Embedding:
@@ -546,13 +543,11 @@ def lift(E: Embedding, s: int = 1) -> Embedding:
     which continues from there when first used."""
     if s < 0:
         raise ValueError("need s >= 0")
-    amb, A = E.ambient, E.subgroup
-    if s == 0:
-        return Embedding(amb, subgroup=A)
+    amb, chain = E.ambient, [E.subgroup]
     for _ in range(s):
-        radical = A & amb.p_power_set(1)
-        A = preimage(amb, radical)
-    return _from_chain(amb, [A, radical] if len(A) > 1 else [A])
+        radical = chain[0] & amb.p_power_set(1)
+        chain = [preimage(amb, radical), radical]
+    return _from_chain(amb, chain if len(chain[0]) > 1 else chain[:1])
 
 
 def reduce(E: Embedding, s: int = 1) -> Embedding:

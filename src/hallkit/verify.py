@@ -95,9 +95,9 @@ class SuiteReport:
         }
 
 
-# Bound on the hom-space size of the per-object Aut/End sweep, under the
+# Cap on the hom-space size of the per-object Aut/End sweep, under the
 # general cap; larger objects are counted as skipped.
-BRUTE_BUDGET = 1 << 14
+BRUTE_CAP = 1 << 14
 
 # The primes and the largest |beta| of theorem2's random embeddings.
 THEOREM2_PRIMES = (2, 3)
@@ -147,7 +147,7 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     itself skipped.  Closed-form checks always run in full."""
     start = time.monotonic()
     p = prime
-    budget = min(BRUTE_BUDGET, general_cap(cap))
+    brute_cap = min(BRUTE_CAP, general_cap(cap))
 
     def gl_orders():
         counts = [oracle.aut_count_module(p, (1,) * m, cap) for m in range(4)]
@@ -174,7 +174,7 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
 
     # an object fails once, and counts in the detail once per wrong order
     def end_aut_bad(obj):
-        end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), budget)
+        end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), brute_cap)
         return (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
 
     def orbit_formula():
@@ -199,8 +199,8 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
                [(tab, obj, y) for obj in objs for tab in [tableau_of_object(obj)] for y in indecs],
                lambda bad, _: f"{sum(bad)} mismatches"),
         _sweep("aut-end-orders-vs-brute", end_aut_bad, [(obj,) for obj in objs],
-               lambda bad, skips: f"{len(bad)} objects under budget, "
-               f"{len(skips)} skipped over budget, {sum(bad)} bad"),
+               lambda bad, skips: f"{len(bad)} objects under cap {brute_cap}, "
+               f"{len(skips)} skipped over cap, {sum(bad)} bad"),
         _sweep("bipicket-end-length-closed-form",
                lambda x: hom_len_tableau(tableau_of_object(S2Object.of(x)), x)
                != x.m + 3 * x.r - 1,
@@ -344,6 +344,9 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
         return sum(sum(record.tableaux.get(tab, 0) for tab, _ in bd.per_tableau)
                    != record.types.get(key, 0) for key, bd in bds[beta].items())
 
+    def census_detail(bad, skips):
+        return f"{len(skips)} betas skipped over cap, {sum(bad)} bad"
+
     def degree_bad(alpha, beta, gamma, bd):
         return not bd.total.is_zero() and bd.total.degree != expected_degree(alpha, beta, gamma)
 
@@ -351,9 +354,9 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
     checks = [
         _sweep("counts-match-oracle", count_faults, censuses,
                lambda bad, skips: f"{sum(map(len, bad))} instances, "
-               f"{len(skips)} betas skipped over cap, {sum(map(sum, bad))} bad", fault=any),
-        _sweep("per-tableau-counts-match", tableau_faults, censuses),
-        _sweep("tableau-census-refines-type-census", refine_faults, censuses),
+               + census_detail(map(sum, bad), skips), fault=any),
+        _sweep("per-tableau-counts-match", tableau_faults, censuses, census_detail),
+        _sweep("tableau-census-refines-type-census", refine_faults, censuses, census_detail),
         _sweep("alpha-gamma-symmetry", lambda bd, mirror: bd.total != mirror.total,
                [(bd, bds[beta][(gamma, alpha)])
                 for alpha, beta, gamma, bd in triples if alpha <= gamma]),

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
 
 from hallkit import hall
@@ -12,11 +15,12 @@ from hallkit.hall import (
 )
 from hallkit.partitions import partitions_of
 from hallkit.qforms import QOrderFactored, QPolynomial
-from hallkit.s2cat import aut_order, object_of_tableau
+from hallkit.s2cat import aut_order, aut_order_module, object_of_tableau
 from hallkit.tableaux import (
     KleinTableau,
     LRTableau,
     enumerate_klein,
+    enumerate_klein_entries2,
     enumerate_klein_refinements,
     enumerate_lr,
     restrict,
@@ -199,3 +203,32 @@ def test_expansion_memo_expands_each_distinct_product_once():
                             assert hall_multiplicity(tab) == hall_multiplicity_factored(tab).expand()
                             forms.add(hall_multiplicity_factored(tab))
     assert hall._expansion.cache_info().misses == len(forms)
+
+
+def test_orbit_identity_for_entries_at_most_two():
+    # the subgroups with a tableau of entries <= 2 form one Aut(M(beta))
+    # orbit, stabilised by Aut of the tableau's object, so the multiplicity
+    # times that Aut order is |Aut M(beta)|, as factored forms
+    tabs = [tab for n in range(11) for beta in partitions_of(n) for tab in enumerate_klein_entries2(beta)]
+    assert len(tabs) == 3170
+    for tab in tabs:
+        orbit = hall_multiplicity_factored(tab) * aut_order(object_of_tableau(tab))
+        assert orbit == aut_order_module(tab.beta), tab
+
+
+def test_hall_algebra_is_associative():
+    # (u_a u_b) u_c = u_a (u_b u_c) with u_a u_b = sum g^lambda_{a,b} u_lambda:
+    # for every mu, sum_lambda g^lambda_{a,b} g^mu_{lambda,c} equals
+    # sum_rho g^rho_{b,c} g^mu_{a,rho}, exactly in Z[q]
+    g = lru_cache(maxsize=None)(lambda a, lam, b: hall_polynomial(a, lam, b).total)
+
+    zero, instances = QPolynomial.zero(), 0
+    sizes = [(i, j, k) for i in range(8) for j in range(8 - i) for k in range(8 - i - j)]
+    for i, j, k in sizes:
+        for a, b, c in product(partitions_of(i), partitions_of(j), partitions_of(k)):
+            for mu in partitions_of(i + j + k):
+                left = sum((g(a, lam, b) * g(lam, mu, c) for lam in partitions_of(i + j)), zero)
+                right = sum((g(b, rho, c) * g(a, mu, rho) for rho in partitions_of(j + k)), zero)
+                assert left == right, (a, b, c, mu)
+                instances += 1
+    assert instances == 9965

@@ -197,11 +197,11 @@ def test_aut_count_module():
     assert oracle.aut_count_module(2, (2, 1)) == 8
     assert oracle.aut_count_module(2, (1, 1)) == 6
     assert oracle.aut_count_module(3, (1, 1)) == 48
-    # every beta whose End(M(beta)) fits the brute-force budget
+    # every beta whose End(M(beta)) fits the brute-force cap
     for p in (2, 3):
         for n in range(1, 15):
             for beta in partitions_of(n):
-                if p ** sum(min(b, c) for b in beta for c in beta) <= verify.BRUTE_BUDGET:
+                if p ** sum(min(b, c) for b in beta for c in beta) <= verify.BRUTE_CAP:
                     want = evaluate(aut_order_module(beta), p)
                     assert oracle.aut_count_module(p, beta) == want, (p, beta)
 

@@ -39,7 +39,7 @@ def test_formulas_count_brute_force_skips():
     checks = {c.name: c for c in rep.checks}
     assert all(c.passed for c in checks.values()), checks
     assert ", 1 skipped over cap," in checks["hom-lengths-vs-brute"].detail
-    assert ", 831 skipped over budget," in checks["aut-end-orders-vs-brute"].detail
+    assert checks["aut-end-orders-vs-brute"].detail.startswith("80 objects under cap 512, 831 skipped over cap,")
     assert checks["end-aut-brute-anchors"].detail.startswith("skipped over cap")
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
     assert tally(rep) == {
@@ -119,7 +119,7 @@ def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
 
 def test_census_checks_count_their_skipped_betas(capsys):
     # at cap 0 all 7 beta censuses of size <= 3 are skipped: every census
-    # check says so in its counts, though two of their details read "0 bad"
+    # check says so in its counts and in its detail
     code = main(["verify", "--suite", "hall", "--cap", "0", "--max-beta", "3", "--count", "5"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -127,7 +127,7 @@ def test_census_checks_count_their_skipped_betas(capsys):
     reason = "skipped over cap: ambient order 1 exceeds subgroup cap 0"
     for name in ("per-tableau-counts-match", "tableau-census-refines-type-census"):
         assert checks[name] == {
-            "name": name, "passed": True, "detail": "0 bad",
+            "name": name, "passed": True, "detail": "7 betas skipped over cap, 0 bad",
             "run": 0, "skipped": 7, "failed": 0, "skip_reason": reason,
         }
     assert checks["counts-match-oracle"]["detail"] == "0 instances, 7 betas skipped over cap, 0 bad"
@@ -208,7 +208,7 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
         "hom-lengths-vs-brute": (False, "21^2 indec pairs, 1 skipped over cap, 440 bad"),
         "tableau-hom-lengths-agree": (False, "19131 mismatches"),
         # both Aut and End are wrong for every object: two mismatches each
-        "aut-end-orders-vs-brute": (False, "80 objects under budget, 831 skipped over budget, 160 bad"),
+        "aut-end-orders-vs-brute": (False, "80 objects under cap 512, 831 skipped over cap, 160 bad"),
         "bipicket-end-length-closed-form": (False, ""),
         "orbit-formula": skipped_anchor,
     }
@@ -350,14 +350,17 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
             "hall_polynomial",
             changed(PAIR, lambda bd: dataclasses.replace(
                 bd, per_tableau=tuple((t, poly + ONE) for t, poly in bd.per_tableau))),
-            {"per-tableau-counts-match": ("1 bad", 1)},
+            {"per-tableau-counts-match": ("0 betas skipped over cap, 1 bad", 1)},
         ),
         (
             verify,
             "hall_polynomial",
             changed(PAIR, lambda bd: dataclasses.replace(
                 bd, per_tableau=tuple((t, poly + poly) for t, poly in bd.per_tableau))),
-            {"per-tableau-counts-match": ("1 bad", 1), "multiplicities-monic": ("1 bad", 1)},
+            {
+                "per-tableau-counts-match": ("0 betas skipped over cap, 1 bad", 1),
+                "multiplicities-monic": ("1 bad", 1),
+            },
         ),
         (verify, "expected_degree", plus_one(verify.expected_degree), {"degree-formula": ("57 bad", 57)}),
         (
@@ -366,7 +369,7 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
             census_with_extra_subgroup,
             {
                 "counts-match-oracle": ("143 instances, 0 betas skipped over cap, 1 bad", 1),
-                "tableau-census-refines-type-census": ("1 bad", 1),
+                "tableau-census-refines-type-census": ("0 betas skipped over cap, 1 bad", 1),
             },
         ),
     ],
@@ -412,6 +415,8 @@ def test_golden_counts_agree_with_details():
         for check in (c for suite in payload["suites"] for c in suite["checks"]):
             assert check["passed"] == (check["failed"] == 0), check
             assert bool(check["skipped"]) == bool(check["skip_reason"]), check
+            # no skip is silent: the detail of a check that skipped says so
+            assert not check["skipped"] or "skipped over cap" in check["detail"], check
             named = re.search(r"(\d+) (?:betas )?skipped over", check["detail"])
             if named:
                 assert int(named.group(1)) == check["skipped"], check
