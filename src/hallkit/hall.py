@@ -15,10 +15,11 @@ entries each hold them once per process:
 - ``_aut_order_of`` maps each restriction restrict(T, ell, u), u = 1, 2,
   as ``restrict`` returns it (padded at ell = e+1), to its frozen
   factored Aut order;
-- ``_level_factor`` maps each 2-restriction restrict(T, ell, 2) to the
-  level's ratio as (power, ((j, e_j), ...)); the 1-restriction it divides
-  is restrict(restrict(T, ell, 2), 2, 1), the same key as
-  restrict(T, ell, 1);
+- ``_level_factor`` maps each level, as (g_{ell-2}, g_{ell-1}, g_ell)
+  plus the cells of entry ell relabelled to 2 (the data of restrict(T,
+  ell, 2), so one entry per distinct 2-restriction), to its ratio as
+  (power, ((j, e_j), ...)); a miss builds that restriction and divides
+  it into restrict(restrict(T, ell, 2), 2, 1) = restrict(T, ell, 1);
 - ``_expansion`` maps each frozen factored product to its polynomial.
 """
 
@@ -65,20 +66,27 @@ def _aut_order_of(short: KleinTableau) -> QOrderFactored:
 
 
 @lru_cache(maxsize=1 << 14)
-def _level_factor(short2: KleinTableau) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The telescoping factor of one level, keyed on its 2-restriction:
-    Aut of the 1-restriction over Aut of the 2-restriction, as
-    (power, ((j, e_j), ...)) with no zero exponent."""
+def _level_factor(low, mid, top, cells) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The telescoping factor of one level, keyed on the data of its
+    2-restriction: the chain (low, mid, top) and the cells of its entry
+    relabelled to entry 2.  Aut of the 1-restriction over Aut of the
+    2-restriction, as (power, ((j, e_j), ...)) with no zero exponent."""
+    short2 = KleinTableau((low, mid, top), cells)
     ratio = _aut_order_of(restrict(short2, 2, 1)) / _aut_order_of(short2)
     return ratio.power, ratio.factors
 
 
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
     """The multiplicity of one Klein tableau as a factored-form product."""
+    # level ell = e+1 reads the chain padded with g_{e+1} = g_e
+    gs = tab.gammas + (tab.beta,)
+    cells: dict[int, list] = {}
+    for ell, m, subs in tab.subscripts:
+        cells.setdefault(ell, []).append((2, m, subs))
     power = 0
     exps: dict[int, int] = {}
-    for ell in range(2, tab.e + 2):
-        level_power, factors = _level_factor(restrict(tab, ell, 2))
+    for ell in range(2, len(gs)):
+        level_power, factors = _level_factor(*gs[ell - 2 : ell + 1], tuple(cells.get(ell, ())))
         power += level_power
         for j, e in factors:
             exps[j] = exps.get(j, 0) + e

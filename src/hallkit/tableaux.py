@@ -24,15 +24,17 @@ The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
 its forced m-1's, and a product over the rows keeps the choices that use
 each r at most as often as strip ell-1 has boxes in row r (condition
-(iv)).  ``validate_klein`` and the decoder in ``s2cat`` read the forced
-ones from ``forced_subscripts``.  A direct sum of any number of tableaux
-merges all chains and symbols in one step.
+(iv)).  Each level's choices are memoised once per (ell, g_{ell-2},
+g_{ell-1}, g_ell).  ``validate_klein`` and the decoder in ``s2cat`` read
+the forced ones from ``forced_subscripts``.  A direct sum of any number
+of tableaux merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product, zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -367,21 +369,25 @@ def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
     return all(subs.count(r) <= caps[r] for r in set(subs))
 
 
+@lru_cache(maxsize=1 << 14)
 def _level_subscripts(
-    gs: tuple[Partition, ...], ell: int, counts: Counter[int], caps: Counter[int]
-) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
-    """Subscript cells (ell, row, subs) for entry ell, in canonical order.
+    ell: int, low: Partition, mid: Partition, top: Partition
+) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+    """Subscript cells (ell, row, subs) for entry ell of the chain
+    (low, mid, top), in canonical order; memoised per level, with ell in
+    the key because the cells carry it.
 
-    ``counts`` and ``caps`` are the boxes per row of strips ell and ell-1;
-    the caps are those of (iv).  Row m draws its free subscripts (ii) by
+    The caps of (iv) are the boxes per row of the strip mid \\ low.  Each
+    row m of the strip top \\ mid draws its free subscripts (ii) by
     ``combinations_with_replacement`` over the r in 1..m-1 with a nonzero
     cap, in lexicographic order, and appends its forced m-1's (iii): one
-    per column whose strip-ell box in row m sits on a strip-(ell-1) box.
-    A choice over the caps on its own is dropped.  Of the product over
-    the rows, which keeps that order, only the choices whose combined use
-    fits the caps are kept.
+    per column whose box in row m sits on a box of mid \\ low.  A choice
+    over the caps on its own is dropped.  Of the product over the rows,
+    which keeps that order, only the choices whose combined use fits the
+    caps are kept.
     """
-    forced = forced_subscripts(gs[ell], gs[ell - 1], gs[ell - 2])
+    counts, caps = strip_row_counts(top, mid), strip_row_counts(mid, low)
+    forced = forced_subscripts(top, mid, low)
     rows = []
     for m in sorted(counts):
         need = forced[m]
@@ -389,9 +395,7 @@ def _level_subscripts(
         free = combinations_with_replacement(symbols, counts[m] - need)
         choices = (c + (m - 1,) * need for c in free)
         rows.append([(ell, m, subs) for subs in choices if _fits(subs, caps)])
-    for cells in product(*rows):
-        if _fits(sum((subs for _, _, subs in cells), ()), caps):
-            yield cells
+    return tuple(c for c in product(*rows) if _fits(sum((subs for _, _, subs in c), ()), caps))
 
 
 def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
@@ -399,16 +403,12 @@ def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
 
     Choices for distinct entries are independent, so the result is a
     cartesian product of per-entry subscript assignments; each level
-    comes in canonical order, so the product does too.  The row counts
-    of each strip are taken once: strip ell's are the counts of level
-    ell and the caps of level ell+1.
+    comes in canonical order, so the product does too.  Each level is one
+    ``_level_subscripts`` entry, keyed on (ell, g_{ell-2}, g_{ell-1}, g_ell)
+    and shared by every LR tableau through that level.
     """
     gs = lr.gammas
-    strips = [strip_row_counts(gs[ell], gs[ell - 1]) for ell in range(1, len(gs))]
-    levels = (
-        _level_subscripts(gs, ell, strips[ell - 1], strips[ell - 2])
-        for ell in range(2, len(gs))
-    )
+    levels = (_level_subscripts(ell, *gs[ell - 2 : ell + 1]) for ell in range(2, len(gs)))
     return tuple(KleinTableau(gs, sum(combo, ())) for combo in product(*levels))
 
 

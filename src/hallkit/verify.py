@@ -199,8 +199,8 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
                [(tab, obj, y) for obj in objs for tab in [tableau_of_object(obj)] for y in indecs],
                lambda bad, _: f"{sum(bad)} mismatches"),
         _sweep("aut-end-orders-vs-brute", end_aut_bad, [(obj,) for obj in objs],
-               lambda bad, skips: f"{len(bad)} objects under cap {brute_cap}, "
-               f"{len(skips)} skipped over cap, {sum(bad)} bad"),
+               lambda bad, skips: f"{len(bad)} objects, {len(skips)} skipped over cap, "
+               f"{sum(bad)} bad"),
         _sweep("bipicket-end-length-closed-form",
                lambda x: hom_len_tableau(tableau_of_object(S2Object.of(x)), x)
                != x.m + 3 * x.r - 1,

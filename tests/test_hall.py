@@ -1,9 +1,11 @@
+import hashlib
+import json
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from hallkit import hall
+from hallkit import hall, tableaux
 from hallkit.errors import NoRefinement
 from hallkit.hall import (
     dominant_refinement,
@@ -191,6 +193,30 @@ def test_memo_holds_one_entry_per_restriction():
     assert hall._aut_order_of.cache_info().misses == len(keys)
 
 
+def test_level_memos_hold_one_entry_per_level():
+    # a level's subscript choices are one miss per (ell, g_{ell-2}, g_{ell-1},
+    # g_ell), and its factor one miss per distinct 2-restriction: the chain
+    # (padded at ell = e+1) and the cells of entry ell relabelled to 2
+    tabs = [
+        tab
+        for n in range(7)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+        for tab in enumerate_klein(alpha, beta, gamma)
+    ]
+    tableaux._level_subscripts.cache_clear()
+    hall._level_factor.cache_clear()
+    for tab in tabs:
+        hall_multiplicity_factored(tab)
+        assert tab in enumerate_klein_refinements(tab)
+    levels = {(ell, *tab.gammas[ell - 2 : ell + 1]) for tab in tabs for ell in range(2, tab.e + 1)}
+    shorts = {restrict(tab, ell, 2) for tab in tabs for ell in range(2, tab.e + 2)}
+    assert tableaux._level_subscripts.cache_info().misses == len(levels)
+    assert hall._level_factor.cache_info().misses == len(shorts)
+
+
 def test_expansion_memo_expands_each_distinct_product_once():
     hall._expansion.cache_clear()
     forms = set()
@@ -232,3 +258,21 @@ def test_hall_algebra_is_associative():
                 assert left == right, (a, b, c, mu)
                 instances += 1
     assert instances == 9965
+
+
+def test_breakdowns_pinned():
+    # every nonempty breakdown with |beta| <= 9: summand order, tableaux and
+    # multiplicities, as JSON, against a digest recorded before the level memos
+    rows = [
+        [list(alpha), list(beta), list(gamma), bd.to_json()]
+        for n in range(10)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+        for bd in [hall_polynomial(alpha, beta, gamma)]
+        if bd.per_tableau
+    ]
+    assert len(rows) == 2720
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "a9ddd36042bf7123c94f3b4bf273f69087b9b76523166dd033ba43e8ae4bc145"

@@ -39,7 +39,7 @@ def test_formulas_count_brute_force_skips():
     checks = {c.name: c for c in rep.checks}
     assert all(c.passed for c in checks.values()), checks
     assert ", 1 skipped over cap," in checks["hom-lengths-vs-brute"].detail
-    assert checks["aut-end-orders-vs-brute"].detail.startswith("80 objects under cap 512, 831 skipped over cap,")
+    assert checks["aut-end-orders-vs-brute"].detail.startswith("80 objects, 831 skipped over cap,")
     assert checks["end-aut-brute-anchors"].detail.startswith("skipped over cap")
     assert checks["gl-order-vs-brute"].detail == "[1, 1, 6, 168] vs [1, 1, 6, 168]"
     assert tally(rep) == {
@@ -208,7 +208,7 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
         "hom-lengths-vs-brute": (False, "21^2 indec pairs, 1 skipped over cap, 440 bad"),
         "tableau-hom-lengths-agree": (False, "19131 mismatches"),
         # both Aut and End are wrong for every object: two mismatches each
-        "aut-end-orders-vs-brute": (False, "80 objects under cap 512, 831 skipped over cap, 160 bad"),
+        "aut-end-orders-vs-brute": (False, "80 objects, 831 skipped over cap, 160 bad"),
         "bipicket-end-length-closed-form": (False, ""),
         "orbit-formula": skipped_anchor,
     }
