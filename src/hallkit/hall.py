@@ -5,21 +5,24 @@ automorphism-group-order ratios: for each entry level ell from 2 to e+1,
 divide the automorphism-group order of the object decoded from the
 1-restriction at ell by the one decoded from the 2-restriction.  Both
 restrictions have entries at most 2, so both objects are sums of pickets
-and bipickets and their orders are exact factored forms.  The levels'
-exponents are added into one exponent vector, which is expanded once.
+and bipickets, fixed by the chain and the symbols alone, and
+``s2cat.aut_exponents`` reads their orders from those plain ints with
+no tableau or object built.  The levels' exponents are added into one
+exponent vector, which is expanded once.
 
-Restrictions, ratios and products all repeat heavily across tableaux
-and type triples, so three least-recently-used memos of at most 2^14
-entries each hold them once per process:
+Levels, ratios and products all repeat heavily across tableaux and type
+triples, so three least-recently-used memos of at most 2^14 entries
+each hold them once per process:
 
-- ``_aut_order_of`` maps each restriction restrict(T, ell, u), u = 1, 2,
-  as ``restrict`` returns it (padded at ell = e+1), to its frozen
-  factored Aut order;
+- ``_strip_aut_order`` maps each 1-restriction, the one-strip chain
+  (g_{ell-1}, g_ell) with no symbols (g_{e+1} = g_e at ell = e+1), to
+  its frozen factored Aut order;
 - ``_level_factor`` maps each level, as (g_{ell-2}, g_{ell-1}, g_ell)
   plus the cells of entry ell relabelled to 2 (the data of restrict(T,
   ell, 2), so one entry per distinct 2-restriction), to its ratio as
-  (power, ((j, e_j), ...)); a miss builds that restriction and divides
-  it into restrict(restrict(T, ell, 2), 2, 1) = restrict(T, ell, 1);
+  (power, ((j, e_j), ...)); a miss reads the 2-restriction's order from
+  its chain and symbols and divides it into ``_strip_aut_order(mid,
+  top)``;
 - ``_expansion`` maps each frozen factored product to its polynomial.
 """
 
@@ -31,14 +34,8 @@ from functools import lru_cache
 from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
-from .s2cat import aut_order, object_of_tableau
-from .tableaux import (
-    KleinTableau,
-    LRTableau,
-    enumerate_klein,
-    enumerate_klein_refinements,
-    restrict,
-)
+from .s2cat import aut_exponents
+from .tableaux import KleinTableau, LRTableau, enumerate_klein, enumerate_klein_refinements
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +56,9 @@ class HallBreakdown:
 
 
 @lru_cache(maxsize=1 << 14)
-def _aut_order_of(short: KleinTableau) -> QOrderFactored:
-    # aut_order and object_of_tableau are looked up in this module's
-    # globals on every miss, so a wrapper installed there sees each miss.
-    return aut_order(object_of_tableau(short))
+def _strip_aut_order(mid, top) -> QOrderFactored:
+    """Aut order of the 1-restriction (mid, top): one strip, no symbols."""
+    return QOrderFactored.from_parts(*aut_exponents(mid, top, top, ()))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -71,8 +67,9 @@ def _level_factor(low, mid, top, cells) -> tuple[int, tuple[tuple[int, int], ...
     2-restriction: the chain (low, mid, top) and the cells of its entry
     relabelled to entry 2.  Aut of the 1-restriction over Aut of the
     2-restriction, as (power, ((j, e_j), ...)) with no zero exponent."""
-    short2 = KleinTableau((low, mid, top), cells)
-    ratio = _aut_order_of(restrict(short2, 2, 1)) / _aut_order_of(short2)
+    twos = [(m, r) for _, m, ss in cells for r in ss]
+    short2 = QOrderFactored.from_parts(*aut_exponents(low, mid, top, twos))
+    ratio = _strip_aut_order(mid, top) / short2
     return ratio.power, ratio.factors
 
 

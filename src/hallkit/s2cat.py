@@ -10,7 +10,9 @@ canonically as Picket(2, m).
 
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
 n-ary direct sum of the summands' tableaux, and one read of the level-2
-symbols, the 1-boxes, the forced subscripts and the empty columns.
+symbols, the 1-boxes, the forced subscripts and the empty columns,
+``_summand_counts``.  ``aut_exponents`` reads an Aut order from that
+same count and the chain, with no tableau or object built.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import EntryTooLarge
@@ -172,45 +175,75 @@ def _indec_tableau(x: Indecomposable) -> KleinTableau:
 
 
 def tableau_of_object(obj: S2Object) -> KleinTableau:
-    """Klein tableau of a direct sum of pickets and bipickets."""
-    return direct_sum_tableau(*(_indec_tableau(x) for x, k in obj.summands for _ in range(k)))
+    """Klein tableau of a direct sum of pickets and bipickets; each
+    distinct summand's tableau is built once, however many its copies."""
+    return direct_sum_tableau(*(tab for x, k in obj.summands for tab in [_indec_tableau(x)] * k))
+
+
+def _summand_counts(gs, twos) -> dict[tuple[int, int, int], int]:
+    """The multiplicity of each summand of the objects whose entries-<=2
+    tableau has the chain gs = (g0, g1, g2) (padded with its top) and the
+    level-2 symbols twos, a list of (row m, subscript r).
+
+    A summand is keyed on plain ints: (ell, m, 0) is P(ell, m) and
+    (2, m, r) is T(m, r).  Each symbol 2_r in row m is a bipicket T(m, r)
+    (a picket P(2, m) when r = m-1) and uses a 1-box of row r; the 1-boxes
+    left over are pickets P(1, m).  A P(0, m) is an empty column of
+    height m, or a column of height m+1 whose only symbol is a free 2_m at
+    the bottom: one of the 2_m in row m+1 beyond those forced (iii).
+    Raises ValueError when the symbols overdraw the 1-boxes (iv).
+    """
+    g0, g1, g2 = gs
+    ones = strip_row_counts(g1, g0)
+    empty = Counter(b for b, g in zip(g2, g0) if b == g)
+    counts: dict[tuple[int, int, int], int] = {}
+    for m, r in twos:
+        ones[r] -= 1
+        if r == m - 1:
+            empty[r] += 1
+            r = 0
+        counts[2, m, r] = counts.get((2, m, r), 0) + 1
+    if any(k < 0 for k in ones.values()):
+        raise ValueError("invalid Klein tableau: condition (iv) violated")
+    for m, k in forced_subscripts(g2, g1, g0).items():
+        empty[m - 1] -= k
+    for m, k in ones.items():
+        counts[1, m, 0] = k
+    for m, k in empty.items():
+        counts[0, m, 0] = k
+    return counts
+
+
+def _level2(tab: KleinTableau):
+    """The chain (g0, g1, g2) of a tableau, padded with its top, and its
+    symbols of entry 2 as (row, subscript) pairs."""
+    gs = tab.gammas
+    e = len(gs) - 1
+    twos = [(m, r) for ell, m, ss in tab.subscripts if ell == 2 for r in ss]
+    return (gs[0], gs[min(1, e)], gs[min(2, e)]), twos
 
 
 def object_of_tableau(tab: KleinTableau) -> S2Object:
     """Decode an entries-<=2 Klein tableau into its multiset of summands.
 
     Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry
-    exceeds 2, and ValueError on a subscript cell of any entry but 2.
-    Each symbol 2_r in row m is a bipicket T(m, r) (a picket
-    P(2, m) when r = m-1) and uses a 1-box of row r; the 1-boxes left
-    over are pickets P(1, m).  A P(0, m) is an empty column of height m,
-    or a column of height m+1 whose only symbol is a free 2_m at the
-    bottom: one of the 2_m in row m+1 beyond those forced (iii).
+    exceeds 2, and ValueError on a subscript cell of any entry but 2.  The
+    summands are read by ``_summand_counts``.
     """
     gs = tab.gammas
     e = len(gs) - 1
     for ell in range(3, e + 1):
         if gs[ell] != gs[ell - 1]:
             raise EntryTooLarge(f"tableau has entries up to {e}")
-    g0, g1, g2 = gs[0], gs[min(1, e)], gs[min(2, e)]
-    twos = []
-    for ell, m, ss in tab.subscripts:
+    for ell, _, _ in tab.subscripts:
         if ell != 2 or e < 2:
             raise ValueError(
                 f"invalid Klein tableau: subscript cell for entry {ell} outside 2..{min(e, 2)}"
             )
-        twos += ((m, r) for r in ss)
-    ones = strip_row_counts(g1, g0)
-    ones.subtract(r for _, r in twos)
-    if any(k < 0 for k in ones.values()):
-        raise ValueError("invalid Klein tableau: condition (iv) violated")
-    empty = Counter(b for b, g in zip(gs[-1], g0) if b == g)
-    empty.update(r for m, r in twos if r == m - 1)
-    empty.subtract({m - 1: k for m, k in forced_subscripts(g2, g1, g0).items()})
-    pairs = [(bipicket(m, r), 1) for m, r in twos]
-    pairs += [(Picket(1, m), k) for m, k in ones.items()]
-    pairs += [(Picket(0, m), k) for m, k in empty.items()]
-    return S2Object.make(pairs)
+    counts = _summand_counts(*_level2(tab))
+    return S2Object.make(
+        (Bipicket(m, r) if r else Picket(ell, m), k) for (ell, m, r), k in counts.items()
+    )
 
 
 def enumerate_indecomposables(max_size: int) -> tuple[Indecomposable, ...]:
@@ -284,31 +317,32 @@ def hom_len_obj(obj: S2Object, y: Indecomposable) -> int:
     return sum(k * hom_len_indec(x, y) for x, k in obj.summands)
 
 
-def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
-    """Hom length from ANY object with the given Klein tableau into y.
+def _row_sum(g, m: int) -> int:
+    """The boxes of g in rows 1..m."""
+    return sum(map(min, g, repeat(m)))
 
-    For a picket target it reads off the chain: sum over rows 1..m of the
-    row lengths of g^ell.  Bipicket targets reduce to picket targets plus
-    the count b of symbols 2_u in rows r+2..m with u <= r.
+
+def _hom_len(gs, twos, key: tuple[int, int, int]) -> int:
+    """Hom length from any object with the chain gs = (g0, g1, g2) and the
+    level-2 symbols twos into the summand key, as in ``_summand_counts``.
+
+    For a picket target P(ell, m) it reads off the chain: the boxes of
+    g_ell in rows 1..m.  Bipicket targets T(m, r) reduce to picket targets
+    plus the count b of symbols 2_u in rows r+2..m with u <= r.
     """
-    gs = tab.gammas
-    e = len(gs) - 1
+    ell, m, r = key
+    if not r:
+        return _row_sum(gs[ell], m)
+    g0, g1, g2 = gs
+    b = sum(1 for row, u in twos if r + 2 <= row <= m and u <= r)
+    return b + _row_sum(g2, r + 1) + _row_sum(g0, r) + _row_sum(g1, m) - _row_sum(g1, r + 1)
 
-    def picket_len(ell: int, m: int) -> int:
-        g = gs[min(ell, e)]
-        return sum(min(part, m) for part in g)
 
-    if isinstance(y, Picket):
-        return picket_len(y.ell, y.m)
-    m, r = y.m, y.r
-    b = tab.count_symbols(2, rows=range(r + 2, m + 1), subs=range(1, r + 1))
-    return (
-        b
-        + picket_len(2, r + 1)
-        + picket_len(0, r)
-        + picket_len(1, m)
-        - picket_len(1, r + 1)
-    )
+def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
+    """Hom length from ANY object with the given Klein tableau into y,
+    read by ``_hom_len`` from the chain and the symbols of entry 2."""
+    key = (y.ell, y.m, 0) if isinstance(y, Picket) else (2, y.m, y.r)
+    return _hom_len(*_level2(tab), key)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +358,41 @@ def end_power(obj: S2Object) -> int:
     )
 
 
-def aut_order(obj: S2Object) -> QOrderFactored:
-    """Order of the automorphism group, in factored form.
+def _aut_parts(end: int, mults) -> tuple[int, Counter[int]]:
+    """Order of Aut from log_q #End and the summand multiplicities, as
+    (power, {j: e_j}).
 
     In a Krull-Remak-Schmidt category the units of End are the preimage of
     the units of End modulo its radical, a product of matrix rings over the
     residue field; hence #Aut = #End * prod(|GL_k| / q^(k^2)) over the
     multiplicities k.  With |GL_k| = q^(k(k-1)/2) prod_{j<=k} (q^j - 1),
     that is one exponent vector: q to the power
-    end_power - sum k^2 + sum k(k-1)/2 = end_power - sum k(k+1)/2, and
-    (q^j - 1) to the number of summands of multiplicity at least j.
+    end - sum k^2 + sum k(k-1)/2 = end - sum k(k+1)/2, and (q^j - 1) to
+    the number of summands of multiplicity at least j.
     """
-    mults = [k for _, k in obj.summands]
-    power = end_power(obj) - sum(k * (k + 1) // 2 for k in mults)
-    return QOrderFactored.from_parts(power, Counter(j for k in mults for j in range(1, k + 1)))
+    power = end - sum(k * (k + 1) // 2 for k in mults)
+    return power, Counter(j for k in mults for j in range(1, k + 1))
+
+
+def aut_order(obj: S2Object) -> QOrderFactored:
+    """Order of the automorphism group, in factored form (``_aut_parts``)."""
+    return QOrderFactored.from_parts(*_aut_parts(end_power(obj), [k for _, k in obj.summands]))
+
+
+def aut_exponents(g0, g1, g2, twos) -> tuple[int, Counter[int]]:
+    """``aut_order`` of the objects whose entries-<=2 tableau has the chain
+    g0 <= g1 <= g2 (padded with its top) and the level-2 symbols twos, a
+    list of (row m, subscript r), as (power, {j: e_j}).
+
+    Only plain ints are read: the multiplicities k_y by
+    ``_summand_counts``, and End as sum_y k_y * (the Hom length from the
+    tableau into y), one ``_hom_len`` per distinct summand y rather than
+    one ``hom_len_indec`` per ordered pair.
+    """
+    gs = (g0, g1, g2)
+    counts = [(key, k) for key, k in _summand_counts(gs, twos).items() if k]
+    end = sum(k * _hom_len(gs, twos, key) for key, k in counts)
+    return _aut_parts(end, [k for _, k in counts])
 
 
 def aut_order_module(beta) -> QOrderFactored:

@@ -38,7 +38,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product, zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import RangeError
+from .caps import general_cap
+from .errors import CapExceeded, RangeError
 from .partitions import (
     Partition,
     conjugate,
@@ -488,29 +489,44 @@ def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
 
 def ascii_diagram(tab: LRTableau) -> str:
     """Aligned ASCII rendering; columns are parts, '.' marks empty boxes,
-    and a Klein tableau's boxes carry their subscripts."""
+    and a Klein tableau's boxes carry their subscripts.
+
+    Linear in the boxes: each partition is padded once and each column is
+    walked upward once, level ell filling its rows g_{ell-1}+1..g_ell.
+    Raises CapExceeded, before any row is built, when the boxes are more
+    than the general cap.
+    """
     beta = tab.beta
     if not beta:
         return "(empty)"
-    gs = tab.gammas
+    boxes, cap = sum(beta), general_cap()
+    if boxes > cap:
+        raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
     ncols = len(beta)
-    entries: dict[tuple[int, int], str] = {}
+    padded = [_padded(g, ncols) for g in tab.gammas]
+    columns: list[list[str]] = []
+    # per (entry, row), entry >= 1, the columns whose box there has that
+    # entry, left to right
+    spots: dict[Cell, list[int]] = {}
     for i in range(ncols):
-        for m in range(1, beta[i] + 1):
-            level = next(ell for ell in range(len(gs)) if _padded(gs[ell], ncols)[i] >= m)
-            entries[(i, m)] = "." if level == 0 else str(level)
+        col: list[str] = []
+        for ell, g in enumerate(padded):
+            if ell:
+                for m in range(len(col) + 1, g[i] + 1):
+                    spots.setdefault((ell, m), []).append(i)
+            col += [str(ell) if ell else "."] * (g[i] - len(col))
+        columns.append(col)
     # distribute each cell's sorted subscripts to its columns left to right
     for entry, m, ss in tab.subscripts if isinstance(tab, KleinTableau) else ():
-        cols = [
-            i
-            for i in range(ncols)
-            if entries.get((i, m)) == str(entry)
-        ]
-        for i, r in zip(cols, ss):
-            entries[(i, m)] = f"{entry}_{r}"
-    width = max(len(v) for v in entries.values()) + 1
+        for i, r in zip(spots.get((entry, m), ()), ss):
+            columns[i][m - 1] = f"{entry}_{r}"
+    width = max(len(v) for col in columns for v in col) + 1
     lines = []
+    # the columns are weakly decreasing in height, so those reaching row m
+    # are the first `reach` of them
+    reach = ncols
     for m in range(1, beta[0] + 1):
-        row = [entries.get((i, m), "").ljust(width) for i in range(ncols)]
-        lines.append(" ".join(row).rstrip())
+        while beta[reach - 1] < m:
+            reach -= 1
+        lines.append(" ".join(columns[i][m - 1].ljust(width) for i in range(reach)).rstrip())
     return "\n".join(lines)

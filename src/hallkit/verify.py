@@ -14,7 +14,10 @@ Four suites, bundled so CI can run one command:
                     match (these need the subgroup census, so a beta over
                     the subgroup cap skips them and is counted); the
                     symbolic (alpha, gamma)-symmetry, degree and
-                    monicity checks run on every beta and never skip.
+                    monicity checks run on every beta and never skip,
+                    and so does the orbit identity: for every tableau
+                    with entries <= 2 and |beta| <= 12, its multiplicity
+                    times the Aut order of its object is |Aut M(beta)|.
 
 Each check is a sweep: a name, a list of cases and a per-case test,
 run by ``_sweep``, the one place that counts.  Besides its detail string
@@ -39,7 +42,7 @@ from . import embeddings as emb
 from . import oracle
 from .caps import general_cap, subgroup_cap
 from .errors import CapExceeded
-from .hall import expected_degree, hall_polynomial
+from .hall import expected_degree, hall_multiplicity_factored, hall_polynomial
 from .partitions import partitions_of
 from .qforms import QOrderFactored, evaluate, gl_order
 from .s2cat import (
@@ -47,6 +50,7 @@ from .s2cat import (
     Picket,
     S2Object,
     aut_order,
+    aut_order_module,
     bipicket,
     end_power,
     enumerate_indecomposables,
@@ -102,6 +106,9 @@ BRUTE_CAP = 1 << 14
 # The primes and the largest |beta| of theorem2's random embeddings.
 THEOREM2_PRIMES = (2, 3)
 THEOREM2_MAX_SIZE = 8
+
+# The largest |beta| of hall's orbit identity, whatever its max_beta.
+ORBIT_MAX_SIZE = 12
 
 
 def _names(primes) -> str:
@@ -350,6 +357,15 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
     def degree_bad(alpha, beta, gamma, bd):
         return not bd.total.is_zero() and bd.total.degree != expected_degree(alpha, beta, gamma)
 
+    # the subgroups with an entries-<=2 tableau T form one Aut(M(beta))
+    # orbit, stabilised by Aut of T's object (the paper's Proposition
+    # KRS-multiplicity), so the multiplicity read from the chain times the
+    # object-side Aut order is |Aut M(beta)|
+    def orbit_bad(tab, aut_beta):
+        return hall_multiplicity_factored(tab) * aut_order(object_of_tableau(tab)) != aut_beta
+
+    orbit_tabs = [(tab, aut_beta) for n in range(ORBIT_MAX_SIZE + 1) for beta in partitions_of(n)
+                  for aut_beta in [aut_order_module(beta)] for tab in enumerate_klein_entries2(beta)]
     censuses = [(beta,) for beta in bds]
     checks = [
         _sweep("counts-match-oracle", count_faults, censuses,
@@ -363,6 +379,9 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
         _sweep("multiplicities-monic", lambda poly: not poly.is_monic(),
                [(poly,) for *_, bd in triples for _, poly in bd.per_tableau]),
         _sweep("degree-formula", degree_bad, triples),
+        _sweep("orbit-identity", orbit_bad, orbit_tabs,
+               lambda bad, _: f"{len(bad)} tableaux with entries <= 2 and "
+               f"|beta| <= {ORBIT_MAX_SIZE}, {sum(bad)} bad"),
     ]
     return SuiteReport("hall", checks, time.monotonic() - start)
 

@@ -312,6 +312,30 @@ def test_huge_ambient_exits_one_at_once(capsys, argv):
     assert json.loads(err)["error"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_diagram_exits_one_at_once(capsys, fmt):
+    # a diagram of 10^11 boxes, over the general cap, is refused before
+    # any row is built, in either format
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--object", "P(1,99999999999)", "--format", fmt)
+    assert time.monotonic() - start < 2
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapExceeded"
+    assert "diagram of 99999999999 boxes exceeds cap" in json.loads(err)["message"]
+
+
+def test_wide_diagram_renders_in_linear_time(capsys):
+    # 40,000 copies of P(1,1): one row of 40,000 boxes, built from one
+    # summand tableau and one walk per column
+    start = time.monotonic()
+    code, out, _ = run(capsys, "decompose", "--object", "40000*P(1,1)")
+    assert time.monotonic() - start < 3
+    assert code == 0
+    text, row = out.rstrip("\n").split("\n")
+    assert text == "-/" + ",".join(["1"] * 40000)
+    assert row == "  ".join(["1"] * 40000)
+
+
 def test_bad_partition_exits_one(capsys):
     code, _, err = run(capsys, "hall", "--alpha", "1,2", "--beta", "2,1", "--gamma", "")
     assert code == 1

@@ -173,9 +173,10 @@ def test_memoised_factors_match_direct_product():
 
 
 def test_memo_holds_one_entry_per_restriction():
-    # each restriction the telescoping product reads is its own memo key:
-    # one miss per distinct restrict(tab, ell, u), none shared or merged
-    hall._aut_order_of.cache_clear()
+    # each 1-restriction the telescoping product reads is its own memo key:
+    # one miss per distinct chain (g_{ell-1}, g_ell), the padded (g_e, g_e)
+    # of ell = e+1 included, none shared or merged
+    hall._strip_aut_order.cache_clear()
     hall._level_factor.cache_clear()
     keys = set()
     for n in range(7):
@@ -185,12 +186,8 @@ def test_memo_holds_one_entry_per_restriction():
                     for gamma in partitions_of(n - k):
                         for tab in enumerate_klein(alpha, beta, gamma):
                             hall_multiplicity_factored(tab)
-                            keys.update(
-                                restrict(tab, ell, u)
-                                for ell in range(2, tab.e + 2)
-                                for u in (1, 2)
-                            )
-    assert hall._aut_order_of.cache_info().misses == len(keys)
+                            keys.update(restrict(tab, ell, 1).gammas for ell in range(2, tab.e + 2))
+    assert hall._strip_aut_order.cache_info().misses == len(keys)
 
 
 def test_level_memos_hold_one_entry_per_level():

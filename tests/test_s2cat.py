@@ -7,6 +7,7 @@ from hallkit.s2cat import (
     Bipicket,
     Picket,
     S2Object,
+    aut_exponents,
     aut_order,
     aut_order_module,
     bipicket,
@@ -142,6 +143,19 @@ def test_aut_order_matches_gl_product():
         for _, k in obj.summands:
             want = want * gl_order(k)
         assert aut_order(obj) == want, obj
+
+
+def test_chain_aut_orders_match_decoded_objects():
+    # the Aut order read from the chain (padded with its top) and the
+    # level-2 symbols equals the decoded object's, for every tableau with
+    # entries <= 2 and |beta| <= 10
+    tabs = [tab for n in range(11) for beta in partitions_of(n) for tab in enumerate_klein_entries2(beta)]
+    assert len(tabs) == 3170
+    for tab in tabs:
+        g0, g1, g2 = (tab.gammas + (tab.beta,) * 2)[:3]
+        twos = [(m, r) for _, m, ss in tab.subscripts for r in ss]
+        chain_side = QOrderFactored.from_parts(*aut_exponents(g0, g1, g2, twos))
+        assert chain_side == aut_order(object_of_tableau(tab)), tab
 
 
 def test_aut_order_module_examples():

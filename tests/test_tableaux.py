@@ -3,12 +3,13 @@ from itertools import product
 
 import pytest
 
-from hallkit.errors import RangeError
+from hallkit.errors import CapExceeded, RangeError
 from hallkit.partitions import conjugate, contains, partitions_of, row_length
 from hallkit.s2cat import enumerate_objects, tableau_of_object
 from hallkit.tableaux import (
     KleinTableau,
     LRTableau,
+    ascii_diagram,
     direct_sum_tableau,
     enumerate_klein,
     enumerate_klein_entries2,
@@ -418,3 +419,24 @@ def test_enumeration_is_deterministic():
     assert first == second
     keys = [(t.gammas, t.subscripts) for t in first]
     assert keys == sorted(keys)
+
+
+def test_ascii_diagram_examples():
+    # columns are parts, '.' marks the base, subscripts go to their
+    # columns left to right, and each row stops at its last box
+    tab = KleinTableau.from_text("3,2,1/3,3,2/4,3,2;2@4:2")
+    assert ascii_diagram(tab) == ".    .    .\n.    .    1\n.    1\n2_2"
+    tab = KleinTableau.from_text("-/1,1/2,2;2@2:1+1")
+    assert ascii_diagram(tab) == "1    1\n2_1  2_1"
+    assert ascii_diagram(LRTableau(((),))) == "(empty)"
+
+
+def test_ascii_diagram_is_bounded_by_the_general_cap(monkeypatch):
+    # a diagram with more boxes than the general cap is refused before any
+    # row is built
+    tab = KleinTableau.from_text("3,2,1/3,3,2/4,3,2;2@4:2")
+    monkeypatch.setenv("HALLKIT_CAP", "9")
+    assert ascii_diagram(tab).endswith("2_2")
+    monkeypatch.setenv("HALLKIT_CAP", "8")
+    with pytest.raises(CapExceeded, match="diagram of 9 boxes exceeds cap 8"):
+        ascii_diagram(tab)

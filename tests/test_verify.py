@@ -9,7 +9,7 @@ import pytest
 from hallkit import embeddings as emb
 from hallkit import oracle, verify
 from hallkit.cli import main
-from hallkit.hall import hall_polynomial
+from hallkit.hall import hall_multiplicity_factored, hall_polynomial
 from hallkit.partitions import partitions_of
 from hallkit.qforms import QOrderFactored, QPolynomial, gl_order
 from hallkit.s2cat import Picket, S2Object, aut_order, tableau_of_object
@@ -93,6 +93,8 @@ HALL_4_CAPPED = {
     "alpha-gamma-symmetry": (78, 0, 0),
     "multiplicities-monic": (57, 0, 0),
     "degree-formula": (143, 0, 0),
+    # the orbit identity never skips and reads |beta| <= 12 whatever max_beta
+    "orbit-identity": (10158, 0, 0),
 }
 
 
@@ -364,6 +366,12 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
         ),
         (verify, "expected_degree", plus_one(verify.expected_degree), {"degree-formula": ("57 bad", 57)}),
         (
+            verify,
+            "hall_multiplicity_factored",
+            lambda tab: hall_multiplicity_factored(tab) * QOrderFactored.q_power(1),
+            {"orbit-identity": ("10158 tableaux with entries <= 2 and |beta| <= 12, 10158 bad", 10158)},
+        ),
+        (
             oracle,
             "census",
             census_with_extra_subgroup,
@@ -373,7 +381,7 @@ PAIR = ((1,), (1, 1), (1,))  # g = q + 1, one tableau
             },
         ),
     ],
-    ids=["total", "symmetry", "per-tableau", "monic", "degree", "census"],
+    ids=["total", "symmetry", "per-tableau", "monic", "degree", "orbit", "census"],
 )
 def test_hall_checks_fail_on_wrong_counts(monkeypatch, module, name, value, failing):
     monkeypatch.setattr(module, name, value)
