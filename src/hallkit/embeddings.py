@@ -16,18 +16,18 @@ the memo after that; it holds only elements they multiplied.
 Each construction exists once.  ``direct_sum`` packs any number of
 summands into one ambient, so an object's embedding is one sum.  One
 loop, ``Embedding.chain``, extends the p-chain A, pA, ..., 0 of a
-subgroup (``p_chain`` reads it off an embedding).  Types are read off
-the orders of the layers p^i M (``_layer_type``), from the p-chain or
-from |p^i B| / |p^i B & X| for a quotient B/X.  Every type reading
+subgroup.  Types are read off the orders of the layers p^i M
+(``_layer_type``), from the p-chain or from |p^i B| / |p^i B & X| for a
+quotient B/X.  Every type reading
 (``module_type``, ``Embedding.subgroup_type``, ``quotient_type``) goes
 through one bounded ``lru_cache`` keyed on the tuple of layer orders and
 p: the census of every beta with |beta| <= 7 at p = 2 reads 107,417
 types but only 45 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
 canonical tuples, so ``klein_tableau`` builds its tableau from them and
-from subscript runs it appends in increasing r, without a second pass
-through ``KleinTableau.make``, which stays the normaliser for outside
-input.
+from the levels of subscript runs it appends in increasing r, without a
+second pass through ``KleinTableau.make``, which stays the normaliser
+for outside input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
 with no scan of B.  Subgroups grow by one rule, ``span`` from a base,
 here and in the oracle's walk, and bases come from one greedy rule
@@ -341,11 +341,6 @@ class Embedding:
         return cls.from_coords(data["p"], data["beta"], data["gens"], cap)
 
 
-def p_chain(ambient: AmbientModule, A: SubgroupSet) -> list[SubgroupSet]:
-    """[A, pA, p^2 A, ..., 0]; its length minus one is the exponent of A."""
-    return Embedding(ambient, subgroup=A).chain()
-
-
 def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
     """Type of a subgroup from its layer cardinalities |p^i U|."""
     return Embedding(ambient, subgroup=U).subgroup_type()
@@ -424,16 +419,18 @@ def klein_tableau(E: Embedding) -> KleinTableau:
     B / (p^ell A + p(p^{ell-2} A intersect p^r B)) over r = 0..n-1 grows
     from g^{ell-1} to g^ell; the boxes appearing at step r get subscript
     r.  Here n is the exponent of the ambient module.  The gammas are
-    canonical and each cell's subscripts are appended in increasing r,
-    so the tableau is built directly, not through ``KleinTableau.make``.
+    canonical and each level's cells get their subscripts appended in
+    increasing r, so the tableau is built directly, not through
+    ``KleinTableau.make``.
     """
     amb = E.ambient
     chain = E.chain()
     e = len(chain) - 1
     gammas = lr_tableau(E).gammas
     n = amb.beta[0] if amb.beta else 0
-    subs: dict[tuple[int, int], list[int]] = {}
+    levels = []
     for ell in range(2, e + 1):
+        subs: dict[int, list[int]] = {}
         pellA = chain[ell]
         Y = chain[ell - 2]
         prev_Y = None
@@ -448,14 +445,14 @@ def klein_tableau(E: Embedding) -> KleinTableau:
             if cur == prev_type:
                 continue
             for m, grow in strip_row_counts(cur, prev_type).items():
-                subs.setdefault((ell, m), []).extend([r] * grow)
+                subs.setdefault(m, []).extend([r] * grow)
             prev_type = cur
             if cur == gammas[ell]:  # X_r only shrinks, to p^ell A
                 break
         if prev_type != gammas[ell]:
             raise AssertionError("subscript chain did not reach the strip top")
-    cells = sorted((ell, m, tuple(rs)) for (ell, m), rs in subs.items())
-    return KleinTableau(gammas, tuple(cells))
+        levels.append(tuple(sorted((m, tuple(rs)) for m, rs in subs.items())))
+    return KleinTableau(gammas, tuple(levels))
 
 
 # ---------------------------------------------------------------------------

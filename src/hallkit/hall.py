@@ -6,7 +6,7 @@ divide the automorphism-group order of the object decoded from the
 1-restriction at ell by the one decoded from the 2-restriction.  Both
 restrictions have entries at most 2, so both objects are sums of pickets
 and bipickets, fixed by the chain and the symbols alone, and
-``s2cat.aut_exponents`` reads their orders from those plain ints with
+``s2cat.chain_aut_order`` reads their orders from those plain ints with
 no tableau or object built.  The levels' exponents are added into one
 exponent vector, which is expanded once.
 
@@ -18,11 +18,10 @@ each hold them once per process:
   (g_{ell-1}, g_ell) with no symbols (g_{e+1} = g_e at ell = e+1), to
   its frozen factored Aut order;
 - ``_level_factor`` maps each level, as (g_{ell-2}, g_{ell-1}, g_ell)
-  plus the cells of entry ell relabelled to 2 (the data of restrict(T,
-  ell, 2), so one entry per distinct 2-restriction), to its ratio as
-  (power, ((j, e_j), ...)); a miss reads the 2-restriction's order from
-  its chain and symbols and divides it into ``_strip_aut_order(mid,
-  top)``;
+  plus the tableau's own level tuple of entry ell (the data of
+  restrict(T, ell, 2), so one entry per distinct 2-restriction), to its
+  factored ratio; a miss reads the 2-restriction's order from its chain
+  and cells and divides it into ``_strip_aut_order(mid, top)``;
 - ``_expansion`` maps each frozen factored product to its polynomial.
 """
 
@@ -34,7 +33,7 @@ from functools import lru_cache
 from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
-from .s2cat import aut_exponents
+from .s2cat import chain_aut_order
 from .tableaux import KleinTableau, LRTableau, enumerate_klein, enumerate_klein_refinements
 
 
@@ -58,34 +57,27 @@ class HallBreakdown:
 @lru_cache(maxsize=1 << 14)
 def _strip_aut_order(mid, top) -> QOrderFactored:
     """Aut order of the 1-restriction (mid, top): one strip, no symbols."""
-    return QOrderFactored.from_parts(*aut_exponents(mid, top, top, ()))
+    return chain_aut_order(mid, top, top, ())
 
 
 @lru_cache(maxsize=1 << 14)
-def _level_factor(low, mid, top, cells) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _level_factor(low, mid, top, cells) -> QOrderFactored:
     """The telescoping factor of one level, keyed on the data of its
-    2-restriction: the chain (low, mid, top) and the cells of its entry
-    relabelled to entry 2.  Aut of the 1-restriction over Aut of the
-    2-restriction, as (power, ((j, e_j), ...)) with no zero exponent."""
-    twos = [(m, r) for _, m, ss in cells for r in ss]
-    short2 = QOrderFactored.from_parts(*aut_exponents(low, mid, top, twos))
-    ratio = _strip_aut_order(mid, top) / short2
-    return ratio.power, ratio.factors
+    2-restriction: the chain (low, mid, top) and the level's cells
+    ((row, subs), ...).  Aut of the 1-restriction over Aut of the
+    2-restriction."""
+    return _strip_aut_order(mid, top) / chain_aut_order(low, mid, top, cells)
 
 
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
     """The multiplicity of one Klein tableau as a factored-form product."""
-    # level ell = e+1 reads the chain padded with g_{e+1} = g_e
+    # level ell = e+1 reads the chain padded with g_{e+1} = g_e, and no cells
     gs = tab.gammas + (tab.beta,)
-    cells: dict[int, list] = {}
-    for ell, m, subs in tab.subscripts:
-        cells.setdefault(ell, []).append((2, m, subs))
     power = 0
     exps: dict[int, int] = {}
-    for ell in range(2, len(gs)):
-        level_power, factors = _level_factor(*gs[ell - 2 : ell + 1], tuple(cells.get(ell, ())))
-        power += level_power
-        for j, e in factors:
+    for factor in map(_level_factor, gs, gs[1:], gs[2:], tab.levels + ((),)):
+        power += factor.power
+        for j, e in factor.factors:
             exps[j] = exps.get(j, 0) + e
     return QOrderFactored.from_parts(power, exps)
 

@@ -10,9 +10,10 @@ canonically as Picket(2, m).
 
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
 n-ary direct sum of the summands' tableaux, and one read of the level-2
-symbols, the 1-boxes, the forced subscripts and the empty columns,
-``_summand_counts``.  ``aut_exponents`` reads an Aut order from that
-same count and the chain, with no tableau or object built.
+cells, the 1-boxes, the forced subscripts and the empty columns,
+``_summand_counts``.  ``chain_aut_order`` reads an Aut order from that
+same count, the chain and the level's own ((row, subs), ...) cells, with
+no tableau or object built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Iterable, Mapping
 from .errors import EntryTooLarge
 from .partitions import partition
 from .qforms import QOrderFactored
-from .tableaux import KleinTableau, direct_sum_tableau, forced_subscripts, strip_row_counts
+from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
+from .tableaux import forced_subscripts, strip_row_counts
 
 
 @dataclass(frozen=True, order=True)
@@ -176,14 +178,16 @@ def _indec_tableau(x: Indecomposable) -> KleinTableau:
 
 def tableau_of_object(obj: S2Object) -> KleinTableau:
     """Klein tableau of a direct sum of pickets and bipickets; each
-    distinct summand's tableau is built once, however many its copies."""
+    distinct summand's tableau is built once, however many its copies,
+    after a diagram of its sum k * size boxes is checked against the cap."""
+    check_diagram_size(sum(k * x.size for x, k in obj.summands))
     return direct_sum_tableau(*(tab for x, k in obj.summands for tab in [_indec_tableau(x)] * k))
 
 
-def _summand_counts(gs, twos) -> dict[tuple[int, int, int], int]:
+def _summand_counts(gs, cells) -> dict[tuple[int, int, int], int]:
     """The multiplicity of each summand of the objects whose entries-<=2
     tableau has the chain gs = (g0, g1, g2) (padded with its top) and the
-    level-2 symbols twos, a list of (row m, subscript r).
+    level-2 cells ((row m, subs), ...).
 
     A summand is keyed on plain ints: (ell, m, 0) is P(ell, m) and
     (2, m, r) is T(m, r).  Each symbol 2_r in row m is a bipicket T(m, r)
@@ -197,12 +201,13 @@ def _summand_counts(gs, twos) -> dict[tuple[int, int, int], int]:
     ones = strip_row_counts(g1, g0)
     empty = Counter(b for b, g in zip(g2, g0) if b == g)
     counts: dict[tuple[int, int, int], int] = {}
-    for m, r in twos:
-        ones[r] -= 1
-        if r == m - 1:
-            empty[r] += 1
-            r = 0
-        counts[2, m, r] = counts.get((2, m, r), 0) + 1
+    for m, subs in cells:
+        for r in subs:
+            ones[r] -= 1
+            if r == m - 1:
+                empty[r] += 1
+                r = 0
+            counts[2, m, r] = counts.get((2, m, r), 0) + 1
     if any(k < 0 for k in ones.values()):
         raise ValueError("invalid Klein tableau: condition (iv) violated")
     for m, k in forced_subscripts(g2, g1, g0).items():
@@ -216,30 +221,23 @@ def _summand_counts(gs, twos) -> dict[tuple[int, int, int], int]:
 
 def _level2(tab: KleinTableau):
     """The chain (g0, g1, g2) of a tableau, padded with its top, and its
-    symbols of entry 2 as (row, subscript) pairs."""
+    level of entry 2."""
     gs = tab.gammas
     e = len(gs) - 1
-    twos = [(m, r) for ell, m, ss in tab.subscripts if ell == 2 for r in ss]
-    return (gs[0], gs[min(1, e)], gs[min(2, e)]), twos
+    return (gs[0], gs[min(1, e)], gs[min(2, e)]), (tab.levels + ((),))[0]
 
 
 def object_of_tableau(tab: KleinTableau) -> S2Object:
     """Decode an entries-<=2 Klein tableau into its multiset of summands.
 
-    Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry
-    exceeds 2, and ValueError on a subscript cell of any entry but 2.  The
-    summands are read by ``_summand_counts``.
+    Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry,
+    or any subscript cell's entry, exceeds 2.  The summands are read by
+    ``_summand_counts``.
     """
     gs = tab.gammas
     e = len(gs) - 1
-    for ell in range(3, e + 1):
-        if gs[ell] != gs[ell - 1]:
-            raise EntryTooLarge(f"tableau has entries up to {e}")
-    for ell, _, _ in tab.subscripts:
-        if ell != 2 or e < 2:
-            raise ValueError(
-                f"invalid Klein tableau: subscript cell for entry {ell} outside 2..{min(e, 2)}"
-            )
+    if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)) or any(tab.levels[1:]):
+        raise EntryTooLarge(f"tableau has entries up to {e}")
     counts = _summand_counts(*_level2(tab))
     return S2Object.make(
         (Bipicket(m, r) if r else Picket(ell, m), k) for (ell, m, r), k in counts.items()
@@ -322,9 +320,9 @@ def _row_sum(g, m: int) -> int:
     return sum(map(min, g, repeat(m)))
 
 
-def _hom_len(gs, twos, key: tuple[int, int, int]) -> int:
+def _hom_len(gs, cells, key: tuple[int, int, int]) -> int:
     """Hom length from any object with the chain gs = (g0, g1, g2) and the
-    level-2 symbols twos into the summand key, as in ``_summand_counts``.
+    level-2 cells into the summand key, as in ``_summand_counts``.
 
     For a picket target P(ell, m) it reads off the chain: the boxes of
     g_ell in rows 1..m.  Bipicket targets T(m, r) reduce to picket targets
@@ -334,13 +332,13 @@ def _hom_len(gs, twos, key: tuple[int, int, int]) -> int:
     if not r:
         return _row_sum(gs[ell], m)
     g0, g1, g2 = gs
-    b = sum(1 for row, u in twos if r + 2 <= row <= m and u <= r)
+    b = sum(1 for row, subs in cells if r + 2 <= row <= m for u in subs if u <= r)
     return b + _row_sum(g2, r + 1) + _row_sum(g0, r) + _row_sum(g1, m) - _row_sum(g1, r + 1)
 
 
 def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
     """Hom length from ANY object with the given Klein tableau into y,
-    read by ``_hom_len`` from the chain and the symbols of entry 2."""
+    read by ``_hom_len`` from the chain and the level of entry 2."""
     key = (y.ell, y.m, 0) if isinstance(y, Picket) else (2, y.m, y.r)
     return _hom_len(*_level2(tab), key)
 
@@ -358,9 +356,8 @@ def end_power(obj: S2Object) -> int:
     )
 
 
-def _aut_parts(end: int, mults) -> tuple[int, Counter[int]]:
-    """Order of Aut from log_q #End and the summand multiplicities, as
-    (power, {j: e_j}).
+def _aut_parts(end: int, mults) -> QOrderFactored:
+    """Order of Aut from log_q #End and the summand multiplicities.
 
     In a Krull-Remak-Schmidt category the units of End are the preimage of
     the units of End modulo its radical, a product of matrix rings over the
@@ -371,18 +368,18 @@ def _aut_parts(end: int, mults) -> tuple[int, Counter[int]]:
     the number of summands of multiplicity at least j.
     """
     power = end - sum(k * (k + 1) // 2 for k in mults)
-    return power, Counter(j for k in mults for j in range(1, k + 1))
+    return QOrderFactored.from_parts(power, Counter(j for k in mults for j in range(1, k + 1)))
 
 
 def aut_order(obj: S2Object) -> QOrderFactored:
     """Order of the automorphism group, in factored form (``_aut_parts``)."""
-    return QOrderFactored.from_parts(*_aut_parts(end_power(obj), [k for _, k in obj.summands]))
+    return _aut_parts(end_power(obj), [k for _, k in obj.summands])
 
 
-def aut_exponents(g0, g1, g2, twos) -> tuple[int, Counter[int]]:
+def chain_aut_order(g0, g1, g2, cells) -> QOrderFactored:
     """``aut_order`` of the objects whose entries-<=2 tableau has the chain
-    g0 <= g1 <= g2 (padded with its top) and the level-2 symbols twos, a
-    list of (row m, subscript r), as (power, {j: e_j}).
+    g0 <= g1 <= g2 (padded with its top) and the level-2 cells
+    ((row m, subs), ...), a tableau's ``levels[0]``.
 
     Only plain ints are read: the multiplicities k_y by
     ``_summand_counts``, and End as sum_y k_y * (the Hom length from the
@@ -390,8 +387,8 @@ def aut_exponents(g0, g1, g2, twos) -> tuple[int, Counter[int]]:
     one ``hom_len_indec`` per ordered pair.
     """
     gs = (g0, g1, g2)
-    counts = [(key, k) for key, k in _summand_counts(gs, twos).items() if k]
-    end = sum(k * _hom_len(gs, twos, key) for key, k in counts)
+    counts = [(key, k) for key, k in _summand_counts(gs, cells).items() if k]
+    end = sum(k * _hom_len(gs, cells, key) for key, k in counts)
     return _aut_parts(end, [k for _, k in counts])
 
 

@@ -4,8 +4,10 @@ An LR tableau is a weakly increasing chain of partitions
 ``[g0, ..., ge]`` whose consecutive skews are horizontal strips and which
 satisfies the lattice permutation property.  A Klein tableau is an LR
 tableau plus subscripts (``KleinTableau`` adds only them): every box with
-entry ``ell >= 2`` carries a subscript ``r``, stored per (entry, row) cell
-as a weakly increasing multiset, which the in-row order makes lossless.
+entry ``ell >= 2`` carries a subscript ``r``, stored per entry level as
+(row, multiset) cells, which the in-row order makes lossless.  That level
+tuple is what enumeration yields, restriction slices and the Hall
+memos key on; ``cells()`` is the one flat (entry, row, subs) view.
 
 Every enumeration walks chains down from the top partition in one loop,
 ``_lr_chains``, on one explicit stack of frames: the LR tableaux of a
@@ -24,7 +26,7 @@ The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
 its forced m-1's, and a product over the rows keeps the choices that use
 each r at most as often as strip ell-1 has boxes in row r (condition
-(iv)).  Each level's choices are memoised once per (ell, g_{ell-2},
+(iv)).  Each level's choices are memoised once per chain (g_{ell-2},
 g_{ell-1}, g_ell).  ``validate_klein`` and the decoder in ``s2cat`` read
 the forced ones from ``forced_subscripts``.  A direct sum of any number
 of tableaux merges all chains and symbols in one step.
@@ -90,13 +92,14 @@ class LRTableau:
 
 @dataclass(frozen=True, slots=True)
 class KleinTableau(LRTableau):
-    """An LR tableau plus per-(entry, row) subscript multisets.
+    """An LR tableau plus its subscripts, one level per entry.
 
-    ``subscripts`` holds triples (entry, row, subs) with subs a weakly
-    increasing tuple, sorted by (entry, row); empty cells are omitted.
+    ``levels[ell-2]`` holds the cells ((row, subs), ...) of entry ell,
+    for ell = 2..e, sorted by row, with subs a weakly increasing tuple;
+    empty cells are omitted, and an empty strip's level is ().
     """
 
-    subscripts: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
+    levels: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
 
     @classmethod
     def make(
@@ -104,24 +107,30 @@ class KleinTableau(LRTableau):
         gammas: Sequence[Sequence[int]],
         subscripts: Mapping[Cell, Iterable[int]] | None = None,
     ) -> "KleinTableau":
+        """Group (entry, row) cells into levels; ValueError on an entry outside 2..e."""
         gs = tuple(partition(g) for g in gammas)
-        cells = []
+        e = len(gs) - 1
+        levels: list[list] = [[] for _ in range(e - 1)]
         for (entry, row), subs in (subscripts or {}).items():
             subs = tuple(sorted(int(r) for r in subs))
-            if subs:
-                cells.append((int(entry), int(row), subs))
-        return cls(gs, tuple(sorted(cells)))
+            if not subs:
+                continue
+            entry = int(entry)
+            if not 2 <= entry <= e:
+                raise ValueError(f"subscript cell for entry {entry} outside 2..{e}")
+            levels[entry - 2].append((int(row), subs))
+        return cls(gs, tuple(tuple(sorted(level)) for level in levels))
 
-    def subs_at(self, entry: int, row: int) -> tuple[int, ...]:
-        for ell, m, subs in self.subscripts:
-            if ell == entry and m == row:
-                return subs
-        return ()
+    def cells(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """The flat view: (entry, row, subs) per cell, by entry and row."""
+        for ell, level in enumerate(self.levels, 2):
+            for m, subs in level:
+                yield ell, m, subs
 
     def count_symbols(self, entry, rows=None, subs=None) -> int:
         """Number of symbols with the given entry, row in rows, subscript in subs."""
         total = 0
-        for ell, m, ss in self.subscripts:
+        for ell, m, ss in self.cells():
             if ell != entry:
                 continue
             if rows is not None and m not in rows:
@@ -134,7 +143,7 @@ class KleinTableau(LRTableau):
     def to_json(self) -> dict:
         data = LRTableau.to_json(self)
         data["subscripts"] = [
-            {"entry": ell, "row": m, "subs": list(ss)} for ell, m, ss in self.subscripts
+            {"entry": ell, "row": m, "subs": list(ss)} for ell, m, ss in self.cells()
         ]
         return data
 
@@ -155,13 +164,10 @@ class KleinTableau(LRTableau):
     def to_text(self) -> str:
         """The LR chain's text, then ';entry@row:r1+r2,...'."""
         glist = LRTableau.to_text(self)
-        if not self.subscripts:
-            return glist
         cells = ",".join(
-            f"{ell}@{m}:" + "+".join(str(r) for r in ss)
-            for ell, m, ss in self.subscripts
+            f"{ell}@{m}:" + "+".join(str(r) for r in ss) for ell, m, ss in self.cells()
         )
-        return f"{glist};{cells}"
+        return f"{glist};{cells}" if cells else glist
 
     @classmethod
     def from_text(cls, text: str) -> "KleinTableau":
@@ -255,10 +261,11 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
         return False, reason
     gs = tuple(partition(g) for g in tab.gammas)
     e = len(gs) - 1
-    declared = {(ell, m): subs for ell, m, subs in tab.subscripts}
+    # make gives one level per entry 2..e; a tableau built directly may not
+    if len(tab.levels) != max(e - 1, 0):
+        return False, f"{len(tab.levels)} subscript levels for entries 2..{e}"
+    declared = {(ell, m): subs for ell, m, subs in tab.cells()}
     for (ell, m), subs in declared.items():
-        if not 2 <= ell <= e:
-            return False, f"subscript cell for entry {ell} outside 2..{e}"
         if any(subs[i] > subs[i + 1] for i in range(len(subs) - 1)):
             return False, f"cell ({ell},{m}) subscripts not weakly increasing"
     for ell in range(2, e + 1):
@@ -372,11 +379,11 @@ def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
 
 @lru_cache(maxsize=1 << 14)
 def _level_subscripts(
-    ell: int, low: Partition, mid: Partition, top: Partition
-) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
-    """Subscript cells (ell, row, subs) for entry ell of the chain
-    (low, mid, top), in canonical order; memoised per level, with ell in
-    the key because the cells carry it.
+    low: Partition, mid: Partition, top: Partition
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Every level ((row, subs), ...) that the top entry of the chain
+    (low, mid, top) can carry, in canonical order; memoised per chain,
+    whatever the entry.
 
     The caps of (iv) are the boxes per row of the strip mid \\ low.  Each
     row m of the strip top \\ mid draws its free subscripts (ii) by
@@ -395,8 +402,8 @@ def _level_subscripts(
         symbols = [r for r in range(1, m) if caps[r]]
         free = combinations_with_replacement(symbols, counts[m] - need)
         choices = (c + (m - 1,) * need for c in free)
-        rows.append([(ell, m, subs) for subs in choices if _fits(subs, caps)])
-    return tuple(c for c in product(*rows) if _fits(sum((subs for _, _, subs in c), ()), caps))
+        rows.append([(m, subs) for subs in choices if _fits(subs, caps)])
+    return tuple(c for c in product(*rows) if _fits(sum((subs for _, subs in c), ()), caps))
 
 
 def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
@@ -405,12 +412,12 @@ def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
     Choices for distinct entries are independent, so the result is a
     cartesian product of per-entry subscript assignments; each level
     comes in canonical order, so the product does too.  Each level is one
-    ``_level_subscripts`` entry, keyed on (ell, g_{ell-2}, g_{ell-1}, g_ell)
-    and shared by every LR tableau through that level.
+    ``_level_subscripts`` entry, keyed on (g_{ell-2}, g_{ell-1}, g_ell)
+    and shared by every LR tableau through that chain.
     """
     gs = lr.gammas
-    levels = (_level_subscripts(ell, *gs[ell - 2 : ell + 1]) for ell in range(2, len(gs)))
-    return tuple(KleinTableau(gs, sum(combo, ())) for combo in product(*levels))
+    levels = (_level_subscripts(*gs[ell - 2 : ell + 1]) for ell in range(2, len(gs)))
+    return tuple(KleinTableau(gs, combo) for combo in product(*levels))
 
 
 def enumerate_klein(alpha, beta, gamma) -> tuple[KleinTableau, ...]:
@@ -439,7 +446,7 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
         for gs in _lr_chains(beta, s)
         for tab in enumerate_klein_refinements(LRTableau(gs))
     ]
-    out.sort(key=lambda t: (len(t.gammas), t.gammas, t.subscripts))
+    out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)
 
 
@@ -461,13 +468,9 @@ def restrict(tab: KleinTableau, ell: int, u: int) -> KleinTableau:
     gammas = tab.gammas[shift : ell + 1]
     if ell > e:
         gammas += (tab.gammas[e],)
-    # shifting every entry by the same amount keeps the (entry, row) order
-    subs = tuple(
-        (entry - shift, m, ss)
-        for entry, m, ss in tab.subscripts
-        if entry - shift >= 2 and entry <= ell
-    )
-    return KleinTableau(gammas, subs)
+    # the new entries 2..u are the old shift+2..ell, padded at ell = e+1;
+    # u <= 1 keeps none
+    return KleinTableau(gammas, (tab.levels + ((),))[shift : max(ell - 1, shift)])
 
 
 def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
@@ -478,13 +481,20 @@ def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
     gammas = [merge(*(tab.gammas[min(ell, tab.e)] for tab in tabs)) for ell in range(e + 1)]
     cells: dict[Cell, list[int]] = {}
     for tab in tabs:
-        for entry, m, ss in tab.subscripts:
+        for entry, m, ss in tab.cells():
             cells.setdefault((entry, m), []).extend(ss)
     return KleinTableau.make(gammas, cells)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def check_diagram_size(boxes: int) -> None:
+    """CapExceeded when a diagram of this many boxes is over the general cap."""
+    cap = general_cap()
+    if boxes > cap:
+        raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
 
 
 def ascii_diagram(tab: LRTableau) -> str:
@@ -499,9 +509,7 @@ def ascii_diagram(tab: LRTableau) -> str:
     beta = tab.beta
     if not beta:
         return "(empty)"
-    boxes, cap = sum(beta), general_cap()
-    if boxes > cap:
-        raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
+    check_diagram_size(sum(beta))
     ncols = len(beta)
     padded = [_padded(g, ncols) for g in tab.gammas]
     columns: list[list[str]] = []
@@ -517,7 +525,7 @@ def ascii_diagram(tab: LRTableau) -> str:
             col += [str(ell) if ell else "."] * (g[i] - len(col))
         columns.append(col)
     # distribute each cell's sorted subscripts to its columns left to right
-    for entry, m, ss in tab.subscripts if isinstance(tab, KleinTableau) else ():
+    for entry, m, ss in tab.cells() if isinstance(tab, KleinTableau) else ():
         for i, r in zip(spots.get((entry, m), ()), ss):
             columns[i][m - 1] = f"{entry}_{r}"
     width = max(len(v) for col in columns for v in col) + 1

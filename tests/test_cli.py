@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hallkit.caps import general_cap
 from hallkit.cli import main
 from hallkit.hall import hall_polynomial
 from hallkit.qforms import evaluate
@@ -159,6 +160,23 @@ def test_invalid_tableau_exits_one(capsys):
     assert json.loads(err) == {
         "error": "ValueError",
         "message": "not a Klein tableau: chain not weakly increasing at level 1",
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/2;5@2:1",
+        json.dumps({"gammas": [[1], [2]], "subscripts": [{"entry": 5, "row": 2, "subs": [1]}]}),
+    ],
+)
+def test_cell_outside_the_entries_exits_one(capsys, text):
+    # the tableau is refused as it is built, in either form
+    code, out, err = run(capsys, "decompose", "--tableau", text)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "subscript cell for entry 5 outside 2..1",
     }
 
 
@@ -322,6 +340,20 @@ def test_huge_diagram_exits_one_at_once(capsys, fmt):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "CapExceeded"
     assert "diagram of 99999999999 boxes exceeds cap" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_object_exits_one_at_once(capsys, fmt):
+    # 99,999,999 copies of P(1,1) make a diagram of that many boxes, over
+    # the general cap: refused before any summand tableau is merged
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--object", "99999999*P(1,1)", "--format", fmt)
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": f"diagram of 99999999 boxes exceeds cap {general_cap()}",
+    }
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

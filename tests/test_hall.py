@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -16,7 +17,7 @@ from hallkit.hall import (
     lr_multiplicity,
 )
 from hallkit.partitions import partitions_of
-from hallkit.qforms import QOrderFactored, QPolynomial
+from hallkit.qforms import QOrderFactored, QPolynomial, evaluate
 from hallkit.s2cat import aut_order, aut_order_module, object_of_tableau
 from hallkit.tableaux import (
     KleinTableau,
@@ -191,9 +192,9 @@ def test_memo_holds_one_entry_per_restriction():
 
 
 def test_level_memos_hold_one_entry_per_level():
-    # a level's subscript choices are one miss per (ell, g_{ell-2}, g_{ell-1},
-    # g_ell), and its factor one miss per distinct 2-restriction: the chain
-    # (padded at ell = e+1) and the cells of entry ell relabelled to 2
+    # a level's subscript choices are one miss per chain (g_{ell-2},
+    # g_{ell-1}, g_ell), whatever ell, and its factor one miss per distinct
+    # 2-restriction: the chain (padded at ell = e+1) and the level's cells
     tabs = [
         tab
         for n in range(7)
@@ -208,10 +209,47 @@ def test_level_memos_hold_one_entry_per_level():
     for tab in tabs:
         hall_multiplicity_factored(tab)
         assert tab in enumerate_klein_refinements(tab)
-    levels = {(ell, *tab.gammas[ell - 2 : ell + 1]) for tab in tabs for ell in range(2, tab.e + 1)}
+    levels = {tab.gammas[ell - 2 : ell + 1] for tab in tabs for ell in range(2, tab.e + 1)}
     shorts = {restrict(tab, ell, 2) for tab in tabs for ell in range(2, tab.e + 2)}
     assert tableaux._level_subscripts.cache_info().misses == len(levels)
     assert hall._level_factor.cache_info().misses == len(shorts)
+
+
+def test_refinement_sum_factors_over_levels():
+    # a level's factor depends on its chain and its own cells, and the
+    # levels of a refinement are chosen independently, so the sum over the
+    # Klein refinements of an LR tableau is prod_{ell=2}^{e+1} of
+    # S(g_{ell-2}, g_{ell-1}, g_ell), the sum of _level_factor over the
+    # level tuples that _level_subscripts yields (the padded level, with an
+    # empty strip, yields one empty level)
+    def value(form, q):
+        out = Fraction(q) ** form.power
+        for j, e in form.factors:
+            out *= Fraction(q**j - 1) ** e
+        return out
+
+    lrs = [
+        lr
+        for n in range(9)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+        for lr in enumerate_lr(alpha, beta, gamma)
+    ]
+    assert len(lrs) == 1351
+    for lr in lrs:
+        gs = lr.gammas + (lr.beta,)
+        chains = list(zip(gs, gs[1:], gs[2:]))
+        want = lr_multiplicity(lr)
+        for q in (2, 3, 5):
+            product_of_sums = Fraction(1)
+            for chain in chains:
+                product_of_sums *= sum(
+                    value(hall._level_factor(*chain, cells), q)
+                    for cells in tableaux._level_subscripts(*chain)
+                )
+            assert product_of_sums == evaluate(want, q), (lr, q)
 
 
 def test_expansion_memo_expands_each_distinct_product_once():

@@ -7,10 +7,10 @@ from hallkit.s2cat import (
     Bipicket,
     Picket,
     S2Object,
-    aut_exponents,
     aut_order,
     aut_order_module,
     bipicket,
+    chain_aut_order,
     end_power,
     enumerate_objects,
     hom_len_indec,
@@ -20,7 +20,7 @@ from hallkit.s2cat import (
     parse_object,
     tableau_of_object,
 )
-from hallkit.tableaux import KleinTableau, enumerate_klein_entries2
+from hallkit.tableaux import KleinTableau, enumerate_klein_entries2, restrict
 
 T42 = Bipicket(4, 2)
 P13 = Picket(1, 3)
@@ -66,12 +66,14 @@ def test_object_of_tableau_rejects_large_entries():
 
 
 def test_object_of_tableau_rejects_cells_of_other_entries():
-    # validate_klein rejects both; the decoder must not read past them
-    tab = KleinTableau.make([(), (1,), (2,)], {(2, 2): [1], (5, 2): [1]})
+    # no tableau carries a cell outside its entries 2..e, so the decoder
+    # never reads past one; symbols of entry 3 on an empty strip are refused
     with pytest.raises(ValueError, match="entry 5 outside 2..2"):
-        object_of_tableau(tab)
+        KleinTableau.make([(), (1,), (2,)], {(2, 2): [1], (5, 2): [1]})
     with pytest.raises(ValueError, match="entry 2 outside 2..1"):
-        object_of_tableau(KleinTableau.make([(), (1,)], {(2, 2): [1]}))
+        KleinTableau.make([(), (1,)], {(2, 2): [1]})
+    with pytest.raises(EntryTooLarge):
+        object_of_tableau(KleinTableau.make([(), (1,), (2,), (2,)], {(2, 2): [1], (3, 2): [1]}))
     assert object_of_tableau(KleinTableau.make([(), (1,), (2,)], {(2, 2): [1]})) == S2Object.of(
         Picket(2, 2)
     )
@@ -94,7 +96,7 @@ def test_padded_chain_decodes_to_the_same_object():
     for n in range(9):
         for beta in partitions_of(n):
             for tab in enumerate_klein_entries2(beta):
-                padded = KleinTableau(tab.gammas + (tab.beta,), tab.subscripts)
+                padded = restrict(tab, tab.e + 1, tab.e + 1)
                 assert object_of_tableau(padded) == object_of_tableau(tab)
 
 
@@ -153,8 +155,7 @@ def test_chain_aut_orders_match_decoded_objects():
     assert len(tabs) == 3170
     for tab in tabs:
         g0, g1, g2 = (tab.gammas + (tab.beta,) * 2)[:3]
-        twos = [(m, r) for _, m, ss in tab.subscripts for r in ss]
-        chain_side = QOrderFactored.from_parts(*aut_exponents(g0, g1, g2, twos))
+        chain_side = chain_aut_order(g0, g1, g2, (tab.levels + ((),))[0])
         assert chain_side == aut_order(object_of_tableau(tab)), tab
 
 
@@ -168,8 +169,6 @@ def test_aut_order_module_examples():
 def test_worked_example_restriction_orders():
     # the three automorphism-group orders produced along the telescoping
     # product for the middle tableau of the worked example
-    from hallkit.tableaux import restrict
-
     pi2 = KleinTableau.make(
         [(2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)],
         {(2, 2): [1], (2, 3): [2], (3, 4): [2]},

@@ -76,9 +76,10 @@ CHAIN = [(2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)]
 @pytest.mark.parametrize(
     "tab, reason",
     [
-        (KleinTableau.make([(1,), (2,)], {(2, 2): [1]}), "subscript cell for entry 2 outside 2..1"),
+        # built directly, a tableau can carry a level past its last entry
+        (KleinTableau(((1,), (2,)), (((2, (1,)),),)), "1 subscript levels for entries 2..1"),
         (
-            KleinTableau(tuple(CHAIN), ((2, 2, (1,)), (2, 3, (2, 1)), (3, 4, (2,)))),
+            KleinTableau(tuple(CHAIN), (((2, (1,)), (3, (2, 1))), ((4, (2,)),))),
             "cell (2,3) subscripts not weakly increasing",
         ),
         (KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [2]}), "cell (3,4) has 0 subscripts, needs 1"),
@@ -103,6 +104,18 @@ CHAIN = [(2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)]
 )
 def test_validate_klein_reasons(tab, reason):
     assert validate_klein(tab) == (False, reason)
+
+
+def test_make_refuses_cells_outside_the_entries():
+    # a subscript cell's entry must lie in 2..e, whatever builds the tableau
+    with pytest.raises(ValueError, match=r"^subscript cell for entry 2 outside 2\.\.1$"):
+        KleinTableau.make([(1,), (2,)], {(2, 2): [1]})
+    with pytest.raises(ValueError, match=r"^subscript cell for entry 1 outside 2\.\.2$"):
+        KleinTableau.make([(), (1,), (2,)], {(1, 1): [1]})
+    # an empty cell is dropped, not checked; every entry 2..e gets a level
+    tab = KleinTableau.make([(), (1,), (2,), (2,)], {(5, 1): [], (2, 2): [1]})
+    assert tab.levels == (((2, (1,)),), ())
+    assert list(tab.cells()) == [(2, 2, (1,))]
 
 
 def test_tableau_type_examples():
@@ -196,10 +209,10 @@ def test_klein_refinement_examples():
     # pickets refine uniquely: all subscripts forced to row - 1
     picket_lr = LRTableau(((3,), (4,), (5,)))
     (only,) = enumerate_klein_refinements(picket_lr)
-    assert only.subs_at(2, 5) == (4,)
+    assert only.levels == (((5, (4,)),),)
     # the bipicket tableau has the unique subscript r = 2
     (only,) = enumerate_klein_refinements(LRTableau(((3, 1), (3, 2), (4, 2))))
-    assert only.subs_at(2, 4) == (2,)
+    assert only.levels == (((4, (2,)),),)
 
 
 def test_enumerate_klein_examples():
@@ -241,9 +254,9 @@ def _brute_force_refinements(lr):
             k = row_length(gs[ell], m) - row_length(gs[ell - 1], m)
             if k:
                 options = sorted({tuple(sorted(t)) for t in product(range(1, m), repeat=k)})
-                cells.append([(ell, m, subs) for subs in options])
-    tabs = (KleinTableau(gs, combo) for combo in product(*cells))
-    return sorted((t for t in tabs if validate_klein(t)[0]), key=lambda t: t.subscripts)
+                cells.append([((ell, m), subs) for subs in options])
+    tabs = (KleinTableau.make(gs, dict(combo)) for combo in product(*cells))
+    return sorted((t for t in tabs if validate_klein(t)[0]), key=lambda t: list(t.cells()))
 
 
 def test_klein_refinements_match_brute_force():
@@ -417,7 +430,7 @@ def test_enumeration_is_deterministic():
     first = enumerate_klein((3, 2, 1), (4, 3, 2), (2, 1))
     second = enumerate_klein((3, 2, 1), (4, 3, 2), (2, 1))
     assert first == second
-    keys = [(t.gammas, t.subscripts) for t in first]
+    keys = [(t.gammas, list(t.cells())) for t in first]
     assert keys == sorted(keys)
 
 
