@@ -21,8 +21,8 @@ subgroup.  Types are read off the orders of the layers p^i M
 quotient B/X.  Every type reading
 (``module_type``, ``Embedding.subgroup_type``, ``quotient_type``) goes
 through one bounded ``lru_cache`` keyed on the tuple of layer orders and
-p: the census of every beta with |beta| <= 7 at p = 2 reads 107,417
-types but only 45 distinct order vectors, so almost every reading is a
+p: the census of every beta with |beta| <= 7 at p = 2 reads 51,534
+types but only 44 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
 canonical tuples, so ``klein_tableau`` builds its tableau from them and
 from the levels of subscript runs it appends in increasing r, without a
@@ -30,11 +30,23 @@ second pass through ``KleinTableau.make``, which stays the normaliser
 for outside input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
 with no scan of B.  Subgroups grow by one rule, ``span`` from a base,
-here and in the oracle's walk, and bases come from one greedy rule
+here and in the oracle's walk, each coset H + g as one
+``map(add, H, repeat(g))``, and bases come from one greedy rule
 (``_greedy_basis``), for a subgroup's generators and for the quotient
 B/p^ell A of a truncation, which keeps only the spans below each basis
 vector and packs each generator of A from the coordinates peeled off
 them (``_peel``), so no coordinate table of B is built.
+
+A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
+only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
+of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
+each step (``_link``) puts the type of B/U and the entry-2 level of U
+on the tableau of pU, from (beta,) for the zero subgroup up to A.  A
+caller that types many subgroups of one ambient passes one dict of
+links to all of them: the oracle's census passes one per census, so a
+p^i A shared by many subgroups is typed once.  In a link's r-loop the
+sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``, which is pY itself,
+with no coset built, when pY holds p^2 U.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
 span, its p-chain, its greedy generators and its truncations, one per
@@ -44,7 +56,13 @@ cap.  Derived embeddings inherit their chains instead of scaling again:
 ``reduce(E, s)`` takes the tail E.chain()[s:], so a subfactor takes a
 tail of its cached truncation's chain, and ``lift`` starts its chain
 p^{-1}A, A & pB from the intersection it takes the preimage of (A alone
-when s = 0); ``Embedding.chain`` scales the rest when first used.
+when s = 0); ``Embedding.chain`` scales the rest when first used.  They
+inherit no tableau, but under the fold the tableau of reduce(E, s)
+repeats the links on E.chain()[s:] that E's own tableau was built on,
+so comparing it with a restriction of E's tableau checks ``restrict``
+and the chain tail, not the levels ``_link`` reads.  Those levels are
+checked by the pinned census digest of the tests and by the
+realization-fidelity and symbol-multiplicity checks of ``verify``.
 """
 
 from __future__ import annotations
@@ -52,6 +70,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -196,7 +215,7 @@ def span(
         grown = set(H)
         cur = g
         while cur not in grown:
-            grown.update(add(h, cur) for h in H)
+            grown.update(map(add, H, repeat(cur)))
             cur = add(cur, g)
         H = grown
     return frozenset(H)
@@ -412,47 +431,65 @@ def lr_tableau(E: Embedding) -> LRTableau:
     return LRTableau(tuple(quotient_type(amb, Ai) for Ai in E.chain()))
 
 
-def klein_tableau(E: Embedding) -> KleinTableau:
-    """Subscripted tableau of an embedding.
+def _link(
+    amb: AmbientModule, U: SubgroupSet, p2U: SubgroupSet, below: KleinTableau
+) -> KleinTableau:
+    """The Klein tableau of U <= B on the tableau ``below`` of pU <= B:
+    only the type of B/U and the entry-2 level are new (see the module
+    docstring).  That level's chain of types of B / X_r, with
+    X_r = p^2 U + p(U intersect p^r B), over r = 1..n-1, n the exponent
+    of B, grows from g^1 to g^2; the boxes appearing at step r get
+    subscript r.
+    """
+    gammas = (quotient_type(amb, U),) + below.gammas
+    if len(gammas) < 3:
+        return KleinTableau(gammas)
+    subs: dict[int, list[int]] = {}
+    Y, prev_Y, prev_type = U, None, gammas[1]
+    for r in range(1, amb.beta[0]):
+        Y = Y & amb.p_power_set(r)
+        if Y == prev_Y:
+            continue
+        prev_Y = Y
+        pY = scale(amb, Y)
+        cur = quotient_type(amb, span(amb, p2U, pY))
+        if cur == prev_type:
+            continue
+        for m, grow in strip_row_counts(cur, prev_type).items():
+            subs.setdefault(m, []).extend([r] * grow)
+        prev_type = cur
+        if cur == gammas[2]:  # X_r only shrinks, to p^2 U
+            break
+    if prev_type != gammas[2]:
+        raise AssertionError("subscript chain did not reach the strip top")
+    level = tuple(sorted((m, tuple(rs)) for m, rs in subs.items()))
+    return KleinTableau(gammas, (level,) + below.levels)
 
-    For each entry level ell, the chain of types of
-    B / (p^ell A + p(p^{ell-2} A intersect p^r B)) over r = 0..n-1 grows
-    from g^{ell-1} to g^ell; the boxes appearing at step r get subscript
-    r.  Here n is the exponent of the ambient module.  The gammas are
-    canonical and each level's cells get their subscripts appended in
-    increasing r, so the tableau is built directly, not through
-    ``KleinTableau.make``.
+
+def klein_tableau(
+    E: Embedding, links: dict[SubgroupSet, KleinTableau] | None = None
+) -> KleinTableau:
+    """Subscripted tableau of an embedding: one ``_link`` per step up its
+    p-chain, from (beta,) for the zero subgroup or from the first p^i A,
+    i >= 1, whose tableau ``links`` holds.  The links built below A are
+    stored there; A itself, which is seldom a p-multiple, is not.
+    ``links`` is keyed on bare subgroup sets, which mean something only
+    inside one ambient, so one dict must serve ``E.ambient`` alone.  The
+    gammas are canonical and each level's cells get their subscripts
+    appended in increasing r, so the tableau is built directly, not
+    through ``KleinTableau.make``.
     """
     amb = E.ambient
     chain = E.chain()
-    e = len(chain) - 1
-    gammas = lr_tableau(E).gammas
-    n = amb.beta[0] if amb.beta else 0
-    levels = []
-    for ell in range(2, e + 1):
-        subs: dict[int, list[int]] = {}
-        pellA = chain[ell]
-        Y = chain[ell - 2]
-        prev_Y = None
-        prev_type = gammas[ell - 1]
-        for r in range(1, n):
-            Y = Y & amb.p_power_set(r)
-            if Y == prev_Y:
-                continue
-            prev_Y = Y
-            X = span(amb, scale(amb, Y), pellA)
-            cur = quotient_type(amb, X)
-            if cur == prev_type:
-                continue
-            for m, grow in strip_row_counts(cur, prev_type).items():
-                subs.setdefault(m, []).extend([r] * grow)
-            prev_type = cur
-            if cur == gammas[ell]:  # X_r only shrinks, to p^ell A
-                break
-        if prev_type != gammas[ell]:
-            raise AssertionError("subscript chain did not reach the strip top")
-        levels.append(tuple(sorted((m, tuple(rs)) for m, rs in subs.items())))
-    return KleinTableau(gammas, tuple(levels))
+    known = {} if links is None else links
+    i = next((i for i in range(1, len(chain)) if chain[i] in known), len(chain) - 1)
+    tab = known.get(chain[i]) or KleinTableau((amb.beta,))
+    chain = chain + chain[-1:]  # p^{e+1} A = 0 too
+    for j in range(i - 1, -1, -1):
+        tab = _link(amb, chain[j], chain[j + 2], tab)
+        if j:
+            known[chain[j]] = tab
+    return tab
 
 
 # ---------------------------------------------------------------------------

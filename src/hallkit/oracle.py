@@ -3,7 +3,8 @@
 Everything here is exhaustive enumeration under the configured caps:
 subgroup lattices by triangular generators, one coordinate at a time,
 each extension the ``span`` of one generator over the subgroup so far,
-which yields each subgroup exactly once; and morphisms by one walk over
+which yields each subgroup exactly once (a visited coset y + W is
+marked as one ``map(add, W, repeat(y))``); and morphisms by one walk over
 the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
 The walk builds each generator's image once per prefix of unit images
 and adds the last unit's term per map.  Hom counts count that walk;
@@ -19,10 +20,13 @@ order of a span over Z/p^N (``zpn.span_exponent``);
 ``adjointness_check`` reads it, and tests compare it with the walk.
 
 The census of M(beta) is one read-only ``Census`` record per (p, beta).
-It counts each subgroup once, by the Klein tableau of its embedding.  A
-tableau of type (alpha, beta, gamma) carries the subgroup's type alpha
-(the conjugate of its strip sizes) and quotient type gamma (its base),
-so a type pair's count is the sum of its tableaux' counts:
+It counts each subgroup once, by the Klein tableau of its embedding,
+folded up its p-chain onto the links that earlier subgroups stored in
+one dict of the census (``klein_tableau(E, links)``), so each p^i A
+that many subgroups share is typed once; the dict is freed with the
+census.  A tableau of type (alpha, beta, gamma) carries the subgroup's
+type alpha (the conjugate of its strip sizes) and quotient type gamma
+(its base), so a type pair's count is the sum of its tableaux' counts:
 g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
 """
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby, product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -102,7 +106,7 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
             y = chain[0]
             if y in covered or chain[b] not in W:
                 continue
-            covered.update(add(y, w) for w in W)
+            covered.update(map(add, W, repeat(y)))
             for j in range(b):
                 if chain[b - j] not in W:
                     break
@@ -130,8 +134,10 @@ def census(p: int, beta, cap: int | None = None) -> Census:
     key = (p, amb.beta)
     if key not in _censuses:
         start = time.monotonic()
+        links: dict[SubgroupSet, KleinTableau] = {}  # freed with the census
         tableaux = Counter(
-            klein_tableau(Embedding(amb, subgroup=U)) for U in enumerate_subgroups(p, amb.beta, cap)
+            klein_tableau(Embedding(amb, subgroup=U), links)
+            for U in enumerate_subgroups(p, amb.beta, cap)
         )
         types = Counter()
         for tab, count in tableaux.items():

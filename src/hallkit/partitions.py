@@ -9,6 +9,7 @@ for parts-as-columns.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate, chain, zip_longest
 from math import comb
 from typing import Iterable, Iterator
@@ -22,12 +23,12 @@ def partition(parts: Iterable[int]) -> Partition:
     Trailing zeros are stripped; anything else that is not weakly
     decreasing and positive raises ValueError.
     """
-    t = tuple(int(x) for x in parts)
+    t = tuple(map(int, parts))
     while t and t[-1] == 0:
         t = t[:-1]
-    if any(x <= 0 for x in t):
+    if t and min(t) <= 0:
         raise ValueError(f"parts must be positive: {t}")
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
+    if any(map(operator.lt, t, t[1:])):
         raise ValueError(f"parts must be weakly decreasing: {t}")
     return t
 

@@ -109,6 +109,8 @@ class KleinTableau(LRTableau):
     ) -> "KleinTableau":
         """Group (entry, row) cells into levels; ValueError on an entry outside 2..e."""
         gs = tuple(partition(g) for g in gammas)
+        if not gs:
+            return cls(gs)  # the empty chain's own error, before any entry range
         e = len(gs) - 1
         levels: list[list] = [[] for _ in range(e - 1)]
         for (entry, row), subs in (subscripts or {}).items():

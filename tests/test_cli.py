@@ -180,6 +180,18 @@ def test_cell_outside_the_entries_exits_one(capsys, text):
     }
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_empty_chain_with_a_cell_exits_one(capsys, fmt):
+    # the empty chain is reported before the range of a subscript cell
+    text = json.dumps({"gammas": [], "subscripts": [{"entry": 2, "row": 2, "subs": [1]}]})
+    code, out, err = run(capsys, "decompose", "--tableau", text, "--format", fmt)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "an LR tableau needs at least one partition",
+    }
+
+
 def test_oracle_hall(capsys):
     code, out, _ = run(
         capsys,

@@ -116,6 +116,30 @@ def test_census_types_are_tableau_types():
                     assert E.subgroup_type() == tableau_type(emb.klein_tableau(E))[0]
 
 
+def test_census_shared_links_match_unshared_tableaux(monkeypatch):
+    # the census folds each subgroup's tableau onto the links of its
+    # p-chain that earlier subgroups stored; each must equal the tableau
+    # folded from the zero subgroup up with nothing shared
+    shared = []  # the number of stored links at each call
+
+    def spy(E, links=None):
+        tab = emb.klein_tableau(E, links)
+        fresh = emb.Embedding(E.ambient, subgroup=E.subgroup)
+        assert tab == emb.klein_tableau(fresh), (E.p, E.beta, sorted(E.subgroup))
+        shared.append(len(links))
+        return tab
+
+    monkeypatch.setattr(oracle, "klein_tableau", spy)
+    monkeypatch.setattr(oracle, "_censuses", {})
+    subgroups = 0
+    for p, max_size in ((2, 6), (3, 4)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                oracle.census(p, beta)
+                subgroups += sum(1 for _ in oracle.enumerate_subgroups(p, beta))
+    assert len(shared) == subgroups and max(shared) > 0
+
+
 def test_census_consistency():
     for beta in [(2, 1), (1, 1, 1), (3, 1)]:
         census = oracle.hall_census(2, beta)

@@ -28,10 +28,19 @@ def test_partition_normalizes_trailing_zeros():
 def test_partition_rejects_bad_input():
     import pytest
 
-    with pytest.raises(ValueError):
-        partition((1, 2))
-    with pytest.raises(ValueError):
-        partition((2, -1))
+    # the messages and the order of the checks are pinned
+    cases = [
+        ((2, -1), "parts must be positive: (2, -1)"),
+        ((3, -1), "parts must be positive: (3, -1)"),
+        ((3, 0, 2), "parts must be positive: (3, 0, 2)"),
+        ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+        ((0, -1, 0), "parts must be positive: (0, -1)"),
+        (("a",), "invalid literal for int() with base 10: 'a'"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError) as info:
+            partition(parts)
+        assert str(info.value) == message
 
 
 def test_conjugate_examples():

@@ -112,6 +112,9 @@ def test_make_refuses_cells_outside_the_entries():
         KleinTableau.make([(1,), (2,)], {(2, 2): [1]})
     with pytest.raises(ValueError, match=r"^subscript cell for entry 1 outside 2\.\.2$"):
         KleinTableau.make([(), (1,), (2,)], {(1, 1): [1]})
+    # an empty chain is refused as such before any cell's entry range
+    with pytest.raises(ValueError, match=r"^an LR tableau needs at least one partition$"):
+        KleinTableau.make([], {(2, 2): [1]})
     # an empty cell is dropped, not checked; every entry 2..e gets a level
     tab = KleinTableau.make([(), (1,), (2,), (2,)], {(5, 1): [], (2, 2): [1]})
     assert tab.levels == (((2, (1,)),), ())
