@@ -36,6 +36,7 @@ from .partitions import (
 from .qforms import QOrderFactored, QPolynomial, evaluate, gl_order
 from .s2cat import (
     Bipicket,
+    Indecomposable,
     Picket,
     S2Object,
     aut_order,

@@ -77,7 +77,7 @@ from typing import Iterable, Sequence
 from .caps import general_cap
 from .errors import CapExceeded
 from .partitions import Partition, conjugate, partition
-from .s2cat import Bipicket, S2Object, object_of_tableau
+from .s2cat import S2Object, object_of_tableau
 from .tableaux import KleinTableau, LRTableau, strip_row_counts
 
 SubgroupSet = frozenset  # of packed element ints, always containing 0
@@ -551,12 +551,8 @@ def object_embedding(obj: S2Object, p: int, cap: int | None = None) -> Embedding
     object's summands, after the empty embedding, so the zero object has
     one too."""
     pieces = []
-    for x, k in obj.summands:
-        piece = (
-            bipicket_embedding(p, x.m, x.r, cap)
-            if isinstance(x, Bipicket)
-            else picket_embedding(p, x.ell, x.m, cap)
-        )
+    for (ell, m, r), k in obj.summands:
+        piece = bipicket_embedding(p, m, r, cap) if r else picket_embedding(p, ell, m, cap)
         pieces += [piece] * k
     return direct_sum(empty_embedding(p, cap), *pieces, cap=cap)
 

@@ -1,12 +1,15 @@
 """Objects with p^2-bounded subgroup: pickets, bipickets, and the tableau
 bijection, plus Hom lengths and automorphism-group orders.
 
-An object is a multiset of indecomposables.  ``Picket(ell, m)`` is a
-cyclic subgroup of order p^ell inside a cyclic group of order p^m
-(ell <= min(2, m)); ``Bipicket(m, r)`` is the diagonal embedding of a
-cyclic p^2-bounded subgroup into a sum of two cyclic groups of orders
-p^m, p^r with 1 <= r <= m-2.  The boundary case r = m-1 is stored
-canonically as Picket(2, m).
+An object is a multiset of indecomposables, and an indecomposable has
+one form, the ``Indecomposable`` tuple (ell, m, r) of plain ints.  The
+picket P(ell, m) = (ell, m, 0) is a cyclic subgroup of order p^ell inside
+a cyclic group of order p^m (ell <= min(2, m), m >= 1: P(0, 0) is the
+zero module and is refused); the bipicket T(m, r) = (2, m, r) is the
+diagonal embedding of a cyclic p^2-bounded subgroup into a sum of two
+cyclic groups of orders p^m, p^r with 1 <= r <= m-2.  The boundary case
+r = m-1 is stored canonically as P(2, m).  ``Picket``, ``Bipicket`` and
+``bipicket`` are the checked constructors of outside input.
 
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
 n-ary direct sum of the summands' tableaux, and one read of the level-2
@@ -23,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EntryTooLarge
 from .partitions import partition
@@ -32,41 +35,35 @@ from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
 from .tableaux import forced_subscripts, strip_row_counts
 
 
-@dataclass(frozen=True, order=True)
-class Picket:
+class Indecomposable(NamedTuple):
+    """One summand, named by plain ints: P(ell, m) is (ell, m, 0) and
+    T(m, r) is (2, m, r), so a bare (ell, m, r) tuple equals and hashes as
+    the summand it names."""
+
     ell: int
     m: int
-
-    def __post_init__(self):
-        if not 0 <= self.ell <= min(2, self.m):
-            raise ValueError(f"invalid picket P_{self.ell}^{self.m}")
-
-    @property
-    def size(self) -> int:
-        return self.m
-
-    def __str__(self) -> str:
-        return f"P({self.ell},{self.m})"
-
-
-@dataclass(frozen=True, order=True)
-class Bipicket:
-    m: int
     r: int
-
-    def __post_init__(self):
-        if not 1 <= self.r <= self.m - 2:
-            raise ValueError(f"invalid bipicket T({self.m},{self.r})")
 
     @property
     def size(self) -> int:
         return self.m + self.r
 
     def __str__(self) -> str:
-        return f"T({self.m},{self.r})"
+        return f"T({self.m},{self.r})" if self.r else f"P({self.ell},{self.m})"
 
 
-Indecomposable = Picket | Bipicket
+def Picket(ell: int, m: int) -> Indecomposable:
+    """P(ell, m), checked: 0 <= ell <= min(2, m) and m >= 1."""
+    if not 0 <= ell <= min(2, m) or m < 1:
+        raise ValueError(f"invalid picket P_{ell}^{m}")
+    return Indecomposable(ell, m, 0)
+
+
+def Bipicket(m: int, r: int) -> Indecomposable:
+    """T(m, r), checked: 1 <= r <= m-2."""
+    if not 1 <= r <= m - 2:
+        raise ValueError(f"invalid bipicket T({m},{r})")
+    return Indecomposable(2, m, r)
 
 
 def bipicket(m: int, r: int) -> Indecomposable:
@@ -76,12 +73,6 @@ def bipicket(m: int, r: int) -> Indecomposable:
     return Bipicket(m, r)
 
 
-def _sort_key(x: Indecomposable):
-    if isinstance(x, Picket):
-        return (0, x.ell, x.m, 0)
-    return (1, 2, x.m, x.r)
-
-
 @dataclass(frozen=True)
 class S2Object:
     """Multiset of indecomposables with positive multiplicities."""
@@ -89,15 +80,20 @@ class S2Object:
     summands: tuple[tuple[Indecomposable, int], ...] = ()
 
     @classmethod
-    def make(cls, mults: Mapping[Indecomposable, int] | Iterable[tuple[Indecomposable, int]]) -> "S2Object":
+    def make(
+        cls, mults: Mapping[tuple[int, int, int], int] | Iterable[tuple[tuple[int, int, int], int]]
+    ) -> "S2Object":
+        """Merge (summand, k) pairs; a plain (ell, m, r) key is named here.
+        Pickets come first, then bipickets, each in tuple order."""
         items = mults.items() if isinstance(mults, Mapping) else mults
-        agg: dict[Indecomposable, int] = {}
+        agg: dict[tuple[int, int, int], int] = {}
         for x, k in items:
             if k < 0:
                 raise ValueError("multiplicities must be >= 0")
             if k:
                 agg[x] = agg.get(x, 0) + k
-        return cls(tuple(sorted(agg.items(), key=lambda it: _sort_key(it[0]))))
+        ordered = sorted(agg.items(), key=lambda it: (it[0][2] > 0, it[0]))
+        return cls(tuple((Indecomposable._make(x), k) for x, k in ordered))
 
     @classmethod
     def of(cls, *indecs: Indecomposable) -> "S2Object":
@@ -118,23 +114,30 @@ class S2Object:
         return " + ".join(bits)
 
     def to_json(self) -> dict:
-        out = []
-        for x, k in self.summands:
-            if isinstance(x, Picket):
-                out.append({"kind": "P", "ell": x.ell, "m": x.m, "mult": k})
-            else:
-                out.append({"kind": "T", "m": x.m, "r": x.r, "mult": k})
-        return {"summands": out}
+        return {"summands": [
+            {"kind": "T", "m": m, "r": r, "mult": k} if r
+            else {"kind": "P", "ell": ell, "m": m, "mult": k}
+            for (ell, m, r), k in self.summands
+        ]}
 
     @classmethod
     def from_json(cls, data: dict) -> "S2Object":
+        """Inverse of ``to_json``; ValueError on any malformed field."""
         pairs = []
-        for item in data["summands"]:
-            if item["kind"] == "P":
-                x: Indecomposable = Picket(item["ell"], item["m"])
-            else:
-                x = bipicket(item["m"], item["r"])
-            pairs.append((x, item.get("mult", 1)))
+        try:
+            for item in data["summands"]:
+                kind = item["kind"]
+                if kind == "P":
+                    x = Picket(int(item["ell"]), int(item["m"]))
+                elif kind == "T":
+                    x = bipicket(int(item["m"]), int(item["r"]))
+                else:
+                    raise ValueError(f"unknown summand kind {kind!r}")
+                pairs.append((x, int(item.get("mult", 1))))
+        except KeyError as exc:
+            raise ValueError(f"object JSON lacks the field {exc}") from exc
+        except (TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed object JSON: {exc}") from exc
         return cls.make(pairs)
 
     def __str__(self) -> str:
@@ -166,12 +169,11 @@ def parse_object(text: str) -> S2Object:
 
 
 def _indec_tableau(x: Indecomposable) -> KleinTableau:
-    if isinstance(x, Picket):
-        ell, m = x.ell, x.m
+    ell, m, r = x
+    if not r:
         gammas = [(m - ell + i,) for i in range(ell + 1)]
         subs = {(2, m): [m - 1]} if ell == 2 else {}
         return KleinTableau.make([partition(g) for g in gammas], subs)
-    m, r = x.m, x.r
     gammas = [partition((m - 1, r - 1)), partition((m - 1, r)), partition((m, r))]
     return KleinTableau.make(gammas, {(2, m): [r]})
 
@@ -189,13 +191,14 @@ def _summand_counts(gs, cells) -> dict[tuple[int, int, int], int]:
     tableau has the chain gs = (g0, g1, g2) (padded with its top) and the
     level-2 cells ((row m, subs), ...).
 
-    A summand is keyed on plain ints: (ell, m, 0) is P(ell, m) and
-    (2, m, r) is T(m, r).  Each symbol 2_r in row m is a bipicket T(m, r)
-    (a picket P(2, m) when r = m-1) and uses a 1-box of row r; the 1-boxes
-    left over are pickets P(1, m).  A P(0, m) is an empty column of
-    height m, or a column of height m+1 whose only symbol is a free 2_m at
-    the bottom: one of the 2_m in row m+1 beyond those forced (iii).
-    Raises ValueError when the symbols overdraw the 1-boxes (iv).
+    A summand is counted on its bare (ell, m, r) tuple, which equals its
+    ``Indecomposable``: (ell, m, 0) is P(ell, m) and (2, m, r) is T(m, r).
+    Each symbol 2_r in row m is a bipicket T(m, r) (a picket P(2, m) when
+    r = m-1) and uses a 1-box of row r; the 1-boxes left over are pickets
+    P(1, m).  A P(0, m) is an empty column of height m, or a column of
+    height m+1 whose only symbol is a free 2_m at the bottom: one of the
+    2_m in row m+1 beyond those forced (iii).  Raises ValueError when the
+    symbols overdraw the 1-boxes (iv).
     """
     g0, g1, g2 = gs
     ones = strip_row_counts(g1, g0)
@@ -238,22 +241,17 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
     e = len(gs) - 1
     if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)) or any(tab.levels[1:]):
         raise EntryTooLarge(f"tableau has entries up to {e}")
-    counts = _summand_counts(*_level2(tab))
-    return S2Object.make(
-        (Bipicket(m, r) if r else Picket(ell, m), k) for (ell, m, r), k in counts.items()
-    )
+    return S2Object.make(_summand_counts(*_level2(tab)))
 
 
 def enumerate_indecomposables(max_size: int) -> tuple[Indecomposable, ...]:
-    """All pickets and bipickets of total module size at most max_size."""
-    out: list[Indecomposable] = []
-    for m in range(1, max_size + 1):
-        for ell in range(0, min(2, m) + 1):
-            out.append(Picket(ell, m))
-    for m in range(3, max_size):
-        for r in range(1, min(m - 2, max_size - m) + 1):
-            out.append(Bipicket(m, r))
-    return tuple(sorted(out, key=_sort_key))
+    """All pickets and bipickets of total module size at most max_size,
+    in the order of ``S2Object.make``."""
+    pickets = [Picket(ell, m) for ell in range(3) for m in range(max(ell, 1), max_size + 1)]
+    bipickets = [
+        Bipicket(m, r) for m in range(3, max_size) for r in range(1, min(m - 2, max_size - m) + 1)
+    ]
+    return tuple(pickets + bipickets)
 
 
 def enumerate_objects(max_size: int) -> tuple[S2Object, ...]:
@@ -290,18 +288,16 @@ def hom_len_indec(x: Indecomposable, y: Indecomposable) -> int:
     the two never collapse into one implementation.  That route builds a
     tableau per call, so every length is memoised (at most 2^14 pairs).
     """
-    if isinstance(x, Picket) and isinstance(y, Picket):
-        u, v, ell, m = x.ell, x.m, y.ell, y.m
+    (u, v, w), (ell, m, r) = x, y
+    if not w and not r:
         return min(m, v - max(0, u - ell))
-    if isinstance(x, Bipicket) and isinstance(y, Picket):
-        v, w, ell, m = x.m, x.r, y.ell, y.m
+    if not r:  # T(v, w) into P(ell, m)
         if ell == 0:
             return min(v - 1, m) + min(w - 1, m)
         if ell == 1:
             return min(v - 1, m) + min(w, m)
         return min(v, m) + min(w, m)
-    if isinstance(x, Picket) and isinstance(y, Bipicket):
-        u, v, m, r = x.ell, x.m, y.m, y.r
+    if not w:  # P(u, v) into T(m, r)
         if u == 0:
             return min(v, r) + min(v, m)
         if u == 1:
@@ -320,15 +316,15 @@ def _row_sum(g, m: int) -> int:
     return sum(map(min, g, repeat(m)))
 
 
-def _hom_len(gs, cells, key: tuple[int, int, int]) -> int:
+def _hom_len(gs, cells, y: tuple[int, int, int]) -> int:
     """Hom length from any object with the chain gs = (g0, g1, g2) and the
-    level-2 cells into the summand key, as in ``_summand_counts``.
+    level-2 cells into the summand y = (ell, m, r).
 
     For a picket target P(ell, m) it reads off the chain: the boxes of
     g_ell in rows 1..m.  Bipicket targets T(m, r) reduce to picket targets
     plus the count b of symbols 2_u in rows r+2..m with u <= r.
     """
-    ell, m, r = key
+    ell, m, r = y
     if not r:
         return _row_sum(gs[ell], m)
     g0, g1, g2 = gs
@@ -339,8 +335,7 @@ def _hom_len(gs, cells, key: tuple[int, int, int]) -> int:
 def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
     """Hom length from ANY object with the given Klein tableau into y,
     read by ``_hom_len`` from the chain and the level of entry 2."""
-    key = (y.ell, y.m, 0) if isinstance(y, Picket) else (2, y.m, y.r)
-    return _hom_len(*_level2(tab), key)
+    return _hom_len(*_level2(tab), y)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +343,9 @@ def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
 
 
 def end_power(obj: S2Object) -> int:
-    """log_q of the endomorphism-ring order of the object."""
-    return sum(
-        ki * kj * hom_len_indec(xi, xj)
-        for xi, ki in obj.summands
-        for xj, kj in obj.summands
-    )
+    """log_q of the endomorphism-ring order of the object: sum_y k_y times
+    the Hom length from the object into y, as ``chain_aut_order`` reads it."""
+    return sum(k * hom_len_obj(obj, y) for y, k in obj.summands)
 
 
 def _aut_parts(end: int, mults) -> QOrderFactored:
@@ -387,8 +379,8 @@ def chain_aut_order(g0, g1, g2, cells) -> QOrderFactored:
     one ``hom_len_indec`` per ordered pair.
     """
     gs = (g0, g1, g2)
-    counts = [(key, k) for key, k in _summand_counts(gs, cells).items() if k]
-    end = sum(k * _hom_len(gs, cells, key) for key, k in counts)
+    counts = [(y, k) for y, k in _summand_counts(gs, cells).items() if k]
+    end = sum(k * _hom_len(gs, cells, y) for y, k in counts)
     return _aut_parts(end, [k for _, k in counts])
 
 

@@ -389,9 +389,10 @@ def _level_subscripts(
 
     The caps of (iv) are the boxes per row of the strip mid \\ low.  Each
     row m of the strip top \\ mid draws its free subscripts (ii) by
-    ``combinations_with_replacement`` over the r in 1..m-1 with a nonzero
-    cap, in lexicographic order, and appends its forced m-1's (iii): one
-    per column whose box in row m sits on a box of mid \\ low.  A choice
+    ``combinations_with_replacement`` over the rows r < m that hold a cap
+    (only those rows are read, so a tall strip costs no scan of the rows
+    below it), in lexicographic order, and appends its forced m-1's (iii):
+    one per column whose box in row m sits on a box of mid \\ low.  A choice
     over the caps on its own is dropped.  Of the product over the rows,
     which keeps that order, only the choices whose combined use fits the
     caps are kept.
@@ -401,7 +402,7 @@ def _level_subscripts(
     rows = []
     for m in sorted(counts):
         need = forced[m]
-        symbols = [r for r in range(1, m) if caps[r]]
+        symbols = sorted(r for r in caps if r < m)
         free = combinations_with_replacement(symbols, counts[m] - need)
         choices = (c + (m - 1,) * need for c in free)
         rows.append([(m, subs) for subs in choices if _fits(subs, caps)])

@@ -1,16 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallkit.caps import general_cap
 from hallkit.cli import main
 from hallkit.hall import hall_polynomial
 from hallkit.qforms import evaluate
+from hallkit.s2cat import parse_object
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -366,6 +370,49 @@ def test_huge_object_exits_one_at_once(capsys, fmt):
         "error": "CapExceeded",
         "message": f"diagram of 99999999 boxes exceeds cap {general_cap()}",
     }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_zero_picket_exits_one_at_once(capsys, fmt):
+    # P(0,0) is the zero module, not a summand: its size 0 passes the
+    # diagram bound, so it is refused as it is parsed, before any copy
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--object", "99999999*P(0,0)", "--format", fmt)
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "invalid picket P_0^0"}
+
+
+summand_texts = st.one_of(
+    st.builds("P({},{})".format, st.integers(0, 3), st.integers(0, 7)),
+    st.builds("T({},{})".format, st.integers(0, 8), st.integers(0, 7)),
+)
+object_texts = st.lists(
+    st.builds(str.__add__, st.sampled_from(["", "0*", "1*", "2*", "3*"]), summand_texts),
+    min_size=1, max_size=4,
+).map(" + ".join)
+
+
+def _main_out_err(*argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(object_texts)
+def test_decompose_object_roundtrips_or_exits_one(text):
+    # any object text either fails with one JSON diagnostic, or its
+    # tableau decodes back to the object's own text
+    code, out, err = _main_out_err("decompose", "--object", text, "--format", "json")
+    if code == 1:
+        assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+        return
+    assert code == 0 and err == ""
+    tab = json.dumps(json.loads(out)["tableau"])
+    code, out, err = _main_out_err("decompose", "--tableau", tab)
+    assert (code, err) == (0, "")
+    assert out.strip() == parse_object(text).to_text()
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

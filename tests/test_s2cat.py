@@ -5,6 +5,7 @@ from hallkit.partitions import partitions_of
 from hallkit.qforms import QOrderFactored, evaluate, gl_order
 from hallkit.s2cat import (
     Bipicket,
+    Indecomposable,
     Picket,
     S2Object,
     aut_order,
@@ -37,6 +38,43 @@ def test_bipicket_boundary_is_a_picket():
     assert bipicket(4, 2) == Bipicket(4, 2)
     with pytest.raises(ValueError):
         Bipicket(4, 3)
+
+
+def test_a_summand_is_its_tuple():
+    # a bare (ell, m, r) equals and hashes as the summand it names, and
+    # make names it; pickets come before bipickets
+    assert Picket(1, 3) == (1, 3, 0) and hash(T42) == hash((2, 4, 2))
+    obj = S2Object.make({(2, 4, 2): 1, (1, 3, 0): 2, (2, 5, 0): 1})
+    assert obj == S2Object.of(T42, P13, P13, Picket(2, 5))
+    assert all(type(x) is Indecomposable for x, _ in obj.summands)
+    assert obj.to_text() == "2*P(1,3) + P(2,5) + T(4,2)"
+
+
+def test_zero_picket_is_refused():
+    # P(0,0) is the zero module, not an indecomposable
+    with pytest.raises(ValueError, match=r"^invalid picket P_0\^0$"):
+        Picket(0, 0)
+    with pytest.raises(ValueError, match=r"^invalid picket P_0\^0$"):
+        parse_object("3*P(0,0) + P(1,1)")
+    with pytest.raises(ValueError, match=r"^invalid picket P_0\^0$"):
+        S2Object.from_json({"summands": [{"kind": "P", "ell": 0, "m": 0, "mult": 1}]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"summands": [{"kind": "X", "m": 4, "r": 2, "mult": 1}]}, "unknown summand kind 'X'"),
+        ({"summands": [{"kind": "T", "m": 4, "mult": 1}]}, "lacks the field 'r'"),
+        ({"summands": [{"ell": 1, "m": 3}]}, "lacks the field 'kind'"),
+        ({}, "lacks the field 'summands'"),
+        ({"summands": 5}, "malformed object JSON"),
+        ({"summands": [{"kind": "P", "ell": [1], "m": 3}]}, "malformed object JSON"),
+        ({"summands": [{"kind": "P", "ell": 1, "m": 3, "mult": -1}]}, "multiplicities must be >= 0"),
+    ],
+)
+def test_object_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        S2Object.from_json(data)
 
 
 def test_tableau_of_object_examples():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -222,6 +223,16 @@ def test_enumerate_klein_examples():
     assert enumerate_klein((3, 2, 1), (4, 3, 2), (2, 1)) == (PI_2, PI_3, PI_1)
     assert len(enumerate_klein((1,), (1,), ())) == 1
     assert len(enumerate_klein((2, 1), (2, 1), ())) == 1
+
+
+def test_tall_strip_reads_only_its_capped_rows():
+    # one level whose strips sit at height 10^7: the subscripts are drawn
+    # from the rows that hold caps, with no scan of the rows below
+    m = 10**7
+    start = time.monotonic()
+    (only,) = enumerate_klein((2,), (m,), (m - 2,))
+    assert time.monotonic() - start < 0.5
+    assert only.levels == (((m, (m - 1,)),),)
 
 
 def test_enumerated_klein_tableaux_are_valid_and_typed():
