@@ -41,12 +41,11 @@ A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
 only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
 of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
 each step (``_link``) puts the type of B/U and the entry-2 level of U
-on the tableau of pU, from (beta,) for the zero subgroup up to A.  A
-caller that types many subgroups of one ambient passes one dict of
-links to all of them: the oracle's census passes one per census, so a
-p^i A shared by many subgroups is typed once.  In a link's r-loop the
-sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``, which is pY itself,
-with no coset built, when pY holds p^2 U.
+on the tableau of pU, from (beta,) for the zero subgroup up to A.  The
+links live on the ambient (see ``klein_tableau``), so a p^i A shared by
+many subgroups, or by an embedding and its reductions, is typed once.
+In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
+which is pY itself, with no coset built, when pY holds p^2 U.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
 span, its p-chain, its greedy generators and its truncations, one per
@@ -56,12 +55,11 @@ cap.  Derived embeddings inherit their chains instead of scaling again:
 ``reduce(E, s)`` takes the tail E.chain()[s:], so a subfactor takes a
 tail of its cached truncation's chain, and ``lift`` starts its chain
 p^{-1}A, A & pB from the intersection it takes the preimage of (A alone
-when s = 0); ``Embedding.chain`` scales the rest when first used.  They
-inherit no tableau, but under the fold the tableau of reduce(E, s)
-repeats the links on E.chain()[s:] that E's own tableau was built on,
-so comparing it with a restriction of E's tableau checks ``restrict``
-and the chain tail, not the levels ``_link`` reads.  Those levels are
-checked by the pinned census digest of the tests and by the
+when s = 0); ``Embedding.chain`` scales the rest when first used.  After
+E's tableau, that of reduce(E, s), s >= 1, is the link stored at p^s A,
+so comparing it with a restriction of E's checks ``restrict`` and the
+chain tail, not the levels ``_link`` reads.  Those levels are checked
+by the pinned census digest of the tests and by the
 realization-fidelity and symbol-multiplicity checks of ``verify``.
 """
 
@@ -119,6 +117,8 @@ class AmbientModule:
         self._grids: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._powers: dict[int, SubgroupSet] = {}
         self._times_p: dict[int, int] = {}  # x -> px, filled by pmul
+        self._links: dict[SubgroupSet, KleinTableau] = {}  # pU -> tableau, by klein_tableau
+        self._link_elements = 0  # sum of |pU| over _links
 
     @classmethod
     def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
@@ -466,29 +466,30 @@ def _link(
     return KleinTableau(gammas, (level,) + below.levels)
 
 
-def klein_tableau(
-    E: Embedding, links: dict[SubgroupSet, KleinTableau] | None = None
-) -> KleinTableau:
+def klein_tableau(E: Embedding) -> KleinTableau:
     """Subscripted tableau of an embedding: one ``_link`` per step up its
     p-chain, from (beta,) for the zero subgroup or from the first p^i A,
-    i >= 1, whose tableau ``links`` holds.  The links built below A are
-    stored there; A itself, which is seldom a p-multiple, is not.
-    ``links`` is keyed on bare subgroup sets, which mean something only
-    inside one ambient, so one dict must serve ``E.ambient`` alone.  The
-    gammas are canonical and each level's cells get their subscripts
-    appended in increasing r, so the tableau is built directly, not
-    through ``KleinTableau.make``.
+    i >= 0, whose tableau the ambient's memo holds.  The links built
+    below A are stored there (A, seldom a p-multiple, is not).  A fold
+    that finds more elements stored than B holds empties the memo and
+    starts from (beta,), so the memo stays under 2|B| elements and holds
+    pU for each U it holds.  The gammas are canonical and each level's
+    cells get their subscripts appended in increasing r, so the tableau
+    is built directly, not through ``KleinTableau.make``.
     """
-    amb = E.ambient
-    chain = E.chain()
-    known = {} if links is None else links
-    i = next((i for i in range(1, len(chain)) if chain[i] in known), len(chain) - 1)
-    tab = known.get(chain[i]) or KleinTableau((amb.beta,))
+    amb, chain = E.ambient, E.chain()
+    links = amb._links
+    i = next((i for i, U in enumerate(chain) if U in links), len(chain) - 1)
+    if i and amb._link_elements > amb.size:
+        links.clear()
+        amb._link_elements, i = 0, len(chain) - 1
+    tab = links.get(chain[i]) or KleinTableau((amb.beta,))
     chain = chain + chain[-1:]  # p^{e+1} A = 0 too
     for j in range(i - 1, -1, -1):
         tab = _link(amb, chain[j], chain[j + 2], tab)
         if j:
-            known[chain[j]] = tab
+            links[chain[j]] = tab
+            amb._link_elements += len(chain[j])
     return tab
 
 

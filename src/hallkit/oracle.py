@@ -21,12 +21,12 @@ order of a span over Z/p^N (``zpn.span_exponent``);
 
 The census of M(beta) is one read-only ``Census`` record per (p, beta).
 It counts each subgroup once, by the Klein tableau of its embedding,
-folded up its p-chain onto the links that earlier subgroups stored in
-one dict of the census (``klein_tableau(E, links)``), so each p^i A
-that many subgroups share is typed once; the dict is freed with the
-census.  A tableau of type (alpha, beta, gamma) carries the subgroup's
-type alpha (the conjugate of its strip sizes) and quotient type gamma
-(its base), so a type pair's count is the sum of its tableaux' counts:
+folded up its p-chain onto the links that earlier subgroups stored on
+the ambient (``klein_tableau`` keeps that memo to O(|B|) elements), so
+each p^i A that many subgroups share is typed once.  A tableau of type
+(alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
+of its strip sizes) and quotient type gamma (its base), so a type
+pair's count is the sum of its tableaux' counts:
 g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
 """
 
@@ -134,9 +134,8 @@ def census(p: int, beta, cap: int | None = None) -> Census:
     key = (p, amb.beta)
     if key not in _censuses:
         start = time.monotonic()
-        links: dict[SubgroupSet, KleinTableau] = {}  # freed with the census
         tableaux = Counter(
-            klein_tableau(Embedding(amb, subgroup=U), links)
+            klein_tableau(Embedding(amb, subgroup=U))
             for U in enumerate_subgroups(p, amb.beta, cap)
         )
         types = Counter()

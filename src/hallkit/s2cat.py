@@ -32,7 +32,7 @@ from .errors import EntryTooLarge
 from .partitions import partition
 from .qforms import QOrderFactored
 from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
-from .tableaux import forced_subscripts, strip_row_counts
+from .tableaux import forced_subscripts, json_typed, strip_row_counts
 
 
 class Indecomposable(NamedTuple):
@@ -125,18 +125,18 @@ class S2Object:
         """Inverse of ``to_json``; ValueError on any malformed field."""
         pairs = []
         try:
-            for item in data["summands"]:
+            for item in json_typed(data["summands"], list):
                 kind = item["kind"]
                 if kind == "P":
-                    x = Picket(int(item["ell"]), int(item["m"]))
+                    x = Picket(json_typed(item["ell"], int), json_typed(item["m"], int))
                 elif kind == "T":
-                    x = bipicket(int(item["m"]), int(item["r"]))
+                    x = bipicket(json_typed(item["m"], int), json_typed(item["r"], int))
                 else:
                     raise ValueError(f"unknown summand kind {kind!r}")
-                pairs.append((x, int(item.get("mult", 1))))
+                pairs.append((x, json_typed(item.get("mult", 1), int)))
         except KeyError as exc:
             raise ValueError(f"object JSON lacks the field {exc}") from exc
-        except (TypeError, AttributeError, OverflowError) as exc:
+        except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed object JSON: {exc}") from exc
         return cls.make(pairs)
 

@@ -153,14 +153,21 @@ class KleinTableau(LRTableau):
     def from_json(cls, data: dict) -> "KleinTableau":
         """Inverse of ``to_json``; ValueError on any malformed field."""
         try:
+            gammas = [
+                [json_typed(x, int) for x in json_typed(g, list)]
+                for g in json_typed(data["gammas"], list)
+            ]
             subs = _cells(
-                ((int(item["entry"]), int(item["row"])), item["subs"])
-                for item in data.get("subscripts", [])
+                (
+                    (json_typed(item["entry"], int), json_typed(item["row"], int)),
+                    [json_typed(r, int) for r in json_typed(item["subs"], list)],
+                )
+                for item in json_typed(data.get("subscripts", []), list)
             )
-            return cls.make(data["gammas"], subs)
+            return cls.make(gammas, subs)
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the field {exc}") from exc
-        except (TypeError, AttributeError, OverflowError) as exc:
+        except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
     def to_text(self) -> str:
@@ -182,6 +189,15 @@ class KleinTableau(LRTableau):
             ell, _, m = cell.partition("@")
             cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
         return cls.make(gammas, _cells(cells))
+
+
+def json_typed(value, kind: type):
+    """value itself when its type is exactly kind, else TypeError: the
+    check of each number and list a JSON reader takes, so that a float,
+    a string or a bool (an int to ``isinstance``) is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _cells(items: Iterable[tuple[Cell, list[int]]]) -> dict[Cell, list[int]]:

@@ -15,6 +15,7 @@ from hallkit.cli import main
 from hallkit.hall import hall_polynomial
 from hallkit.qforms import evaluate
 from hallkit.s2cat import parse_object
+from hallkit.tableaux import KleinTableau, restrict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -120,6 +121,13 @@ def test_decompose_both_ways(capsys):
         '{"gammas": [[2], [2]], "subscripts": [{"entry": 1e400, "row": 2, "subs": [1]}]}',
         # a tableau is a chain of at least one partition
         '{"gammas": []}',
+        # only JSON integers are numbers, and lists are not strings
+        '{"gammas": [[2.5]]}',
+        '{"gammas": ["21"]}',
+        '{"gammas": [[true], [2]]}',
+        '{"gammas": "12"}',
+        '{"gammas": [[3, 1], [3, 2], [4, 2]], "subscripts": [{"entry": 2, "row": 4, "subs": "2"}]}',
+        '{"gammas": [[3, 1], [3, 2], [4, 2]], "subscripts": [{"entry": 2.0, "row": 4, "subs": [2]}]}',
     ],
 )
 def test_malformed_tableau_json_exits_one(capsys, text):
@@ -413,6 +421,45 @@ def test_decompose_object_roundtrips_or_exits_one(text):
     code, out, err = _main_out_err("decompose", "--tableau", tab)
     assert (code, err) == (0, "")
     assert out.strip() == parse_object(text).to_text()
+
+
+json_numbers = st.one_of(st.integers(0, 4), st.sampled_from([2.5, True, "2"]))
+subscript_cells = st.fixed_dictionaries(
+    {"entry": json_numbers, "row": json_numbers, "subs": st.lists(json_numbers, max_size=2)}
+)
+tableau_dicts = st.fixed_dictionaries(
+    {"gammas": st.lists(st.lists(json_numbers, max_size=3), min_size=1, max_size=3)},
+    optional={"subscripts": st.lists(subscript_cells, max_size=2)},
+)
+
+
+def _json_leaves(value):
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _json_leaves(item)
+    else:
+        yield value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tableau_dicts)
+def test_decompose_tableau_json_roundtrips_or_exits_one(data):
+    # tableau JSON either fails with one JSON diagnostic, or holds only
+    # integers and its object's tableau is the tableau read from it, less
+    # the empty top strips of a padded chain, which the decoder reads too
+    code, out, err = _main_out_err("decompose", "--tableau", json.dumps(data), "--format", "json")
+    if code == 1:
+        assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+        return
+    assert code == 0 and err == ""
+    assert all(type(x) is int for x in _json_leaves(data))
+    code, out, err = _main_out_err("decompose", "--object", json.loads(out)["text"], "--format", "json")
+    assert (code, err) == (0, "")
+    tab = KleinTableau.from_json(data)
+    e = tab.e
+    while e and tab.gammas[e] == tab.gammas[e - 1]:
+        e -= 1
+    assert json.loads(out)["tableau"] == restrict(tab, e, e).to_json()
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

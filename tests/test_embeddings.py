@@ -496,6 +496,42 @@ def test_inherited_chains_match_recomputed():
     assert emb.lift(zero).chain() == [frozenset({0})]
 
 
+def test_reductions_read_the_links_of_their_parent(monkeypatch):
+    # E's fold stores the tableau of each p^s A, s >= 1, on the ambient, so
+    # the tableau of reduce(E, s) is a lookup, and a restriction of E's
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return link(*args)
+
+    link = emb._link
+    monkeypatch.setattr(emb, "_link", counted)
+    rng = random.Random(30)
+    for p, beta in ((2, (4, 3, 1)), (2, (5, 2, 2)), (3, (3, 2, 1))):
+        for _ in range(30):
+            E = emb.random_embedding(p, beta, rng.randrange(1, 4), seed=rng.randrange(1 << 30))
+            tab, e = emb.klein_tableau(E), E.exponent
+            calls.clear()
+            for s in range(1, e + 1):
+                assert emb.klein_tableau(emb.reduce(E, s)) == restrict(tab, e, e - s)
+            assert calls == [], (p, beta, E)
+
+
+def test_link_memo_stays_under_twice_the_ambient():
+    # the memo is emptied before a fold once it holds more elements than
+    # B, and one fold stores fewer than |B| / (p - 1) more
+    ambient = emb.AmbientModule(2, (4, 4, 4))
+    rng = random.Random(300)
+    most = 0
+    for _ in range(300):
+        emb.klein_tableau(emb.Embedding(ambient, subgroup=random_subgroup(ambient, rng, 3)))
+        held = sum(map(len, ambient._links))
+        assert held == ambient._link_elements <= 2 * ambient.size
+        most = max(most, held)
+    assert most > ambient.size  # the bound was reached, and held
+
+
 def test_random_embedding_is_reproducible():
     E1 = emb.random_embedding(2, (3, 2, 1), 2, seed=7)
     E2 = emb.random_embedding(2, (3, 2, 1), 2, seed=7)

@@ -117,16 +117,16 @@ def test_census_types_are_tableau_types():
 
 
 def test_census_shared_links_match_unshared_tableaux(monkeypatch):
-    # the census folds each subgroup's tableau onto the links of its
-    # p-chain that earlier subgroups stored; each must equal the tableau
-    # folded from the zero subgroup up with nothing shared
-    shared = []  # the number of stored links at each call
+    # the census folds each subgroup's tableau onto the links its ambient
+    # holds from earlier subgroups; each must equal the tableau folded in
+    # a fresh ambient, from the zero subgroup up with nothing stored
+    stored = []  # the number of links the ambient held before each call
 
-    def spy(E, links=None):
-        tab = emb.klein_tableau(E, links)
-        fresh = emb.Embedding(E.ambient, subgroup=E.subgroup)
+    def spy(E):
+        stored.append(len(E.ambient._links))
+        tab = emb.klein_tableau(E)
+        fresh = emb.Embedding(emb.AmbientModule(E.p, E.beta), subgroup=E.subgroup)
         assert tab == emb.klein_tableau(fresh), (E.p, E.beta, sorted(E.subgroup))
-        shared.append(len(links))
         return tab
 
     monkeypatch.setattr(oracle, "klein_tableau", spy)
@@ -137,7 +137,7 @@ def test_census_shared_links_match_unshared_tableaux(monkeypatch):
             for beta in partitions_of(n):
                 oracle.census(p, beta)
                 subgroups += sum(1 for _ in oracle.enumerate_subgroups(p, beta))
-    assert len(shared) == subgroups and max(shared) > 0
+    assert len(stored) == subgroups and max(stored) > 0
 
 
 def test_census_consistency():

@@ -70,6 +70,12 @@ def test_zero_picket_is_refused():
         ({"summands": 5}, "malformed object JSON"),
         ({"summands": [{"kind": "P", "ell": [1], "m": 3}]}, "malformed object JSON"),
         ({"summands": [{"kind": "P", "ell": 1, "m": 3, "mult": -1}]}, "multiplicities must be >= 0"),
+        # only JSON integers are numbers: no float, string or bool
+        ({"summands": [{"kind": "P", "ell": 1.5, "m": 2.9, "mult": 2.2}]}, "malformed object JSON"),
+        ({"summands": [{"kind": "P", "ell": 1, "m": 3, "mult": 2.2}]}, "malformed object JSON"),
+        ({"summands": [{"kind": "T", "m": "4", "r": 2}]}, "malformed object JSON"),
+        ({"summands": [{"kind": "P", "ell": True, "m": 3}]}, "malformed object JSON"),
+        ({"summands": {"kind": "P", "ell": 1, "m": 3}}, "malformed object JSON"),
     ],
 )
 def test_object_from_json_rejects_malformed_input(data, message):

@@ -408,7 +408,7 @@ def test_text_and_json_roundtrip():
 
 
 def test_overflowing_json_numbers_are_value_errors():
-    # json reads 1e400 as float infinity, which int() refuses with OverflowError
+    # json reads 1e400 as float infinity, which is no JSON integer
     inf = float("1e400")
     cases = [
         {"gammas": [[inf]]},
