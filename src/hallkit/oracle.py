@@ -28,6 +28,10 @@ each p^i A that many subgroups share is typed once.  A tableau of type
 of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
 g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
+
+A ``cap`` argument is the subgroup cap (``--subgroup-cap``) in the
+subgroup enumeration and the census functions, and the general cap
+(``--cap``) everywhere else.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[Subgro
     subgroup has exactly one such chain of choices (its Hermite form,
     written over element sets), so a depth-first walk over the choices
     yields each subgroup once, without comparing it against the others.
+    ``cap`` is the subgroup cap (``--subgroup-cap``) on M(beta)'s order.
     """
     amb = _lattice_ambient(p, beta, cap)
     add, s = amb.add, len(amb.beta)
@@ -129,7 +134,8 @@ _censuses: dict[tuple[int, Partition], Census] = {}
 
 def census(p: int, beta, cap: int | None = None) -> Census:
     """The census of M(beta), from one enumeration cached per (p, beta).
-    The cap is checked on every call, cached or not."""
+    ``cap`` is the subgroup cap (``--subgroup-cap``), checked on every
+    call, cached or not."""
     amb = _lattice_ambient(p, beta, cap)
     key = (p, amb.beta)
     if key not in _censuses:
@@ -147,17 +153,20 @@ def census(p: int, beta, cap: int | None = None) -> Census:
 
 
 def hall_census(p: int, beta, cap: int | None = None) -> dict[tuple[Partition, Partition], int]:
-    """Counts of subgroups keyed by (subgroup type, quotient type)."""
+    """Counts of subgroups keyed by (subgroup type, quotient type);
+    ``cap`` is the subgroup cap (``--subgroup-cap``)."""
     return dict(census(p, beta, cap).types)
 
 
 def hall_count(p: int, alpha, beta, gamma, cap: int | None = None) -> int:
-    """Number of subgroups of the given type with the given quotient type."""
+    """Number of subgroups of the given type with the given quotient
+    type; ``cap`` is the subgroup cap (``--subgroup-cap``)."""
     return census(p, beta, cap).types.get((partition(alpha), partition(gamma)), 0)
 
 
 def hall_count_by_tableau(p: int, beta, cap: int | None = None) -> dict[KleinTableau, int]:
-    """Subgroup counts keyed by the Klein tableau of the embedding."""
+    """Subgroup counts keyed by the Klein tableau of the embedding;
+    ``cap`` is the subgroup cap (``--subgroup-cap``)."""
     return dict(census(p, beta, cap).tableaux)
 
 

@@ -9,18 +9,12 @@ entry ``ell >= 2`` carries a subscript ``r``, stored per entry level as
 tuple is what enumeration yields, restriction slices and the Hall
 memos key on; ``cells()`` is the one flat (entry, row, subs) view.
 
-Every enumeration walks chains down from the top partition in one loop,
-``_lr_chains``, on one explicit stack of frames: the LR tableaux of a
-type remove strips of the sizes conjugate(alpha) down to the floor
-gamma, and the tableaux with entries <= 2 remove at most two strips,
-with no floor.  Each pop fixes one column of the current strip, right
-to left, and counts s, the strip's boxes in the columns fixed so far.
-A branch is cut as soon as s falls below the same count of the strip
-above (the lattice property, column by column), or the boxes left above
-the floor in those columns cannot hold s boxes of each strip still below
-(pigeonhole: by the lattice property each of them has at least s boxes
-there, and at most one per column).  ``validate_lr`` compares the same
-suffix counts, ``_suffix_counts``.
+Every enumeration removes one horizontal strip at a time, down from the
+top partition, by one successor, ``_strips``, which cuts a branch at the
+first column where the lattice property or a pigeonhole bound fails
+(``validate_lr`` compares the same suffix counts, ``_suffix_counts``).
+``_lr_chains`` walks it down to the floor gamma of a type, and
+``enumerate_klein_entries2`` to depth <= 2, with no floor.
 
 The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
@@ -164,7 +158,7 @@ class KleinTableau(LRTableau):
                 )
                 for item in json_typed(data.get("subscripts", []), list)
             )
-            return cls.make(gammas, subs)
+            return _unpadded(cls.make(gammas, subs))
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the field {exc}") from exc
         except (TypeError, AttributeError) as exc:
@@ -188,7 +182,7 @@ class KleinTableau(LRTableau):
             cell, _, values = chunk.partition(":")
             ell, _, m = cell.partition("@")
             cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
-        return cls.make(gammas, _cells(cells))
+        return _unpadded(cls.make(gammas, _cells(cells)))
 
 
 def json_typed(value, kind: type):
@@ -198,6 +192,15 @@ def json_typed(value, kind: type):
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _unpadded(tab: KleinTableau) -> KleinTableau:
+    """tab, or ValueError when its top strip is empty (e >= 1): that chain
+    is the tableau of no embedding, and it decodes as the chain below it.
+    The two readers refuse it; ``restrict`` pads on purpose."""
+    if tab.e and tab.gammas[-1] == tab.gammas[-2]:
+        raise ValueError(f"empty top strip: entry {tab.e} has no box")
+    return tab
 
 
 def _cells(items: Iterable[tuple[Cell, list[int]]]) -> dict[Cell, list[int]]:
@@ -311,56 +314,61 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 # enumeration
 
 
+def _strips(
+    mu: Partition, upper: Sequence[int], size: int, ell: int, low: Sequence[int], slack: bool
+) -> Iterator[Partition]:
+    """Each lam such that mu \\ lam can be strip ell: size boxes, at most
+    one per column, with suffix counts at least ``upper``, the strip
+    above's (zeros at the top).  A frame fixes lam's columns >= i, counts
+    s, the strip's boxes there, and room, the sum of lam_j - low_j there,
+    and is cut when the boxes left to drop overflow the i columns left,
+    when s < upper[i] (lattice) or room < (ell-1) * s (pigeonhole: each
+    strip below has at least s boxes there, one per column).  ``slack``
+    bounds lam_i - low_i by ell-1: each strip below takes at most one.
+    """
+    stack = [(len(mu), size, 0, 0, (0,))]
+    while stack:
+        i, remaining, s, room, fixed = stack.pop()
+        if remaining > i or s < upper[i] or room < (ell - 1) * s:
+            continue
+        if not i:
+            # lam is weakly decreasing, so its zeros trail
+            yield tuple(x for x in fixed if x)
+            continue
+        i -= 1
+        v, f = mu[i], low[i]
+        high = f + ell - 1 if slack else v
+        if v <= high:
+            stack.append((i, remaining, s, room + v - f, (v,) + fixed))
+        # dropping column i must leave lam weakly decreasing
+        if remaining and f < v <= high + 1 and fixed[0] < v:
+            stack.append((i, remaining - 1, s + 1, room + v - 1 - f, (v - 1,) + fixed))
+
+
 def _lr_chains(
     beta: Partition, sizes: Sequence[int], floor: Partition | None = None
 ) -> Iterator[tuple[Partition, ...]]:
     """LR chains [g0, ..., ge = beta] whose strip ell has sizes[ell-1]
-    boxes, in no particular order, walked down from beta on one stack.
-
-    A frame holds the strips left ell, the chain so far (chain[0] = mu,
-    the partition strip ell is removed from), the suffix counts ``upper``
-    of the strip above (zeros at the top), the column i, the boxes still
-    to drop, s, room, and the columns >= i of lam = g_{ell-1} fixed so
-    far.  s is the strip's boxes in columns >= i, room the sum of
-    lam_j - floor_j over them.  A popped frame is cut when the boxes
-    still to drop do not fit in the i columns left, when s < upper[i]
-    (lattice) or when room < (ell-1) * s (pigeonhole).  Otherwise it
-    fixes column i-1, pushing the frames that keep mu's part and that
-    drop it by one box; with a floor gamma, lam_i - gamma_i <= ell-1
-    (slack: each strip below removes at most one box of column i), and
-    g0 = gamma since it contains gamma and has its size.  With no floor,
-    room counts from 0 and there is no slack bound.  A frame with every
-    column fixed starts the next strip, with its suffix counts as upper.
+    boxes, in no particular order: a depth-first walk over ``_strips``.
+    A node (g_ell, node above) links a chain, flattened once at its leaf
+    (ell = 0), so a chain costs O(e).  With a floor gamma the strips keep
+    their slack, and g0 = gamma since it contains gamma and has its size.
     """
-    if not sizes:
-        yield (beta,)
-        return
-    low = _padded(floor or (), len(beta))
-    # lam keeps a zero past its last column
-    stack = [(len(sizes), (beta,), (0,) * (len(beta) + 1), len(beta), sizes[-1], 0, 0, (0,))]
+    low, slack = _padded(floor or (), len(beta)), floor is not None
+    stack = [(len(sizes), (beta, None), (0,) * (len(beta) + 1))]
     while stack:
-        ell, chain, upper, i, remaining, s, room, fixed = stack.pop()
-        if remaining > i or s < upper[i] or room < (ell - 1) * s:
+        ell, node, upper = stack.pop()
+        if not ell:
+            chain = []
+            while node:
+                g, node = node
+                chain.append(g)
+            yield tuple(chain)
             continue
-        if i:
-            i -= 1
-            v, f = chain[0][i], low[i]
-            high = v if floor is None else f + ell - 1
-            if v <= high:
-                stack.append((ell, chain, upper, i, remaining, s, room + v - f, (v,) + fixed))
-            # dropping column i must leave lam weakly decreasing
-            if remaining and f < v <= high + 1 and fixed[0] < v:
-                stack.append(
-                    (ell, chain, upper, i, remaining - 1, s + 1, room + v - 1 - f, (v - 1,) + fixed)
-                )
-            continue
-        # lam is weakly decreasing, so its zeros trail
-        lam = tuple(x for x in fixed if x)
-        if ell == 1:
-            yield (lam,) + chain
-        else:
-            suffix = _suffix_counts(chain[0], lam)
-            stack.append((ell - 1, (lam,) + chain, suffix, len(lam), sizes[ell - 2], 0, 0, (0,)))
+        mu = node[0]
+        for lam in _strips(mu, upper, sizes[ell - 1], ell, low, slack):
+            # only a strip with a strip below it needs its suffix counts
+            stack.append((ell - 1, (lam, node), ell > 1 and _suffix_counts(mu, lam)))
 
 
 def _lr_possible(alpha: Partition, beta: Partition, gamma: Partition) -> bool:
@@ -452,19 +460,20 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     """All Klein tableaux with the given top partition and entries <= 2.
 
     These are canonical chains: the top strip is nonempty unless e = 0.
-    Their strip sizes are the conjugates (), (a,) and (a, b) of types
-    alpha with parts at most 2.
+    Each strip of b boxes under beta is walked once, with no floor, as the
+    chain (mid, beta) and as the top of every (lam, mid, beta) whose
+    bottom strip has a >= b boxes (lattice) and reads its suffix counts.
     """
     beta = partition(beta)
-    n = len(beta)
-    sizes = [()] + [(a,) for a in range(1, n + 1)]
-    sizes += [(a, b) for a in range(1, n + 1) for b in range(1, a + 1)]
-    out = [
-        tab
-        for s in sizes
-        for gs in _lr_chains(beta, s)
-        for tab in enumerate_klein_refinements(LRTableau(gs))
-    ]
+    zeros = (0,) * (len(beta) + 1)
+    chains = [(beta,)]
+    for b in range(1, len(beta) + 1):
+        for mid in _strips(beta, zeros, b, 1, zeros, False):
+            chains.append((mid, beta))
+            upper = _suffix_counts(beta, mid)
+            for a in range(b, len(mid) + 1):
+                chains += ((lam, mid, beta) for lam in _strips(mid, upper, a, 1, zeros, False))
+    out = [tab for gs in chains for tab in enumerate_klein_refinements(LRTableau(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)
 
