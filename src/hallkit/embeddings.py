@@ -21,7 +21,7 @@ subgroup.  Types are read off the orders of the layers p^i M
 quotient B/X.  Every type reading
 (``module_type``, ``Embedding.subgroup_type``, ``quotient_type``) goes
 through one bounded ``lru_cache`` keyed on the tuple of layer orders and
-p: the census of every beta with |beta| <= 7 at p = 2 reads 51,534
+p: the census of every beta with |beta| <= 7 at p = 2 reads 51,072
 types but only 44 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
 canonical tuples, so ``klein_tableau`` builds its tableau from them and
@@ -41,10 +41,12 @@ A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
 only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
 of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
 each step (``_link``) puts the type of B/U and the entry-2 level of U
-on the tableau of pU, from (beta,) for the zero subgroup up to A.  The
-links live on the ambient (see ``klein_tableau``), so a p^i A shared by
-many subgroups, or by an embedding and its reductions, is typed once.
-In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
+on the tableau of pU, from (beta,) for the zero subgroup up to A.  Each
+caller hands the tableau below down: an embedding keeps the tableaux of
+its own p-chain, which its reductions share (their chains are tails of
+it with the same bottom), and the oracle's census links each subgroup
+onto the tableau of its parent pA in the tree it walks.  The ambient
+holds no tableau.  In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
 which is pY itself, with no coset built, when pY holds p^2 U.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
@@ -56,7 +58,7 @@ cap.  Derived embeddings inherit their chains instead of scaling again:
 tail of its cached truncation's chain, and ``lift`` starts its chain
 p^{-1}A, A & pB from the intersection it takes the preimage of (A alone
 when s = 0); ``Embedding.chain`` scales the rest when first used.  After
-E's tableau, that of reduce(E, s), s >= 1, is the link stored at p^s A,
+E's tableau, that of reduce(E, s), s >= 1, is one E has already built,
 so comparing it with a restriction of E's checks ``restrict`` and the
 chain tail, not the levels ``_link`` reads.  Those levels are checked
 by the pinned census digest of the tests and by the
@@ -117,8 +119,6 @@ class AmbientModule:
         self._grids: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._powers: dict[int, SubgroupSet] = {}
         self._times_p: dict[int, int] = {}  # x -> px, filled by pmul
-        self._links: dict[SubgroupSet, KleinTableau] = {}  # pU -> tableau, by klein_tableau
-        self._link_elements = 0  # sum of |pU| over _links
 
     @classmethod
     def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
@@ -285,6 +285,7 @@ class Embedding:
         self._gens = tuple(gens) if gens is not None else None
         self._subgroup = frozenset(subgroup) if subgroup is not None else None
         self._achain: list[SubgroupSet] | None = None
+        self._tabs: list[KleinTableau] = []  # _tabs[k]: the tableau of chain()[-1-k]
         self._truncations: dict[int, Embedding] = {}
 
     @classmethod
@@ -468,29 +469,20 @@ def _link(
 
 def klein_tableau(E: Embedding) -> KleinTableau:
     """Subscripted tableau of an embedding: one ``_link`` per step up its
-    p-chain, from (beta,) for the zero subgroup or from the first p^i A,
-    i >= 0, whose tableau the ambient's memo holds.  The links built
-    below A are stored there (A, seldom a p-multiple, is not).  A fold
-    that finds more elements stored than B holds empties the memo and
-    starts from (beta,), so the memo stays under 2|B| elements and holds
-    pU for each U it holds.  The gammas are canonical and each level's
-    cells get their subscripts appended in increasing r, so the tableau
-    is built directly, not through ``KleinTableau.make``.
+    p-chain, from (beta,) for the zero subgroup.  The tableaux are kept
+    bottom-up in ``E._tabs``, the list a reduction shares, so each step
+    is built once for an embedding and all its reductions.  The gammas
+    are canonical and each level's cells get their subscripts appended
+    in increasing r, so the tableau is built directly, not through
+    ``KleinTableau.make``, which stays the normaliser for outside input.
     """
-    amb, chain = E.ambient, E.chain()
-    links = amb._links
-    i = next((i for i, U in enumerate(chain) if U in links), len(chain) - 1)
-    if i and amb._link_elements > amb.size:
-        links.clear()
-        amb._link_elements, i = 0, len(chain) - 1
-    tab = links.get(chain[i]) or KleinTableau((amb.beta,))
+    amb, tabs, chain = E.ambient, E._tabs, E.chain()
+    if not tabs:
+        tabs.append(KleinTableau((amb.beta,)))
     chain = chain + chain[-1:]  # p^{e+1} A = 0 too
-    for j in range(i - 1, -1, -1):
-        tab = _link(amb, chain[j], chain[j + 2], tab)
-        if j:
-            links[chain[j]] = tab
-            amb._link_elements += len(chain[j])
-    return tab
+    for j in range(len(chain) - 2 - len(tabs), -1, -1):
+        tabs.append(_link(amb, chain[j], chain[j + 2], tabs[-1]))
+    return tabs[len(chain) - 2]
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +574,14 @@ def lift(E: Embedding, s: int = 1) -> Embedding:
 
 
 def reduce(E: Embedding, s: int = 1) -> Embedding:
-    """Replace A by p^s A, with the tail of the p-chain of A as its chain."""
+    """Replace A by p^s A, with the tail of the p-chain of A as its chain;
+    the tail has A's bottom, so it shares A's tableaux."""
     if s < 0:
         raise ValueError("need s >= 0")
     chain = E.chain()
-    return _from_chain(E.ambient, chain[min(s, len(chain) - 1):])
+    R = _from_chain(E.ambient, chain[min(s, len(chain) - 1):])
+    R._tabs = E._tabs
+    return R
 
 
 def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:

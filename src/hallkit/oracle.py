@@ -1,10 +1,10 @@
 """Brute-force ground truth at q = p.
 
 Everything here is exhaustive enumeration under the configured caps:
-subgroup lattices by triangular generators, one coordinate at a time,
-each extension the ``span`` of one generator over the subgroup so far,
-which yields each subgroup exactly once (a visited coset y + W is
-marked as one ``map(add, W, repeat(y))``); and morphisms by one walk over
+subgroup lattices by triangular generators, one generator at a time,
+each extension the ``span`` of one element over the subgroup so far,
+from one element per coset, which yields each subgroup exactly once
+(``_walk``); and morphisms by one walk over
 the module maps B_E -> B_F that carry A_E into A_F (``_module_maps``).
 The walk builds each generator's image once per prefix of unit images
 and adds the last unit's term per map.  Hom counts count that walk;
@@ -20,10 +20,14 @@ order of a span over Z/p^N (``zpn.span_exponent``);
 ``adjointness_check`` reads it, and tests compare it with the walk.
 
 The census of M(beta) is one read-only ``Census`` record per (p, beta).
-It counts each subgroup once, by the Klein tableau of its embedding,
-folded up its p-chain onto the links that earlier subgroups stored on
-the ambient (``klein_tableau`` keeps that memo to O(|B|) elements), so
-each p^i A that many subgroups share is typed once.  A tableau of type
+It counts each subgroup once, by the Klein tableau of its embedding, in
+a depth-first walk of the tree where the parent of A is pA.  The
+children of C are the subgroups between C and p^{-1}C that ``_walk``
+yields over a basis of p^{-1}C / C whose last generators must each add
+to the subgroup (see ``_count_subtree``), and each child's tableau is
+one ``_link`` on C's.  So the census builds no embedding and no
+p-chain, and a subgroup's tableau is built once however many subgroups
+lie above it.  A tableau of type
 (alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
 of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
@@ -39,17 +43,18 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product, repeat
+from itertools import accumulate, groupby, product, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .caps import general_cap, subgroup_cap
 from .embeddings import (
     AmbientModule,
     Embedding,
     SubgroupSet,
+    _greedy_basis,
+    _link,
     _spread,
-    klein_tableau,
     lift,
     reduce,
     span,
@@ -73,49 +78,86 @@ def _lattice_ambient(p: int, beta, cap: int | None) -> AmbientModule:
     return amb
 
 
-def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[SubgroupSet]:
-    """Every subgroup of M(beta) exactly once, in a deterministic order.
+def _walk(
+    amb: AmbientModule, base: SubgroupSet, gens: Sequence[int], orders: Sequence[int], free: int
+) -> Iterator[SubgroupSet]:
+    """Every subgroup V with base <= V <= base + <gens> exactly once, in
+    a deterministic order, where (base + <gens>) / base is the direct sum
+    of the cyclic groups generated by the gens, of orders p^orders.
 
-    Let B_k be the span of the first k coordinates and V_k = V & B_k.
-    Then V_{k+1} is either V_k or ``span(amb, (y + p^j e_{k+1},), V_k)``
-    for j = 0, 1, ... below beta_{k+1} while p^{beta_{k+1} - j} y lies in
-    V_k, where y is the least element of its coset in B_k / V_k.  Every
-    subgroup has exactly one such chain of choices (its Hermite form,
+    Let B_k be the span of the first k gens over base and V_k = V & B_k.
+    Then V_{k+1} is either V_k or ``span(amb, (y + p^j g_{k+1},), V_k)``
+    for j = 0, 1, ... below b = orders[k] while p^{b - j} y lies in V_k,
+    where y runs over the sums of c_i g_i, i <= k, with c_i below p^{j_i}
+    for the j_i chosen at step i (p^{b_i} where V_{i+1} = V_i): one sum
+    in each coset of B_k / V_k, and with unit gens its least element.
+    Every such V has exactly one chain of choices (its Hermite form,
     written over element sets), so a depth-first walk over the choices
-    yields each subgroup once, without comparing it against the others.
-    ``cap`` is the subgroup cap (``--subgroup-cap``) on M(beta)'s order.
+    yields each V once, without comparing it against the others.  Only
+    the first ``free`` steps may keep V_{k+1} = V_k; each later generator
+    must add to V.
     """
-    amb = _lattice_ambient(p, beta, cap)
-    add, s = amb.add, len(amb.beta)
-    # levels[k] = (b, chains, steps) with b = beta_{k+1}: the multiples
-    # y, py, ..., p^b y of each y in B_k, in increasing packed order of y,
-    # and the generators p^j e_{k+1} for j < b.
-    levels = []
-    for k, b in enumerate(amb.beta):
-        chains = [[y] for y in amb._grid((1,) * k + amb.mods[k:])]
-        for _ in range(b):
-            for chain in chains:
-                chain.append(amb.pmul(chain[-1]))
-        steps = [amb.pack([p**j * (i == k) for i in range(s)]) for j in range(b)]
-        levels.append((b, chains, steps))
-    stack = [(0, frozenset({0}))]
+    add, p = amb.add, amb.p
+    multiples = [  # c g for c < p^b, per generator
+        list(accumulate(repeat(g, p**b - 1), add, initial=0)) for g, b in zip(gens, orders)
+    ]
+    stack = [(0, base, (0,))]
     while stack:
-        k, W = stack.pop()
-        if k == s:
+        k, W, sums = stack.pop()
+        if k == len(gens):
             yield W
             continue
-        b, chains, steps = levels[k]
-        stack.append((k + 1, W))
-        covered: set[int] = set()  # the cosets y + W already visited
-        for chain in chains:
-            y = chain[0]
-            if y in covered or chain[b] not in W:
-                continue
-            covered.update(map(add, W, repeat(y)))
+        b, mults, sums = orders[k], multiples[k], sorted(sums)
+        if k < free:
+            stack.append((k + 1, W, _spread(sums, mults, add)))
+        for y in sums:
+            chain = [y]  # y, py, ..., p^b y
+            for _ in range(b):
+                chain.append(amb.pmul(chain[-1]))
             for j in range(b):
                 if chain[b - j] not in W:
                     break
-                stack.append((k + 1, span(amb, (add(y, steps[j]),), W)))
+                grown = span(amb, (add(y, mults[p**j]),), W)
+                stack.append((k + 1, grown, _spread(sums, mults[: p**j], add)))
+
+
+def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[SubgroupSet]:
+    """Every subgroup of M(beta) exactly once, in a deterministic order:
+    the walk ``_walk`` from 0 over the unit vectors, of orders beta.
+    ``cap`` is the subgroup cap (``--subgroup-cap``) on M(beta)'s order.
+    """
+    amb = _lattice_ambient(p, beta, cap)
+    s = len(amb.beta)
+    units = [amb.pack([i == k for i in range(s)]) for k in range(s)]
+    yield from _walk(amb, frozenset({0}), units, amb.beta, s)
+
+
+def _count_subtree(
+    amb: AmbientModule, C: SubgroupSet, pC: SubgroupSet, tab: KleinTableau, counts: Counter
+) -> None:
+    """Count the Klein tableau ``tab`` of C, then, depth first, those of
+    the subgroups above C in the tree where the parent of A is pA.
+
+    The children A of C are the C < A <= p^{-1}C with V = A/C mapping
+    onto C/pC under x + C -> px + pC.  That map is onto only when
+    C <= pB, and then its kernel is (C + B[p]) / C, of dimension s - u
+    with s the number of parts of beta and u = dim C/pC.  So a basis of
+    p^{-1}C / C is one of B[p] over C & B[p], then the quotients by p of
+    one of C over pC, and ``_walk`` may leave out only the first s - u.
+    Each child's tableau is one ``_link`` on ``tab``.
+    """
+    counts[tab] += 1
+    if not C <= amb.p_power_set(1):
+        return
+    p, s, socle = amb.p, len(amb.beta), amb.killed_by(1)
+    u = 0  # dim C/pC
+    while len(pC) * p**u < len(C):
+        u += 1
+    kernel = _greedy_basis(amb, (1,) * (s - u), C.intersection(socle), socle)[0]
+    lifts = tuple(map(amb.divp, _greedy_basis(amb, (1,) * u, pC, sorted(C))[0]))
+    for A in _walk(amb, C, kernel + lifts, (1,) * s, s - u):
+        if len(A) > len(C):  # C = 0 is yielded at its own root
+            _count_subtree(amb, A, C, _link(amb, A, pC, tab), counts)
 
 
 @dataclass(frozen=True)
@@ -140,10 +182,8 @@ def census(p: int, beta, cap: int | None = None) -> Census:
     key = (p, amb.beta)
     if key not in _censuses:
         start = time.monotonic()
-        tableaux = Counter(
-            klein_tableau(Embedding(amb, subgroup=U))
-            for U in enumerate_subgroups(p, amb.beta, cap)
-        )
+        zero, tableaux = frozenset({0}), Counter()
+        _count_subtree(amb, zero, zero, KleinTableau((amb.beta,)), tableaux)
         types = Counter()
         for tab, count in tableaux.items():
             types[(tableau_type(tab)[0], tab.base)] += count

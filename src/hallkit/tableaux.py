@@ -314,6 +314,13 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 # enumeration
 
 
+def _unlink(node) -> Iterator:
+    """The items of a linked node (item, next node or None), in order."""
+    while node:
+        item, node = node
+        yield item
+
+
 def _strips(
     mu: Partition, upper: Sequence[int], size: int, ell: int, low: Sequence[int], slack: bool
 ) -> Iterator[Partition]:
@@ -325,24 +332,27 @@ def _strips(
     when s < upper[i] (lattice) or room < (ell-1) * s (pigeonhole: each
     strip below has at least s boxes there, one per column).  ``slack``
     bounds lam_i - low_i by ell-1: each strip below takes at most one.
+    The fixed columns are a linked node (lam_i, node of column i+1) on a
+    (0, None) sentinel, unlinked once at the leaf, so a strip over n
+    columns costs O(n).
     """
-    stack = [(len(mu), size, 0, 0, (0,))]
+    stack = [(len(mu), size, 0, 0, (0, None))]
     while stack:
         i, remaining, s, room, fixed = stack.pop()
         if remaining > i or s < upper[i] or room < (ell - 1) * s:
             continue
         if not i:
             # lam is weakly decreasing, so its zeros trail
-            yield tuple(x for x in fixed if x)
+            yield tuple(x for x in _unlink(fixed) if x)
             continue
         i -= 1
         v, f = mu[i], low[i]
         high = f + ell - 1 if slack else v
         if v <= high:
-            stack.append((i, remaining, s, room + v - f, (v,) + fixed))
+            stack.append((i, remaining, s, room + v - f, (v, fixed)))
         # dropping column i must leave lam weakly decreasing
         if remaining and f < v <= high + 1 and fixed[0] < v:
-            stack.append((i, remaining - 1, s + 1, room + v - 1 - f, (v - 1,) + fixed))
+            stack.append((i, remaining - 1, s + 1, room + v - 1 - f, (v - 1, fixed)))
 
 
 def _lr_chains(
@@ -359,11 +369,7 @@ def _lr_chains(
     while stack:
         ell, node, upper = stack.pop()
         if not ell:
-            chain = []
-            while node:
-                g, node = node
-                chain.append(g)
-            yield tuple(chain)
+            yield tuple(_unlink(node))
             continue
         mu = node[0]
         for lam in _strips(mu, upper, sizes[ell - 1], ell, low, slack):

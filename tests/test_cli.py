@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hallkit.caps import general_cap
 from hallkit.cli import main
 from hallkit.hall import hall_polynomial
+from hallkit.partitions import parse
 from hallkit.qforms import evaluate
 from hallkit.s2cat import parse_object
 from hallkit.tableaux import KleinTableau
@@ -470,6 +471,41 @@ def test_decompose_tableau_json_roundtrips_or_exits_one(data):
     code, out, err = _main_out_err("decompose", "--object", json.loads(out)["text"], "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["tableau"] == KleinTableau.from_json(data).to_json()
+
+
+# mostly partitions, else any parts: zero, negative, unsorted or empty
+part_texts = st.one_of(
+    *[st.lists(st.integers(1, 3), max_size=4).map(lambda ps: sorted(ps, reverse=True))] * 3,
+    st.lists(st.one_of(st.integers(-1, 3), st.just("")), max_size=4),
+).map(lambda parts: ",".join(map(str, parts)))
+
+
+def _boxes(text):
+    return sum(int(tok) for tok in text.split(",") if tok and int(tok) > 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 2, 2, 3, 3, 5, -2, 0, 1, 4, 9, 10**20]),
+    part_texts.filter(lambda text: _boxes(text) <= 5),
+    part_texts,
+    part_texts,
+    st.sampled_from([None, None, 16, 16, 1, 0]),
+)
+def test_oracle_hall_counts_or_exits_one(prime, beta, alpha, gamma, cap):
+    # any prime, partition texts and subgroup cap either fail with one
+    # JSON diagnostic, or count the Hall polynomial's value at the prime
+    argv = ["oracle", "hall", f"--prime={prime}", f"--beta={beta}"]
+    argv += [f"--alpha={alpha}", f"--gamma={gamma}"]
+    if cap is not None:
+        argv.append(f"--subgroup-cap={cap}")
+    code, out, err = _main_out_err(*argv)
+    if code == 1:
+        assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+        return
+    assert code == 0 and err == ""
+    want = evaluate(hall_polynomial(parse(alpha), parse(beta), parse(gamma)).total, prime)
+    assert int(out) == want
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

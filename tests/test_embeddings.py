@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -518,18 +519,16 @@ def test_reductions_read_the_links_of_their_parent(monkeypatch):
             assert calls == [], (p, beta, E)
 
 
-def test_link_memo_stays_under_twice_the_ambient():
-    # the memo is emptied before a fold once it holds more elements than
-    # B, and one fold stores fewer than |B| / (p - 1) more
+def test_typing_stores_no_tableau_on_the_ambient():
+    # an embedding keeps the tableaux of its own p-chain, so typing many
+    # subgroups of one ambient leaves none of them there
     ambient = emb.AmbientModule(2, (4, 4, 4))
     rng = random.Random(300)
-    most = 0
     for _ in range(300):
         emb.klein_tableau(emb.Embedding(ambient, subgroup=random_subgroup(ambient, rng, 3)))
-        held = sum(map(len, ambient._links))
-        assert held == ambient._link_elements <= 2 * ambient.size
-        most = max(most, held)
-    assert most > ambient.size  # the bound was reached, and held
+    held = list(vars(ambient).values())
+    held += gc.get_referents(*held)
+    assert not any(isinstance(x, KleinTableau) for x in held)
 
 
 def test_random_embedding_is_reproducible():

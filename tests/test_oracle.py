@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -116,28 +118,87 @@ def test_census_types_are_tableau_types():
                     assert E.subgroup_type() == tableau_type(emb.klein_tableau(E))[0]
 
 
-def test_census_shared_links_match_unshared_tableaux(monkeypatch):
-    # the census folds each subgroup's tableau onto the links its ambient
-    # holds from earlier subgroups; each must equal the tableau folded in
-    # a fresh ambient, from the zero subgroup up with nothing stored
-    stored = []  # the number of links the ambient held before each call
+def test_census_tree_matches_the_hermite_walk():
+    # the census walks the pA-tree and types each subgroup on its parent's
+    # tableau; its counts must equal those of the tableaux folded up each
+    # subgroup's own p-chain, one subgroup of the Hermite walk at a time,
+    # in a fresh ambient
+    for p, max_size in ((2, 7), (3, 5)):
+        for n in range(max_size + 1):
+            for beta in partitions_of(n):
+                amb = emb.AmbientModule(p, beta)
+                want = Counter(
+                    emb.klein_tableau(emb.Embedding(amb, subgroup=U))
+                    for U in oracle.enumerate_subgroups(p, beta)
+                )
+                assert dict(oracle.census(p, beta).tableaux) == want, (p, beta)
 
-    def spy(E):
-        stored.append(len(E.ambient._links))
-        tab = emb.klein_tableau(E)
-        fresh = emb.Embedding(emb.AmbientModule(E.p, E.beta), subgroup=E.subgroup)
-        assert tab == emb.klein_tableau(fresh), (E.p, E.beta, sorted(E.subgroup))
-        return tab
 
-    monkeypatch.setattr(oracle, "klein_tableau", spy)
+def _dim(order, p):
+    """log_p of a power of p."""
+    d = 0
+    while p**d < order:
+        d += 1
+    return d
+
+
+def _subspaces(k, j, p):
+    """The Gaussian binomial [k choose j]_p: the j-dimensional subspaces of F_p^k."""
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def test_census_tree_fibres(monkeypatch):
+    # the fibre {A : pA = C} has sum_j [k choose j]_p p^{u(k-j)} subgroups,
+    # u = dim C/pC and k = dim(p^{-1}C / C) - u, when C <= pB, and none
+    # otherwise; the tree gives C exactly the fibre's A other than C
+    children = Counter()
+    step = oracle._count_subtree
+
+    def spy(amb, A, C, tab, counts):
+        if A != C:  # not the root
+            assert emb.scale(amb, A) == C
+            children[C] += 1
+        step(amb, A, C, tab, counts)
+
+    monkeypatch.setattr(oracle, "_count_subtree", spy)
     monkeypatch.setattr(oracle, "_censuses", {})
-    subgroups = 0
+    inner = 0
     for p, max_size in ((2, 6), (3, 4)):
         for n in range(max_size + 1):
             for beta in partitions_of(n):
+                children.clear()
                 oracle.census(p, beta)
-                subgroups += sum(1 for _ in oracle.enumerate_subgroups(p, beta))
-    assert len(stored) == subgroups and max(stored) > 0
+                amb = emb.AmbientModule.get(p, beta)
+                subgroups = list(oracle.enumerate_subgroups(p, beta))
+                fibres = Counter(emb.scale(amb, A) for A in subgroups)
+                for C in subgroups:
+                    pC = emb.scale(amb, C)
+                    want = 0
+                    if C <= amb.p_power_set(1):
+                        inner += 1
+                        u = _dim(len(C) // len(pC), p)
+                        k = _dim(len(emb.preimage(amb, C)) // len(C), p) - u
+                        want = sum(_subspaces(k, j, p) * p ** (u * (k - j)) for j in range(k + 1))
+                    assert fibres[C] == want, (p, beta, sorted(C))
+                    assert children[C] == want - (C == pC), (p, beta, sorted(C))
+    assert inner == 157
+
+
+def test_census_tree_is_walked_lazily(monkeypatch):
+    # the root of (1^7) at p = 2 has 29,211 children, which take about
+    # 40 MB as element sets; the walk holds one path of the tree at a time
+    monkeypatch.setattr(oracle, "_censuses", {})
+    tracemalloc.start()
+    try:
+        oracle.census(2, (1,) * 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_census_consistency():

@@ -191,15 +191,18 @@ def test_lr_chains_match_unpruned_walk():
 
 def test_deep_chains_are_walked_in_linear_time():
     # a chain of 40,000 one-box strips is built once, at its leaf, with
-    # a floor and without
-    beta = (40000,)
+    # a floor and without; so is one strip over 40,000 columns
+    beta, ones = (40000,), (1,) * 40000
     start = time.process_time()
     (lr,) = enumerate_lr(beta, beta, ())
     middle = time.process_time()
-    (chain,) = _lr_chains(beta, (1,) * 40000)
+    (chain,) = _lr_chains(beta, ones)
     end = time.process_time()
+    (wide,) = enumerate_lr(ones, ones, ())
+    last = time.process_time()
     assert lr.gammas == chain == ((),) + tuple((k,) for k in range(1, 40001))
-    assert middle - start < 1 and end - middle < 1
+    assert wide.gammas == ((), ones)
+    assert middle - start < 1 and end - middle < 1 and last - end < 1
 
 
 def test_dominance_check_rejects_only_triples_without_chains():
