@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import embeddings as emb
 from . import oracle, verify
@@ -183,6 +184,7 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+@cache  # built once per process: main may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hallkit",

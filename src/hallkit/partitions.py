@@ -10,7 +10,7 @@ for parts-as-columns.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, zip_longest
+from itertools import chain, zip_longest
 from math import comb
 from typing import Iterable, Iterator
 
@@ -79,14 +79,6 @@ def contains(lam: Partition, mu: Partition) -> bool:
 def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
     """True iff mu <= lam componentwise and every column grows by at most 1."""
     return all(0 <= a - b <= 1 for a, b in zip_longest(lam, mu, fillvalue=0))
-
-
-def dominated(lam: Partition, mu: Partition) -> bool:
-    """lam <= mu in dominance order, for two partitions of one size: no
-    prefix sum of lam's parts exceeds mu's.  The prefixes past the shorter
-    partition need no check: there the shorter one's sum is the whole
-    size, so the last shared prefix already decides."""
-    return all(a <= b for a, b in zip(accumulate(lam), accumulate(mu)))
 
 
 def merge(*lams: Partition) -> Partition:

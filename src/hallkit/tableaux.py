@@ -13,8 +13,9 @@ Every enumeration removes one horizontal strip at a time, down from the
 top partition, by one successor, ``_strips``, which cuts a branch at the
 first column where the lattice property or a pigeonhole bound fails
 (``validate_lr`` compares the same suffix counts, ``_suffix_counts``).
-``_lr_chains`` walks it down to the floor gamma of a type, and
-``enumerate_klein_entries2`` to depth <= 2, with no floor.
+``enumerate_lr`` walks it down to the floor gamma of a type, once the
+type's sizes and containments allow one, and ``enumerate_klein_entries2``
+to depth <= 2, with no floor.
 
 The subscripts of entry ell come from ``itertools``: each row m draws its
 free ones by ``combinations_with_replacement`` over 1..m-1 and appends
@@ -40,7 +41,6 @@ from .partitions import (
     Partition,
     conjugate,
     contains,
-    dominated,
     fmt,
     is_horizontal_strip,
     merge,
@@ -158,7 +158,7 @@ class KleinTableau(LRTableau):
                 )
                 for item in json_typed(data.get("subscripts", []), list)
             )
-            return _unpadded(cls.make(gammas, subs))
+            return _readable(cls.make(gammas, subs))
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the field {exc}") from exc
         except (TypeError, AttributeError) as exc:
@@ -182,7 +182,7 @@ class KleinTableau(LRTableau):
             cell, _, values = chunk.partition(":")
             ell, _, m = cell.partition("@")
             cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
-        return _unpadded(cls.make(gammas, _cells(cells)))
+        return _readable(cls.make(gammas, _cells(cells)))
 
 
 def json_typed(value, kind: type):
@@ -194,10 +194,20 @@ def json_typed(value, kind: type):
     return value
 
 
-def _unpadded(tab: KleinTableau) -> KleinTableau:
-    """tab, or ValueError when its top strip is empty (e >= 1): that chain
-    is the tableau of no embedding, and it decodes as the chain below it.
-    The two readers refuse it; ``restrict`` pads on purpose."""
+def check_diagram_size(boxes: int) -> None:
+    """CapExceeded when a diagram of this many boxes is over the general cap."""
+    cap = general_cap()
+    if boxes > cap:
+        raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
+
+
+def _readable(tab: KleinTableau) -> KleinTableau:
+    """tab, as the two readers accept it: CapExceeded when its top
+    partition has more boxes than the general cap, as an object's diagram
+    would, and ValueError when its top strip is empty (e >= 1), since that
+    chain is the tableau of no embedding and decodes as the chain below
+    it (``restrict`` pads on purpose)."""
+    check_diagram_size(sum(tab.beta))
     if tab.e and tab.gammas[-1] == tab.gammas[-2]:
         raise ValueError(f"empty top strip: entry {tab.e} has no box")
     return tab
@@ -355,53 +365,38 @@ def _strips(
             stack.append((i, remaining - 1, s + 1, room + v - 1 - f, (v - 1, fixed)))
 
 
-def _lr_chains(
-    beta: Partition, sizes: Sequence[int], floor: Partition | None = None
-) -> Iterator[tuple[Partition, ...]]:
-    """LR chains [g0, ..., ge = beta] whose strip ell has sizes[ell-1]
-    boxes, in no particular order: a depth-first walk over ``_strips``.
-    A node (g_ell, node above) links a chain, flattened once at its leaf
-    (ell = 0), so a chain costs O(e).  With a floor gamma the strips keep
-    their slack, and g0 = gamma since it contains gamma and has its size.
+def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
+    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains.
+
+    CapExceeded, before any other work, when beta has more boxes than the
+    general cap.  A type with |alpha| + |gamma| != |beta|, or with alpha
+    or gamma outside beta, has none and is not walked.  Otherwise strips
+    ell = e, ..., 1 of conjugate(alpha)[ell-1] boxes each are removed from
+    beta by a depth-first walk over ``_strips`` with the floor gamma and
+    slack, so g0 = gamma since it contains gamma and has its size.  A node
+    (g_ell, node above) links a chain, flattened once at its leaf
+    (ell = 0), so a chain costs O(e).
     """
-    low, slack = _padded(floor or (), len(beta)), floor is not None
+    beta = partition(beta)
+    check_diagram_size(sum(beta))
+    alpha, gamma = partition(alpha), partition(gamma)
+    if sum(alpha) + sum(gamma) != sum(beta) or not (
+        contains(beta, alpha) and contains(beta, gamma)
+    ):
+        return ()
+    sizes, low = conjugate(alpha), _padded(gamma, len(beta))
+    chains = []
     stack = [(len(sizes), (beta, None), (0,) * (len(beta) + 1))]
     while stack:
         ell, node, upper = stack.pop()
         if not ell:
-            yield tuple(_unlink(node))
+            chains.append(tuple(_unlink(node)))
             continue
         mu = node[0]
-        for lam in _strips(mu, upper, sizes[ell - 1], ell, low, slack):
+        for lam in _strips(mu, upper, sizes[ell - 1], ell, low, True):
             # only a strip with a strip below it needs its suffix counts
             stack.append((ell - 1, (lam, node), ell > 1 and _suffix_counts(mu, lam)))
-
-
-def _lr_possible(alpha: Partition, beta: Partition, gamma: Partition) -> bool:
-    """Necessary conditions for an LR tableau of type (alpha, beta, gamma):
-    |alpha| + |gamma| = |beta|, alpha, gamma inside beta, and
-    alpha u gamma <= beta <= alpha + gamma in dominance order (u the
-    multiset union of parts, + the partwise sum).  Conjugation swaps u
-    with + and reverses dominance, so the conditions read the same with
-    parts as rows, where they are classical, and as columns."""
-    return (
-        sum(alpha) + sum(gamma) == sum(beta)
-        and contains(beta, alpha)
-        and contains(beta, gamma)
-        and dominated(merge(alpha, gamma), beta)
-        and dominated(beta, tuple(a + c for a, c in zip_longest(alpha, gamma, fillvalue=0)))
-    )
-
-
-def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
-    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains.
-
-    A type that fails ``_lr_possible`` has none and is not walked."""
-    alpha, beta, gamma = partition(alpha), partition(beta), partition(gamma)
-    if not _lr_possible(alpha, beta, gamma):
-        return ()
-    chains = sorted(_lr_chains(beta, conjugate(alpha), gamma))
-    return tuple(LRTableau(gs) for gs in chains)
+    return tuple(LRTableau(gs) for gs in sorted(chains))
 
 
 def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
@@ -469,8 +464,14 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     Each strip of b boxes under beta is walked once, with no floor, as the
     chain (mid, beta) and as the top of every (lam, mid, beta) whose
     bottom strip has a >= b boxes (lattice) and reads its suffix counts.
+    The result is memoised per beta, since the bijection, orbit and
+    realization checks each ask for every beta up to |beta| 10 to 12.
     """
-    beta = partition(beta)
+    return _entries2(partition(beta))
+
+
+@lru_cache(maxsize=1 << 9)
+def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     zeros = (0,) * (len(beta) + 1)
     chains = [(beta,)]
     for b in range(1, len(beta) + 1):
@@ -522,13 +523,6 @@ def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def check_diagram_size(boxes: int) -> None:
-    """CapExceeded when a diagram of this many boxes is over the general cap."""
-    cap = general_cap()
-    if boxes > cap:
-        raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
 
 
 def ascii_diagram(tab: LRTableau) -> str:

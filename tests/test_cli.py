@@ -16,7 +16,7 @@ from hallkit.hall import hall_polynomial
 from hallkit.partitions import parse
 from hallkit.qforms import evaluate
 from hallkit.s2cat import parse_object
-from hallkit.tableaux import KleinTableau
+from hallkit.tableaux import KleinTableau, enumerate_lr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -382,6 +382,39 @@ def test_huge_diagram_exits_one_at_once(capsys, fmt):
     assert "diagram of 99999999999 boxes exceeds cap" in json.loads(err)["message"]
 
 
+HUGE = "100000000000"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [("hall",), ("tableaux", "lr", "--count")])
+def test_huge_type_exits_one_at_once(capsys, argv, fmt):
+    # beta = alpha = (10^11) asks for a chain of 10^11 one-box strips: its
+    # diagram is over the general cap, so the type is refused before
+    # alpha is conjugated or any strip is walked
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--beta", HUGE, "--alpha", HUGE, "--format", fmt)
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": f"diagram of {HUGE} boxes exceeds cap {general_cap()}",
+    }
+
+
+@pytest.mark.parametrize("text", ["99999999999/" + HUGE, '{"gammas": [[99999999999], [%s]]}' % HUGE])
+def test_huge_tableau_exits_one_at_once(capsys, text):
+    # the tableau readers refuse a diagram over the general cap, as the
+    # object reader does for P(1,10^11), the object of this tableau
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--tableau", text)
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": f"diagram of {HUGE} boxes exceeds cap {general_cap()}",
+    }
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_huge_object_exits_one_at_once(capsys, fmt):
     # 99,999,999 copies of P(1,1) make a diagram of that many boxes, over
@@ -506,6 +539,37 @@ def test_oracle_hall_counts_or_exits_one(prime, beta, alpha, gamma, cap):
     assert code == 0 and err == ""
     want = evaluate(hall_polynomial(parse(alpha), parse(beta), parse(gamma)).total, prime)
     assert int(out) == want
+
+
+def _with_huge_part(text, i):
+    """text with a part of 10^11 inserted before its i-th part."""
+    parts = text.split(",") if text else []
+    parts.insert(min(i, len(parts)), HUGE)
+    return ",".join(parts)
+
+
+type_texts = st.one_of(part_texts, st.builds(_with_huge_part, part_texts, st.integers(0, 4)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(type_texts, type_texts, type_texts)
+def test_hall_and_lr_count_match_the_library_or_exit_one(beta, alpha, gamma):
+    # any partition texts, a part of 10^11 among them, either fail at
+    # once with one JSON diagnostic, or print the library's total and
+    # LR tableau count
+    flags = [f"--beta={beta}", f"--alpha={alpha}", f"--gamma={gamma}"]
+    for argv, want in [
+        (["hall"], lambda *t: hall_polynomial(*t).total.to_text()),
+        (["tableaux", "lr", "--count"], lambda *t: str(len(enumerate_lr(*t)))),
+    ]:
+        start = time.monotonic()
+        code, out, err = _main_out_err(*argv, *flags)
+        assert time.monotonic() - start < 1, argv
+        if code == 1:
+            assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+            continue
+        assert code == 0 and err == ""
+        assert out.strip() == want(parse(alpha), parse(beta), parse(gamma))
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

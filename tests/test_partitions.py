@@ -1,11 +1,8 @@
-from itertools import accumulate
-
 from hypothesis import given, strategies as st
 
 from hallkit.partitions import (
     conjugate,
     contains,
-    dominated,
     fmt,
     is_horizontal_strip,
     moment,
@@ -112,17 +109,3 @@ def test_horizontal_strip_box_count(lam, bits):
 def test_partitions_of_counts():
     counts = [sum(1 for _ in partitions_of(n)) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-
-
-def test_dominated_matches_padded_prefix_sums():
-    # against the definition with both partitions padded to one length;
-    # conjugation reverses the order
-    for n in range(9):
-        lams = list(partitions_of(n))
-        for lam in lams:
-            for mu in lams:
-                width = max(len(lam), len(mu))
-                pad = lambda p: p + (0,) * (width - len(p))
-                want = all(a <= b for a, b in zip(accumulate(pad(lam)), accumulate(pad(mu))))
-                assert dominated(lam, mu) == want, (lam, mu)
-                assert dominated(conjugate(mu), conjugate(lam)) == want, (lam, mu)

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from hallkit import tableaux
 from hallkit.errors import CapExceeded, RangeError
 from hallkit.partitions import conjugate, contains, partitions_of, row_length
 from hallkit.s2cat import enumerate_objects, tableau_of_object
@@ -18,8 +19,6 @@ from hallkit.tableaux import (
     enumerate_lr,
     restrict,
     tableau_type,
-    _lr_chains,
-    _lr_possible,
     validate_klein,
     validate_lr,
 )
@@ -166,9 +165,12 @@ def _unpruned_chains(beta, sizes):
     return sorted(gs for gs in chains if validate_lr(gs)[0])
 
 
-def test_lr_chains_match_unpruned_walk():
-    # the lattice and pigeonhole cuts of the strip walker lose no chain
-    triples = chains = 0
+def test_lr_chains_match_unpruned_walk(monkeypatch):
+    # the lattice and pigeonhole cuts of the strip walker lose no chain,
+    # and a type outside the size and containment check has none
+    strips, walked = tableaux._strips, []
+    monkeypatch.setattr(tableaux, "_strips", lambda *args: walked.append(args) or strips(*args))
+    triples = chains = zero = rejected = 0
     for n in range(9):
         for beta in partitions_of(n):
             for k in range(n + 1):
@@ -177,49 +179,44 @@ def test_lr_chains_match_unpruned_walk():
                     for gs in _unpruned_chains(beta, conjugate(alpha)):
                         by_base.setdefault(gs[0], []).append(gs)
                     for gamma in partitions_of(n - k):
+                        steps = len(walked)
                         got = [lr.gammas for lr in enumerate_lr(alpha, beta, gamma)]
                         assert got == by_base.get(gamma, []), (alpha, beta, gamma)
                         triples, chains = triples + 1, chains + len(got)
-            # with no floor, as for the tableaux with entries <= 2
+                        zero += not got
+                        rejected += not got and len(walked) == steps
+    assert (triples, chains) == (6830, 1351)
+    # the size and containment check rejects most zero types without a walk
+    assert (zero, rejected) == (5500, 5010)
+
+
+def test_entries2_chains_match_unpruned_walk():
+    # with no floor and no slack, the strip walker loses no chain of at
+    # most 2 strips whose top strip is nonempty
+    total = 0
+    for n in range(11):
+        for beta in partitions_of(n):
             a_max = len(beta) + 1
             sizes = [()] + [(a,) for a in range(1, a_max + 1)]
             sizes += [(a, b) for a in range(1, a_max + 1) for b in range(1, a + 1)]
-            for s in sizes:
-                assert sorted(_lr_chains(beta, s)) == _unpruned_chains(beta, s), (beta, s)
-    assert (triples, chains) == (6830, 1351)
+            want = {gs for s in sizes for gs in _unpruned_chains(beta, s)}
+            assert {tab.gammas for tab in enumerate_klein_entries2(beta)} == want, beta
+            total += len(want)
+    assert total == 3065
 
 
 def test_deep_chains_are_walked_in_linear_time():
-    # a chain of 40,000 one-box strips is built once, at its leaf, with
-    # a floor and without; so is one strip over 40,000 columns
+    # a chain of 40,000 one-box strips is built once, at its leaf; so is
+    # one strip over 40,000 columns
     beta, ones = (40000,), (1,) * 40000
     start = time.process_time()
     (lr,) = enumerate_lr(beta, beta, ())
     middle = time.process_time()
-    (chain,) = _lr_chains(beta, ones)
-    end = time.process_time()
     (wide,) = enumerate_lr(ones, ones, ())
-    last = time.process_time()
-    assert lr.gammas == chain == ((),) + tuple((k,) for k in range(1, 40001))
+    end = time.process_time()
+    assert lr.gammas == ((),) + tuple((k,) for k in range(1, 40001))
     assert wide.gammas == ((), ones)
-    assert middle - start < 1 and end - middle < 1 and last - end < 1
-
-
-def test_dominance_check_rejects_only_triples_without_chains():
-    # every triple the check rejects has no LR chain in the unfiltered walk
-    triples = rejected = zero = 0
-    for n in range(10):
-        for beta in partitions_of(n):
-            for k in range(n + 1):
-                for alpha in partitions_of(k):
-                    for gamma in partitions_of(n - k):
-                        walk = _lr_chains(beta, conjugate(alpha), gamma)
-                        has_chain = contains(beta, gamma) and next(walk, None) is not None
-                        if not _lr_possible(alpha, beta, gamma):
-                            assert not has_chain, (alpha, beta, gamma)
-                            rejected += 1
-                        triples, zero = triples + 1, zero + (not has_chain)
-    assert (triples, zero, rejected) == (15830, 13110, 12676)
+    assert middle - start < 1 and end - middle < 1
 
 
 def test_klein_refinement_examples():
@@ -241,10 +238,12 @@ def test_enumerate_klein_examples():
     assert len(enumerate_klein((2, 1), (2, 1), ())) == 1
 
 
-def test_tall_strip_reads_only_its_capped_rows():
+def test_tall_strip_reads_only_its_capped_rows(monkeypatch):
     # one level whose strips sit at height 10^7: the subscripts are drawn
     # from the rows that hold caps, with no scan of the rows below
     m = 10**7
+    # the diagram of beta = (m) is over the default general cap
+    monkeypatch.setenv("HALLKIT_CAP", str(m))
     start = time.monotonic()
     (only,) = enumerate_klein((2,), (m,), (m - 2,))
     assert time.monotonic() - start < 0.5
