@@ -16,6 +16,7 @@ from functools import cache
 
 from . import embeddings as emb
 from . import oracle, verify
+from .caps import limits
 from .errors import HallkitError
 from .hall import hall_polynomial
 from .partitions import fmt, parse
@@ -132,7 +133,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    E = emb.Embedding.from_coords(args.prime, parse(args.beta), _parse_gens(args.gens), args.cap)
+    E = emb.Embedding.from_coords(args.prime, parse(args.beta), _parse_gens(args.gens))
     if args.what == "tableau":
         tab = emb.klein_tableau(E)
         payload = {"tableau": tab.to_json(), "text": tab.to_text()}
@@ -150,7 +151,7 @@ def cmd_embed(args) -> int:
 
 def cmd_oracle(args) -> int:
     alpha, beta, gamma = parse(args.alpha), parse(args.beta), parse(args.gamma)
-    census = oracle.census(args.prime, beta, args.subgroup_cap)
+    census = oracle.census(args.prime, beta)
     count = census.types.get((alpha, gamma), 0)
     payload = {
         "count": count,
@@ -174,7 +175,6 @@ def cmd_verify(args) -> int:
         max_beta=args.max_beta,
         seed=args.seed,
         count=args.count,
-        cap=args.cap,
     )
     payload = {
         "passed": all(r.passed for r in reports),
@@ -190,6 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hallkit",
         description="Hall polynomials of finite abelian p-groups via Klein tableaux.",
     )
+    # main puts both caps in force; a subcommand without a cap flag leaves it None
+    parser.set_defaults(cap=None, subgroup_cap=None)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("hall", help="compute a Hall polynomial")
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--gens", default="", help="semicolon-separated coordinate vectors, e.g. '4,2;1,0'")
-    sp.add_argument("--cap", type=_non_negative, default=None, help="override the ambient-order cap")
+    sp.add_argument("--cap", type=_non_negative, default=None, help="general cap")
     _add_format_flag(sp)
     sp.set_defaults(func=cmd_embed)
 
@@ -250,24 +252,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
     )
     sp.add_argument("--cap", type=_non_negative, default=None, help="general cap of "
-                    "every suite; it can lower, never raise, hall's census bound and the "
-                    "Aut/End sweep's 2^14 bound")
+                    "every suite, diagrams included; it can lower, never raise, hall's "
+                    "census bound and the Aut/End sweep's 2^14 bound")
     sp.set_defaults(func=cmd_verify)
 
     return parser
 
 
-def _join_tableau_values(argv: list[str]) -> list[str]:
-    """argparse reads a value starting with '-' as a flag, and a text
-    tableau whose first partition is empty starts with '-'; so
-    ``--tableau -/1/2`` is rewritten to ``--tableau=-/1/2``, and so is
-    any abbreviation argparse accepts for the flag (``--tab -/1/2``).  A
-    value starting with '--' is left alone: it is another flag."""
+# the flags whose value may start with '-'
+_DASH_VALUE_FLAGS = ("--tableau", "--gens")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """argparse reads a value starting with '-' as a flag, yet a text
+    tableau whose first partition is empty starts with '-', and so may a
+    generator's first coordinate; so ``--tableau -/1/2`` is rewritten to
+    ``--tableau=-/1/2`` and ``--gens -1,-1`` to ``--gens=-1,-1``, and so
+    is any abbreviation argparse accepts for either flag (``--tab
+    -/1/2``).  A value starting with '--' is left alone: it is another
+    flag."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
-        is_tableau_flag = len(flag) > 2 and "--tableau".startswith(flag)
-        if is_tableau_flag and arg.startswith("-") and not arg.startswith("--"):
+        takes_dash = len(flag) > 2 and any(name.startswith(flag) for name in _DASH_VALUE_FLAGS)
+        if takes_dash and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)
@@ -276,11 +284,12 @@ def _join_tableau_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_tableau_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        code = args.func(args)
-        # flush here, so that a closed stdout raises inside this block
-        sys.stdout.flush()
+        with limits(args.cap, args.subgroup_cap):
+            code = args.func(args)
+            # flush here, so that a closed stdout raises inside this block
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # Python flushes stdout again at exit: send what is left to devnull

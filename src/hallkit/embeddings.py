@@ -95,9 +95,9 @@ class AmbientModule:
 
     _cache: dict[tuple[int, Partition], "AmbientModule"] = {}
 
-    def __init__(self, p: int, beta, cap: int | None = None):
+    def __init__(self, p: int, beta):
         # the cap comes first, so trial division takes at most isqrt(cap) steps
-        limit = general_cap(cap)
+        limit = general_cap()
         if p > limit:
             raise CapExceeded(f"p = {p} exceeds cap {limit}")
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
@@ -121,12 +121,12 @@ class AmbientModule:
         self._times_p: dict[int, int] = {}  # x -> px, filled by pmul
 
     @classmethod
-    def get(cls, p: int, beta, cap: int | None = None) -> "AmbientModule":
+    def get(cls, p: int, beta) -> "AmbientModule":
         key = (p, partition(beta))
         amb = cls._cache.get(key)
         # p too, as __init__ does, for a module of order 1 (beta empty)
-        if amb is None or max(p, amb.size) > general_cap(cap):
-            amb = cls(p, beta, cap)
+        if amb is None or max(p, amb.size) > general_cap():
+            amb = cls(p, beta)
             cls._cache[key] = amb
         return amb
 
@@ -289,10 +289,8 @@ class Embedding:
         self._truncations: dict[int, Embedding] = {}
 
     @classmethod
-    def from_coords(
-        cls, p: int, beta, gen_coords: Iterable[Sequence[int]], cap: int | None = None
-    ) -> "Embedding":
-        amb = AmbientModule.get(p, beta, cap)
+    def from_coords(cls, p: int, beta, gen_coords: Iterable[Sequence[int]]) -> "Embedding":
+        amb = AmbientModule.get(p, beta)
         return cls(amb, tuple(amb.pack(c) for c in gen_coords))
 
     @property
@@ -357,8 +355,8 @@ class Embedding:
         }
 
     @classmethod
-    def from_json(cls, data: dict, cap: int | None = None) -> "Embedding":
-        return cls.from_coords(data["p"], data["beta"], data["gens"], cap)
+    def from_json(cls, data: dict) -> "Embedding":
+        return cls.from_coords(data["p"], data["beta"], data["gens"])
 
 
 def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:
@@ -489,26 +487,26 @@ def klein_tableau(E: Embedding) -> KleinTableau:
 # canonical embeddings and constructions
 
 
-def picket_embedding(p: int, ell: int, m: int, cap: int | None = None) -> Embedding:
+def picket_embedding(p: int, ell: int, m: int) -> Embedding:
     """(p^{m-ell}) inside Z/p^m."""
     if not 0 <= ell <= m:
         raise ValueError("need 0 <= ell <= m")
     gens = [(p ** (m - ell),)] if ell else []
-    return Embedding.from_coords(p, (m,), gens, cap)
+    return Embedding.from_coords(p, (m,), gens)
 
 
-def bipicket_embedding(p: int, m: int, r: int, cap: int | None = None) -> Embedding:
+def bipicket_embedding(p: int, m: int, r: int) -> Embedding:
     """The diagonal ((p^{m-2}, p^{r-1})) inside Z/p^m + Z/p^r."""
     if not 1 <= r <= m - 1:
         raise ValueError("need 1 <= r <= m-1")
-    return Embedding.from_coords(p, (m, r), [(p ** (m - 2), p ** (r - 1))], cap)
+    return Embedding.from_coords(p, (m, r), [(p ** (m - 2), p ** (r - 1))])
 
 
-def empty_embedding(p: int, cap: int | None = None) -> Embedding:
-    return Embedding.from_coords(p, (), [], cap)
+def empty_embedding(p: int) -> Embedding:
+    return Embedding.from_coords(p, (), [])
 
 
-def direct_sum(*summands: Embedding, cap: int | None = None) -> Embedding:
+def direct_sum(*summands: Embedding) -> Embedding:
     """Block-diagonal sum of one or more embeddings over one prime, in one
     ambient whose columns are re-sorted into a partition (ties keep the
     summands' order); each generator is packed once."""
@@ -519,7 +517,7 @@ def direct_sum(*summands: Embedding, cap: int | None = None) -> Embedding:
         raise ValueError("summands must share the prime")
     # (-part, summand, column) of every column, in the order of the sum
     cols = sorted((-part, k, i) for k, E in enumerate(summands) for i, part in enumerate(E.beta))
-    amb = AmbientModule.get(p, [-part for part, _, _ in cols], cap)
+    amb = AmbientModule.get(p, [-part for part, _, _ in cols])
     slot = {(k, i): j for j, (_, k, i) in enumerate(cols)}
     gens = []
     for k, E in enumerate(summands):
@@ -529,9 +527,9 @@ def direct_sum(*summands: Embedding, cap: int | None = None) -> Embedding:
     return Embedding(amb, gens=gens)
 
 
-def random_embedding(p: int, beta, k: int, seed: int, cap: int | None = None) -> Embedding:
+def random_embedding(p: int, beta, k: int, seed: int) -> Embedding:
     """k uniformly random generators; bit-exact reproducible per seed."""
-    amb = AmbientModule.get(p, beta, cap)
+    amb = AmbientModule.get(p, beta)
     rng = random.Random(seed)
     gens = [
         amb.pack(tuple(rng.randrange(m) for m in amb.mods)) for _ in range(k)
@@ -539,21 +537,21 @@ def random_embedding(p: int, beta, k: int, seed: int, cap: int | None = None) ->
     return Embedding(amb, gens=gens)
 
 
-def object_embedding(obj: S2Object, p: int, cap: int | None = None) -> Embedding:
+def object_embedding(obj: S2Object, p: int) -> Embedding:
     """The direct sum of the canonical picket/bipicket embeddings of an
     object's summands, after the empty embedding, so the zero object has
     one too."""
     pieces = []
     for (ell, m, r), k in obj.summands:
-        piece = bipicket_embedding(p, m, r, cap) if r else picket_embedding(p, ell, m, cap)
+        piece = bipicket_embedding(p, m, r) if r else picket_embedding(p, ell, m)
         pieces += [piece] * k
-    return direct_sum(empty_embedding(p, cap), *pieces, cap=cap)
+    return direct_sum(empty_embedding(p), *pieces)
 
 
-def realize(tab: KleinTableau, p: int, cap: int | None = None) -> Embedding:
+def realize(tab: KleinTableau, p: int) -> Embedding:
     """A concrete embedding whose Klein tableau is the given entries-<=2
     tableau: the embedding of its decoded object."""
-    return object_embedding(object_of_tableau(tab), p, cap)
+    return object_embedding(object_of_tableau(tab), p)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +582,7 @@ def reduce(E: Embedding, s: int = 1) -> Embedding:
     return R
 
 
-def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
+def truncate(E: Embedding, ell: int) -> Embedding:
     """The approximation E|^ell = (A/p^ell A <= B/p^ell A).
 
     The quotient B/X, X = p^ell A, gets a fresh ambient of its type with
@@ -603,19 +601,19 @@ def truncate(E: Embedding, ell: int, cap: int | None = None) -> Embedding:
     amb = E.ambient
     cut = E._truncations.get(ell)
     if cut is not None:
-        AmbientModule.get(amb.p, cut.beta, cap)  # the cap check of a new one
+        AmbientModule.get(amb.p, cut.beta)  # the cap check of a new one
         return cut
     X = E.chain()[ell]
     gamma = quotient_type(amb, X)
-    new_amb = AmbientModule.get(amb.p, gamma, cap)
+    new_amb = AmbientModule.get(amb.p, gamma)
     basis, spans = _greedy_basis(amb, gamma, X, amb.all_elements())
     gens = tuple(new_amb.pack(_peel(amb, gamma, basis, spans, g)) for g in E.generators())
     cut = E._truncations[ell] = Embedding(new_amb, gens=gens)
     return cut
 
 
-def subfactor(E: Embedding, ell: int, u: int, cap: int | None = None) -> Embedding:
+def subfactor(E: Embedding, ell: int, u: int) -> Embedding:
     """E|^ell_u = reduce(truncate(E, ell), ell - u)."""
     if not 0 <= u <= ell:
         raise ValueError("need 0 <= u <= ell")
-    return reduce(truncate(E, ell, cap), ell - u)
+    return reduce(truncate(E, ell), ell - u)

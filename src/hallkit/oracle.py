@@ -33,9 +33,10 @@ of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
 g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
 
-A ``cap`` argument is the subgroup cap (``--subgroup-cap``) in the
-subgroup enumeration and the census functions, and the general cap
-(``--cap``) everywhere else.
+The subgroup enumeration and the census are bounded by the smaller of
+the subgroup cap and the general cap, checked on p^|beta| before M(beta)
+is built; the morphism walks by the general cap on the hom space (see
+``caps``).
 """
 
 from __future__ import annotations
@@ -69,13 +70,19 @@ from .zpn import span_exponent
 # subgroup enumeration
 
 
-def _lattice_ambient(p: int, beta, cap: int | None) -> AmbientModule:
-    """M(beta), after checking its order against the subgroup cap."""
-    amb = AmbientModule.get(p, beta)
-    limit = subgroup_cap(cap)
-    if amb.size > limit:
-        raise CapExceeded(f"ambient order {amb.size} exceeds subgroup cap {limit}")
-    return amb
+def _lattice_ambient(p: int, beta) -> AmbientModule:
+    """M(beta), after its order p^|beta| is checked against the census
+    bound, the smaller of the subgroup cap and the general cap; a prime
+    p < 2 is refused by ``AmbientModule``."""
+    limit = min(subgroup_cap(), general_cap())
+    n = sum(partition(beta))
+    # p^n is over the bound, and too large to write out, once n passes the
+    # bound's bit length or p passes the bound itself
+    huge = n > limit.bit_length() or (n > 0 and p > limit)
+    if p >= 2 and (huge or p**n > limit):
+        order = f"{p}^{n}" if huge else p**n
+        raise CapExceeded(f"ambient order {order} exceeds subgroup cap {limit}")
+    return AmbientModule.get(p, beta)
 
 
 def _walk(
@@ -121,12 +128,11 @@ def _walk(
                 stack.append((k + 1, grown, _spread(sums, mults[: p**j], add)))
 
 
-def enumerate_subgroups(p: int, beta, cap: int | None = None) -> Iterator[SubgroupSet]:
+def enumerate_subgroups(p: int, beta) -> Iterator[SubgroupSet]:
     """Every subgroup of M(beta) exactly once, in a deterministic order:
     the walk ``_walk`` from 0 over the unit vectors, of orders beta.
-    ``cap`` is the subgroup cap (``--subgroup-cap``) on M(beta)'s order.
     """
-    amb = _lattice_ambient(p, beta, cap)
+    amb = _lattice_ambient(p, beta)
     s = len(amb.beta)
     units = [amb.pack([i == k for i in range(s)]) for k in range(s)]
     yield from _walk(amb, frozenset({0}), units, amb.beta, s)
@@ -174,11 +180,10 @@ class Census:
 _censuses: dict[tuple[int, Partition], Census] = {}
 
 
-def census(p: int, beta, cap: int | None = None) -> Census:
-    """The census of M(beta), from one enumeration cached per (p, beta).
-    ``cap`` is the subgroup cap (``--subgroup-cap``), checked on every
-    call, cached or not."""
-    amb = _lattice_ambient(p, beta, cap)
+def census(p: int, beta) -> Census:
+    """The census of M(beta), from one enumeration cached per (p, beta);
+    the census bound is checked on every call, cached or not."""
+    amb = _lattice_ambient(p, beta)
     key = (p, amb.beta)
     if key not in _censuses:
         start = time.monotonic()
@@ -192,22 +197,20 @@ def census(p: int, beta, cap: int | None = None) -> Census:
     return _censuses[key]
 
 
-def hall_census(p: int, beta, cap: int | None = None) -> dict[tuple[Partition, Partition], int]:
-    """Counts of subgroups keyed by (subgroup type, quotient type);
-    ``cap`` is the subgroup cap (``--subgroup-cap``)."""
-    return dict(census(p, beta, cap).types)
+def hall_census(p: int, beta) -> dict[tuple[Partition, Partition], int]:
+    """Counts of subgroups keyed by (subgroup type, quotient type)."""
+    return dict(census(p, beta).types)
 
 
-def hall_count(p: int, alpha, beta, gamma, cap: int | None = None) -> int:
+def hall_count(p: int, alpha, beta, gamma) -> int:
     """Number of subgroups of the given type with the given quotient
-    type; ``cap`` is the subgroup cap (``--subgroup-cap``)."""
-    return census(p, beta, cap).types.get((partition(alpha), partition(gamma)), 0)
+    type."""
+    return census(p, beta).types.get((partition(alpha), partition(gamma)), 0)
 
 
-def hall_count_by_tableau(p: int, beta, cap: int | None = None) -> dict[KleinTableau, int]:
-    """Subgroup counts keyed by the Klein tableau of the embedding;
-    ``cap`` is the subgroup cap (``--subgroup-cap``)."""
-    return dict(census(p, beta, cap).tableaux)
+def hall_count_by_tableau(p: int, beta) -> dict[KleinTableau, int]:
+    """Subgroup counts keyed by the Klein tableau of the embedding."""
+    return dict(census(p, beta).tableaux)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,7 @@ def _check_primes(E: Embedding, F: Embedding) -> None:
         raise ValueError("embeddings must share the prime")
 
 
-def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]:
+def _module_maps(E: Embedding, F: Embedding) -> Iterator[tuple]:
     """Every module map B_E -> B_F that carries A_E into A_F.
 
     A map is fixed by the images of the unit vectors: the i-th goes to an
@@ -256,7 +259,7 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
     total = 1
     for block in allowed:
         total *= len(block)
-    limit = general_cap(cap)
+    limit = general_cap()
     if total > limit:
         raise CapExceeded(f"hom space of size {total} exceeds cap {limit}")
     add, target = ambF.add, F.subgroup
@@ -272,9 +275,7 @@ def _module_maps(E: Embedding, F: Embedding, cap: int | None) -> Iterator[tuple]
             yield idx, images
 
 
-def _flagged_maps(
-    E: Embedding, F: Embedding, cap: int | None
-) -> Iterator[tuple[bool, list[int]]]:
+def _flagged_maps(E: Embedding, F: Embedding) -> Iterator[tuple[bool, list[int]]]:
     """The maps of ``_module_maps(E, F)`` as (invertible mod p, generator
     images); F lives in E's ambient.
 
@@ -305,14 +306,14 @@ def _flagged_maps(
                 return False
         return True
 
-    for idx, images in _module_maps(E, F, cap):
+    for idx, images in _module_maps(E, F):
         yield full_rank(idx), images
 
 
-def hom_count(E: Embedding, F: Embedding, cap: int | None = None) -> int:
+def hom_count(E: Embedding, F: Embedding) -> int:
     """Number of morphisms (A_E <= B_E) -> (A_F <= B_F): module maps
     B_E -> B_F carrying A_E into A_F."""
-    return sum(1 for _ in _module_maps(E, F, cap))
+    return sum(1 for _ in _module_maps(E, F))
 
 
 def hom_order(E: Embedding, F: Embedding) -> int:
@@ -339,40 +340,39 @@ def hom_order(E: Embedding, F: Embedding) -> int:
     return p ** (sum(min(b, c) for b in beta for c in gamma) - image)
 
 
-def end_aut_counts(E: Embedding, cap: int | None = None) -> tuple[int, int]:
+def end_aut_counts(E: Embedding) -> tuple[int, int]:
     """|End E| and |Aut E| from one walk over the endomorphisms of E:
     module maps of the ambient carrying the subgroup into itself, and
     those of them invertible mod p."""
     end = aut = 0
-    for invertible, _ in _flagged_maps(E, E, cap):
+    for invertible, _ in _flagged_maps(E, E):
         end += 1
         aut += invertible
     return end, aut
 
 
-def aut_count(E: Embedding, cap: int | None = None) -> int:
+def aut_count(E: Embedding) -> int:
     """Number of automorphisms of the embedding: invertible module maps
     of the ambient fixing the subgroup setwise."""
-    return end_aut_counts(E, cap)[1]
+    return end_aut_counts(E)[1]
 
 
-def aut_count_module(p: int, beta, cap: int | None = None) -> int:
+def aut_count_module(p: int, beta) -> int:
     """Number of module automorphisms of M(beta)."""
-    amb = AmbientModule.get(p, beta, cap)
-    return aut_count(Embedding(amb, gens=()), cap)
+    return aut_count(Embedding(AmbientModule.get(p, beta), gens=()))
 
 
-def orbit_check(E: Embedding, cap: int | None = None) -> bool:
+def orbit_check(E: Embedding) -> bool:
     """Compare the orbit of A under ambient automorphisms, counted
     directly, with the quotient of the two brute-force group orders."""
     amb = E.ambient
     whole = Embedding(amb, subgroup=amb.all_elements())
     autB, orbit = 0, set()
-    for invertible, images in _flagged_maps(E, whole, cap):
+    for invertible, images in _flagged_maps(E, whole):
         if invertible:
             autB += 1
             orbit.add(span(amb, images))
-    autE = aut_count(E, cap)
+    autE = aut_count(E)
     return autB % autE == 0 and len(orbit) == autB // autE
 
 

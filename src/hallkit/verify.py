@@ -11,12 +11,13 @@ Four suites, bundled so CI can run one command:
                     symbol-multiplicity equality).
 * ``hall``       -- exhaustive Hall-polynomial verification: evaluation
                     at q = p equals subgroup counts and per-tableau counts
-                    match (these need the subgroup census, so a beta over
-                    the subgroup cap skips them and is counted); the
-                    symbolic (alpha, gamma)-symmetry, degree and
-                    monicity checks run on every beta and never skip,
-                    and so does the orbit identity: for every tableau
-                    with entries <= 2 and |beta| <= 12, its multiplicity
+                    match (these need the subgroup census, so a beta
+                    whose M(beta) is over the census bound skips them
+                    and is counted); the symbolic (alpha, gamma)-symmetry,
+                    degree and monicity checks run on every beta within
+                    the diagram cap and count the others skipped; the
+                    orbit identity never skips: for every tableau with
+                    entries <= 2 and |beta| <= 12, its multiplicity
                     times the Aut order of its object is |Aut M(beta)|.
 
 Each check is a sweep: a name, a list of cases and a per-case test,
@@ -29,7 +30,10 @@ census.  A check with no cap counts the items it compares: tableaux,
 objects, (object, y) pairs, summands or triples.  A one-shot check is a
 sweep of one case; skipped, its detail is its skip reason.  Every case
 runs through ``_capped``, the module's one ``except CapExceeded``.
-Suites are deterministic given their seed.
+The caps are those in force (see ``caps``; the CLI puts ``--cap`` in
+force around the suites); the Aut/End sweep lowers the general cap to
+``BRUTE_CAP`` for its map walks.  Suites are deterministic given their
+seed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 from . import embeddings as emb
 from . import oracle
-from .caps import general_cap, subgroup_cap
+from .caps import general_cap, limits
 from .errors import CapExceeded
 from .hall import expected_degree, hall_multiplicity_factored, hall_polynomial
 from .partitions import partitions_of
@@ -130,12 +134,13 @@ def _bad(outcomes, skips) -> str:
     return f"{sum(outcomes)} bad"
 
 
-def _sweep(name: str, test, cases, detail=_bad, fault=bool) -> Check:
+def _sweep(name: str, test, cases, detail=_bad, fault=bool, skipped=()) -> Check:
     """The check `name`: test(*case), never None, on each case through
     ``_capped``.  A case fails when fault(its outcome); detail(outcomes,
-    skips) is written from the cases that ran and the skip reasons.  Cases
-    are drawn one at a time, so a generator may share the test's rng."""
-    skips: list[str] = []
+    skips) is written from the cases that ran and the skip reasons, which
+    start with ``skipped``, those of the cases ruled out before the sweep.
+    Cases are drawn one at a time, so a generator may share the test's rng."""
+    skips = list(skipped)
     outcomes = [out for case in cases if (out := _capped(skips, test, *case)) is not None]
     failed = sum(1 for out in outcomes if fault(out))
     reason = skips[0] if skips else ""
@@ -148,16 +153,15 @@ def _one_shot(name: str, test) -> Check:
                   fault=lambda out: not out[0])
 
 
-def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
+def suite_formulas(prime: int = 2) -> SuiteReport:
     """Brute-force checks skip, and say so, whatever exceeds the cap: the
     sweeps count their skipped pairs and objects, an anchor check reports
     itself skipped.  Closed-form checks always run in full."""
     start = time.monotonic()
     p = prime
-    brute_cap = min(BRUTE_CAP, general_cap(cap))
 
     def gl_orders():
-        counts = [oracle.aut_count_module(p, (1,) * m, cap) for m in range(4)]
+        counts = [oracle.aut_count_module(p, (1,) * m) for m in range(4)]
         want = [evaluate(gl_order(m), p) for m in range(4)]
         return counts == want, f"{counts} vs {want}"
 
@@ -171,26 +175,30 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     # embeddings are built inside the capped callables, so an ambient
     # over the cap skips its check
     def end_aut_anchors():
-        T42, T31 = emb.bipicket_embedding(p, 4, 2, cap), emb.bipicket_embedding(p, 3, 1, cap)
-        end, aut = oracle.hom_count(T42, T42, cap), oracle.aut_count(T31, cap)
+        T42, T31 = emb.bipicket_embedding(p, 4, 2), emb.bipicket_embedding(p, 3, 1)
+        end, aut = oracle.hom_count(T42, T42), oracle.aut_count(T31)
         return end == p**9 and aut == (p - 1) * p**4, f"End(T(4,2))={end}, Aut(T(3,1))={aut}"
 
     def hom_bad(x, y):
-        Ex, Ey = (emb.object_embedding(S2Object.of(z), p, cap) for z in (x, y))
-        return p ** hom_len_indec(x, y) != oracle.hom_count(Ex, Ey, cap)
+        Ex, Ey = (emb.object_embedding(S2Object.of(z), p) for z in (x, y))
+        return p ** hom_len_indec(x, y) != oracle.hom_count(Ex, Ey)
 
-    # an object fails once, and counts in the detail once per wrong order
+    # an object fails once, and counts in the detail once per wrong order;
+    # its embedding is built under the general cap, its map walk under the
+    # smaller BRUTE_CAP
     def end_aut_bad(obj):
-        end, aut = oracle.end_aut_counts(emb.object_embedding(obj, p, cap), brute_cap)
+        E = emb.object_embedding(obj, p)
+        with limits(general=min(BRUTE_CAP, general_cap())):
+            end, aut = oracle.end_aut_counts(E)
         return (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
 
     def orbit_formula():
         cases = (
-            emb.bipicket_embedding(p, 4, 2, cap),
-            emb.picket_embedding(p, 2, 3, cap),
-            emb.object_embedding(S2Object.of(Picket(1, 2), Picket(0, 1)), p, cap),
+            emb.bipicket_embedding(p, 4, 2),
+            emb.picket_embedding(p, 2, 3),
+            emb.object_embedding(S2Object.of(Picket(1, 2), Picket(0, 1)), p),
         )
-        return all(oracle.orbit_check(E, cap) for E in cases), ""
+        return all(oracle.orbit_check(E) for E in cases), ""
 
     indecs, objs = enumerate_indecomposables(6), enumerate_objects(8)
     checks = [
@@ -217,9 +225,7 @@ def suite_formulas(prime: int = 2, cap: int | None = None) -> SuiteReport:
     return SuiteReport("formulas", checks, time.monotonic() - start)
 
 
-def suite_roundtrip(
-    max_beta: int = 10, realize_max: int = 8, primes=(2, 3), cap: int | None = None
-) -> SuiteReport:
+def suite_roundtrip(max_beta: int = 10, realize_max: int = 8, primes=(2, 3)) -> SuiteReport:
     start = time.monotonic()
     # the tableaux with entries <= 2 by |beta|, enumerated once for both
     # directions of the bijection and for the realizations
@@ -238,14 +244,14 @@ def suite_roundtrip(
                [(obj,) for obj in enumerate_objects(max_beta)],
                lambda bad, _: f"{len(bad)} objects, {sum(bad)} bad"),
         _sweep("realization-fidelity",
-               lambda tab, p: emb.klein_tableau(emb.realize(tab, p, cap)) != tab, realized,
+               lambda tab, p: emb.klein_tableau(emb.realize(tab, p)) != tab, realized,
                lambda bad, skips: f"{len(realized)} realizations (p = {_names(primes)}), "
                f"{len(skips)} skipped over cap, {sum(bad)} bad"),
     ]
     return SuiteReport("roundtrip", checks, time.monotonic() - start)
 
 
-def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) -> list[str]:
+def _embedding_battery(E: emb.Embedding, rng: random.Random) -> list[str]:
     """All functor/tableau identities for one embedding; returns failures.
     Raises CapExceeded when any construction or count is over the cap."""
     failures = []
@@ -257,7 +263,7 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
         if emb.klein_tableau(emb.reduce(E, s)) != restrict(tab, e, e - s):
             failures.append(f"reduce tableau s={s}")
     for ell in range(e + 1):
-        if emb.klein_tableau(emb.truncate(E, ell, cap)) != restrict(tab, ell, ell):
+        if emb.klein_tableau(emb.truncate(E, ell)) != restrict(tab, ell, ell):
             failures.append(f"approximation tableau ell={ell}")
 
     up, down = emb.lift(E), emb.reduce(E)
@@ -272,14 +278,14 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
         failures.append("down-up fixed-point criterion")
 
     m = rng.randrange(1, 4)
-    F = emb.picket_embedding(E.p, rng.randrange(0, min(2, m) + 1), m, cap)
+    F = emb.picket_embedding(E.p, rng.randrange(0, min(2, m) + 1), m)
     s = rng.randrange(0, 3)
     if not oracle.adjointness_check(E, F, s):
         failures.append(f"adjointness s={s} F={F.beta}")
 
     n = amb.beta[0] if amb.beta else 0
     for ell in range(2, e + 1):
-        obj = object_of_tableau(emb.klein_tableau(emb.subfactor(E, ell, 2, cap)))
+        obj = object_of_tableau(emb.klein_tableau(emb.subfactor(E, ell, 2)))
         for row in range(1, n + 1):
             for r in range(1, row):
                 if tab.count_symbols(ell, rows={row}, subs={r}) != obj.multiplicity(
@@ -287,7 +293,7 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
                 ):
                     failures.append(f"symbol multiplicity ell={ell} row={row} r={r}")
         # entry counts also match picket multiplicities one level down
-        obj1 = object_of_tableau(emb.klein_tableau(emb.subfactor(E, ell, 1, cap)))
+        obj1 = object_of_tableau(emb.klein_tableau(emb.subfactor(E, ell, 1)))
         for row in range(1, n + 1):
             boxes = tab.count_symbols(ell, rows={row})
             if boxes != obj1.multiplicity(Picket(1, row)):
@@ -295,7 +301,7 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random, cap: int | None) ->
     return failures
 
 
-def suite_theorem2(count: int = 500, seed: int = 20260808, cap: int | None = None) -> SuiteReport:
+def suite_theorem2(count: int = 500, seed: int = 20260808) -> SuiteReport:
     start = time.monotonic()
     rng, primes = random.Random(seed), THEOREM2_PRIMES
     betas = [beta for n in range(1, THEOREM2_MAX_SIZE + 1) for beta in partitions_of(n)]
@@ -307,8 +313,8 @@ def suite_theorem2(count: int = 500, seed: int = 20260808, cap: int | None = Non
             yield primes[i % len(primes)], beta, rng.randrange(1, 4), rng.randrange(1 << 30)
 
     def battery(p, beta, k, E_seed):
-        E = emb.random_embedding(p, beta, k, seed=E_seed, cap=cap)
-        return [f"p={p} beta={beta}: {failure}" for failure in _embedding_battery(E, rng, cap)]
+        E = emb.random_embedding(p, beta, k, seed=E_seed)
+        return [f"p={p} beta={beta}: {failure}" for failure in _embedding_battery(E, rng)]
 
     def detail(found, skips):
         failures = [failure for listed in found for failure in listed]
@@ -322,37 +328,45 @@ def suite_theorem2(count: int = 500, seed: int = 20260808, cap: int | None = Non
     return SuiteReport("theorem2", [check], time.monotonic() - start)
 
 
-def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> SuiteReport:
+def suite_hall(prime: int = 2, max_beta: int = 7) -> SuiteReport:
     start = time.monotonic()
     p = prime
-    census_cap = min(subgroup_cap(), general_cap(cap))
-    # every (alpha, beta, gamma) breakdown, computed once for all six checks
-    bds = {
-        beta: {
+    betas = [beta for n in range(max_beta + 1) for beta in partitions_of(n)]
+
+    def breakdowns(beta):
+        n = sum(beta)
+        return {
             (alpha, gamma): hall_polynomial(alpha, beta, gamma)
             for k in range(n + 1) for alpha in partitions_of(k) for gamma in partitions_of(n - k)
         }
-        for n in range(max_beta + 1) for beta in partitions_of(n)
-    }
+
+    # every (alpha, beta, gamma) breakdown, computed once for all six
+    # checks; a beta over the diagram cap has none, and each symbolic
+    # check counts it skipped (its census is over the census bound first)
+    over_cap: list[str] = []
+    bds = {beta: bd for beta in betas if (bd := _capped(over_cap, breakdowns, beta)) is not None}
     triples = [(alpha, beta, gamma, bd) for beta in bds for (alpha, gamma), bd in bds[beta].items()]
 
     # the census checks take a beta census as their case
     def count_faults(beta):
-        types = oracle.census(p, beta, census_cap).types
+        types = oracle.census(p, beta).types
         return [evaluate(bd.total, p) != types.get(key, 0) for key, bd in bds[beta].items()]
 
     def tableau_faults(beta):
-        tableaux = oracle.census(p, beta, census_cap).tableaux
+        tableaux = oracle.census(p, beta).tableaux
         return sum(evaluate(poly, p) != tableaux.get(tab, 0)
                    for bd in bds[beta].values() for tab, poly in bd.per_tableau)
 
     def refine_faults(beta):
-        record = oracle.census(p, beta, census_cap)
+        record = oracle.census(p, beta)
         return sum(sum(record.tableaux.get(tab, 0) for tab, _ in bd.per_tableau)
                    != record.types.get(key, 0) for key, bd in bds[beta].items())
 
     def census_detail(bad, skips):
         return f"{len(skips)} betas skipped over cap, {sum(bad)} bad"
+
+    def symbolic_detail(bad, skips):
+        return (f"{len(skips)} betas skipped over cap, " if skips else "") + _bad(bad, skips)
 
     def degree_bad(alpha, beta, gamma, bd):
         return not bd.total.is_zero() and bd.total.degree != expected_degree(alpha, beta, gamma)
@@ -366,7 +380,7 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
 
     orbit_tabs = [(tab, aut_beta) for n in range(ORBIT_MAX_SIZE + 1) for beta in partitions_of(n)
                   for aut_beta in [aut_order_module(beta)] for tab in enumerate_klein_entries2(beta)]
-    censuses = [(beta,) for beta in bds]
+    censuses = [(beta,) for beta in betas]
     checks = [
         _sweep("counts-match-oracle", count_faults, censuses,
                lambda bad, skips: f"{sum(map(len, bad))} instances, "
@@ -375,10 +389,12 @@ def suite_hall(prime: int = 2, max_beta: int = 7, cap: int | None = None) -> Sui
         _sweep("tableau-census-refines-type-census", refine_faults, censuses, census_detail),
         _sweep("alpha-gamma-symmetry", lambda bd, mirror: bd.total != mirror.total,
                [(bd, bds[beta][(gamma, alpha)])
-                for alpha, beta, gamma, bd in triples if alpha <= gamma]),
+                for alpha, beta, gamma, bd in triples if alpha <= gamma],
+               symbolic_detail, skipped=over_cap),
         _sweep("multiplicities-monic", lambda poly: not poly.is_monic(),
-               [(poly,) for *_, bd in triples for _, poly in bd.per_tableau]),
-        _sweep("degree-formula", degree_bad, triples),
+               [(poly,) for *_, bd in triples for _, poly in bd.per_tableau],
+               symbolic_detail, skipped=over_cap),
+        _sweep("degree-formula", degree_bad, triples, symbolic_detail, skipped=over_cap),
         _sweep("orbit-identity", orbit_bad, orbit_tabs,
                lambda bad, _: f"{len(bad)} tableaux with entries <= 2 and "
                f"|beta| <= {ORBIT_MAX_SIZE}, {sum(bad)} bad"),
@@ -393,13 +409,12 @@ def run_suites(
     max_beta: int = 7,
     seed: int = 20260808,
     count: int = 500,
-    cap: int | None = None,
 ) -> list[SuiteReport]:
     suites = {
-        "formulas": lambda: suite_formulas(prime, cap),
-        "roundtrip": lambda: suite_roundtrip(cap=cap),
-        "theorem2": lambda: suite_theorem2(count=count, seed=seed, cap=cap),
-        "hall": lambda: suite_hall(prime, max_beta, cap),
+        "formulas": lambda: suite_formulas(prime),
+        "roundtrip": suite_roundtrip,
+        "theorem2": lambda: suite_theorem2(count=count, seed=seed),
+        "hall": lambda: suite_hall(prime, max_beta),
     }
     for name in names:
         if name not in suites:

@@ -6,6 +6,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -570,6 +571,53 @@ def test_hall_and_lr_count_match_the_library_or_exit_one(beta, alpha, gamma):
             continue
         assert code == 0 and err == ""
         assert out.strip() == want(parse(alpha), parse(beta), parse(gamma))
+
+
+def test_embed_gens_starting_with_dash(capsys):
+    # a negative coordinate is taken modulo p^{beta_i}; a value starting
+    # with '-' is read as the flag's value, joined or not, after the full
+    # flag name or any abbreviation argparse accepts
+    argv = ["embed", "type", "--prime", "2", "--beta", "2,1"]
+    for gens in (["--gens", "-1,-1"], ["--gens=-1,-1"], ["--gen", "-1,-1"], ["--g", "-1,-1"]):
+        assert run(capsys, *argv, *gens) == (0, "(2) <= (2,1) quotient (1)\n", "")
+    # a value that is another flag is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gens", "--format", "json"])
+    assert exc.value.code == 2
+
+
+# generator texts: negative, huge or empty coordinates, any count of them
+gens_texts = st.lists(
+    st.lists(st.one_of(st.integers(-9, 9), st.just(10**30), st.just("")), max_size=4)
+    .map(lambda coords: ",".join(map(str, coords))),
+    max_size=3,
+).map(";".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["tableau", "lr", "type"]),
+    st.sampled_from([2, 2, 2, 3, 3, 5, -2, 0, 1, 4, 9, 1048583, 10**20]),
+    st.one_of(part_texts.filter(lambda text: _boxes(text) <= 5),
+              st.builds(_with_huge_part, part_texts, st.integers(0, 4))),
+    gens_texts,
+    st.sampled_from([None, None, 0, 1, 8, 64]),
+)
+def test_embed_prints_or_exits_one(what, prime, beta, gens, cap):
+    # any prime, partition text and generator text either print or fail
+    # at once with one JSON diagnostic; --cap N reads as HALLKIT_CAP=N
+    argv = ["embed", what, f"--prime={prime}", f"--beta={beta}", "--gens", gens]
+    start = time.monotonic()
+    got = _main_out_err(*argv, *([] if cap is None else [f"--cap={cap}"]))
+    assert time.monotonic() - start < 1, argv
+    code, out, err = got
+    if code == 1:
+        assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+    else:
+        assert code == 0 and out and err == ""
+    if cap is not None:
+        with mock.patch.dict(os.environ, {"HALLKIT_CAP": str(cap)}):
+            assert _main_out_err(*argv) == got
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from hallkit import embeddings as emb
 from hallkit import oracle
-from hallkit.caps import general_cap
+from hallkit.caps import general_cap, limits
 from hallkit.errors import CapExceeded, EntryTooLarge
 from hallkit.partitions import partitions_of
 from hallkit.s2cat import (
@@ -462,18 +462,20 @@ def test_cached_truncation_checks_cap():
     cut = emb.truncate(E, 1)
     assert emb.truncate(E, 1) is cut
     below = cut.ambient.size - 1
-    with pytest.raises(CapExceeded) as cached:
-        emb.truncate(E, 1, cap=below)
-    # a cold embedding fails the same way
+    # a cold embedding, built before the cap is lowered, fails the same way
     cold = emb.random_embedding(3, (3, 2, 1), 2, seed=4)
-    with pytest.raises(CapExceeded) as fresh:
-        emb.truncate(cold, 1, cap=below)
+    with limits(general=below), pytest.raises(CapExceeded) as cached:
+        emb.truncate(E, 1)
+    with limits(general=below), pytest.raises(CapExceeded) as fresh:
+        emb.truncate(cold, 1)
     assert str(cached.value) == str(fresh.value)
-    assert emb.truncate(E, 1, cap=cut.ambient.size) is cut
+    with limits(general=cut.ambient.size):
+        assert emb.truncate(E, 1) is cut
     # at or past the exponent p^ell A = 0, and E is its own truncation
     for ell in (E.exponent, E.exponent + 1, E.exponent + 3):
         assert emb.truncate(E, ell) is E
-        assert emb.truncate(E, ell, cap=1) is E
+        with limits(general=1):
+            assert emb.truncate(E, ell) is E
 
 
 def test_inherited_chains_match_recomputed():
@@ -555,7 +557,7 @@ def test_klein_forgets_to_lr():
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         emb.AmbientModule(2, (30,))
-    assert general_cap(None) >= 1 << 10
+    assert general_cap() >= 1 << 10
 
 
 def test_prime_above_cap_fails_on_the_cap():
@@ -566,8 +568,8 @@ def test_prime_above_cap_fails_on_the_cap():
     assert time.monotonic() - start < 2
     # a cached ambient of order 1 fails the same way as a fresh one
     emb.AmbientModule.get(3, ())
-    with pytest.raises(CapExceeded):
-        emb.AmbientModule.get(3, (), cap=2)
+    with limits(general=2), pytest.raises(CapExceeded):
+        emb.AmbientModule.get(3, ())
 
 
 def test_huge_ambient_fails_on_the_cap_at_once():
@@ -575,21 +577,24 @@ def test_huge_ambient_fails_on_the_cap_at_once():
     # formed, so neither a 47,713-digit order nor a 10^8-fold power is built
     start = time.monotonic()
     for n in (100000, 100000000):
-        with pytest.raises(CapExceeded, match=rf"^ambient order 3\^{n} exceeds cap 1048576$"):
-            emb.AmbientModule(3, (n,), cap=1 << 20)
+        with limits(general=1 << 20), pytest.raises(
+            CapExceeded, match=rf"^ambient order 3\^{n} exceeds cap 1048576$"
+        ):
+            emb.AmbientModule(3, (n,))
     assert time.monotonic() - start < 2
     # orders at the cap are accepted, one step past it is refused
     for p, beta, cap in [(2, (20,), 1 << 20), (2, (2, 1), 8), (3, (2,), 9), (5, (1,), 5)]:
-        assert emb.AmbientModule(p, beta, cap=cap).size == cap
-        with pytest.raises(CapExceeded):
-            emb.AmbientModule(p, beta, cap=cap - 1)
-    with pytest.raises(CapExceeded, match="ambient order 2\\^4 exceeds cap 15"):
-        emb.AmbientModule(2, (4,), cap=15)
+        with limits(general=cap):
+            assert emb.AmbientModule(p, beta).size == cap
+        with limits(general=cap - 1), pytest.raises(CapExceeded):
+            emb.AmbientModule(p, beta)
+    with limits(general=15), pytest.raises(CapExceeded, match="ambient order 2\\^4 exceeds cap 15"):
+        emb.AmbientModule(2, (4,))
 
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("HALLKIT_CAP", "16")
-    assert general_cap(None) == 16
+    assert general_cap() == 16
     with pytest.raises(CapExceeded):
         emb.AmbientModule(2, (5,))
 

@@ -9,6 +9,7 @@ import pytest
 
 from hallkit import embeddings as emb
 from hallkit import oracle, verify
+from hallkit.caps import limits
 from hallkit.errors import CapExceeded
 from hallkit.partitions import conjugate, contains, partitions_of
 from hallkit.qforms import evaluate
@@ -62,12 +63,12 @@ def test_subgroup_cap_on_cached_census():
     beta = (3, 2, 1)
     assert oracle.hall_count(2, (2, 1), beta, (2, 1)) == 9  # fills the census cache
     for call in (
-        lambda: oracle.hall_count(2, (2, 1), beta, (2, 1), cap=16),
-        lambda: oracle.hall_census(2, beta, cap=16),
-        lambda: oracle.hall_count_by_tableau(2, beta, cap=16),
-        lambda: oracle.census(2, beta, cap=16),
+        lambda: oracle.hall_count(2, (2, 1), beta, (2, 1)),
+        lambda: oracle.hall_census(2, beta),
+        lambda: oracle.hall_count_by_tableau(2, beta),
+        lambda: oracle.census(2, beta),
     ):
-        with pytest.raises(CapExceeded):
+        with limits(subgroup=16), pytest.raises(CapExceeded):
             call()
 
 
@@ -272,8 +273,10 @@ def test_hom_counts_need_one_prime():
 
 
 def test_aut_count_module_reads_its_cap(monkeypatch):
+    # a value in force overrides the environment
     monkeypatch.setenv("HALLKIT_CAP", "4")
-    assert oracle.aut_count_module(2, (2, 1), cap=64) == 8
+    with limits(general=64):
+        assert oracle.aut_count_module(2, (2, 1)) == 8
     with pytest.raises(CapExceeded):
         oracle.aut_count_module(2, (2, 1))
 
@@ -327,7 +330,7 @@ def test_module_map_walk_matches_product_walk():
                 pool += [E, emb.lift(E), emb.reduce(E)]
         for E, F in product(pool, repeat=2):
             if p ** sum(min(b, c) for b in E.beta for c in F.beta) <= 1 << 10:
-                assert list(oracle._module_maps(E, F, None)) == list(_product_walk(E, F))
+                assert list(oracle._module_maps(E, F)) == list(_product_walk(E, F))
                 pairs += 1
     assert pairs == 3479
 
@@ -353,7 +356,7 @@ def _full_rank_maps(E, F):
     mod p is invertible."""
     amb, p = E.ambient, E.p
     residues = [[tuple(c % p for c in amb.coords(y)) for y in amb.killed_by(b)] for b in amb.beta]
-    for idx, images in oracle._module_maps(E, F, None):
+    for idx, images in oracle._module_maps(E, F):
         if _full_rank_mod_p([block[j] for block, j in zip(residues, idx)], p):
             yield images
 
@@ -365,14 +368,15 @@ def test_block_rank_test_matches_full_elimination():
         checked, modules = 0, set()
         for obj in enumerate_objects(5):
             E = emb.object_embedding(obj, p)
-            try:
-                end, aut = oracle.end_aut_counts(E, budget)
-            except CapExceeded:
-                continue
+            with limits(general=budget):
+                try:
+                    end, aut = oracle.end_aut_counts(E)
+                except CapExceeded:
+                    continue
+                assert aut == oracle.aut_count(E) and end == oracle.hom_count(E, E), (p, obj)
             checked += 1
             want = sum(1 for _ in _full_rank_maps(E, E))
-            assert aut == want == oracle.aut_count(E, budget), (p, obj)
-            assert end == oracle.hom_count(E, E, budget), (p, obj)
+            assert aut == want, (p, obj)
             amb = E.ambient
             whole = emb.Embedding(amb, subgroup=amb.all_elements())
             aut_b, orbit = 0, set()

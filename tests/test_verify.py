@@ -8,6 +8,7 @@ import pytest
 
 from hallkit import embeddings as emb
 from hallkit import oracle, verify
+from hallkit.caps import limits
 from hallkit.cli import main
 from hallkit.hall import hall_multiplicity_factored, hall_polynomial
 from hallkit.partitions import partitions_of
@@ -24,7 +25,8 @@ def tally(rep) -> dict[str, tuple[int, int, int]]:
 def test_theorem2_skips_embeddings_over_cap():
     # 729-element ambients at p = 3 exceed the cap: those embeddings are
     # skipped and counted instead of aborting the suite.
-    rep = verify.suite_theorem2(count=40, cap=512)
+    with limits(general=512):
+        rep = verify.suite_theorem2(count=40)
     (check,) = rep.checks
     assert check.passed, check.detail
     assert "40 embeddings (seed 20260808; p = 2, 3), 13 skipped over cap;" in check.detail
@@ -35,7 +37,8 @@ def test_theorem2_skips_embeddings_over_cap():
 def test_formulas_count_brute_force_skips():
     # End(T(4,2)) has 2^10 maps: over the cap, so the pair is skipped in the
     # sweep and the anchor checks that need it report themselves skipped.
-    rep = verify.suite_formulas(prime=2, cap=512)
+    with limits(general=512):
+        rep = verify.suite_formulas(prime=2)
     checks = {c.name: c for c in rep.checks}
     assert all(c.passed for c in checks.values()), checks
     assert ", 1 skipped over cap," in checks["hom-lengths-vs-brute"].detail
@@ -101,7 +104,8 @@ HALL_4_CAPPED = {
 def test_hall_skips_betas_over_cap():
     # |M(beta)| = 16 > 8 for the five beta of size 4: their censuses are
     # skipped and counted, and the report is still produced.
-    rep = verify.suite_hall(prime=2, max_beta=4, cap=8)
+    with limits(general=8):
+        rep = verify.suite_hall(prime=2, max_beta=4)
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 5 betas skipped over cap," in checks["counts-match-oracle"].detail
@@ -112,7 +116,8 @@ def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
     # --cap is the general cap: it may lower the census bound, but the
     # betas of size 5 (|M(beta)| = 32) stay over a subgroup cap of 16
     monkeypatch.setenv("HALLKIT_SUBGROUP_CAP", "16")
-    rep = verify.suite_hall(prime=2, max_beta=5, cap=64)
+    with limits(general=64):
+        rep = verify.suite_hall(prime=2, max_beta=5)
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 7 betas skipped over cap," in checks["counts-match-oracle"].detail
@@ -148,7 +153,8 @@ def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
         return real(alpha, beta, gamma)
 
     monkeypatch.setattr(verify, "hall_polynomial", counting)
-    rep = verify.suite_hall(prime=2, max_beta=4, cap=8)
+    with limits(general=8):
+        rep = verify.suite_hall(prime=2, max_beta=4)
     assert rep.passed
     over_cap = {
         (alpha, beta, gamma)
@@ -163,7 +169,8 @@ def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
 
 def test_roundtrip_skips_realizations_over_cap():
     # at p = 3 the realizations with |beta| = 4 need 81 > 64 elements
-    rep = verify.suite_roundtrip(max_beta=4, realize_max=4, cap=64)
+    with limits(general=64):
+        rep = verify.suite_roundtrip(max_beta=4, realize_max=4)
     checks = {c.name: c for c in rep.checks}
     assert rep.passed, checks
     assert ", 30 skipped over cap," in checks["realization-fidelity"].detail
@@ -202,7 +209,8 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
     monkeypatch.setattr(verify, "end_power", plus_one(verify.end_power))
     monkeypatch.setattr(verify, "aut_order", lambda obj: aut_order(obj) * QOrderFactored.q_power(1))
     skipped_anchor = (True, "skipped over cap: hom space of size 1024 exceeds cap 512")
-    rep = verify.suite_formulas(2, cap=512)
+    with limits(general=512):
+        rep = verify.suite_formulas(2)
     assert outcomes(rep) == {
         "gl-order-vs-brute": (False, "[1, 1, 6, 168] vs [1, 6, 168, 20160]"),
         "aut-order-anchors": (False, "q^9*(q-1); q^21*(q-1)^3; q^21*(q-1)^2"),
@@ -230,8 +238,9 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
 def test_formulas_anchors_fail_on_wrong_brute_counts(monkeypatch):
     # at cap 1024 the anchor and orbit checks run instead of skipping
     monkeypatch.setattr(oracle, "hom_count", plus_one(oracle.hom_count))
-    monkeypatch.setattr(oracle, "orbit_check", lambda E, cap=None: False)
-    rep = verify.suite_formulas(2, cap=1024)
+    monkeypatch.setattr(oracle, "orbit_check", lambda E: False)
+    with limits(general=1024):
+        rep = verify.suite_formulas(2)
     checks = outcomes(rep)
     assert checks["end-aut-brute-anchors"] == (False, "End(T(4,2))=513, Aut(T(3,1))=16")
     assert checks["hom-lengths-vs-brute"] == (False, "21^2 indec pairs, 0 skipped over cap, 441 bad")
@@ -264,7 +273,8 @@ def test_roundtrip_fails_on_wrong_coders(monkeypatch, max_beta, realize_max, tab
 
     monkeypatch.setattr(verify, "tableau_of_object", encode)
     monkeypatch.setattr(emb, "klein_tableau", decode)
-    rep = verify.suite_roundtrip(max_beta=max_beta, realize_max=realize_max, cap=16)
+    with limits(general=16):
+        rep = verify.suite_roundtrip(max_beta=max_beta, realize_max=realize_max)
     assert outcomes(rep) == {
         "tableau-object-tableau": (False, tableaux),
         "object-tableau-object": (False, tableaux.replace("tableaux", "objects")),
@@ -298,7 +308,8 @@ def test_theorem2_lists_the_first_failures(monkeypatch):
         + first + "p=3 beta=(2, 2, 1, 1, 1, 1): reduce tableau s=0",
     )
     assert (check.run, check.skipped, check.failed) == (6, 0, 6)
-    (check,) = verify.suite_theorem2(count=30, cap=16).checks
+    with limits(general=16):
+        (check,) = verify.suite_theorem2(count=30).checks
     assert (check.passed, check.detail) == (
         False,
         "30 embeddings (seed 20260808; p = 2, 3), 28 skipped over cap; "
@@ -315,9 +326,9 @@ def changed(triple, change):
     return patched
 
 
-def census_with_extra_subgroup(p, beta, cap=None, real=oracle.census):
+def census_with_extra_subgroup(p, beta, real=oracle.census):
     """The census, with one more subgroup of type ((1), (1)) in M(1,1)."""
-    record = real(p, beta, cap)
+    record = real(p, beta)
     if beta != (1, 1):
         return record
     types = dict(record.types)
@@ -413,6 +424,31 @@ def test_capped_report_is_pinned(capsys):
     payload = without_elapsed(json.loads(capsys.readouterr().out))
     assert code == 0
     assert payload == json.loads((TESTS_DIR / "golden_verify_capped.json").read_text())
+
+
+@pytest.mark.parametrize("cap", [0, 4, 16])
+def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap):
+    # --cap N puts N in force for every bound, diagrams included, as
+    # HALLKIT_CAP=N does
+    argv = ["verify", "--suite", "hall", "--max-beta", "5"]
+    assert main([*argv, "--cap", str(cap)]) == 0
+    flagged = without_elapsed(json.loads(capsys.readouterr().out))
+    monkeypatch.setenv("HALLKIT_CAP", str(cap))
+    assert main(argv) == 0
+    assert without_elapsed(json.loads(capsys.readouterr().out)) == flagged
+
+
+def test_hall_skips_betas_over_the_diagram_cap():
+    # at cap 4 the seven beta of size 5 have no breakdowns: each symbolic
+    # check runs the cases of |beta| <= 4 and counts those seven skipped
+    with limits(general=4):
+        rep = verify.suite_hall(prime=2, max_beta=5)
+    assert rep.passed
+    reason = "skipped over cap: diagram of 5 boxes exceeds cap 4"
+    for name in ("alpha-gamma-symmetry", "multiplicities-monic", "degree-formula"):
+        (check,) = [c for c in rep.checks if c.name == name]
+        assert (check.run, check.skipped, check.failed) == (HALL_4_CAPPED[name][0], 7, 0)
+        assert (check.detail, check.skip_reason) == ("7 betas skipped over cap, 0 bad", reason)
 
 
 def test_golden_counts_agree_with_details():
