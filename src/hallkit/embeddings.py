@@ -41,12 +41,17 @@ A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
 only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
 of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
 each step (``_link``) puts the type of B/U and the entry-2 level of U
-on the tableau of pU, from (beta,) for the zero subgroup up to A.  Each
+on the tableau of pU, from (beta,) for the zero subgroup up to A.  A
+link reads U only through |U| and U & pB, since p^i B & U =
+p^i B & (U & pB) for i >= 1, and of the tableau below only the types
+of B/pU and B/p^2 U; so its data is a function of (|U|, U & pB, p^2 U,
+type(B/pU)), and ``_linked`` puts it on the tableau below.  Each
 caller hands the tableau below down: an embedding keeps the tableaux of
 its own p-chain, which its reductions share (their chains are tails of
 it with the same bottom), and the oracle's census links each subgroup
-onto the tableau of its parent pA in the tree it walks.  The ambient
-holds no tableau.  In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
+onto the tableau of its parent pA in the tree it walks, once per
+(|U|, U & pB) among a node's leaves.  The ambient holds no tableau.
+In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
 which is pY itself, with no coset built, when pY holds p^2 U.
 
 Each result is built once per embedding.  An ``Embedding`` caches its
@@ -256,10 +261,12 @@ def _layer_type(orders: tuple[int, ...], p: int) -> Partition:
     return conjugate(partition(dims))
 
 
-def quotient_type(ambient: AmbientModule, X: SubgroupSet) -> Partition:
+def quotient_type(ambient: AmbientModule, X: SubgroupSet, order: int | None = None) -> Partition:
     """Type of B/X via |p^i(B/X)| = |p^i B| / |p^i B intersect X|, with
-    |B| = ambient.size, so the set p^0 B is never built."""
-    sizes = [ambient.size // len(X)]
+    |B| = ambient.size, so the set p^0 B is never built.  Only |X| and the
+    p^i B & X, i >= 1, enter, so a caller may pass X & pB as X, with
+    ``order`` = |X|."""
+    sizes = [ambient.size // (len(X) if order is None else order)]
     while sizes[-1] > 1:
         piB = ambient.p_power_set(len(sizes))
         sizes.append(len(piB) // len(piB & X))
@@ -431,20 +438,29 @@ def lr_tableau(E: Embedding) -> LRTableau:
 
 
 def _link(
-    amb: AmbientModule, U: SubgroupSet, p2U: SubgroupSet, below: KleinTableau
-) -> KleinTableau:
-    """The Klein tableau of U <= B on the tableau ``below`` of pU <= B:
-    only the type of B/U and the entry-2 level are new (see the module
+    amb: AmbientModule, order: int, UpB: SubgroupSet, p2U: SubgroupSet, below: KleinTableau
+) -> tuple[Partition, tuple]:
+    """What the Klein tableau of U <= B adds to the tableau ``below`` of
+    pU <= B: the type of B/U and the levels it puts in front, the entry-2
+    level when pU is nonzero and none when it is zero (see the module
     docstring).  That level's chain of types of B / X_r, with
     X_r = p^2 U + p(U intersect p^r B), over r = 1..n-1, n the exponent
     of B, grows from g^1 to g^2; the boxes appearing at step r get
     subscript r.
+
+    U is read only through order = |U| and UpB = U & pB: the type of B/U
+    reads |U| and the p^i B & U = p^i B & UpB, i >= 1, and the r-loop
+    starts from U & pB.  Of ``below`` only g^1 = type(B/pU) and g^2 =
+    type(B/p^2 U) are read, and g^2 is fixed by p2U.  So the result is a
+    function of (|U|, U & pB, p^2 U, type(B/pU)), the key of the census's
+    memo (``oracle._child``).
     """
-    gammas = (quotient_type(amb, U),) + below.gammas
-    if len(gammas) < 3:
-        return KleinTableau(gammas)
+    gamma = quotient_type(amb, UpB, order)
+    if not below.e:
+        return gamma, ()
+    g1, g2 = below.gammas[:2]
     subs: dict[int, list[int]] = {}
-    Y, prev_Y, prev_type = U, None, gammas[1]
+    Y, prev_Y, prev_type = UpB, None, g1
     for r in range(1, amb.beta[0]):
         Y = Y & amb.p_power_set(r)
         if Y == prev_Y:
@@ -457,29 +473,37 @@ def _link(
         for m, grow in strip_row_counts(cur, prev_type).items():
             subs.setdefault(m, []).extend([r] * grow)
         prev_type = cur
-        if cur == gammas[2]:  # X_r only shrinks, to p^2 U
+        if cur == g2:  # X_r only shrinks, to p^2 U
             break
-    if prev_type != gammas[2]:
+    if prev_type != g2:
         raise AssertionError("subscript chain did not reach the strip top")
-    level = tuple(sorted((m, tuple(rs)) for m, rs in subs.items()))
-    return KleinTableau(gammas, (level,) + below.levels)
+    return gamma, (tuple(sorted((m, tuple(rs)) for m, rs in subs.items())),)
+
+
+def _linked(below: KleinTableau, new: tuple[Partition, tuple]) -> KleinTableau:
+    """The Klein tableau of U from that of pU and ``_link``'s new data."""
+    gamma, levels = new
+    return KleinTableau((gamma,) + below.gammas, levels + below.levels)
 
 
 def klein_tableau(E: Embedding) -> KleinTableau:
     """Subscripted tableau of an embedding: one ``_link`` per step up its
-    p-chain, from (beta,) for the zero subgroup.  The tableaux are kept
-    bottom-up in ``E._tabs``, the list a reduction shares, so each step
-    is built once for an embedding and all its reductions.  The gammas
-    are canonical and each level's cells get their subscripts appended
-    in increasing r, so the tableau is built directly, not through
-    ``KleinTableau.make``, which stays the normaliser for outside input.
+    p-chain, from (beta,) for the zero subgroup, each on (|U|, U & pB).
+    The tableaux are kept bottom-up in ``E._tabs``, the list a reduction
+    shares, so each step is built once for an embedding and all its
+    reductions.  The gammas are canonical and each level's cells get
+    their subscripts appended in increasing r, so the tableau is built
+    directly, not through ``KleinTableau.make``, which stays the
+    normaliser for outside input.
     """
     amb, tabs, chain = E.ambient, E._tabs, E.chain()
     if not tabs:
         tabs.append(KleinTableau((amb.beta,)))
     chain = chain + chain[-1:]  # p^{e+1} A = 0 too
+    pB = amb.p_power_set(1)
     for j in range(len(chain) - 2 - len(tabs), -1, -1):
-        tabs.append(_link(amb, chain[j], chain[j + 2], tabs[-1]))
+        U, below = chain[j], tabs[-1]
+        tabs.append(_linked(below, _link(amb, len(U), U & pB, chain[j + 2], below)))
     return tabs[len(chain) - 2]
 
 

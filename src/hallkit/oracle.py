@@ -25,9 +25,18 @@ a depth-first walk of the tree where the parent of A is pA.  The
 children of C are the subgroups between C and p^{-1}C that ``_walk``
 yields over a basis of p^{-1}C / C whose last generators must each add
 to the subgroup (see ``_count_subtree``), and each child's tableau is
-one ``_link`` on C's.  So the census builds no embedding and no
-p-chain, and a subgroup's tableau is built once however many subgroups
-lie above it.  A tableau of type
+one ``_link`` on C's, so the census builds no embedding and no
+p-chain.  Only C <= pB has children, so a child outside pB is a leaf,
+and a link reads a child A only through |A| and A & pB: a node counts
+its leaves per (|A|, A & pB) and adds each such key's tableau once,
+with its multiplicity, so a leaf gets no call, no tableau and no hash
+of one.
+The link data, the type of B/A and the entry-2 level, is kept in one
+dict per ``census`` call, keyed on (|A|, A & pB, pC, type(B/C)), which
+repeats across siblings and across nodes; the dict is dropped when the
+census returns.  Over the 42 beta with |beta| <= 7 and at most five
+parts at p = 2 the census enters 272 of 6,590 subgroups and computes
+866 links.  A tableau of type
 (alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
 of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
@@ -55,6 +64,7 @@ from .embeddings import (
     SubgroupSet,
     _greedy_basis,
     _link,
+    _linked,
     _spread,
     lift,
     reduce,
@@ -139,10 +149,16 @@ def enumerate_subgroups(p: int, beta) -> Iterator[SubgroupSet]:
 
 
 def _count_subtree(
-    amb: AmbientModule, C: SubgroupSet, pC: SubgroupSet, tab: KleinTableau, counts: Counter
+    amb: AmbientModule,
+    C: SubgroupSet,
+    pC: SubgroupSet,
+    tab: KleinTableau,
+    counts: Counter,
+    memo: dict,
 ) -> None:
-    """Count the Klein tableau ``tab`` of C, then, depth first, those of
-    the subgroups above C in the tree where the parent of A is pA.
+    """Count the Klein tableau ``tab`` of C <= pB, then, depth first,
+    those of the subgroups above C in the tree where the parent of A is
+    pA.
 
     The children A of C are the C < A <= p^{-1}C with V = A/C mapping
     onto C/pC under x + C -> px + pC.  That map is onto only when
@@ -150,20 +166,44 @@ def _count_subtree(
     with s the number of parts of beta and u = dim C/pC.  So a basis of
     p^{-1}C / C is one of B[p] over C & B[p], then the quotients by p of
     one of C over pC, and ``_walk`` may leave out only the first s - u.
-    Each child's tableau is one ``_link`` on ``tab``.
+    A child inside pB is counted by its own call.  Any other child is a
+    leaf, and its tableau is fixed by (|A|, A & pB) (see ``_link``): the
+    leaves are counted per such key in a local ``Counter``, and each key
+    adds its tableau with its multiplicity.  Every child's tableau comes
+    from ``_child`` on ``memo``, the link data of this census, which
+    ``census`` creates empty and drops when it returns.
     """
     counts[tab] += 1
-    if not C <= amb.p_power_set(1):
-        return
-    p, s, socle = amb.p, len(amb.beta), amb.killed_by(1)
+    p, s, socle, pB = amb.p, len(amb.beta), amb.killed_by(1), amb.p_power_set(1)
     u = 0  # dim C/pC
     while len(pC) * p**u < len(C):
         u += 1
     kernel = _greedy_basis(amb, (1,) * (s - u), C.intersection(socle), socle)[0]
     lifts = tuple(map(amb.divp, _greedy_basis(amb, (1,) * u, pC, sorted(C))[0]))
+    leaves: Counter = Counter()
     for A in _walk(amb, C, kernel + lifts, (1,) * s, s - u):
         if len(A) > len(C):  # C = 0 is yielded at its own root
-            _count_subtree(amb, A, C, _link(amb, A, pC, tab), counts)
+            ApB = A & pB
+            if len(ApB) < len(A):
+                leaves[len(A), ApB] += 1
+            else:
+                _count_subtree(amb, A, C, _child(amb, len(A), A, pC, tab, memo), counts, memo)
+    for (order, ApB), multiplicity in leaves.items():
+        counts[_child(amb, order, ApB, pC, tab, memo)] += multiplicity
+
+
+def _child(
+    amb: AmbientModule, order: int, ApB: SubgroupSet, pC: SubgroupSet, tab: KleinTableau, memo: dict
+) -> KleinTableau:
+    """The tableau of a child A of C, from |A|, A & pB and the tableau
+    ``tab`` of C = pA.  ``_link``'s data is kept in ``memo`` on
+    (|A|, A & pB, pC, type(B/C)), which repeats across siblings and
+    across nodes."""
+    key = (order, ApB, pC, tab.base)
+    new = memo.get(key)
+    if new is None:
+        new = memo[key] = _link(amb, order, ApB, pC, tab)
+    return _linked(tab, new)
 
 
 @dataclass(frozen=True)
@@ -188,7 +228,7 @@ def census(p: int, beta) -> Census:
     if key not in _censuses:
         start = time.monotonic()
         zero, tableaux = frozenset({0}), Counter()
-        _count_subtree(amb, zero, zero, KleinTableau((amb.beta,)), tableaux)
+        _count_subtree(amb, zero, zero, KleinTableau((amb.beta,)), tableaux, {})
         types = Counter()
         for tab, count in tableaux.items():
             types[(tableau_type(tab)[0], tab.base)] += count

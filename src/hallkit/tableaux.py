@@ -176,7 +176,7 @@ class KleinTableau(LRTableau):
     def from_text(cls, text: str) -> "KleinTableau":
         text = text.strip()
         gpart, _, spart = text.partition(";")
-        gammas = [parse("" if tok == "-" else tok) for tok in gpart.split("/")]
+        gammas = [parse("" if tok.strip() == "-" else tok) for tok in gpart.split("/")]
         cells = []
         for chunk in spart.split(",") if spart else ():
             cell, _, values = chunk.partition(":")

@@ -573,6 +573,83 @@ def test_hall_and_lr_count_match_the_library_or_exit_one(beta, alpha, gamma):
         assert out.strip() == want(parse(alpha), parse(beta), parse(gamma))
 
 
+# Klein tableau texts as ``to_text`` writes them; decompose refuses the
+# last, with entries up to 3
+KLEIN_TEXTS = [
+    "-/1/2;2@2:1",
+    "2/2,1/3,1;2@3:1",
+    "1,1/2,2/3,2;2@3:2",
+    "3,1,1/3,2,1,1/4,2,2,1;2@2:1,2@4:2",
+    "2,1/3,2,1/4,2,2/4,3,2;2@2:1,2@4:3,3@3:2",
+]
+text_numbers = st.one_of(st.integers(0, 4), st.just(-1), st.just(HUGE))
+cell_texts = st.builds(
+    "{}@{}:{}".format,
+    text_numbers,
+    text_numbers,
+    st.lists(text_numbers, max_size=3).map(lambda subs: "+".join(map(str, subs))),
+)
+
+
+def _chain_text(gammas, cells, semicolon):
+    """gammas joined by '/', then ';' and the cells joined by ','."""
+    text = "/".join(gammas)
+    return f"{text};{','.join(cells)}" if cells or semicolon else text
+
+
+def _with_strays(text, strays):
+    """text with each (position, character) inserted in turn."""
+    for pos, char in strays:
+        pos %= len(text) + 1
+        text = text[:pos] + char + text[pos:]
+    return text
+
+
+# real texts and chains of '-', empty or any partition texts (a part of
+# 10^11 among them) with cells empty, repeated or of any numbers, each
+# with up to two stray separators or spaces
+tableau_texts = st.builds(
+    _with_strays,
+    st.one_of(
+        st.sampled_from(KLEIN_TEXTS),
+        st.builds(
+            _chain_text,
+            st.lists(st.one_of(st.sampled_from(["-", ""]), type_texts), min_size=1, max_size=4),
+            st.lists(st.one_of(st.sampled_from(["2@2:1", "2@3:1+2"]), cell_texts), max_size=3),
+            st.booleans(),
+        ),
+    ),
+    st.lists(st.tuples(st.integers(0, 60), st.sampled_from(list(";,@:+ "))), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tableau_texts)
+def test_decompose_tableau_text_roundtrips_or_exits_one(text):
+    # tableau text either fails at once with one JSON diagnostic, or its
+    # object's tableau is the tableau read from it
+    start = time.monotonic()
+    code, out, err = _main_out_err("decompose", "--tableau", text, "--format", "json")
+    assert time.monotonic() - start < 1, text
+    if code == 1:
+        assert out == "" and sorted(json.loads(err)) == ["error", "message"]
+        return
+    assert code == 0 and err == ""
+    code, out, err = _main_out_err("decompose", "--object", json.loads(out)["text"], "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tableau"] == KleinTableau.from_text(text).to_json()
+
+
+@pytest.mark.parametrize(
+    "text, obj",
+    [("", "0"), (";", "0"), ("-;", "0"), (" - ", "0"), ("- /1", "P(1,1)"), (" - / 1 ;", "P(1,1)")],
+)
+def test_tableau_text_edge_cases(capsys, text, obj):
+    # the zero tableau is written '-' or '', and ';' may end a text with
+    # no cells after it; spaces around '-' are read as around any part
+    assert run(capsys, "decompose", "--tableau", text) == (0, obj + "\n", "")
+
+
 def test_embed_gens_starting_with_dash(capsys):
     # a negative coordinate is taken modulo p^{beta_i}; a value starting
     # with '-' is read as the flag's value, joined or not, after the full

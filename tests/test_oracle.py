@@ -155,24 +155,29 @@ def _subspaces(k, j, p):
 def test_census_tree_fibres(monkeypatch):
     # the fibre {A : pA = C} has sum_j [k choose j]_p p^{u(k-j)} subgroups,
     # u = dim C/pC and k = dim(p^{-1}C / C) - u, when C <= pB, and none
-    # otherwise; the tree gives C exactly the fibre's A other than C
+    # otherwise; the tree gives C exactly the fibre's A other than C.
+    # The census meets each child A of C, leaves included, as a yield of
+    # its walk over C, so the spy counts those yields, in force over the
+    # census alone
     children = Counter()
-    step = oracle._count_subtree
+    walk = oracle._walk
 
-    def spy(amb, A, C, tab, counts):
-        if A != C:  # not the root
-            assert emb.scale(amb, A) == C
-            children[C] += 1
-        step(amb, A, C, tab, counts)
+    def spy(amb, C, *args):
+        for A in walk(amb, C, *args):
+            if len(A) > len(C):
+                assert emb.scale(amb, A) == C
+                children[C] += 1
+            yield A
 
-    monkeypatch.setattr(oracle, "_count_subtree", spy)
     monkeypatch.setattr(oracle, "_censuses", {})
     inner = 0
     for p, max_size in ((2, 6), (3, 4)):
         for n in range(max_size + 1):
             for beta in partitions_of(n):
                 children.clear()
-                oracle.census(p, beta)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_walk", spy)
+                    oracle.census(p, beta)
                 amb = emb.AmbientModule.get(p, beta)
                 subgroups = list(oracle.enumerate_subgroups(p, beta))
                 fibres = Counter(emb.scale(amb, A) for A in subgroups)
@@ -187,6 +192,43 @@ def test_census_tree_fibres(monkeypatch):
                     assert fibres[C] == want, (p, beta, sorted(C))
                     assert children[C] == want - (C == pC), (p, beta, sorted(C))
     assert inner == 157
+
+
+def test_census_links_each_key_once(monkeypatch):
+    # a child A of C outside pB is a leaf: it gets no call of its own, and
+    # its tableau is fixed by (|A|, A & pB) on C's; a link body runs once
+    # per key (|A|, A & pB, pC, type(B/C)) of a census
+    entered, keys = [], Counter()
+    step, link = oracle._count_subtree, oracle._link
+
+    def count_subtree(amb, C, *args):
+        entered.append(C)
+        step(amb, C, *args)
+
+    def counted_link(amb, order, ApB, pC, below):
+        keys[order, ApB, pC, below.base] += 1
+        return link(amb, order, ApB, pC, below)
+
+    monkeypatch.setattr(oracle, "_count_subtree", count_subtree)
+    monkeypatch.setattr(oracle, "_link", counted_link)
+    monkeypatch.setattr(oracle, "_censuses", {})
+    nodes = links = subgroups = 0
+    for n in range(8):
+        for beta in partitions_of(n):
+            if len(beta) > 5:
+                continue
+            entered.clear()
+            keys.clear()
+            oracle.census(2, beta)
+            pB = emb.AmbientModule.get(2, beta).p_power_set(1)
+            inner = [U for U in oracle.enumerate_subgroups(2, beta) if U <= pB]
+            assert sorted(map(sorted, entered)) == sorted(map(sorted, inner)), beta
+            assert set(keys.values()) <= {1}, beta
+            nodes, links = nodes + len(entered), links + len(keys)
+            subgroups += sum(oracle.census(2, beta).tableaux.values())
+    # the work of the benchmark's census pass: 272 nodes and 866 link
+    # bodies for its 6,590 subgroups
+    assert (nodes, links, subgroups) == (272, 866, 6590)
 
 
 def test_census_tree_is_walked_lazily(monkeypatch):
