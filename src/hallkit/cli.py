@@ -19,7 +19,7 @@ from . import oracle, verify
 from .caps import limits
 from .errors import HallkitError
 from .hall import hall_polynomial
-from .partitions import fmt, parse
+from .partitions import fmt, parse, read_int
 from .s2cat import object_of_tableau, parse_object, tableau_of_object
 from .tableaux import (
     KleinTableau,
@@ -31,27 +31,28 @@ from .tableaux import (
 
 
 def _parse_tableau(text: str) -> KleinTableau:
-    text = text.strip()
-    if text.startswith("{"):
+    if text.lstrip(" ").startswith("{"):
         return KleinTableau.from_json(json.loads(text))
     return KleinTableau.from_text(text)
 
 
-def _non_negative(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
+        return read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _non_negative(text: str) -> int:
+    if (value := _integer(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _parse_gens(text: str) -> list[list[int]]:
-    text = text.strip()
-    if not text:
+    if not text.strip(" "):
         return []
-    return [[int(x) for x in chunk.split(",")] for chunk in text.split(";")]
+    return [list(map(read_int, chunk.split(","))) for chunk in text.split(";")]
 
 
 def _emit(payload: dict, text: str, fmt_kind: str):
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("embed", help="analyze a concrete embedding")
     sp.add_argument("what", choices=("tableau", "lr", "type"))
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_integer, required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--gens", default="", help="semicolon-separated coordinate vectors, e.g. '4,2;1,0'")
     sp.add_argument("--cap", type=_non_negative, default=None, help="general cap")
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("oracle", help="brute-force subgroup counts")
     sp.add_argument("what", choices=("hall",))
-    sp.add_argument("--prime", type=int, default=2)
+    sp.add_argument("--prime", type=_integer, default=2)
     _add_type_flags(sp)
     sp.add_argument("--by-tableau", action="store_true")
     sp.add_argument("--subgroup-cap", type=_non_negative, default=None)
@@ -241,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable); default all",
     )
     sp.add_argument(
-        "--prime", type=int, default=2,
+        "--prime", type=_integer, default=2,
         help="prime of formulas and hall; roundtrip and theorem2 run p = 2 and 3",
     )
     sp.add_argument(
         "--max-beta", type=_non_negative, default=7, help="largest |beta| that hall checks"
     )
-    sp.add_argument("--seed", type=int, default=20260808, help="random seed of theorem2")
+    sp.add_argument("--seed", type=_integer, default=20260808, help="random seed of theorem2")
     sp.add_argument(
         "--count", type=_non_negative, default=500, help="random embeddings for theorem2"
     )

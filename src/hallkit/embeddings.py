@@ -81,7 +81,7 @@ from typing import Iterable, Sequence
 
 from .caps import general_cap
 from .errors import CapExceeded
-from .partitions import Partition, conjugate, partition
+from .partitions import Partition, conjugate, json_record, json_typed, partition
 from .s2cat import S2Object, object_of_tableau
 from .tableaux import KleinTableau, LRTableau, strip_row_counts
 
@@ -363,7 +363,11 @@ class Embedding:
 
     @classmethod
     def from_json(cls, data: dict) -> "Embedding":
-        return cls.from_coords(data["p"], data["beta"], data["gens"])
+        """Inverse of ``to_json``; ValueError on any malformed field."""
+        with json_record("embedding"):
+            p, beta = json_typed(data["p"], int), json_typed(data["beta"], list, int)
+            gens = [json_typed(g, list, int) for g in json_typed(data["gens"], list)]
+        return cls.from_coords(p, beta, gens)
 
 
 def module_type(ambient: AmbientModule, U: SubgroupSet) -> Partition:

@@ -1,4 +1,6 @@
-"""Partition arithmetic on weakly decreasing tuples of positive integers.
+"""Partition arithmetic on weakly decreasing tuples of positive integers,
+and the rules that every reader of outside input shares: ``read_int``,
+``json_typed`` and ``json_record``.
 
 Convention used throughout the package: the parts of a partition are the
 COLUMN lengths of its diagram, so "row m" always means the m-th row of
@@ -10,6 +12,8 @@ for parts-as-columns.
 from __future__ import annotations
 
 import operator
+import re
+from contextlib import contextmanager
 from itertools import chain, zip_longest
 from math import comb
 from typing import Iterable, Iterator
@@ -33,12 +37,44 @@ def partition(parts: Iterable[int]) -> Partition:
     return t
 
 
+def read_int(text: str) -> int:
+    """The one rule for a numeral in outside text: ASCII digits after at most
+    one '-', with ASCII spaces around.  Anything else, such as '1_0', '+2',
+    another script's digits or a non-ASCII space, is ValueError."""
+    if not re.fullmatch(r" *-?[0-9]+ *", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def json_typed(value, kind: type, of: type | None = None):
+    """value itself when its type is exactly kind, and each item's is of
+    when of is given, else TypeError: the check of each number and list a
+    JSON reader takes, so that a float, a string or a bool (an int to
+    ``isinstance``) is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    for item in value if of else ():
+        json_typed(item, of)
+    return value
+
+
+@contextmanager
+def json_record(what: str):
+    """A missing field or a malformed value of a `what` JSON record read
+    in this block, as ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} JSON lacks the field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+
+
 def parse(text: str) -> Partition:
     """Parse the text form: comma-separated decreasing integers, '' = empty."""
-    text = text.strip()
-    if not text:
+    if not text.strip(" "):
         return ()
-    return partition(int(tok) for tok in text.split(","))
+    return partition(map(read_int, text.split(",")))
 
 
 def fmt(lam: Partition) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import NonIntegral, NonPolynomial
+from .partitions import json_record, json_typed, read_int
 
 
 def _clean(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
@@ -108,7 +109,10 @@ class QPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "QPolynomial":
-        return cls.from_dict({int(e): int(c) for e, c in data["coeffs"].items()})
+        """Inverse of ``to_json``; ValueError on any malformed field."""
+        with json_record("polynomial"):
+            coeffs = json_typed(data["coeffs"], dict).items()
+            return cls.from_dict({read_int(e): json_typed(c, int) for e, c in coeffs})
 
     def to_text(self) -> str:
         """Render with explicit '*' and '^', descending exponents: 2*q^2 + q - 1."""

@@ -29,10 +29,10 @@ from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EntryTooLarge
-from .partitions import partition
+from .partitions import json_record, json_typed, partition, read_int
 from .qforms import QOrderFactored
 from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
-from .tableaux import forced_subscripts, json_typed, strip_row_counts
+from .tableaux import forced_subscripts, strip_row_counts
 
 
 class Indecomposable(NamedTuple):
@@ -124,7 +124,7 @@ class S2Object:
     def from_json(cls, data: dict) -> "S2Object":
         """Inverse of ``to_json``; ValueError on any malformed field."""
         pairs = []
-        try:
+        with json_record("object"):
             for item in json_typed(data["summands"], list):
                 kind = item["kind"]
                 if kind == "P":
@@ -134,33 +134,28 @@ class S2Object:
                 else:
                     raise ValueError(f"unknown summand kind {kind!r}")
                 pairs.append((x, json_typed(item.get("mult", 1), int)))
-        except KeyError as exc:
-            raise ValueError(f"object JSON lacks the field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed object JSON: {exc}") from exc
         return cls.make(pairs)
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-_TERM = re.compile(r"^(?:(\d+)\*)?([PT])\((\d+),(\d+)\)$")
+_TERM = re.compile(r"(?:([^*]+)\*)? *([PT]) *\(([^,]*),([^)]*)\) *")
 
 
 def parse_object(text: str) -> S2Object:
     """Parse the text form, e.g. 'T(4,2) + P(1,3)' or '2*P(0,1)'."""
-    text = text.strip()
+    text = text.strip(" ")
     if text in ("", "0"):
         return S2Object.make({})
     pairs = []
     for chunk in text.split("+"):
-        mt = _TERM.match(chunk.strip().replace(" ", ""))
+        mt = _TERM.fullmatch(chunk)
         if not mt:
             raise ValueError(f"cannot parse summand {chunk!r}")
-        k = int(mt.group(1) or 1)
-        a, b = int(mt.group(3)), int(mt.group(4))
-        x = Picket(a, b) if mt.group(2) == "P" else bipicket(a, b)
-        pairs.append((x, k))
+        k, kind, a, b = mt.groups("1")
+        x = (Picket if kind == "P" else bipicket)(read_int(a), read_int(b))
+        pairs.append((x, read_int(k)))
     return S2Object.make(pairs)
 
 

@@ -43,9 +43,12 @@ from .partitions import (
     contains,
     fmt,
     is_horizontal_strip,
+    json_record,
+    json_typed,
     merge,
     parse,
     partition,
+    read_int,
 )
 
 Cell = tuple[int, int]  # (entry, row)
@@ -146,23 +149,14 @@ class KleinTableau(LRTableau):
     @classmethod
     def from_json(cls, data: dict) -> "KleinTableau":
         """Inverse of ``to_json``; ValueError on any malformed field."""
-        try:
-            gammas = [
-                [json_typed(x, int) for x in json_typed(g, list)]
-                for g in json_typed(data["gammas"], list)
-            ]
+        with json_record("tableau"):
+            gammas = [json_typed(g, list, int) for g in json_typed(data["gammas"], list)]
             subs = _cells(
-                (
-                    (json_typed(item["entry"], int), json_typed(item["row"], int)),
-                    [json_typed(r, int) for r in json_typed(item["subs"], list)],
-                )
+                ((json_typed(item["entry"], int), json_typed(item["row"], int)),
+                 json_typed(item["subs"], list, int))
                 for item in json_typed(data.get("subscripts", []), list)
             )
             return _readable(cls.make(gammas, subs))
-        except KeyError as exc:
-            raise ValueError(f"tableau JSON lacks the field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed tableau JSON: {exc}") from exc
 
     def to_text(self) -> str:
         """The LR chain's text, then ';entry@row:r1+r2,...'."""
@@ -174,24 +168,15 @@ class KleinTableau(LRTableau):
 
     @classmethod
     def from_text(cls, text: str) -> "KleinTableau":
-        text = text.strip()
+        text = text.strip(" ")
         gpart, _, spart = text.partition(";")
-        gammas = [parse("" if tok.strip() == "-" else tok) for tok in gpart.split("/")]
+        gammas = [parse("" if tok.strip(" ") == "-" else tok) for tok in gpart.split("/")]
         cells = []
         for chunk in spart.split(",") if spart else ():
             cell, _, values = chunk.partition(":")
             ell, _, m = cell.partition("@")
-            cells.append(((int(ell), int(m)), [int(v) for v in values.split("+")]))
+            cells.append(((read_int(ell), read_int(m)), list(map(read_int, values.split("+")))))
         return _readable(cls.make(gammas, _cells(cells)))
-
-
-def json_typed(value, kind: type):
-    """value itself when its type is exactly kind, else TypeError: the
-    check of each number and list a JSON reader takes, so that a float,
-    a string or a bool (an int to ``isinstance``) is no int."""
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def check_diagram_size(boxes: int) -> None:

@@ -441,14 +441,31 @@ def test_zero_picket_exits_one_at_once(capsys, fmt):
     assert json.loads(err) == {"error": "ValueError", "message": "invalid picket P_0^0"}
 
 
+# numerals that read_int refuses: '_', '+', an Arabic-Indic 3 and an em space
+odd_numerals = st.sampled_from(["1_0", "+2", "\u0663", "\u20032"])
+
+
+def _with_strays(text, strays):
+    """text with each (position, character) inserted in turn."""
+    for pos, char in strays:
+        pos %= len(text) + 1
+        text = text[:pos] + char + text[pos:]
+    return text
+
+
 summand_texts = st.one_of(
     st.builds("P({},{})".format, st.integers(0, 3), st.integers(0, 7)),
     st.builds("T({},{})".format, st.integers(0, 8), st.integers(0, 7)),
 )
-object_texts = st.lists(
-    st.builds(str.__add__, st.sampled_from(["", "0*", "1*", "2*", "3*"]), summand_texts),
-    min_size=1, max_size=4,
-).map(" + ".join)
+# sums as to_text writes them, some with a stray '_', '+', Arabic-Indic 3 or em space
+object_texts = st.builds(
+    _with_strays,
+    st.lists(
+        st.builds(str.__add__, st.sampled_from(["", "0*", "1*", "2*", "3*"]), summand_texts),
+        min_size=1, max_size=4,
+    ).map(" + ".join),
+    st.lists(st.tuples(st.integers(0, 60), st.sampled_from("_+\u0663\u2003")), max_size=1),
+)
 
 
 def _main_out_err(*argv):
@@ -507,15 +524,17 @@ def test_decompose_tableau_json_roundtrips_or_exits_one(data):
     assert json.loads(out)["tableau"] == KleinTableau.from_json(data).to_json()
 
 
-# mostly partitions, else any parts: zero, negative, unsorted or empty
+# mostly partitions, else any parts: zero, negative, unsorted, empty or
+# numerals that read_int refuses
 part_texts = st.one_of(
     *[st.lists(st.integers(1, 3), max_size=4).map(lambda ps: sorted(ps, reverse=True))] * 3,
-    st.lists(st.one_of(st.integers(-1, 3), st.just("")), max_size=4),
+    st.lists(st.one_of(st.integers(-1, 3), st.just(""), odd_numerals), max_size=4),
 ).map(lambda parts: ",".join(map(str, parts)))
 
 
 def _boxes(text):
-    return sum(int(tok) for tok in text.split(",") if tok and int(tok) > 0)
+    """Boxes of the parts that read as positive."""
+    return sum(int(tok) for tok in text.split(",") if tok.isascii() and tok.isdigit())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -582,7 +601,7 @@ KLEIN_TEXTS = [
     "3,1,1/3,2,1,1/4,2,2,1;2@2:1,2@4:2",
     "2,1/3,2,1/4,2,2/4,3,2;2@2:1,2@4:3,3@3:2",
 ]
-text_numbers = st.one_of(st.integers(0, 4), st.just(-1), st.just(HUGE))
+text_numbers = st.one_of(st.integers(0, 4), st.just(-1), st.just(HUGE), odd_numerals)
 cell_texts = st.builds(
     "{}@{}:{}".format,
     text_numbers,
@@ -597,17 +616,9 @@ def _chain_text(gammas, cells, semicolon):
     return f"{text};{','.join(cells)}" if cells or semicolon else text
 
 
-def _with_strays(text, strays):
-    """text with each (position, character) inserted in turn."""
-    for pos, char in strays:
-        pos %= len(text) + 1
-        text = text[:pos] + char + text[pos:]
-    return text
-
-
 # real texts and chains of '-', empty or any partition texts (a part of
 # 10^11 among them) with cells empty, repeated or of any numbers, each
-# with up to two stray separators or spaces
+# with up to two stray separators, spaces, '_', Arabic-Indic 3s or em spaces
 tableau_texts = st.builds(
     _with_strays,
     st.one_of(
@@ -619,7 +630,7 @@ tableau_texts = st.builds(
             st.booleans(),
         ),
     ),
-    st.lists(st.tuples(st.integers(0, 60), st.sampled_from(list(";,@:+ "))), max_size=2),
+    st.lists(st.tuples(st.integers(0, 60), st.sampled_from(";,@:+ _\u0663\u2003")), max_size=2),
 )
 
 
@@ -663,9 +674,9 @@ def test_embed_gens_starting_with_dash(capsys):
     assert exc.value.code == 2
 
 
-# generator texts: negative, huge or empty coordinates, any count of them
+# generator texts: negative, huge, empty or refused coordinates, any count of them
 gens_texts = st.lists(
-    st.lists(st.one_of(st.integers(-9, 9), st.just(10**30), st.just("")), max_size=4)
+    st.lists(st.one_of(st.integers(-9, 9), st.just(10**30), st.just(""), odd_numerals), max_size=4)
     .map(lambda coords: ",".join(map(str, coords))),
     max_size=3,
 ).map(";".join)
@@ -695,6 +706,42 @@ def test_embed_prints_or_exits_one(what, prime, beta, gens, cap):
     if cap is not None:
         with mock.patch.dict(os.environ, {"HALLKIT_CAP": str(cap)}):
             assert _main_out_err(*argv) == got
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("hall", "--beta", "1_0", "--alpha", "1_0"), "1_0"),
+        (("hall", "--beta", "\u0663", "--alpha", "\u0663"), "\u0663"),
+        (("decompose", "--tableau", "+2/+2,1/3,1;2@3:1"), "+2"),
+        (("decompose", "--object", "P(1,\u0663)"), "\u0663"),
+        (("embed", "type", "--prime", "2", "--beta", "2,1", "--gens", "1_1,0"), "1_1"),
+    ],
+)
+def test_non_canonical_numerals_exit_one(capsys, argv, text):
+    # every text reader reads its numbers by read_int: no '_', '+' or
+    # other scripts' digits
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"not an integer: {text!r}"}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("embed", "type", "--beta", "2,1", "--gens", "1,0", "--prime", "\u0662"),
+        ("oracle", "hall", "--beta", "2,1", "--prime", "\u0662"),
+        ("verify", "--suite", "theorem2", "--prime", "\u0662"),
+        ("verify", "--suite", "theorem2", "--seed", "1_0"),
+        ("verify", "--suite", "theorem2", "--count", "\u0663"),
+    ],
+)
+def test_non_canonical_flag_numbers_exit_two(capsys, flags):
+    # an integer flag reads its value by read_int, as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(list(flags))
+    assert exc.value.code == 2
+    assert f"not an integer: {flags[-1]!r}" in capsys.readouterr().err
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

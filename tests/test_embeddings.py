@@ -607,6 +607,20 @@ def test_embedding_json_roundtrip():
     assert again == E
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a float part is refused, not truncated to (2, 1)
+        ({"p": 2, "beta": [2.7, 1], "gens": [[1, 0]]}, r"^malformed embedding JSON: expected int, got float$"),
+        ({"p": 2.0, "beta": [2, 1], "gens": []}, r"^malformed embedding JSON: expected int, got float$"),
+        ({"p": 2, "beta": [2, 1]}, r"^embedding JSON lacks the field 'gens'$"),
+    ],
+)
+def test_embedding_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        emb.Embedding.from_json(data)
+
+
 PINNED_FUNCTOR_DIGEST = "8a0464cf2b021620d3cbad7943278abacc68cdfed02087ea0935ff5009388b3a"
 
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from hallkit.partitions import (
@@ -5,10 +6,13 @@ from hallkit.partitions import (
     contains,
     fmt,
     is_horizontal_strip,
+    json_record,
+    json_typed,
     moment,
     parse,
     partition,
     partitions_of,
+    read_int,
     row_length,
 )
 
@@ -23,8 +27,6 @@ def test_partition_normalizes_trailing_zeros():
 
 
 def test_partition_rejects_bad_input():
-    import pytest
-
     # the messages and the order of the checks are pinned
     cases = [
         ((2, -1), "parts must be positive: (2, -1)"),
@@ -69,6 +71,52 @@ def test_text_roundtrip():
     assert parse("") == ()
     assert fmt((4, 3, 2)) == "4,3,2"
     assert fmt(()) == ""
+
+
+def test_read_int_accepts_ascii_digits_after_one_dash():
+    cases = [("0", 0), ("42", 42), ("007", 7), ("-7", -7), ("-0", 0), ("  3 ", 3), (" -12", -12)]
+    for text, value in cases:
+        assert read_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "-", "--1", "- 1", "+2", "1_0", "1 0", "1.0", "0x1", "1e3", "\u0663", "\u00b2",
+     "3\u2003", "\u00a03", "\t3", "3\n"],
+)
+def test_read_int_refuses_everything_else(text):
+    with pytest.raises(ValueError) as info:
+        read_int(text)
+    assert str(info.value) == f"not an integer: {text!r}"
+
+
+def test_parse_reads_each_part_by_read_int():
+    assert parse(" 3 , 2 ,1 ") == (3, 2, 1)
+    assert parse("   ") == ()
+    for text, bad in [("1_0", "1_0"), ("+2,1", "+2"), ("\u0663", "\u0663"), ("3,\u2003", "\u2003")]:
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == f"not an integer: {bad!r}"
+    # the domain check stays partition's own
+    with pytest.raises(ValueError, match=r"^parts must be positive: \(2, -1\)$"):
+        parse("2,-1")
+
+
+def test_json_typed_and_json_record():
+    assert json_typed([1, 2], list, int) == [1, 2]
+    for value, kinds in [(True, (int,)), (2.0, (int,)), ("2", (int,)), ([1, 2.5], (list, int))]:
+        with pytest.raises(TypeError):
+            json_typed(value, *kinds)
+    with pytest.raises(ValueError, match=r"^thing JSON lacks the field 'x'$"):
+        with json_record("thing"):
+            {}["x"]
+    with pytest.raises(ValueError, match=r"^malformed thing JSON: expected int, got float$"):
+        with json_record("thing"):
+            json_typed(2.0, int)
+    # a ValueError raised in the block passes through unchanged
+    with pytest.raises(ValueError, match=r"^not an integer: '\+1'$"):
+        with json_record("thing"):
+            read_int("+1")
 
 
 @given(partitions)

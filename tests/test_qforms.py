@@ -64,6 +64,21 @@ def test_polynomial_text_and_json():
     assert QPolynomial.from_dict({9: 1, 8: -1}).to_text() == "q^9 - q^8"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # keys are read by read_int, so a sign or another script's digit is refused
+        ({"coeffs": {"+1": 1, "\u0662": 3}}, r"^not an integer: '\+1'$"),
+        # values are JSON integers, not truncated floats
+        ({"coeffs": {"2": 1.9}}, r"^malformed polynomial JSON: expected int, got float$"),
+        ({}, r"^polynomial JSON lacks the field 'coeffs'$"),
+    ],
+)
+def test_polynomial_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        QPolynomial.from_json(data)
+
+
 def test_polynomial_exact_division():
     num = QPolynomial.from_dict({2: 1, 0: -1})
     den = QPolynomial.from_dict({1: 1, 0: -1})
