@@ -11,6 +11,8 @@ inside ``limits`` of its ``--cap`` and ``--subgroup-cap`` flags.
 import os
 from contextlib import contextmanager
 
+from .partitions import read_int
+
 DEFAULT_CAP = 1 << 20
 DEFAULT_SUBGROUP_CAP = 1 << 10
 
@@ -19,7 +21,12 @@ _in_force = dict.fromkeys(("HALLKIT_CAP", "HALLKIT_SUBGROUP_CAP"))
 
 def _read(env: str, default: int) -> int:
     value = _in_force[env]
-    return int(os.environ.get(env, default) if value is None else value)
+    if value is None and (text := os.environ.get(env)) is not None:
+        try:
+            return read_int(text)
+        except ValueError as exc:
+            raise ValueError(f"{env}: {exc}") from None
+    return default if value is None else value
 
 
 def general_cap() -> int:

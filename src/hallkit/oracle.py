@@ -1,6 +1,7 @@
 """Brute-force ground truth at q = p.
 
-Everything here is exhaustive enumeration under the configured caps:
+Everything here but the census's leaves (counted in closed form, see
+below) is exhaustive enumeration under the configured caps:
 subgroup lattices by triangular generators, one generator at a time,
 each extension the ``span`` of one element over the subgroup so far,
 from one element per coset, which yields each subgroup exactly once
@@ -21,22 +22,21 @@ order of a span over Z/p^N (``zpn.span_exponent``);
 
 The census of M(beta) is one read-only ``Census`` record per (p, beta).
 It counts each subgroup once, by the Klein tableau of its embedding, in
-a depth-first walk of the tree where the parent of A is pA.  The
-children of C are the subgroups between C and p^{-1}C that ``_walk``
-yields over a basis of p^{-1}C / C whose last generators must each add
-to the subgroup (see ``_count_subtree``), and each child's tableau is
-one ``_link`` on C's, so the census builds no embedding and no
-p-chain.  Only C <= pB has children, so a child outside pB is a leaf,
-and a link reads a child A only through |A| and A & pB: a node counts
-its leaves per (|A|, A & pB) and adds each such key's tableau once,
-with its multiplicity, so a leaf gets no call, no tableau and no hash
-of one.
+a depth-first walk of the tree where the parent of A is pA.  Only
+C <= pB has children, the C < A <= p^{-1}C with pA = C, and each
+child's tableau is one ``_link`` on C's, so the census builds no
+embedding and no p-chain.  A child outside pB is a leaf, and a link
+reads a child A only through |A| and A & pB.  So a node walks only the
+X between C and p^{-1}C & pB (``_fibre``, by ``_walk``): an X with
+pX = C is an inner child, and the leaves with A & pB = X are counted per
+order in closed form (``_leaf_count``), never built, each (|A|, X)
+adding its tableau once, with its multiplicity.
 The link data, the type of B/A and the entry-2 level, is kept in one
 dict per ``census`` call, keyed on (|A|, A & pB, pC, type(B/C)), which
 repeats across siblings and across nodes; the dict is dropped when the
 census returns.  Over the 42 beta with |beta| <= 7 and at most five
-parts at p = 2 the census enters 272 of 6,590 subgroups and computes
-866 links.  A tableau of type
+parts at p = 2 the census walks 753 X for 6,590 subgroups, enters 272 of
+them and computes 866 links.  A tableau of type
 (alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
 of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
@@ -53,7 +53,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, groupby, product, repeat
+from math import log
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -72,6 +74,7 @@ from .embeddings import (
 )
 from .errors import CapExceeded
 from .partitions import Partition, partition
+from .qforms import gaussian_binomial
 from .tableaux import KleinTableau, tableau_type
 from .zpn import span_exponent
 
@@ -96,7 +99,7 @@ def _lattice_ambient(p: int, beta) -> AmbientModule:
 
 
 def _walk(
-    amb: AmbientModule, base: SubgroupSet, gens: Sequence[int], orders: Sequence[int], free: int
+    amb: AmbientModule, base: SubgroupSet, gens: Sequence[int], orders: Sequence[int]
 ) -> Iterator[SubgroupSet]:
     """Every subgroup V with base <= V <= base + <gens> exactly once, in
     a deterministic order, where (base + <gens>) / base is the direct sum
@@ -110,9 +113,7 @@ def _walk(
     in each coset of B_k / V_k, and with unit gens its least element.
     Every such V has exactly one chain of choices (its Hermite form,
     written over element sets), so a depth-first walk over the choices
-    yields each V once, without comparing it against the others.  Only
-    the first ``free`` steps may keep V_{k+1} = V_k; each later generator
-    must add to V.
+    yields each V once, without comparing it against the others.
     """
     add, p = amb.add, amb.p
     multiples = [  # c g for c < p^b, per generator
@@ -125,8 +126,7 @@ def _walk(
             yield W
             continue
         b, mults, sums = orders[k], multiples[k], sorted(sums)
-        if k < free:
-            stack.append((k + 1, W, _spread(sums, mults, add)))
+        stack.append((k + 1, W, _spread(sums, mults, add)))
         for y in sums:
             chain = [y]  # y, py, ..., p^b y
             for _ in range(b):
@@ -145,51 +145,64 @@ def enumerate_subgroups(p: int, beta) -> Iterator[SubgroupSet]:
     amb = _lattice_ambient(p, beta)
     s = len(amb.beta)
     units = [amb.pack([i == k for i in range(s)]) for k in range(s)]
-    yield from _walk(amb, frozenset({0}), units, amb.beta, s)
+    yield from _walk(amb, frozenset({0}), units, amb.beta)
+
+
+@lru_cache(maxsize=1 << 14)
+def _leaf_count(p: int, n: int, a: int, k: int, m: int, d: int) -> int:
+    """The d-subspaces V of W = F_p^n with V & Q = 0 and V + K = W, where
+    a, k and m are the dimensions of Q, K and Q & K: Moebius inversion,
+    mu(0, Y) = (-1)^y p^{C(y, 2)}, over the [m, j]_p p^{(m-j)(y-j)}
+    [a-m, y-j]_p Y <= Q with dim Y = y and dim(Y & K) = j, of the
+    p^{(n-y-k+j)(n-d)} [k-j, n-d]_p such V above Y; all exact ints."""
+    total = 0
+    for y in range(min(a, d) + 1):
+        for j in range(max(0, y - a + m), min(m, y) + 1):
+            if above := gaussian_binomial(k - j, n - d, p):
+                power = y * (y - 1) // 2 + (m - j) * (y - j) + (n - y - k + j) * (n - d)
+                inside = gaussian_binomial(m, j, p) * gaussian_binomial(a - m, y - j, p)
+                total += (-1) ** y * p**power * inside * above
+    return total
+
+
+def _fibre(amb: AmbientModule, C: SubgroupSet) -> Iterator[tuple[SubgroupSet, bool, list]]:
+    """The children A of C <= pB, pA = C, as (X, inner, leaves) per X with
+    C <= X <= p^{-1}C & pB: inner when X is a child, and leaves the
+    (|A|, count) of the children outside pB with A & pB = X.  In
+    W = p^{-1}C / C, of dimension s = len(beta), a child is a V with
+    V + K = W, K = (C + B[p]) / C the kernel of px + pC, of dimension
+    s - u with u = dim C[p]; Q = (p^{-1}C & pB) / C, and
+    dim(Q & K) = (parts of beta above 1) - u."""
+    p, s, socle, pB = amb.p, len(amb.beta), frozenset(amb.killed_by(1)), amb.p_power_set(1)
+    dim = lambda order: round(log(order, p))
+    u = dim(len(C & socle))
+    # x in pB with px in C: c/p plus a socle element of pB, c in C & p^2 B (see ``preimage``)
+    inside = frozenset(r + k for r in map(amb.divp, C & amb.p_power_set(2)) for k in socle & pB)
+    q = dim(len(inside) // len(C))
+    m = sum(b > 1 for b in amb.beta) - u
+    for X in _walk(amb, C, _greedy_basis(amb, (1,) * q, C, sorted(inside))[0], (1,) * q):
+        x, xK = dim(len(X) // len(C)), dim(len(X & socle)) - u
+        n, k = s - x, s - u - xK
+        counts = ((len(X) * p**d, _leaf_count(p, n, q - x, k, m - xK, d)) for d in range(1, n + 1))
+        yield X, 0 < x and n == k, [(order, count) for order, count in counts if count]
 
 
 def _count_subtree(
-    amb: AmbientModule,
-    C: SubgroupSet,
-    pC: SubgroupSet,
-    tab: KleinTableau,
-    counts: Counter,
-    memo: dict,
+    amb: AmbientModule, C: SubgroupSet, pC: SubgroupSet, tab: KleinTableau, counts: Counter, memo: dict
 ) -> None:
     """Count the Klein tableau ``tab`` of C <= pB, then, depth first,
     those of the subgroups above C in the tree where the parent of A is
-    pA.
-
-    The children A of C are the C < A <= p^{-1}C with V = A/C mapping
-    onto C/pC under x + C -> px + pC.  That map is onto only when
-    C <= pB, and then its kernel is (C + B[p]) / C, of dimension s - u
-    with s the number of parts of beta and u = dim C/pC.  So a basis of
-    p^{-1}C / C is one of B[p] over C & B[p], then the quotients by p of
-    one of C over pC, and ``_walk`` may leave out only the first s - u.
-    A child inside pB is counted by its own call.  Any other child is a
-    leaf, and its tableau is fixed by (|A|, A & pB) (see ``_link``): the
-    leaves are counted per such key in a local ``Counter``, and each key
-    adds its tableau with its multiplicity.  Every child's tableau comes
-    from ``_child`` on ``memo``, the link data of this census, which
-    ``census`` creates empty and drops when it returns.
+    pA: an inner child of ``_fibre`` by its own call, and the leaves per
+    key (|A|, A & pB), which fixes their tableau (see ``_link``).  Each
+    child's tableau comes from ``_child`` on ``memo``, the link data of
+    this census, which ``census`` creates empty and drops when it returns.
     """
     counts[tab] += 1
-    p, s, socle, pB = amb.p, len(amb.beta), amb.killed_by(1), amb.p_power_set(1)
-    u = 0  # dim C/pC
-    while len(pC) * p**u < len(C):
-        u += 1
-    kernel = _greedy_basis(amb, (1,) * (s - u), C.intersection(socle), socle)[0]
-    lifts = tuple(map(amb.divp, _greedy_basis(amb, (1,) * u, pC, sorted(C))[0]))
-    leaves: Counter = Counter()
-    for A in _walk(amb, C, kernel + lifts, (1,) * s, s - u):
-        if len(A) > len(C):  # C = 0 is yielded at its own root
-            ApB = A & pB
-            if len(ApB) < len(A):
-                leaves[len(A), ApB] += 1
-            else:
-                _count_subtree(amb, A, C, _child(amb, len(A), A, pC, tab, memo), counts, memo)
-    for (order, ApB), multiplicity in leaves.items():
-        counts[_child(amb, order, ApB, pC, tab, memo)] += multiplicity
+    for X, inner, leaves in _fibre(amb, C):
+        if inner:
+            _count_subtree(amb, X, C, _child(amb, len(X), X, pC, tab, memo), counts, memo)
+        for order, count in leaves:
+            counts[_child(amb, order, X, pC, tab, memo)] += count
 
 
 def _child(

@@ -11,6 +11,7 @@ division is exact and raises ``NonPolynomial`` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping
 
 from .errors import NonIntegral, NonPolynomial
@@ -232,6 +233,13 @@ def gl_order(m: int) -> QOrderFactored:
     if m < 0:
         raise ValueError("rank must be >= 0")
     return QOrderFactored.from_parts(m * (m - 1) // 2, {j: 1 for j in range(1, m + 1)})
+
+
+def gaussian_binomial(n: int, k: int, q0: int) -> int:
+    """[n, k] at q = q0: the k-subspaces of F_q0^n, 0 unless 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    return prod(q0 ** (n - i) - 1 for i in range(k)) // prod(q0**i - 1 for i in range(1, k + 1))
 
 
 def evaluate(x: QPolynomial | QOrderFactored, q0: int) -> int:

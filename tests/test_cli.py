@@ -744,6 +744,19 @@ def test_non_canonical_flag_numbers_exit_two(capsys, flags):
     assert f"not an integer: {flags[-1]!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env", ["HALLKIT_CAP", "HALLKIT_SUBGROUP_CAP"])
+@pytest.mark.parametrize("text", ["1_6", "+16", "\u0661\u0666", "", "16.0"])
+def test_non_canonical_cap_env_exits_one(capsys, monkeypatch, env, text):
+    # the caps read their environment variables by read_int too: a value
+    # it refuses is one JSON diagnostic naming the variable, not a cap
+    monkeypatch.setenv(env, text)
+    code, out, err = run(capsys, "oracle", "hall", "--prime", "2", "--beta", "2,1", "--alpha", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"{env}: not an integer: {text!r}"}
+    monkeypatch.setenv(env, " 16 ")
+    assert run(capsys, "oracle", "hall", "--prime", "2", "--beta", "2,1", "--alpha", "1")[0] == 0
+
+
 def test_wide_diagram_renders_in_linear_time(capsys):
     # 40,000 copies of P(1,1): one row of 40,000 boxes, built from one
     # summand tableau and one walk per column

@@ -156,18 +156,19 @@ def test_census_tree_fibres(monkeypatch):
     # the fibre {A : pA = C} has sum_j [k choose j]_p p^{u(k-j)} subgroups,
     # u = dim C/pC and k = dim(p^{-1}C / C) - u, when C <= pB, and none
     # otherwise; the tree gives C exactly the fibre's A other than C.
-    # The census meets each child A of C, leaves included, as a yield of
-    # its walk over C, so the spy counts those yields, in force over the
-    # census alone
+    # The census meets each child A of C as a yield of its fibre over C:
+    # one inside pB as an inner X, and those outside pB as leaf counts, so
+    # the spy sums both, in force over the census alone
     children = Counter()
-    walk = oracle._walk
+    fibre = oracle._fibre
 
-    def spy(amb, C, *args):
-        for A in walk(amb, C, *args):
-            if len(A) > len(C):
-                assert emb.scale(amb, A) == C
+    def spy(amb, C):
+        for X, inner, leaves in fibre(amb, C):
+            if inner:
+                assert emb.scale(amb, X) == C
                 children[C] += 1
-            yield A
+            children[C] += sum(count for _, count in leaves)
+            yield X, inner, leaves
 
     monkeypatch.setattr(oracle, "_censuses", {})
     inner = 0
@@ -176,7 +177,7 @@ def test_census_tree_fibres(monkeypatch):
             for beta in partitions_of(n):
                 children.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(oracle, "_walk", spy)
+                    patch.setattr(oracle, "_fibre", spy)
                     oracle.census(p, beta)
                 amb = emb.AmbientModule.get(p, beta)
                 subgroups = list(oracle.enumerate_subgroups(p, beta))
@@ -259,6 +260,80 @@ def test_census_duality():
             census = oracle.hall_census(2, beta)
             for (alpha, gamma), count in census.items():
                 assert census.get((gamma, alpha), 0) == count
+
+
+def _all_subspaces(n, p):
+    """Every subspace of F_p^n as a frozenset of coordinate tuples, grown
+    from 0 one vector at a time."""
+    vectors = list(product(range(p), repeat=n))
+    zero = frozenset({(0,) * n})
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        S = frontier.pop()
+        for v in vectors:
+            if v not in S:
+                T = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(s, v)) for s in S for c in range(p)
+                )
+                if T not in seen:
+                    seen.add(T)
+                    frontier.append(T)
+    return seen
+
+
+def test_leaf_count_matches_subspace_count():
+    # N(n, a, k, m, d) counts the d-subspaces V of F_p^n with V & Q = 0 and
+    # V + K = F_p^n, dim Q = a, dim K = k and dim(Q & K) = m: count them
+    # for Q spanned by the first a unit vectors and K by the first m and
+    # the next k - m after Q's, on every configuration and every d
+    configurations = 0
+    for p, max_n in ((2, 4), (3, 3)):
+        for n in range(max_n + 1):
+            subspaces = _all_subspaces(n, p)
+            unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+            def spanned(vectors):
+                return next(S for S in subspaces if set(vectors) <= S and len(S) == p ** len(vectors))
+
+            for a in range(n + 1):
+                for m in range(a + 1):
+                    for k in range(m, n - a + m + 1):
+                        Q = spanned(unit[:a])
+                        K = spanned(unit[:m] + unit[a : a + k - m])
+                        found = Counter(
+                            len(V)
+                            for V in subspaces
+                            if len(V & Q) == 1 and len(V) * len(K) == p**n * len(V & K)
+                        )
+                        for d in range(n + 1):
+                            configurations += 1
+                            want = found[p**d]
+                            assert oracle._leaf_count(p, n, a, k, m, d) == want, (p, n, a, k, m, d)
+    assert configurations == 413
+
+
+def _three_subscripts(tab) -> bool:
+    """An e >= 3 tableau with a level of three distinct subscripts."""
+    return tab.e >= 3 and any(len({r for _, subs in level for r in subs}) >= 3 for level in tab.levels)
+
+
+def test_census_reaches_ten_boxes():
+    # at p = 2 no beta with |beta| <= 9 holds a tableau with e >= 3 and a
+    # level of three distinct subscripts; over the |beta| = 10 betas that
+    # do, every type pair's per-tableau census equals its breakdown at q = 2
+    targets = []
+    for beta in partitions_of(10):
+        census = oracle.census(2, beta)
+        if not any(map(_three_subscripts, census.tableaux)):
+            continue
+        targets.append(beta)
+        seen = 0
+        for alpha, gamma in census.types:
+            for tab, poly in hall_polynomial(alpha, beta, gamma).per_tableau:
+                assert evaluate(poly, 2) == census.tableaux.get(tab, 0), (beta, tab)
+                seen += 1
+        assert seen == len(census.tableaux), beta
+    assert targets == [(5, 3, 2), (4, 4, 2), (4, 3, 3)]
 
 
 def test_hom_and_aut_counts():
