@@ -21,7 +21,7 @@ subgroup.  Types are read off the orders of the layers p^i M
 quotient B/X.  Every type reading
 (``module_type``, ``Embedding.subgroup_type``, ``quotient_type``) goes
 through one bounded ``lru_cache`` keyed on the tuple of layer orders and
-p: the census of every beta with |beta| <= 7 at p = 2 reads 51,072
+p: the census of every beta with |beta| <= 7 at p = 2 reads 1,224
 types but only 44 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
 canonical tuples, so ``klein_tableau`` builds its tableau from them and
@@ -40,17 +40,18 @@ them (``_peel``), so no coordinate table of B is built.
 A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
 only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
 of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
-each step (``_link``) puts the type of B/U and the entry-2 level of U
-on the tableau of pU, from (beta,) for the zero subgroup up to A.  A
-link reads U only through |U| and U & pB, since p^i B & U =
-p^i B & (U & pB) for i >= 1, and of the tableau below only the types
-of B/pU and B/p^2 U; so its data is a function of (|U|, U & pB, p^2 U,
-type(B/pU)), and ``_linked`` puts it on the tableau below.  Each
-caller hands the tableau below down: an embedding keeps the tableaux of
-its own p-chain, which its reductions share (their chains are tails of
-it with the same bottom), and the oracle's census links each subgroup
-onto the tableau of its parent pA in the tree it walks, once per
-(|U|, U & pB) among a node's leaves.  The ambient holds no tableau.
+each step puts the type of B/U in front of the gammas of pU's tableau
+and, when pU is nonzero, the entry-2 level of U in front of its levels,
+from (beta,) for the zero subgroup up to A.  The two read different
+data.  The type reads |U| and U & pB, since p^i B & U =
+p^i B & (U & pB) for i >= 1 (``quotient_type`` with ``order``); the
+level (``_link``) reads U & pB, p^2 U and the types g^1 = type(B/pU)
+and g^2 = type(B/p^2 U), and not |U|.  Each caller hands the tableau
+below down: an embedding keeps the tableaux of its own p-chain, which
+its reductions share (their chains are tails of it with the same
+bottom), and the oracle's census puts each subgroup on the tableau of
+its parent pA in the tree it walks, with one level per (U & pB, p^2 U,
+g^1) and one type per (|U|, U & pB).  The ambient holds no tableau.
 In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
 which is pY itself, with no coset built, when pY holds p^2 U.
 
@@ -65,7 +66,7 @@ p^{-1}A, A & pB from the intersection it takes the preimage of (A alone
 when s = 0); ``Embedding.chain`` scales the rest when first used.  After
 E's tableau, that of reduce(E, s), s >= 1, is one E has already built,
 so comparing it with a restriction of E's checks ``restrict`` and the
-chain tail, not the levels ``_link`` reads.  Those levels are checked
+chain tail, not the levels ``_link`` builds.  Those levels are checked
 by the pinned census digest of the tests and by the
 realization-fidelity and symbol-multiplicity checks of ``verify``.
 """
@@ -442,27 +443,17 @@ def lr_tableau(E: Embedding) -> LRTableau:
 
 
 def _link(
-    amb: AmbientModule, order: int, UpB: SubgroupSet, p2U: SubgroupSet, below: KleinTableau
-) -> tuple[Partition, tuple]:
-    """What the Klein tableau of U <= B adds to the tableau ``below`` of
-    pU <= B: the type of B/U and the levels it puts in front, the entry-2
-    level when pU is nonzero and none when it is zero (see the module
-    docstring).  That level's chain of types of B / X_r, with
-    X_r = p^2 U + p(U intersect p^r B), over r = 1..n-1, n the exponent
-    of B, grows from g^1 to g^2; the boxes appearing at step r get
-    subscript r.
-
-    U is read only through order = |U| and UpB = U & pB: the type of B/U
-    reads |U| and the p^i B & U = p^i B & UpB, i >= 1, and the r-loop
-    starts from U & pB.  Of ``below`` only g^1 = type(B/pU) and g^2 =
-    type(B/p^2 U) are read, and g^2 is fixed by p2U.  So the result is a
-    function of (|U|, U & pB, p^2 U, type(B/pU)), the key of the census's
-    memo (``oracle._child``).
+    amb: AmbientModule, UpB: SubgroupSet, p2U: SubgroupSet, g1: Partition, g2: Partition
+) -> tuple:
+    """The entry-2 level ((row, subs), ...) of U <= B with pU nonzero,
+    from UpB = U & pB, p2U = p^2 U, g1 = type(B/pU) and g2 = type(B/p^2 U).
+    Its chain of types of B / X_r, with X_r = p^2 U + p(U & p^r B), over
+    r = 1..n-1, n the exponent of B, grows from g1 to g2; the boxes
+    appearing at step r get subscript r.  U enters only through U & pB,
+    since U & p^r B = (U & pB) & p^r B for r >= 1, and g2 is fixed by
+    p2U, so the level is a function of (U & pB, p^2 U, g1), the key of
+    the census's level memo (``oracle._count_subtree``).
     """
-    gamma = quotient_type(amb, UpB, order)
-    if not below.e:
-        return gamma, ()
-    g1, g2 = below.gammas[:2]
     subs: dict[int, list[int]] = {}
     Y, prev_Y, prev_type = UpB, None, g1
     for r in range(1, amb.beta[0]):
@@ -481,18 +472,14 @@ def _link(
             break
     if prev_type != g2:
         raise AssertionError("subscript chain did not reach the strip top")
-    return gamma, (tuple(sorted((m, tuple(rs)) for m, rs in subs.items())),)
-
-
-def _linked(below: KleinTableau, new: tuple[Partition, tuple]) -> KleinTableau:
-    """The Klein tableau of U from that of pU and ``_link``'s new data."""
-    gamma, levels = new
-    return KleinTableau((gamma,) + below.gammas, levels + below.levels)
+    return tuple(sorted((m, tuple(rs)) for m, rs in subs.items()))
 
 
 def klein_tableau(E: Embedding) -> KleinTableau:
-    """Subscripted tableau of an embedding: one ``_link`` per step up its
-    p-chain, from (beta,) for the zero subgroup, each on (|U|, U & pB).
+    """Subscripted tableau of an embedding, folded up its p-chain from
+    (beta,) for the zero subgroup: each step puts type(B/U), read from
+    |U| and U & pB, in front of the gammas of pU's tableau and, when pU
+    is nonzero, U's entry-2 level (``_link``) in front of its levels.
     The tableaux are kept bottom-up in ``E._tabs``, the list a reduction
     shares, so each step is built once for an embedding and all its
     reductions.  The gammas are canonical and each level's cells get
@@ -507,7 +494,10 @@ def klein_tableau(E: Embedding) -> KleinTableau:
     pB = amb.p_power_set(1)
     for j in range(len(chain) - 2 - len(tabs), -1, -1):
         U, below = chain[j], tabs[-1]
-        tabs.append(_linked(below, _link(amb, len(U), U & pB, chain[j + 2], below)))
+        UpB, levels = U & pB, below.levels
+        if below.e:  # pU is nonzero
+            levels = (_link(amb, UpB, chain[j + 2], *below.gammas[:2]),) + levels
+        tabs.append(KleinTableau((quotient_type(amb, UpB, len(U)),) + below.gammas, levels))
     return tabs[len(chain) - 2]
 
 

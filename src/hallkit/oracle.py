@@ -24,19 +24,22 @@ The census of M(beta) is one read-only ``Census`` record per (p, beta).
 It counts each subgroup once, by the Klein tableau of its embedding, in
 a depth-first walk of the tree where the parent of A is pA.  Only
 C <= pB has children, the C < A <= p^{-1}C with pA = C, and each
-child's tableau is one ``_link`` on C's, so the census builds no
-embedding and no p-chain.  A child outside pB is a leaf, and a link
-reads a child A only through |A| and A & pB.  So a node walks only the
-X between C and p^{-1}C & pB (``_fibre``, by ``_walk``): an X with
-pX = C is an inner child, and the leaves with A & pB = X are counted per
-order in closed form (``_leaf_count``), never built, each (|A|, X)
-adding its tableau once, with its multiplicity.
-The link data, the type of B/A and the entry-2 level, is kept in one
-dict per ``census`` call, keyed on (|A|, A & pB, pC, type(B/C)), which
-repeats across siblings and across nodes; the dict is dropped when the
-census returns.  Over the 42 beta with |beta| <= 7 and at most five
-parts at p = 2 the census walks 753 X for 6,590 subgroups, enters 272 of
-them and computes 866 links.  A tableau of type
+child's tableau is C's with type(B/A) put in front of its gammas and,
+when C is nonzero, A's entry-2 level (``_link``) in front of its
+levels, so the census builds no embedding and no p-chain.  A child
+outside pB is a leaf, and the type reads a child A only through |A| and
+A & pB, the level only through A & pB, pA and the tableau of pA.  So a
+node walks only the X between C and p^{-1}C & pB (``_fibre``, by
+``_walk``): an X with pX = C is an inner child, and the leaves with
+A & pB = X are counted per order in closed form (``_leaf_count``),
+never built, each (|A|, X) adding its tableau once, with its
+multiplicity.  One dict per ``census`` call keeps each level on
+(X, pC, type(B/C)), built once per X that has a child, and each type
+on (|A|, X); both repeat across siblings and across nodes, and the dict
+is dropped when the census returns.  Over the 42 beta with |beta| <= 7
+and at most five parts at p = 2 the census walks 753 X for 6,590
+subgroups, enters 272 of them, builds 393 levels and reads 649 types.
+A tableau of type
 (alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
 of its strip sizes) and quotient type gamma (its base), so a type
 pair's count is the sum of its tableaux' counts:
@@ -66,9 +69,9 @@ from .embeddings import (
     SubgroupSet,
     _greedy_basis,
     _link,
-    _linked,
     _spread,
     lift,
+    quotient_type,
     reduce,
     span,
 )
@@ -193,30 +196,36 @@ def _count_subtree(
     """Count the Klein tableau ``tab`` of C <= pB, then, depth first,
     those of the subgroups above C in the tree where the parent of A is
     pA: an inner child of ``_fibre`` by its own call, and the leaves per
-    key (|A|, A & pB), which fixes their tableau (see ``_link``).  Each
-    child's tableau comes from ``_child`` on ``memo``, the link data of
-    this census, which ``census`` creates empty and drops when it returns.
+    (|A|, A & pB).  The children with A & pB = X share their entry-2
+    level, built once per (X, pC, type(B/C)) when C is nonzero, and a
+    child's type of B/A is kept per (|A|, X) (``_child``).  Both live in
+    ``memo``, which ``census`` creates empty and drops when it returns.
     """
     counts[tab] += 1
     for X, inner, leaves in _fibre(amb, C):
+        if not (inner or leaves):
+            continue
+        levels, key = tab.levels, (X, pC, tab.base)
+        if tab.e:  # C is nonzero, so each child has an entry-2 level
+            if key not in memo:
+                memo[key] = _link(amb, X, pC, *tab.gammas[:2])
+            levels = (memo[key],) + levels
         if inner:
-            _count_subtree(amb, X, C, _child(amb, len(X), X, pC, tab, memo), counts, memo)
+            _count_subtree(amb, X, C, _child(amb, len(X), X, tab, levels, memo), counts, memo)
         for order, count in leaves:
-            counts[_child(amb, order, X, pC, tab, memo)] += count
+            counts[_child(amb, order, X, tab, levels, memo)] += count
 
 
 def _child(
-    amb: AmbientModule, order: int, ApB: SubgroupSet, pC: SubgroupSet, tab: KleinTableau, memo: dict
+    amb: AmbientModule, order: int, ApB: SubgroupSet, tab: KleinTableau, levels: tuple, memo: dict
 ) -> KleinTableau:
-    """The tableau of a child A of C, from |A|, A & pB and the tableau
-    ``tab`` of C = pA.  ``_link``'s data is kept in ``memo`` on
-    (|A|, A & pB, pC, type(B/C)), which repeats across siblings and
-    across nodes."""
-    key = (order, ApB, pC, tab.base)
-    new = memo.get(key)
-    if new is None:
-        new = memo[key] = _link(amb, order, ApB, pC, tab)
-    return _linked(tab, new)
+    """The tableau of a child A of C, from type(B/A), kept in ``memo`` on
+    (|A|, A & pB), over the tableau ``tab`` of C = pA, with ``levels``
+    those of A."""
+    key = (order, ApB)
+    if key not in memo:
+        memo[key] = quotient_type(amb, ApB, order)
+    return KleinTableau((memo[key],) + tab.gammas, levels)
 
 
 @dataclass(frozen=True)

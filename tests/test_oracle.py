@@ -196,40 +196,47 @@ def test_census_tree_fibres(monkeypatch):
 
 
 def test_census_links_each_key_once(monkeypatch):
-    # a child A of C outside pB is a leaf: it gets no call of its own, and
-    # its tableau is fixed by (|A|, A & pB) on C's; a link body runs once
-    # per key (|A|, A & pB, pC, type(B/C)) of a census
-    entered, keys = [], Counter()
-    step, link = oracle._count_subtree, oracle._link
+    # a child A of C outside pB is a leaf: it gets no call of its own.
+    # The children with A & pB = X share their entry-2 level, whose body
+    # runs once per key (X, pC, type(B/C)) of a census, and the census
+    # reads the type of B/A once per key (|A|, X)
+    entered, levels, types = [], Counter(), Counter()
+    step, link, quotient = oracle._count_subtree, oracle._link, oracle.quotient_type
 
     def count_subtree(amb, C, *args):
         entered.append(C)
         step(amb, C, *args)
 
-    def counted_link(amb, order, ApB, pC, below):
-        keys[order, ApB, pC, below.base] += 1
-        return link(amb, order, ApB, pC, below)
+    def counted_link(amb, ApB, pC, g1, g2):
+        levels[ApB, pC, g1] += 1
+        return link(amb, ApB, pC, g1, g2)
+
+    def counted_type(amb, ApB, order):
+        types[order, ApB] += 1
+        return quotient(amb, ApB, order)
 
     monkeypatch.setattr(oracle, "_count_subtree", count_subtree)
     monkeypatch.setattr(oracle, "_link", counted_link)
+    monkeypatch.setattr(oracle, "quotient_type", counted_type)
     monkeypatch.setattr(oracle, "_censuses", {})
-    nodes = links = subgroups = 0
+    nodes = links = typed = subgroups = 0
     for n in range(8):
         for beta in partitions_of(n):
             if len(beta) > 5:
                 continue
             entered.clear()
-            keys.clear()
+            levels.clear()
+            types.clear()
             oracle.census(2, beta)
             pB = emb.AmbientModule.get(2, beta).p_power_set(1)
             inner = [U for U in oracle.enumerate_subgroups(2, beta) if U <= pB]
             assert sorted(map(sorted, entered)) == sorted(map(sorted, inner)), beta
-            assert set(keys.values()) <= {1}, beta
-            nodes, links = nodes + len(entered), links + len(keys)
+            assert set(levels.values()) <= {1} and set(types.values()) <= {1}, beta
+            nodes, links, typed = nodes + len(entered), links + len(levels), typed + len(types)
             subgroups += sum(oracle.census(2, beta).tableaux.values())
-    # the work of the benchmark's census pass: 272 nodes and 866 link
-    # bodies for its 6,590 subgroups
-    assert (nodes, links, subgroups) == (272, 866, 6590)
+    # the work of the benchmark's census pass: 272 nodes, 393 level bodies
+    # and 649 types for its 6,590 subgroups
+    assert (nodes, links, typed, subgroups) == (272, 393, 649, 6590)
 
 
 def test_census_tree_is_walked_lazily(monkeypatch):
