@@ -11,7 +11,12 @@ exact element sets, which is simple and fast enough under the caps.
 Each ambient memoises x -> px: ``pmul`` multiplies an element once,
 and ``scale`` (every p-chain link, every ``klein_tableau`` level),
 the greedy basis's candidate test and the oracle's subgroup walk read
-the memo after that; it holds only elements they multiplied.
+the memo after that; it holds only elements they multiplied.  The
+canonical submodules p^r B are never mapped: ``scale`` of p^r B is the
+cached set p^{r+1} B (``p_power_set``), found from |A| through a table
+of the orders |p^r B|, and ``preimage`` of a subgroup holding pB is B.
+Division by p is defined on pB only, where each field is p times that
+of the root with no carry, so ``divp`` is one integer division.
 
 Each construction exists once.  ``direct_sum`` packs any number of
 summands into one ambient, so an object's embedding is one sum.  One
@@ -124,6 +129,10 @@ class AmbientModule:
         self._p_minus_1 = range(p - 1)
         self._grids: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._powers: dict[int, SubgroupSet] = {}
+        self._power_orders = {  # |p^r B| -> r, r = 0..beta_1; they fall strictly to 1
+            p ** sum(max(b - r, 0) for b in self.beta): r
+            for r in range(max(self.beta, default=0) + 1)
+        }
         self._times_p: dict[int, int] = {}  # x -> px, filled by pmul
 
     @classmethod
@@ -167,11 +176,12 @@ class AmbientModule:
         low = (1 << self._w) - 1
         return sum((k * ((x >> s) & low) % m) << s for m, s in zip(self.mods, self._shifts))
 
-    def divp(self, x: int) -> int:
-        """The element whose coordinates are those of x divided by p,
-        rounded down (exact on pB)."""
-        p, low = self.p, (1 << self._w) - 1
-        return sum((((x >> s) & low) // p) << s for s in self._shifts)
+    def divp(self, y: int) -> int:
+        """The root x of y = px with coordinates y_i / p, for y in pB only:
+        each field of y is p x_i with no carry, so the packed y is p times
+        the packed x and one integer division finds it; off pB the
+        quotient is no such root."""
+        return y // self.p
 
     def _grid(self, steps: tuple[int, ...]) -> tuple[int, ...]:
         """The elements whose coordinate i is a multiple of steps[i], in
@@ -228,8 +238,14 @@ def span(
 
 
 def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
-    """The subgroup pA: ``pmul`` multiplies the elements the ambient's
-    memo lacks, and the rest is a lookup."""
+    """The subgroup pA.  For A = p^r B it is the cached p^{r+1} B: the
+    orders |p^r B| are distinct, so |A| names the only candidate r, and
+    A is p^r B when r = 0 (A <= B) or when one set comparison says so.
+    Otherwise ``pmul`` multiplies the elements the ambient's memo lacks,
+    and the rest is a lookup."""
+    r = ambient._power_orders.get(len(A))
+    if r is not None and (r == 0 or A == ambient.p_power_set(r)):
+        return ambient.p_power_set(r + 1)
     memo = ambient._times_p
     for x in A.difference(memo):
         ambient.pmul(x)
@@ -241,10 +257,15 @@ def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     in A & pB, where a/p divides each coordinate of a by p.  Coordinate i
     of a/p is below p^{beta_i - 1} and that of a socle element is a
     multiple of it below p^{beta_i}, so no field of a sum reaches its
-    modulus and the packed sum is the plain one."""
-    roots = map(ambient.divp, A & ambient.p_power_set(1))
+    modulus and the packed sum is the plain one.  When A holds pB,
+    p^{-1}A is B, and its set comes from the cached grid of B; none is
+    kept."""
+    pB = ambient.p_power_set(1)
+    radical = A & pB
+    if len(radical) == len(pB):
+        return frozenset(ambient.all_elements())
     socle = ambient.killed_by(1)
-    return frozenset({r + k for r in roots for k in socle})
+    return frozenset({r + k for r in map(ambient.divp, radical) for k in socle})
 
 
 @lru_cache(maxsize=1 << 14)

@@ -267,14 +267,15 @@ def _embedding_battery(E: emb.Embedding, rng: random.Random) -> list[str]:
             failures.append(f"approximation tableau ell={ell}")
 
     up, down = emb.lift(E), emb.reduce(E)
+    down_up = emb.lift(down)
     if emb.lift(emb.reduce(up)).subgroup != up.subgroup:
         failures.append("up-down-up")
-    if emb.reduce(emb.lift(down)).subgroup != down.subgroup:
+    if emb.reduce(down_up).subgroup != down.subgroup:
         failures.append("down-up-down")
     radical, socle = amb.p_power_set(1), frozenset(amb.killed_by(1))
     if (emb.reduce(up).subgroup == E.subgroup) != (E.subgroup <= radical):
         failures.append("up-down fixed-point criterion")
-    if (emb.lift(down).subgroup == E.subgroup) != (socle <= E.subgroup):
+    if (down_up.subgroup == E.subgroup) != (socle <= E.subgroup):
         failures.append("down-up fixed-point criterion")
 
     m = rng.randrange(1, 4)

@@ -161,15 +161,50 @@ def test_pmul_memo_matches_coordinates():
             assert emb.scale(a, A) == want
 
 
+def canonical_level(ambient, A):
+    """The r with A = p^r B, or None."""
+    return next((r for r in range(ambient.beta[0] + 1) if A == ambient.p_power_set(r)), None)
+
+
 def test_scale_memoises_exactly_the_subgroup():
+    # a subgroup other than the p^r B memoises exactly its elements; a
+    # p^r B (the k = 0 draw {0} is p^{beta_1} B) leaves the memo empty
+    # and returns the cached p^{r+1} B
     rng = random.Random(6)
     for p, beta in MEMO_CASES:
         for k in range(3):
             a = emb.AmbientModule(p, beta)
             A = random_subgroup(a, rng, k=k)
-            emb.scale(a, A)
-            assert a._times_p.keys() == A
-            assert all(a._times_p[x] == times_p(a, x) for x in A)
+            pA = emb.scale(a, A)
+            r = canonical_level(a, A)
+            if r is None:
+                assert a._times_p.keys() == A
+                assert all(a._times_p[x] == times_p(a, x) for x in A)
+            else:
+                assert not a._times_p
+                assert pA is a.p_power_set(r + 1)
+
+
+def test_scale_is_exact_on_every_subgroup():
+    # every subgroup, the p^r B among them and the others of their
+    # orders, maps to {px : x in A}
+    for p, beta in [(2, (3, 2, 1)), (3, (2, 1, 1)), (5, (2, 1))]:
+        a = amb(p, beta)
+        for A in oracle.enumerate_subgroups(p, beta):
+            assert emb.scale(a, A) == frozenset(times_p(a, x) for x in A)
+            r = canonical_level(a, A)
+            if r is not None:
+                assert emb.scale(a, A) is a.p_power_set(r + 1)
+
+
+def test_divp_divides_each_coordinate_on_pB():
+    for p in (2, 3, 5, 7):
+        for beta in [(3, 1, 1), (2, 2, 1), (4, 2)]:
+            a = amb(p, beta)
+            for y in a.p_power_set(1):
+                x = a.divp(y)
+                assert a.coords(x) == tuple(u // p for u in a.coords(y))
+                assert a.pmul(x) == y
 
 
 def test_quotient_type_builds_no_p0_set():
