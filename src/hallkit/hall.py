@@ -23,6 +23,11 @@ each hold them once per process:
   factored ratio; a miss reads the 2-restriction's order from its chain
   and cells and divides it into ``_strip_aut_order(mid, top)``;
 - ``_expansion`` maps each frozen factored product to its polynomial.
+
+A cold pass pays every miss once.  A miss counts the chain's rows in
+plain dicts filled per strip box (``s2cat._summand_counts``, the count
+the decoder reads too) and builds its exponent tuples directly, so it
+costs the chain's columns and strip boxes, never its height.
 """
 
 from __future__ import annotations

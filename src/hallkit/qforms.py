@@ -176,7 +176,10 @@ class QOrderFactored:
         out = self.factor_dict()
         for j, e in other.factors:
             out[j] = out.get(j, 0) - e
-        return QOrderFactored.from_parts(self.power - other.power, out)
+        # both operands are already clean, so the quotient's exponent tuple
+        # is built here, not re-checked by from_parts
+        factors = tuple(sorted(item for item in out.items() if item[1]))
+        return QOrderFactored(self.power - other.power, factors)
 
     @property
     def degree(self) -> int:

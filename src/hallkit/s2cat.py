@@ -14,15 +14,16 @@ r = m-1 is stored canonically as P(2, m).  ``Picket``, ``Bipicket`` and
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
 n-ary direct sum of the summands' tableaux, and one read of the level-2
 cells, the 1-boxes, the forced subscripts and the empty columns,
-``_summand_counts``.  ``chain_aut_order`` reads an Aut order from that
-same count, the chain and the level's own ((row, subs), ...) cells, with
-no tableau or object built.
+``_summand_counts``.  That is the one count of summands: the decoder
+``object_of_tableau`` reads it, and so does ``chain_aut_order``, which
+reads an Aut order from it, the chain and the level's own
+((row, subs), ...) cells, with no tableau or object built.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -193,23 +194,28 @@ def _summand_counts(gs, cells) -> dict[tuple[int, int, int], int]:
     P(1, m).  A P(0, m) is an empty column of height m, or a column of
     height m+1 whose only symbol is a free 2_m at the bottom: one of the
     2_m in row m+1 beyond those forced (iii).  Raises ValueError when the
-    symbols overdraw the 1-boxes (iv).
+    symbols overdraw the 1-boxes (iv).  Every count is a plain dict,
+    filled per column and per symbol, with a key only for a row or a
+    height that occurs.
     """
     g0, g1, g2 = gs
     ones = strip_row_counts(g1, g0)
-    empty = Counter(b for b, g in zip(g2, g0) if b == g)
+    empty: dict[int, int] = {}
+    for b, g in zip(g2, g0):
+        if b == g:
+            empty[b] = empty.get(b, 0) + 1
     counts: dict[tuple[int, int, int], int] = {}
     for m, subs in cells:
         for r in subs:
-            ones[r] -= 1
+            ones[r] = ones.get(r, 0) - 1
             if r == m - 1:
-                empty[r] += 1
+                empty[r] = empty.get(r, 0) + 1
                 r = 0
             counts[2, m, r] = counts.get((2, m, r), 0) + 1
     if any(k < 0 for k in ones.values()):
         raise ValueError("invalid Klein tableau: condition (iv) violated")
     for m, k in forced_subscripts(g2, g1, g0).items():
-        empty[m - 1] -= k
+        empty[m - 1] = empty.get(m - 1, 0) - k
     for m, k in ones.items():
         counts[1, m, 0] = k
     for m, k in empty.items():
@@ -354,8 +360,12 @@ def _aut_parts(end: int, mults) -> QOrderFactored:
     end - sum k^2 + sum k(k-1)/2 = end - sum k(k+1)/2, and (q^j - 1) to
     the number of summands of multiplicity at least j.
     """
-    power = end - sum(k * (k + 1) // 2 for k in mults)
-    return QOrderFactored.from_parts(power, Counter(j for k in mults for j in range(1, k + 1)))
+    ks = sorted(mults)
+    power = end - sum(k * (k + 1) // 2 for k in ks)
+    # with ks ascending, len(ks) - bisect_left(ks, j) of them are >= j
+    top = ks[-1] if ks else 0
+    factors = tuple((j, len(ks) - bisect_left(ks, j)) for j in range(1, top + 1))
+    return QOrderFactored(power, factors)
 
 
 def aut_order(obj: S2Object) -> QOrderFactored:

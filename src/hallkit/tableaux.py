@@ -13,6 +13,8 @@ Every enumeration removes one horizontal strip at a time, down from the
 top partition, by one successor, ``_strips``, which cuts a branch at the
 first column where the lattice property or a pigeonhole bound fails
 (``validate_lr`` compares the same suffix counts, ``_suffix_counts``).
+It yields each strip with its own suffix counts, kept in the frames it
+already links, so the strip below reads its bound with no recount.
 ``enumerate_lr`` walks it down to the floor gamma of a type, once the
 type's sizes and containments allow one, and ``enumerate_klein_entries2``
 to depth <= 2, with no floor.
@@ -23,8 +25,10 @@ its forced m-1's, and a product over the rows keeps the choices that use
 each r at most as often as strip ell-1 has boxes in row r (condition
 (iv)).  Each level's choices are memoised once per chain (g_{ell-2},
 g_{ell-1}, g_ell).  ``validate_klein`` and the decoder in ``s2cat`` read
-the forced ones from ``forced_subscripts``.  A direct sum of any number
-of tableaux merges all chains and symbols in one step.
+the forced ones from ``forced_subscripts``.  Rows are counted, there and
+in ``strip_row_counts``, in plain dicts filled per box, so a strip high
+up a tall diagram costs its columns and boxes, not its height.  A direct
+sum of any number of tableaux merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
@@ -254,20 +258,27 @@ def tableau_type(tab: LRTableau) -> tuple[Partition, Partition, Partition]:
     return alpha, gs[-1], gs[0]
 
 
-def strip_row_counts(upper: Partition, lower: Partition) -> Counter[int]:
-    """Boxes per diagram row in the skew upper \\ lower: column i adds its
-    rows lower_i+1..upper_i."""
-    low = _padded(lower, len(upper))
-    return Counter([m for u, v in zip(upper, low) for m in range(v + 1, u + 1)])
+def strip_row_counts(upper: Partition, lower: Partition) -> dict[int, int]:
+    """Boxes per diagram row in the skew upper \\ lower, a plain dict
+    filled per box: column i adds one to each of its rows
+    lower_i+1..upper_i, so a row with no box has no key."""
+    counts: dict[int, int] = {}
+    for u, v in zip(upper, _padded(lower, len(upper))):
+        for m in range(v + 1, u + 1):
+            counts[m] = counts.get(m, 0) + 1
+    return counts
 
 
-def forced_subscripts(top: Partition, mid: Partition, low: Partition) -> Counter[int]:
+def forced_subscripts(top: Partition, mid: Partition, low: Partition) -> dict[int, int]:
     """Per row m, the boxes of top \\ mid in row m sitting directly on a
-    box of mid \\ low; each of them carries the subscript m-1 (iii)."""
+    box of mid \\ low; each of them carries the subscript m-1 (iii).  A
+    plain dict, with no key for a row that has none."""
     n = len(top)
-    return Counter(
-        t for t, md, lo in zip(top, _padded(mid, n), _padded(low, n)) if md == t - 1 and lo < md
-    )
+    forced: dict[int, int] = {}
+    for t, md, lo in zip(top, _padded(mid, n), _padded(low, n)):
+        if md == t - 1 and lo < md:
+            forced[t] = forced.get(t, 0) + 1
+    return forced
 
 
 def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
@@ -292,15 +303,16 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
         rows = set(counts) | {m for (l2, m) in declared if l2 == ell}
         for m in sorted(rows):
             subs = declared.get((ell, m), ())
-            if len(subs) != counts[m]:
-                return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {counts[m]}"
+            need = counts.get(m, 0)
+            if len(subs) != need:
+                return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {need}"
             if any(not 1 <= r <= m - 1 for r in subs):
                 return False, f"cell ({ell},{m}) subscript out of range (ii)"
-            if subs.count(m - 1) < forced[m]:
+            if subs.count(m - 1) < forced.get(m, 0):
                 return False, f"cell ({ell},{m}) misses forced subscript {m - 1} (iii)"
             usage.update(subs)
         for r, used in usage.items():
-            if used > caps[r]:
+            if used > caps.get(r, 0):
                 return False, f"too many symbols {ell}_{r} for row {r} (iv)"
     return True, None
 
@@ -318,36 +330,47 @@ def _unlink(node) -> Iterator:
 
 def _strips(
     mu: Partition, upper: Sequence[int], size: int, ell: int, low: Sequence[int], slack: bool
-) -> Iterator[Partition]:
-    """Each lam such that mu \\ lam can be strip ell: size boxes, at most
-    one per column, with suffix counts at least ``upper``, the strip
-    above's (zeros at the top).  A frame fixes lam's columns >= i, counts
-    s, the strip's boxes there, and room, the sum of lam_j - low_j there,
-    and is cut when the boxes left to drop overflow the i columns left,
-    when s < upper[i] (lattice) or room < (ell-1) * s (pigeonhole: each
-    strip below has at least s boxes there, one per column).  ``slack``
-    bounds lam_i - low_i by ell-1: each strip below takes at most one.
-    The fixed columns are a linked node (lam_i, node of column i+1) on a
-    (0, None) sentinel, unlinked once at the leaf, so a strip over n
-    columns costs O(n).
+) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """Each (lam, suffix) such that mu \\ lam can be strip ell: size boxes,
+    at most one per column, with suffix counts at least ``upper``, the
+    strip above's (zeros at the top).  ``suffix`` is the strip's own,
+    ``_suffix_counts(mu, lam)``, which the strip below reads as its upper.
+
+    The fixed columns are a linked node (lam_i, s_i, node of column i+1)
+    on a (0, 0, None) sentinel, s_i being the strip's boxes in columns
+    >= i.  A frame holds the node of its columns >= i, the boxes left to
+    drop and room, the sum of lam_j - low_j there, and is cut when the
+    boxes left overflow the i columns left, when s_i < upper[i] (lattice)
+    or room < (ell-1) * s_i (pigeonhole: each strip below has at least
+    s_i boxes there, one per column).  ``slack`` bounds lam_i - low_i by
+    ell-1: each strip below takes at most one.  A leaf's node is
+    flattened in one loop into lam and suffix, so a strip over n columns
+    costs O(n).
     """
-    stack = [(len(mu), size, 0, 0, (0, None))]
+    below = ell - 1
+    stack = [(len(mu), size, 0, (0, 0, None))]
     while stack:
-        i, remaining, s, room, fixed = stack.pop()
-        if remaining > i or s < upper[i] or room < (ell - 1) * s:
+        i, remaining, room, fixed = stack.pop()
+        s = fixed[1]
+        if remaining > i or s < upper[i] or room < below * s:
             continue
         if not i:
-            # lam is weakly decreasing, so its zeros trail
-            yield tuple(x for x in _unlink(fixed) if x)
+            lam, suffix = [], []
+            while fixed:
+                v, t, fixed = fixed
+                if v:  # lam's zeros, the sentinel's too, trail
+                    lam.append(v)
+                suffix.append(t)
+            yield tuple(lam), tuple(suffix)
             continue
         i -= 1
         v, f = mu[i], low[i]
-        high = f + ell - 1 if slack else v
+        high = f + below if slack else v
         if v <= high:
-            stack.append((i, remaining, s, room + v - f, (v, fixed)))
+            stack.append((i, remaining, room + v - f, (v, s, fixed)))
         # dropping column i must leave lam weakly decreasing
         if remaining and f < v <= high + 1 and fixed[0] < v:
-            stack.append((i, remaining - 1, s + 1, room + v - 1 - f, (v - 1, fixed)))
+            stack.append((i, remaining - 1, room + v - 1 - f, (v - 1, s + 1, fixed)))
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
@@ -358,9 +381,10 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     or gamma outside beta, has none and is not walked.  Otherwise strips
     ell = e, ..., 1 of conjugate(alpha)[ell-1] boxes each are removed from
     beta by a depth-first walk over ``_strips`` with the floor gamma and
-    slack, so g0 = gamma since it contains gamma and has its size.  A node
-    (g_ell, node above) links a chain, flattened once at its leaf
-    (ell = 0), so a chain costs O(e).
+    slack, so g0 = gamma since it contains gamma and has its size.  Each
+    child reads its upper, the suffix counts of the strip just removed,
+    as ``_strips`` yields them.  A node (g_ell, node above) links a chain,
+    flattened once at its leaf (ell = 0), so a chain costs O(e).
     """
     beta = partition(beta)
     check_diagram_size(sum(beta))
@@ -377,15 +401,13 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
         if not ell:
             chains.append(tuple(_unlink(node)))
             continue
-        mu = node[0]
-        for lam in _strips(mu, upper, sizes[ell - 1], ell, low, True):
-            # only a strip with a strip below it needs its suffix counts
-            stack.append((ell - 1, (lam, node), ell > 1 and _suffix_counts(mu, lam)))
+        for lam, suffix in _strips(node[0], upper, sizes[ell - 1], ell, low, True):
+            stack.append((ell - 1, (lam, node), suffix))
     return tuple(LRTableau(gs) for gs in sorted(chains))
 
 
-def _fits(subs: tuple[int, ...], caps: Counter[int]) -> bool:
-    """True iff subs uses each symbol r at most caps[r] times."""
+def _fits(subs: tuple[int, ...], caps: Mapping[int, int]) -> bool:
+    """True iff subs uses each symbol r, a key of caps, at most caps[r] times."""
     return all(subs.count(r) <= caps[r] for r in set(subs))
 
 
@@ -411,7 +433,7 @@ def _level_subscripts(
     forced = forced_subscripts(top, mid, low)
     rows = []
     for m in sorted(counts):
-        need = forced[m]
+        need = forced.get(m, 0)
         symbols = sorted(r for r in caps if r < m)
         free = combinations_with_replacement(symbols, counts[m] - need)
         choices = (c + (m - 1,) * need for c in free)
@@ -448,7 +470,8 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     These are canonical chains: the top strip is nonempty unless e = 0.
     Each strip of b boxes under beta is walked once, with no floor, as the
     chain (mid, beta) and as the top of every (lam, mid, beta) whose
-    bottom strip has a >= b boxes (lattice) and reads its suffix counts.
+    bottom strip has a >= b boxes (lattice) and reads the suffix counts
+    that ``_strips`` yields with mid.
     The result is memoised per beta, since the bijection, orbit and
     realization checks each ask for every beta up to |beta| 10 to 12.
     """
@@ -460,11 +483,10 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     zeros = (0,) * (len(beta) + 1)
     chains = [(beta,)]
     for b in range(1, len(beta) + 1):
-        for mid in _strips(beta, zeros, b, 1, zeros, False):
+        for mid, upper in _strips(beta, zeros, b, 1, zeros, False):
             chains.append((mid, beta))
-            upper = _suffix_counts(beta, mid)
             for a in range(b, len(mid) + 1):
-                chains += ((lam, mid, beta) for lam in _strips(mid, upper, a, 1, zeros, False))
+                chains += ((lam, mid, beta) for lam, _ in _strips(mid, upper, a, 1, zeros, False))
     out = [tab for gs in chains for tab in enumerate_klein_refinements(LRTableau(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

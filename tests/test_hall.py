@@ -1,12 +1,13 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from hallkit import hall, tableaux
+from hallkit import caps, hall, tableaux
 from hallkit.errors import NoRefinement
 from hallkit.hall import (
     dominant_refinement,
@@ -82,6 +83,20 @@ def test_long_floor_walk():
     # one-box strip walked over 1,000 columns above the floor (1^999)
     got = hall_polynomial((1,), (1,) * 1000, (1,) * 999).total
     assert got == poly({k: 1 for k in range(1000)})
+
+
+def test_tall_chain_aut_orders_count_only_the_strip_rows():
+    # beta = (10^7, 10^7 - 1): the Aut orders of every level's
+    # restrictions count the rows that hold boxes, so the rows below them
+    # cost nothing
+    m = 10**7
+    hall._strip_aut_order.cache_clear()
+    hall._level_factor.cache_clear()
+    start = time.monotonic()
+    with caps.limits(general=3 * m):
+        got = hall_polynomial((2, 1), (m, m - 1), (m - 1, m - 3)).total
+    assert time.monotonic() - start < 0.5
+    assert got == poly({1: 1})
 
 
 def test_breakdown_sums_to_total():

@@ -205,6 +205,29 @@ def test_entries2_chains_match_unpruned_walk():
     assert total == 3065
 
 
+def test_strips_yield_their_own_suffix_counts(monkeypatch):
+    # every strip the walker yields comes with the suffix counts of
+    # mu \\ lam, both with floor and slack, as enumerate_lr walks, and with
+    # neither, as the entries-<=2 walk does
+    strips, seen = tableaux._strips, {True: 0, False: 0}
+
+    def checked(mu, upper, size, ell, low, slack):
+        for lam, suffix in strips(mu, upper, size, ell, low, slack):
+            assert suffix == tableaux._suffix_counts(mu, lam), (mu, lam, slack)
+            seen[slack] += 1
+            yield lam, suffix
+
+    monkeypatch.setattr(tableaux, "_strips", checked)
+    for n in range(9):
+        for beta in partitions_of(n):
+            tableaux._entries2.__wrapped__(beta)  # past the per-beta memo
+            for k in range(n + 1):
+                for alpha in partitions_of(k):
+                    for gamma in partitions_of(n - k):
+                        enumerate_lr(alpha, beta, gamma)
+    assert seen == {True: 3160, False: 830}
+
+
 def test_deep_chains_are_walked_in_linear_time():
     # a chain of 40,000 one-box strips is built once, at its leaf; so is
     # one strip over 40,000 columns
