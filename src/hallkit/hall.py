@@ -6,40 +6,54 @@ divide the automorphism-group order of the object decoded from the
 1-restriction at ell by the one decoded from the 2-restriction.  Both
 restrictions have entries at most 2, so both objects are sums of pickets
 and bipickets, fixed by the chain and the symbols alone, and
-``s2cat.chain_aut_order`` reads their orders from those plain ints with
+``s2cat.level_aut_orders`` reads their orders from those plain ints with
 no tableau or object built.  The levels' exponents are added into one
 exponent vector, which is expanded once.
 
-Levels, ratios and products all repeat heavily across tableaux and type
-triples, so three least-recently-used memos of at most 2^14 entries
-each hold them once per process:
+A level's 2-restriction is fixed by its chain (g_{ell-2}, g_{ell-1},
+g_ell) and its cells, so a chain's subscript choices and their factors
+are one object.  Chains, strips and products all repeat heavily across
+tableaux and type triples, so three least-recently-used memos of at
+most 2^14 entries each hold them once per process:
 
 - ``_strip_aut_order`` maps each 1-restriction, the one-strip chain
   (g_{ell-1}, g_ell) with no symbols (g_{e+1} = g_e at ell = e+1), to
   its frozen factored Aut order;
-- ``_level_factor`` maps each level, as (g_{ell-2}, g_{ell-1}, g_ell)
-  plus the tableau's own level tuple of entry ell (the data of
-  restrict(T, ell, 2), so one entry per distinct 2-restriction), to its
-  factored ratio; a miss reads the 2-restriction's order from its chain
-  and cells and divides it into ``_strip_aut_order(mid, top)``;
+- ``_level_terms`` maps each chain (g_{ell-2}, g_{ell-1}, g_ell), the
+  padded one of ell = e+1 included, to its terms: every level that
+  ``tableaux._level_subscripts`` enumerates for it, in canonical order,
+  with its factored ratio.  A miss prices every choice from one count of
+  the chain (``s2cat.level_aut_orders``) and divides each order into
+  ``_strip_aut_order(mid, top)``;
 - ``_expansion`` maps each frozen factored product to its polynomial.
 
-A cold pass pays every miss once.  A miss counts the chain's rows in
-plain dicts filled per strip box (``s2cat._summand_counts``, the count
-the decoder reads too) and builds its exponent tuples directly, so it
-costs the chain's columns and strip boxes, never its height.
+``hall_polynomial`` reads each LR chain's terms once and takes their
+product, so a tableau's levels and exponents come from its terms with no
+lookup of its own; ``hall_multiplicity_factored`` looks a tableau's
+levels up in the same terms, by their cells.  A cold pass pays every
+miss once, and a miss costs the chain's columns and strip boxes, never
+its height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
-from .s2cat import chain_aut_order
-from .tableaux import KleinTableau, LRTableau, enumerate_klein, enumerate_klein_refinements
+from .s2cat import level_aut_orders
+from .tableaux import (
+    KleinTableau,
+    LRTableau,
+    _level_subscripts,
+    enumerate_klein_refinements,
+    enumerate_lr,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,29 +76,51 @@ class HallBreakdown:
 @lru_cache(maxsize=1 << 14)
 def _strip_aut_order(mid, top) -> QOrderFactored:
     """Aut order of the 1-restriction (mid, top): one strip, no symbols."""
-    return chain_aut_order(mid, top, top, ())
+    (order,) = level_aut_orders(mid, top, top, ((),))
+    return order
 
 
 @lru_cache(maxsize=1 << 14)
-def _level_factor(low, mid, top, cells) -> QOrderFactored:
-    """The telescoping factor of one level, keyed on the data of its
-    2-restriction: the chain (low, mid, top) and the level's cells
-    ((row, subs), ...).  Aut of the 1-restriction over Aut of the
-    2-restriction."""
-    return _strip_aut_order(mid, top) / chain_aut_order(low, mid, top, cells)
+def _level_terms(low, mid, top) -> Mapping[tuple, QOrderFactored]:
+    """Every level the top entry of the chain (low, mid, top) can carry,
+    each with its telescoping factor, in canonical order: the cells
+    ((row, subs), ...) of ``_level_subscripts`` mapped to Aut of the
+    1-restriction (mid, top) over Aut of the 2-restriction."""
+    levels = _level_subscripts(low, mid, top)
+    strip = _strip_aut_order(mid, top)
+    orders = level_aut_orders(low, mid, top, levels)
+    return MappingProxyType({cells: strip / order for cells, order in zip(levels, orders)})
 
 
-def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
-    """The multiplicity of one Klein tableau as a factored-form product."""
-    # level ell = e+1 reads the chain padded with g_{e+1} = g_e, and no cells
-    gs = tab.gammas + (tab.beta,)
+def _product(factors) -> QOrderFactored:
+    """The product of clean factored forms, its exponents summed in one
+    dict and built into the tuple directly."""
     power = 0
     exps: dict[int, int] = {}
-    for factor in map(_level_factor, gs, gs[1:], gs[2:], tab.levels + ((),)):
+    for factor in factors:
         power += factor.power
         for j, e in factor.factors:
             exps[j] = exps.get(j, 0) + e
-    return QOrderFactored.from_parts(power, exps)
+    return QOrderFactored(power, tuple(sorted(item for item in exps.items() if item[1])))
+
+
+def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
+    """The multiplicity of one Klein tableau as a factored-form product.
+
+    ValueError, naming the level, when a level is not one of the
+    subscript choices of its chain."""
+    # level ell = e+1 reads the chain padded with g_{e+1} = g_e, and no cells
+    gs = tab.gammas + (tab.beta,)
+    factors = []
+    chains = zip(gs, gs[1:], gs[2:], tab.levels + ((),))
+    for ell, (low, mid, top, cells) in enumerate(chains, 2):
+        factor = _level_terms(low, mid, top).get(cells)
+        if factor is None:
+            raise ValueError(
+                f"invalid Klein tableau: level {ell} {cells} is not a subscript choice of its chain"
+            )
+        factors.append(factor)
+    return _product(factors)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -102,16 +138,25 @@ def hall_multiplicity(tab: KleinTableau) -> QPolynomial:
 def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     """The classical Hall polynomial for the type triple, with breakdown.
 
-    Zero polynomial with empty breakdown when no tableau of the type
-    exists.
+    Each LR chain's Klein tableaux are the product of its levels' terms,
+    one ``_level_terms`` entry per level, so a tableau's levels and
+    exponents are read from its terms with no lookup per tableau; the
+    total is summed in one dict.  Zero polynomial with empty breakdown
+    when no tableau of the type exists.
     """
-    parts = [
-        (tab, hall_multiplicity(tab)) for tab in enumerate_klein(alpha, beta, gamma)
-    ]
-    total = QPolynomial.zero()
-    for _, poly in parts:
-        total = total + poly
-    return HallBreakdown(total, tuple(parts))
+    parts = []
+    total: dict[int, int] = {}
+    for lr in enumerate_lr(alpha, beta, gamma):
+        gs = lr.gammas
+        padded = gs + (lr.beta,)
+        terms = [t.items() for t in map(_level_terms, padded, padded[1:], padded[2:])]
+        for combo in product(*terms):
+            poly = _expansion(_product(factor for _, factor in combo))
+            for d, c in poly.coeffs:
+                total[d] = total.get(d, 0) + c
+            # the padded level ell = e+1 is no level of the tableau
+            parts.append((KleinTableau(gs, tuple(cells for cells, _ in combo[:-1])), poly))
+    return HallBreakdown(QPolynomial.from_dict(total), tuple(parts))
 
 
 def lr_multiplicity(lr: LRTableau) -> QPolynomial:

@@ -12,12 +12,14 @@ r = m-1 is stored canonically as P(2, m).  ``Picket``, ``Bipicket`` and
 ``bipicket`` are the checked constructors of outside input.
 
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
-n-ary direct sum of the summands' tableaux, and one read of the level-2
-cells, the 1-boxes, the forced subscripts and the empty columns,
-``_summand_counts``.  That is the one count of summands: the decoder
-``object_of_tableau`` reads it, and so does ``chain_aut_order``, which
-reads an Aut order from it, the chain and the level's own
-((row, subs), ...) cells, with no tableau or object built.
+n-ary direct sum of the summands' tableaux, and one count of summands.
+That count has two layers: ``_chain_counts`` reads the chain's columns
+once (``tableaux.chain_columns``: the 1-boxes, the forced subscripts and
+the empty columns), and ``_summand_counts`` adds a level's own
+((row, subs), ...) cells to it.  The decoder ``object_of_tableau`` reads
+it, and so does ``level_aut_orders``, which prices every level of one
+chain from a single chain count, with no tableau or object built; the
+Hall sum reads its Aut orders from there.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EntryTooLarge
 from .partitions import json_record, json_typed, partition, read_int
 from .qforms import QOrderFactored
 from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
-from .tableaux import forced_subscripts, strip_row_counts
+from .tableaux import chain_columns
 
 
 class Indecomposable(NamedTuple):
@@ -182,10 +183,26 @@ def tableau_of_object(obj: S2Object) -> KleinTableau:
     return direct_sum_tableau(*(tab for x, k in obj.summands for tab in [_indec_tableau(x)] * k))
 
 
-def _summand_counts(gs, cells) -> dict[tuple[int, int, int], int]:
+def _chain_counts(gs) -> dict[tuple[int, int, int], int]:
+    """The summands that the chain gs = (g0, g1, g2) (padded with its top)
+    gives every object of its level before any symbol 2_r is read, from
+    one ``chain_columns`` pass: a picket P(1, m) per box of g1 \\ g0 in
+    row m, and a P(0, m) per empty column of height m, less one per
+    forced subscript 2_m in row m+1 (iii), since the cells count every
+    2_m of row m+1 as a P(0, m) and only the free ones are."""
+    _, caps, forced, empty = chain_columns(*gs)
+    counts = {(1, m, 0): k for m, k in caps.items()}
+    for m, k in empty.items():
+        counts[0, m, 0] = k
+    for m, k in forced.items():
+        counts[0, m - 1, 0] = counts.get((0, m - 1, 0), 0) - k
+    return counts
+
+
+def _summand_counts(base, cells) -> dict[tuple[int, int, int], int]:
     """The multiplicity of each summand of the objects whose entries-<=2
-    tableau has the chain gs = (g0, g1, g2) (padded with its top) and the
-    level-2 cells ((row m, subs), ...).
+    tableau has the level-2 cells ((row m, subs), ...) on a chain whose
+    own count is ``base``, ``_chain_counts`` of the chain.
 
     A summand is counted on its bare (ell, m, r) tuple, which equals its
     ``Indecomposable``: (ell, m, 0) is P(ell, m) and (2, m, r) is T(m, r).
@@ -198,28 +215,16 @@ def _summand_counts(gs, cells) -> dict[tuple[int, int, int], int]:
     filled per column and per symbol, with a key only for a row or a
     height that occurs.
     """
-    g0, g1, g2 = gs
-    ones = strip_row_counts(g1, g0)
-    empty: dict[int, int] = {}
-    for b, g in zip(g2, g0):
-        if b == g:
-            empty[b] = empty.get(b, 0) + 1
-    counts: dict[tuple[int, int, int], int] = {}
+    counts = dict(base)
     for m, subs in cells:
         for r in subs:
-            ones[r] = ones.get(r, 0) - 1
+            left = counts[1, r, 0] = counts.get((1, r, 0), 0) - 1
+            if left < 0:
+                raise ValueError("invalid Klein tableau: condition (iv) violated")
             if r == m - 1:
-                empty[r] = empty.get(r, 0) + 1
+                counts[0, r, 0] = counts.get((0, r, 0), 0) + 1
                 r = 0
             counts[2, m, r] = counts.get((2, m, r), 0) + 1
-    if any(k < 0 for k in ones.values()):
-        raise ValueError("invalid Klein tableau: condition (iv) violated")
-    for m, k in forced_subscripts(g2, g1, g0).items():
-        empty[m - 1] = empty.get(m - 1, 0) - k
-    for m, k in ones.items():
-        counts[1, m, 0] = k
-    for m, k in empty.items():
-        counts[0, m, 0] = k
     return counts
 
 
@@ -242,7 +247,8 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
     e = len(gs) - 1
     if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)) or any(tab.levels[1:]):
         raise EntryTooLarge(f"tableau has entries up to {e}")
-    return S2Object.make(_summand_counts(*_level2(tab)))
+    chain, cells = _level2(tab)
+    return S2Object.make(_summand_counts(_chain_counts(chain), cells))
 
 
 def enumerate_indecomposables(max_size: int) -> tuple[Indecomposable, ...]:
@@ -314,7 +320,11 @@ def hom_len_obj(obj: S2Object, y: Indecomposable) -> int:
 
 def _row_sum(g, m: int) -> int:
     """The boxes of g in rows 1..m."""
-    return sum(map(min, g, repeat(m)))
+    boxes = 0
+    # a plain loop: min() per part costs several times more
+    for part in g:
+        boxes += part if part < m else m
+    return boxes
 
 
 def _hom_len(gs, cells, y: tuple[int, int, int]) -> int:
@@ -345,7 +355,7 @@ def hom_len_tableau(tab: KleinTableau, y: Indecomposable) -> int:
 
 def end_power(obj: S2Object) -> int:
     """log_q of the endomorphism-ring order of the object: sum_y k_y times
-    the Hom length from the object into y, as ``chain_aut_order`` reads it."""
+    the Hom length from the object into y, as ``level_aut_orders`` reads it."""
     return sum(k * hom_len_obj(obj, y) for y, k in obj.summands)
 
 
@@ -373,20 +383,29 @@ def aut_order(obj: S2Object) -> QOrderFactored:
     return _aut_parts(end_power(obj), [k for _, k in obj.summands])
 
 
-def chain_aut_order(g0, g1, g2, cells) -> QOrderFactored:
+def level_aut_orders(low, mid, top, levels) -> tuple[QOrderFactored, ...]:
     """``aut_order`` of the objects whose entries-<=2 tableau has the chain
-    g0 <= g1 <= g2 (padded with its top) and the level-2 cells
-    ((row m, subs), ...), a tableau's ``levels[0]``.
+    low <= mid <= top (padded with its top) and, in turn, each level of
+    ``levels``, a tuple of level-2 cells ((row m, subs), ...), as a
+    tableau's ``levels[0]``; one order per level, in order.
 
-    Only plain ints are read: the multiplicities k_y by
-    ``_summand_counts``, and End as sum_y k_y * (the Hom length from the
-    tableau into y), one ``_hom_len`` per distinct summand y rather than
-    one ``hom_len_indec`` per ordered pair.
+    Only plain ints are read.  The chain's columns are counted once, by
+    ``_chain_counts``, and each level's multiplicities k_y from that
+    count by ``_summand_counts``; End is sum_y k_y * (the Hom length from
+    the tableau into y), one ``_hom_len`` per distinct summand y.
     """
-    gs = (g0, g1, g2)
-    counts = [(y, k) for y, k in _summand_counts(gs, cells).items() if k]
-    end = sum(k * _hom_len(gs, cells, y) for y, k in counts)
-    return _aut_parts(end, [k for _, k in counts])
+    gs = (low, mid, top)
+    base = _chain_counts(gs)
+    orders = []
+    for cells in levels:
+        end = 0
+        mults = []
+        for y, k in _summand_counts(base, cells).items():
+            if k:
+                end += k * _hom_len(gs, cells, y)
+                mults.append(k)
+        orders.append(_aut_parts(end, mults))
+    return tuple(orders)
 
 
 def aut_order_module(beta) -> QOrderFactored:

@@ -19,15 +19,20 @@ already links, so the strip below reads its bound with no recount.
 type's sizes and containments allow one, and ``enumerate_klein_entries2``
 to depth <= 2, with no floor.
 
-The subscripts of entry ell come from ``itertools``: each row m draws its
-free ones by ``combinations_with_replacement`` over 1..m-1 and appends
-its forced m-1's, and a product over the rows keeps the choices that use
-each r at most as often as strip ell-1 has boxes in row r (condition
-(iv)).  Each level's choices are memoised once per chain (g_{ell-2},
-g_{ell-1}, g_ell).  ``validate_klein`` and the decoder in ``s2cat`` read
-the forced ones from ``forced_subscripts``.  Rows are counted, there and
-in ``strip_row_counts``, in plain dicts filled per box, so a strip high
-up a tall diagram costs its columns and boxes, not its height.  A direct
+A chain (low, mid, top) is read in one pass over its columns,
+``chain_columns``: the rows of the strip top \\ mid, the caps of
+condition (iv) (the boxes of mid \\ low per row, which are also the
+1-boxes of its objects), the forced subscripts (iii) and the empty
+columns.  The subscript enumerator ``_level_subscripts``, the
+2-restriction count in ``s2cat`` and ``validate_klein`` all read that
+pass.  The subscripts of entry ell come from ``itertools``: each row m
+draws its free ones by ``combinations_with_replacement`` over the cap
+rows below m and appends its forced m-1's, and a choice grows row by row
+only while it uses each r at most as often as strip ell-1 has boxes in
+row r (iv).  Each level's choices are memoised once per chain
+(g_{ell-2}, g_{ell-1}, g_ell).  Rows are counted, there and in
+``strip_row_counts``, in plain dicts filled per box, so a strip high up
+a tall diagram costs its columns and boxes, not its height.  A direct
 sum of any number of tableaux merges all chains and symbols in one step.
 """
 
@@ -269,16 +274,38 @@ def strip_row_counts(upper: Partition, lower: Partition) -> dict[int, int]:
     return counts
 
 
-def forced_subscripts(top: Partition, mid: Partition, low: Partition) -> dict[int, int]:
-    """Per row m, the boxes of top \\ mid in row m sitting directly on a
-    box of mid \\ low; each of them carries the subscript m-1 (iii).  A
-    plain dict, with no key for a row that has none."""
+def chain_columns(
+    low: Partition, mid: Partition, top: Partition
+) -> tuple[dict[int, int], dict[int, int], dict[int, int], dict[int, int]]:
+    """One pass over the columns of the chain low <= mid <= top, counted
+    in plain dicts filled per box or per column, with no key for a row
+    or height that has none:
+
+    - rows: per row m, the boxes of the strip top \\ mid;
+    - caps: per row r, the boxes of the strip mid \\ low, the caps of
+      (iv) and the 1-boxes of the chain's objects;
+    - forced: per row m, the boxes of top \\ mid in row m sitting
+      directly on a box of mid \\ low, each carrying the subscript m-1
+      (iii);
+    - empty: per height m, the columns with top_i = low_i = m.
+    """
     n = len(top)
+    rows: dict[int, int] = {}
+    caps: dict[int, int] = {}
     forced: dict[int, int] = {}
+    empty: dict[int, int] = {}
     for t, md, lo in zip(top, _padded(mid, n), _padded(low, n)):
-        if md == t - 1 and lo < md:
-            forced[t] = forced.get(t, 0) + 1
-    return forced
+        if t == lo:
+            empty[t] = empty.get(t, 0) + 1
+        if md < t:
+            for m in range(md + 1, t + 1):
+                rows[m] = rows.get(m, 0) + 1
+            if md == t - 1 and lo < md:
+                forced[t] = forced.get(t, 0) + 1
+        if lo < md:
+            for r in range(lo + 1, md + 1):
+                caps[r] = caps.get(r, 0) + 1
+    return rows, caps, forced, empty
 
 
 def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
@@ -296,9 +323,7 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
         if any(subs[i] > subs[i + 1] for i in range(len(subs) - 1)):
             return False, f"cell ({ell},{m}) subscripts not weakly increasing"
     for ell in range(2, e + 1):
-        counts = strip_row_counts(gs[ell], gs[ell - 1])
-        caps = strip_row_counts(gs[ell - 1], gs[ell - 2])
-        forced = forced_subscripts(gs[ell], gs[ell - 1], gs[ell - 2])
+        counts, caps, forced, _ = chain_columns(*gs[ell - 2 : ell + 1])
         usage: Counter[int] = Counter()
         rows = set(counts) | {m for (l2, m) in declared if l2 == ell}
         for m in sorted(rows):
@@ -406,11 +431,6 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     return tuple(LRTableau(gs) for gs in sorted(chains))
 
 
-def _fits(subs: tuple[int, ...], caps: Mapping[int, int]) -> bool:
-    """True iff subs uses each symbol r, a key of caps, at most caps[r] times."""
-    return all(subs.count(r) <= caps[r] for r in set(subs))
-
-
 @lru_cache(maxsize=1 << 14)
 def _level_subscripts(
     low: Partition, mid: Partition, top: Partition
@@ -419,26 +439,35 @@ def _level_subscripts(
     (low, mid, top) can carry, in canonical order; memoised per chain,
     whatever the entry.
 
-    The caps of (iv) are the boxes per row of the strip mid \\ low.  Each
-    row m of the strip top \\ mid draws its free subscripts (ii) by
+    One ``chain_columns`` pass reads the rows of the strip top \\ mid,
+    the caps of (iv) and the forced subscripts.  Each row m, lowest
+    first, draws its free subscripts (ii) by
     ``combinations_with_replacement`` over the rows r < m that hold a cap
     (only those rows are read, so a tall strip costs no scan of the rows
-    below it), in lexicographic order, and appends its forced m-1's (iii):
-    one per column whose box in row m sits on a box of mid \\ low.  A choice
-    over the caps on its own is dropped.  Of the product over the rows,
-    which keeps that order, only the choices whose combined use fits the
-    caps are kept.
+    below it), in lexicographic order, and appends its forced m-1's
+    (iii).  Each choice so far carries the symbols it uses, and a row's
+    subscripts extend it only when none of theirs is then used more often
+    than its cap, so (iv) is tested once per choice and row, and the
+    choices come in the order of the product over the rows.
     """
-    counts, caps = strip_row_counts(top, mid), strip_row_counts(mid, low)
-    forced = forced_subscripts(top, mid, low)
-    rows = []
-    for m in sorted(counts):
+    rows, caps, forced, _ = chain_columns(low, mid, top)
+    symbols = sorted(caps)
+    levels = [((), ())]  # (level, the symbols it uses)
+    for m in sorted(rows):
         need = forced.get(m, 0)
-        symbols = sorted(r for r in caps if r < m)
-        free = combinations_with_replacement(symbols, counts[m] - need)
-        choices = (c + (m - 1,) * need for c in free)
-        rows.append([(m, subs) for subs in choices if _fits(subs, caps)])
-    return tuple(c for c in product(*rows) if _fits(sum((subs for _, subs in c), ()), caps))
+        free = combinations_with_replacement([r for r in symbols if r < m], rows[m] - need)
+        draws = [subs + (m - 1,) * need for subs in free]
+        grown = []
+        for level, used in levels:
+            for subs in draws:
+                both = used + subs
+                for r in set(subs):
+                    if both.count(r) > caps[r]:
+                        break
+                else:
+                    grown.append((level + ((m, subs),), both))
+        levels = grown
+    return tuple([level for level, _ in levels])
 
 
 def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:

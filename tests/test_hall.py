@@ -28,6 +28,7 @@ from hallkit.tableaux import (
     enumerate_klein_refinements,
     enumerate_lr,
     restrict,
+    validate_klein,
 )
 
 
@@ -91,12 +92,26 @@ def test_tall_chain_aut_orders_count_only_the_strip_rows():
     # cost nothing
     m = 10**7
     hall._strip_aut_order.cache_clear()
-    hall._level_factor.cache_clear()
+    hall._level_terms.cache_clear()
+    tableaux._level_subscripts.cache_clear()
     start = time.monotonic()
     with caps.limits(general=3 * m):
         got = hall_polynomial((2, 1), (m, m - 1), (m - 1, m - 3)).total
     assert time.monotonic() - start < 0.5
     assert got == poly({1: 1})
+
+
+def test_levels_outside_their_chain_are_refused():
+    # a level that is not one of its chain's subscript choices has no
+    # factor: 1,1/2,1/2,2 fails the lattice property at level 2, whose
+    # strip has no subscript to draw, and 1/2/3;2@3:1 misses the forced
+    # subscript 2 of its box in row 3 (iii)
+    for text in ("1,1/2,1/2,2", "1/2/3;2@3:1"):
+        tab = KleinTableau.from_text(text)
+        assert not validate_klein(tab)[0]
+        for multiplicity in (hall_multiplicity, hall_multiplicity_factored):
+            with pytest.raises(ValueError, match="level 2"):
+                multiplicity(tab)
 
 
 def test_breakdown_sums_to_total():
@@ -191,9 +206,10 @@ def test_memoised_factors_match_direct_product():
 def test_memo_holds_one_entry_per_restriction():
     # each 1-restriction the telescoping product reads is its own memo key:
     # one miss per distinct chain (g_{ell-1}, g_ell), the padded (g_e, g_e)
-    # of ell = e+1 included, none shared or merged
+    # of ell = e+1 included, none shared or merged; the level terms are
+    # cleared too, so every level reads its strip again
     hall._strip_aut_order.cache_clear()
-    hall._level_factor.cache_clear()
+    hall._level_terms.cache_clear()
     keys = set()
     for n in range(7):
         for beta in partitions_of(n):
@@ -207,9 +223,10 @@ def test_memo_holds_one_entry_per_restriction():
 
 
 def test_level_memos_hold_one_entry_per_level():
-    # a level's subscript choices are one miss per chain (g_{ell-2},
-    # g_{ell-1}, g_ell), whatever ell, and its factor one miss per distinct
-    # 2-restriction: the chain (padded at ell = e+1) and the level's cells
+    # a level's subscript choices, and its terms (each choice with its
+    # factor), are one miss each per chain (g_{ell-2}, g_{ell-1}, g_ell),
+    # whatever ell, the padded chain of ell = e+1 included; the terms hold
+    # exactly the enumerated choices, in their order
     tabs = [
         tab
         for n in range(7)
@@ -220,23 +237,24 @@ def test_level_memos_hold_one_entry_per_level():
         for tab in enumerate_klein(alpha, beta, gamma)
     ]
     tableaux._level_subscripts.cache_clear()
-    hall._level_factor.cache_clear()
+    hall._level_terms.cache_clear()
     for tab in tabs:
         hall_multiplicity_factored(tab)
         assert tab in enumerate_klein_refinements(tab)
-    levels = {tab.gammas[ell - 2 : ell + 1] for tab in tabs for ell in range(2, tab.e + 1)}
-    shorts = {restrict(tab, ell, 2) for tab in tabs for ell in range(2, tab.e + 2)}
-    assert tableaux._level_subscripts.cache_info().misses == len(levels)
-    assert hall._level_factor.cache_info().misses == len(shorts)
+    chains = {restrict(tab, ell, 2).gammas for tab in tabs for ell in range(2, tab.e + 2)}
+    assert tableaux._level_subscripts.cache_info().misses == len(chains)
+    assert hall._level_terms.cache_info().misses == len(chains)
+    for chain in chains:
+        assert tuple(hall._level_terms(*chain)) == tableaux._level_subscripts(*chain)
 
 
 def test_refinement_sum_factors_over_levels():
     # a level's factor depends on its chain and its own cells, and the
     # levels of a refinement are chosen independently, so the sum over the
     # Klein refinements of an LR tableau is prod_{ell=2}^{e+1} of
-    # S(g_{ell-2}, g_{ell-1}, g_ell), the sum of _level_factor over the
-    # level tuples that _level_subscripts yields (the padded level, with an
-    # empty strip, yields one empty level)
+    # S(g_{ell-2}, g_{ell-1}, g_ell), the sum of the factors of the chain's
+    # _level_terms (the padded level, with an empty strip, has one term,
+    # the empty level)
     def value(form, q):
         out = Fraction(q) ** form.power
         for j, e in form.factors:
@@ -260,10 +278,7 @@ def test_refinement_sum_factors_over_levels():
         for q in (2, 3, 5):
             product_of_sums = Fraction(1)
             for chain in chains:
-                product_of_sums *= sum(
-                    value(hall._level_factor(*chain, cells), q)
-                    for cells in tableaux._level_subscripts(*chain)
-                )
+                product_of_sums *= sum(value(f, q) for f in hall._level_terms(*chain).values())
             assert product_of_sums == evaluate(want, q), (lr, q)
 
 

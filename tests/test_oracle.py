@@ -549,6 +549,25 @@ def test_adjointness_checks():
         assert oracle.adjointness_check(E, F, rng.randrange(3))
 
 
+def test_census_checks_the_pricing_past_two():
+    # a fault that vanishes at q = 2 escapes every p = 2 census; at p = 3,
+    # over the |beta| = 8 betas that hold an e >= 3 tableau of a type
+    # (alpha, beta, alpha), every per-tableau polynomial of every type pair
+    # equals its census count at q = 3
+    targets, seen = [], 0
+    with limits(subgroup=3**8):
+        for beta in partitions_of(8):
+            census = oracle.census(3, beta)
+            if not any(tab.e >= 3 and tableau_type(tab)[0] == tab.base for tab in census.tableaux):
+                continue
+            targets.append(beta)
+            for alpha, gamma in census.types:
+                for tab, poly in hall_polynomial(alpha, beta, gamma).per_tableau:
+                    assert evaluate(poly, 3) == census.tableaux.get(tab, 0), (beta, tab)
+                    seen += 1
+    assert len(targets) == 13 and seen == 450
+
+
 def test_counts_match_polynomials_small():
     for p, max_beta in ((2, 5), (11, 2), (13, 2)):
         for n in range(max_beta + 1):

@@ -11,12 +11,12 @@ from hallkit.s2cat import (
     aut_order,
     aut_order_module,
     bipicket,
-    chain_aut_order,
     end_power,
     enumerate_objects,
     hom_len_indec,
     hom_len_obj,
     hom_len_tableau,
+    level_aut_orders,
     object_of_tableau,
     parse_object,
     tableau_of_object,
@@ -192,15 +192,19 @@ def test_aut_order_matches_gl_product():
 
 
 def test_chain_aut_orders_match_decoded_objects():
-    # the Aut order read from the chain (padded with its top) and the
-    # level-2 symbols equals the decoded object's, for every tableau with
-    # entries <= 2 and |beta| <= 10
+    # the Aut orders priced from a chain (padded with its top), one per
+    # level of level-2 symbols, equal the decoded objects', for every
+    # tableau with entries <= 2 and |beta| <= 10; the tableaux of one chain
+    # are priced together, from one count of the chain
     tabs = [tab for n in range(11) for beta in partitions_of(n) for tab in enumerate_klein_entries2(beta)]
     assert len(tabs) == 3170
+    by_chain: dict = {}
     for tab in tabs:
-        g0, g1, g2 = (tab.gammas + (tab.beta,) * 2)[:3]
-        chain_side = chain_aut_order(g0, g1, g2, (tab.levels + ((),))[0])
-        assert chain_side == aut_order(object_of_tableau(tab)), tab
+        by_chain.setdefault((tab.gammas + (tab.beta,) * 2)[:3], []).append(tab)
+    for chain, group in by_chain.items():
+        levels = tuple((tab.levels + ((),))[0] for tab in group)
+        for tab, order in zip(group, level_aut_orders(*chain, levels), strict=True):
+            assert order == aut_order(object_of_tableau(tab)), tab
 
 
 def test_aut_order_module_examples():
