@@ -176,11 +176,13 @@ def _fibre(amb: AmbientModule, C: SubgroupSet) -> Iterator[tuple[SubgroupSet, bo
     V + K = W, K = (C + B[p]) / C the kernel of px + pC, of dimension
     s - u with u = dim C[p]; Q = (p^{-1}C & pB) / C, and
     dim(Q & K) = (parts of beta above 1) - u."""
-    p, s, socle, pB = amb.p, len(amb.beta), frozenset(amb.killed_by(1)), amb.p_power_set(1)
+    p, s = amb.p, len(amb.beta)
+    # the socle of pB, pB[p]: C and every X lie in pB, so it is all they meet of B[p]
+    socle = frozenset(amb._grid(tuple(p ** max(1, b - 1) for b in amb.beta)))
     dim = lambda order: round(log(order, p))
     u = dim(len(C & socle))
     # x in pB with px in C: c/p plus a socle element of pB, c in C & p^2 B (see ``preimage``)
-    inside = frozenset(r + k for r in map(amb.divp, C & amb.p_power_set(2)) for k in socle & pB)
+    inside = frozenset(r + k for r in map(amb.divp, C & amb.p_power_set(2)) for k in socle)
     q = dim(len(inside) // len(C))
     m = sum(b > 1 for b in amb.beta) - u
     for X in _walk(amb, C, _greedy_basis(amb, (1,) * q, C, sorted(inside))[0], (1,) * q):

@@ -9,15 +9,19 @@ entry ``ell >= 2`` carries a subscript ``r``, stored per entry level as
 tuple is what enumeration yields, restriction slices and the Hall
 memos key on; ``cells()`` is the one flat (entry, row, subs) view.
 
-Every enumeration removes one horizontal strip at a time, down from the
-top partition, by one successor, ``_strips``, which cuts a branch at the
-first column where the lattice property or a pigeonhole bound fails
-(``validate_lr`` compares the same suffix counts, ``_suffix_counts``).
-It yields each strip with its own suffix counts, kept in the frames it
-already links, so the strip below reads its bound with no recount.
-``enumerate_lr`` walks it down to the floor gamma of a type, once the
-type's sizes and containments allow one, and ``enumerate_klein_entries2``
-to depth <= 2, with no floor.
+Every enumeration walks one horizontal strip at a time, column by
+column from the last, and cuts a branch at the first column where the
+lattice property fails (``validate_lr`` compares the same suffix counts,
+``_suffix_counts``) or where the chain can no longer reach its ends.
+There are two walks.  ``enumerate_lr`` climbs a typed chain up from its
+floor gamma to beta, once the type's sizes and containments allow one,
+by ``_strips_up``: each strip is bounded by the one below it, so the
+lattice cut fires where the strip is chosen, and a branch is also cut
+when the strips still to come cannot fill the columns up to beta.
+``enumerate_klein_entries2`` has no floor, so it goes down from beta to
+depth <= 2 by ``_strips``, each strip bounded by the one above it.  Both
+yield each strip with its own suffix counts, kept in the frames they
+already link, so the next strip reads its bound with no recount.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``: the rows of the strip top \\ mid, the caps of
@@ -354,48 +358,86 @@ def _unlink(node) -> Iterator:
 
 
 def _strips(
-    mu: Partition, upper: Sequence[int], size: int, ell: int, low: Sequence[int], slack: bool
+    mu: Partition, upper: Sequence[int], size: int
 ) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-    """Each (lam, suffix) such that mu \\ lam can be strip ell: size boxes,
-    at most one per column, with suffix counts at least ``upper``, the
-    strip above's (zeros at the top).  ``suffix`` is the strip's own,
-    ``_suffix_counts(mu, lam)``, which the strip below reads as its upper.
+    """Each (lam, suffix) such that mu \\ lam is a horizontal strip of
+    size boxes, at most one per column, with suffix counts at least
+    ``upper``, the strip above's (zeros at the top).  ``suffix`` is the
+    strip's own, ``_suffix_counts(mu, lam)``, which the strip below reads
+    as its upper.  Only the floorless entries-<=2 walk goes down.
 
     The fixed columns are a linked node (lam_i, s_i, node of column i+1)
     on a (0, 0, None) sentinel, s_i being the strip's boxes in columns
-    >= i.  A frame holds the node of its columns >= i, the boxes left to
-    drop and room, the sum of lam_j - low_j there, and is cut when the
-    boxes left overflow the i columns left, when s_i < upper[i] (lattice)
-    or room < (ell-1) * s_i (pigeonhole: each strip below has at least
-    s_i boxes there, one per column).  ``slack`` bounds lam_i - low_i by
-    ell-1: each strip below takes at most one.  A leaf's node is
-    flattened in one loop into lam and suffix, so a strip over n columns
-    costs O(n).
+    >= i.  A frame holds the node of its columns >= i and the boxes left
+    to drop, and is cut when the boxes left overflow the i columns left
+    or when s_i < upper[i] (lattice).  A leaf's node is flattened in one
+    loop into lam and suffix, so a strip over n columns costs O(n).
     """
-    below = ell - 1
-    stack = [(len(mu), size, 0, (0, 0, None))]
+    stack = [(len(mu), size, (0, 0, None))]
+    while stack:
+        i, remaining, fixed = stack.pop()
+        s = fixed[1]
+        if remaining > i or s < upper[i]:
+            continue
+        if not i:
+            yield _flatten(fixed)
+            continue
+        i -= 1
+        v = mu[i]
+        stack.append((i, remaining, (v, s, fixed)))
+        # dropping column i must leave lam weakly decreasing
+        if remaining and fixed[0] < v:
+            stack.append((i, remaining - 1, (v - 1, s + 1, fixed)))
+
+
+def _strips_up(
+    lam: Partition, top: Partition, lower: Sequence[int], size: int, above: int
+) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """Each (mu, suffix) such that mu \\ lam is a horizontal strip of
+    size boxes inside top, with suffix counts at most ``lower``, the strip
+    below's, that the ``above`` strips still to come can fill up to top.
+    ``suffix`` is the strip's own, ``_suffix_counts(mu, lam)`` padded to
+    len(top) + 1 entries, which the strip above reads as its lower.
+
+    The fixed columns are a linked node (mu_i, s_i, node of column i+1)
+    on a (0, 0, None) sentinel, filled from the last column of top.  A
+    frame holds the node of its columns >= i, the boxes left to add and
+    room, the boxes still missing from top there, and is cut when the
+    boxes left overflow the i columns left, when s_i > lower[i]
+    (lattice) or when room > above * s_i (each strip above has at most
+    s_i boxes there).  A column is kept only when top_i - lam_i <= above
+    and it does not fall below its right neighbour's new height, and it
+    gains a box only when 0 <= top_i - lam_i - 1 <= above: each strip
+    above adds at most one box to it.
+    """
+    low = _padded(lam, len(top))
+    stack = [(len(top), size, 0, (0, 0, None))]
     while stack:
         i, remaining, room, fixed = stack.pop()
         s = fixed[1]
-        if remaining > i or s < upper[i] or room < below * s:
+        if remaining > i or s > lower[i] or room > above * s:
             continue
         if not i:
-            lam, suffix = [], []
-            while fixed:
-                v, t, fixed = fixed
-                if v:  # lam's zeros, the sentinel's too, trail
-                    lam.append(v)
-                suffix.append(t)
-            yield tuple(lam), tuple(suffix)
+            yield _flatten(fixed)
             continue
         i -= 1
-        v, f = mu[i], low[i]
-        high = f + below if slack else v
-        if v <= high:
-            stack.append((i, remaining, room + v - f, (v, s, fixed)))
-        # dropping column i must leave lam weakly decreasing
-        if remaining and f < v <= high + 1 and fixed[0] < v:
-            stack.append((i, remaining - 1, room + v - 1 - f, (v - 1, s + 1, fixed)))
+        v, gap = low[i], top[i] - low[i]
+        if gap <= above and v >= fixed[0]:
+            stack.append((i, remaining, room + gap, (v, s, fixed)))
+        if remaining and 0 < gap <= above + 1:
+            stack.append((i, remaining - 1, room + gap - 1, (v + 1, s + 1, fixed)))
+
+
+def _flatten(fixed) -> tuple[Partition, tuple[int, ...]]:
+    """The partition and suffix counts of a strip walker's leaf node, in
+    one loop; its zeros, the sentinel's too, trail the partition."""
+    parts, suffix = [], []
+    while fixed:
+        v, t, fixed = fixed
+        if v:
+            parts.append(v)
+        suffix.append(t)
+    return tuple(parts), tuple(suffix)
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
@@ -404,12 +446,16 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     CapExceeded, before any other work, when beta has more boxes than the
     general cap.  A type with |alpha| + |gamma| != |beta|, or with alpha
     or gamma outside beta, has none and is not walked.  Otherwise strips
-    ell = e, ..., 1 of conjugate(alpha)[ell-1] boxes each are removed from
-    beta by a depth-first walk over ``_strips`` with the floor gamma and
-    slack, so g0 = gamma since it contains gamma and has its size.  Each
-    child reads its upper, the suffix counts of the strip just removed,
-    as ``_strips`` yields them.  A node (g_ell, node above) links a chain,
-    flattened once at its leaf (ell = 0), so a chain costs O(e).
+    ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are added to
+    gamma, up under beta, by a depth-first walk over ``_strips_up``, so
+    that the lattice cut fires where each strip is chosen; the last strip
+    has nothing above it, so it ends at beta.  Each child reads its
+    lower, the suffix counts of the strip just added, as ``_strips_up``
+    yields them; strip 1 has none below it and at most one box per
+    column, so its bound len(beta) never cuts.  A node (g_ell, node
+    below) links a chain, flattened once at its leaf (ell = e), so a
+    chain costs O(e).  (The floorless entries-<=2 walk goes down from
+    beta instead, over ``_strips``.)
     """
     beta = partition(beta)
     check_diagram_size(sum(beta))
@@ -418,16 +464,17 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
         contains(beta, alpha) and contains(beta, gamma)
     ):
         return ()
-    sizes, low = conjugate(alpha), _padded(gamma, len(beta))
+    sizes = conjugate(alpha)
+    e = len(sizes)
     chains = []
-    stack = [(len(sizes), (beta, None), (0,) * (len(beta) + 1))]
+    stack = [(0, (gamma, None), (len(beta),) * (len(beta) + 1))]
     while stack:
-        ell, node, upper = stack.pop()
-        if not ell:
-            chains.append(tuple(_unlink(node)))
+        ell, node, lower = stack.pop()
+        if ell == e:
+            chains.append(tuple(_unlink(node))[::-1])
             continue
-        for lam, suffix in _strips(node[0], upper, sizes[ell - 1], ell, low, True):
-            stack.append((ell - 1, (lam, node), suffix))
+        for mu, suffix in _strips_up(node[0], beta, lower, sizes[ell], e - ell - 1):
+            stack.append((ell + 1, (mu, node), suffix))
     return tuple(LRTableau(gs) for gs in sorted(chains))
 
 
@@ -512,10 +559,10 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     zeros = (0,) * (len(beta) + 1)
     chains = [(beta,)]
     for b in range(1, len(beta) + 1):
-        for mid, upper in _strips(beta, zeros, b, 1, zeros, False):
+        for mid, upper in _strips(beta, zeros, b):
             chains.append((mid, beta))
             for a in range(b, len(mid) + 1):
-                chains += ((lam, mid, beta) for lam, _ in _strips(mid, upper, a, 1, zeros, False))
+                chains += ((lam, mid, beta) for lam, _ in _strips(mid, upper, a))
     out = [tab for gs in chains for tab in enumerate_klein_refinements(LRTableau(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

@@ -166,10 +166,10 @@ def _unpruned_chains(beta, sizes):
 
 
 def test_lr_chains_match_unpruned_walk(monkeypatch):
-    # the lattice and pigeonhole cuts of the strip walker lose no chain,
-    # and a type outside the size and containment check has none
-    strips, walked = tableaux._strips, []
-    monkeypatch.setattr(tableaux, "_strips", lambda *args: walked.append(args) or strips(*args))
+    # the lattice, room and column cuts of the upward strip walker lose no
+    # chain, and a type outside the size and containment check has none
+    strips, walked = tableaux._strips_up, []
+    monkeypatch.setattr(tableaux, "_strips_up", lambda *args: walked.append(args) or strips(*args))
     triples = chains = zero = rejected = 0
     for n in range(9):
         for beta in partitions_of(n):
@@ -206,18 +206,25 @@ def test_entries2_chains_match_unpruned_walk():
 
 
 def test_strips_yield_their_own_suffix_counts(monkeypatch):
-    # every strip the walker yields comes with the suffix counts of
-    # mu \\ lam, both with floor and slack, as enumerate_lr walks, and with
-    # neither, as the entries-<=2 walk does
-    strips, seen = tableaux._strips, {True: 0, False: 0}
+    # every strip the walkers yield comes with the suffix counts of its
+    # skew: up from gamma, as enumerate_lr walks, padded to len(beta) + 1,
+    # and down from beta with no floor, as the entries-<=2 walk does
+    up, down, seen = tableaux._strips_up, tableaux._strips, {"up": 0, "down": 0}
 
-    def checked(mu, upper, size, ell, low, slack):
-        for lam, suffix in strips(mu, upper, size, ell, low, slack):
-            assert suffix == tableaux._suffix_counts(mu, lam), (mu, lam, slack)
-            seen[slack] += 1
+    def checked_up(lam, top, lower, size, above):
+        for mu, suffix in up(lam, top, lower, size, above):
+            assert suffix == tableaux._suffix_counts(tableaux._padded(mu, len(top)), lam), (mu, lam)
+            seen["up"] += 1
+            yield mu, suffix
+
+    def checked_down(mu, upper, size):
+        for lam, suffix in down(mu, upper, size):
+            assert suffix == tableaux._suffix_counts(mu, lam), (mu, lam)
+            seen["down"] += 1
             yield lam, suffix
 
-    monkeypatch.setattr(tableaux, "_strips", checked)
+    monkeypatch.setattr(tableaux, "_strips_up", checked_up)
+    monkeypatch.setattr(tableaux, "_strips", checked_down)
     for n in range(9):
         for beta in partitions_of(n):
             tableaux._entries2.__wrapped__(beta)  # past the per-beta memo
@@ -225,7 +232,21 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
                 for alpha in partitions_of(k):
                     for gamma in partitions_of(n - k):
                         enumerate_lr(alpha, beta, gamma)
-    assert seen == {True: 3160, False: 830}
+    assert seen == {"up": 2976, "down": 830}
+
+
+def test_lr_walk_work_on_the_sweep_beta(monkeypatch):
+    # every type inside (5,4,3,2,1,1), as the hall_sweep benchmark walks
+    # them: the upward walk calls its successor at most 7,200 times (the
+    # walk down from beta to the floor gamma called its own 11,621 times)
+    beta = (5, 4, 3, 2, 1, 1)
+    inside = [a for k in range(sum(beta) + 1) for a in partitions_of(k) if contains(beta, a)]
+    types = [(a, g) for a in inside for g in inside if sum(a) + sum(g) == sum(beta)]
+    strips, calls = tableaux._strips_up, []
+    monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
+    chains = sum(len(enumerate_lr(alpha, beta, gamma)) for alpha, gamma in types)
+    assert (len(types), chains) == (1808, 2208)
+    assert len(calls) <= 7200, len(calls)
 
 
 def test_deep_chains_are_walked_in_linear_time():
