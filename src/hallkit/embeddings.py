@@ -89,7 +89,7 @@ from .caps import general_cap
 from .errors import CapExceeded
 from .partitions import Partition, conjugate, json_record, json_typed, partition
 from .s2cat import S2Object, object_of_tableau
-from .tableaux import KleinTableau, LRTableau, strip_row_counts
+from .tableaux import KleinTableau, LRTableau, chain_columns
 
 SubgroupSet = frozenset  # of packed element ints, always containing 0
 
@@ -486,7 +486,8 @@ def _link(
         cur = quotient_type(amb, span(amb, p2U, pY))
         if cur == prev_type:
             continue
-        for m, grow in strip_row_counts(cur, prev_type).items():
+        # the rows of the strip cur \ prev_type, the first count of its chain
+        for m, grow in chain_columns(prev_type, prev_type, cur)[0].items():
             subs.setdefault(m, []).extend([r] * grow)
         prev_type = cur
         if cur == g2:  # X_r only shrinks, to p^2 U

@@ -22,17 +22,20 @@ most 2^14 entries each hold them once per process:
 - ``_level_terms`` maps each chain (g_{ell-2}, g_{ell-1}, g_ell), the
   padded one of ell = e+1 included, to its terms: every level that
   ``tableaux._level_subscripts`` enumerates for it, in canonical order,
-  with its factored ratio.  A miss prices every choice from one count of
-  the chain (``s2cat.level_aut_orders``) and divides each order into
-  ``_strip_aut_order(mid, top)``;
+  with its factored ratio.  A miss makes one ``tableaux.chain_columns``
+  pass over the chain and hands it to both the enumerator and the
+  pricing (``s2cat.level_aut_orders``, one count of the chain for every
+  choice), and divides each order into ``_strip_aut_order(mid, top)``;
 - ``_expansion`` maps each frozen factored product to its polynomial.
 
-``hall_polynomial`` reads each LR chain's terms once and takes their
-product, so a tableau's levels and exponents come from its terms with no
-lookup of its own; ``hall_multiplicity_factored`` looks a tableau's
-levels up in the same terms, by their cells.  A cold pass pays every
-miss once, and a miss costs the chain's columns and strip boxes, never
-its height.
+``_priced_refinements`` reads an LR chain's terms once and yields each
+refinement with the product of its terms (``QOrderFactored.product``),
+so a tableau's levels and exponents come from its terms with no lookup
+of its own; ``hall_polynomial``, ``lr_multiplicity`` and
+``dominant_refinement`` all read it.  ``hall_multiplicity_factored``
+looks a single tableau's levels up in the same terms, by their cells.
+A cold pass pays every miss once, and a miss costs the chain's columns
+and strip boxes, never its height.
 """
 
 from __future__ import annotations
@@ -41,19 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
 from .s2cat import level_aut_orders
-from .tableaux import (
-    KleinTableau,
-    LRTableau,
-    _level_subscripts,
-    enumerate_klein_refinements,
-    enumerate_lr,
-)
+from .tableaux import KleinTableau, LRTableau, _level_subscripts, chain_columns, enumerate_lr
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +73,8 @@ class HallBreakdown:
 @lru_cache(maxsize=1 << 14)
 def _strip_aut_order(mid, top) -> QOrderFactored:
     """Aut order of the 1-restriction (mid, top): one strip, no symbols."""
-    (order,) = level_aut_orders(mid, top, top, ((),))
+    chain = (mid, top, top)
+    (order,) = level_aut_orders(chain, chain_columns(*chain), ((),))
     return order
 
 
@@ -85,23 +83,28 @@ def _level_terms(low, mid, top) -> Mapping[tuple, QOrderFactored]:
     """Every level the top entry of the chain (low, mid, top) can carry,
     each with its telescoping factor, in canonical order: the cells
     ((row, subs), ...) of ``_level_subscripts`` mapped to Aut of the
-    1-restriction (mid, top) over Aut of the 2-restriction."""
-    levels = _level_subscripts(low, mid, top)
+    1-restriction (mid, top) over Aut of the 2-restriction.  The chain's
+    columns are read once, for both the choices and their orders."""
+    chain = (low, mid, top)
+    columns = chain_columns(*chain)
+    levels = _level_subscripts(columns)
     strip = _strip_aut_order(mid, top)
-    orders = level_aut_orders(low, mid, top, levels)
+    orders = level_aut_orders(chain, columns, levels)
     return MappingProxyType({cells: strip / order for cells, order in zip(levels, orders)})
 
 
-def _product(factors) -> QOrderFactored:
-    """The product of clean factored forms, its exponents summed in one
-    dict and built into the tuple directly."""
-    power = 0
-    exps: dict[int, int] = {}
-    for factor in factors:
-        power += factor.power
-        for j, e in factor.factors:
-            exps[j] = exps.get(j, 0) + e
-    return QOrderFactored(power, tuple(sorted(item for item in exps.items() if item[1])))
+def _priced_refinements(lr: LRTableau) -> Iterator[tuple[KleinTableau, QOrderFactored]]:
+    """Each Klein refinement of lr, in canonical order, with its factored
+    multiplicity: the product of one term per level of the chain's
+    ``_level_terms``, so no level is looked up one by one."""
+    gs = lr.gammas
+    # level ell = e+1 reads the chain padded with g_{e+1} = g_e, and no cells
+    padded = gs + (lr.beta,)
+    terms = [t.items() for t in map(_level_terms, padded, padded[1:], padded[2:])]
+    for combo in product(*terms):
+        # the padded level is no level of the tableau
+        levels = tuple(cells for cells, _ in combo[:-1])
+        yield KleinTableau(gs, levels), QOrderFactored.product(factor for _, factor in combo)
 
 
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
@@ -120,7 +123,7 @@ def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
                 f"invalid Klein tableau: level {ell} {cells} is not a subscript choice of its chain"
             )
         factors.append(factor)
-    return _product(factors)
+    return QOrderFactored.product(factors)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -138,32 +141,26 @@ def hall_multiplicity(tab: KleinTableau) -> QPolynomial:
 def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     """The classical Hall polynomial for the type triple, with breakdown.
 
-    Each LR chain's Klein tableaux are the product of its levels' terms,
-    one ``_level_terms`` entry per level, so a tableau's levels and
-    exponents are read from its terms with no lookup per tableau; the
-    total is summed in one dict.  Zero polynomial with empty breakdown
-    when no tableau of the type exists.
+    Each LR chain's Klein tableaux and their multiplicities come from
+    ``_priced_refinements``; the total is summed in one dict.  Zero
+    polynomial with empty breakdown when no tableau of the type exists.
     """
     parts = []
     total: dict[int, int] = {}
     for lr in enumerate_lr(alpha, beta, gamma):
-        gs = lr.gammas
-        padded = gs + (lr.beta,)
-        terms = [t.items() for t in map(_level_terms, padded, padded[1:], padded[2:])]
-        for combo in product(*terms):
-            poly = _expansion(_product(factor for _, factor in combo))
+        for tab, form in _priced_refinements(lr):
+            poly = _expansion(form)
             for d, c in poly.coeffs:
                 total[d] = total.get(d, 0) + c
-            # the padded level ell = e+1 is no level of the tableau
-            parts.append((KleinTableau(gs, tuple(cells for cells, _ in combo[:-1])), poly))
+            parts.append((tab, poly))
     return HallBreakdown(QPolynomial.from_dict(total), tuple(parts))
 
 
 def lr_multiplicity(lr: LRTableau) -> QPolynomial:
     """Sum of Hall multiplicities over all Klein refinements of an LR tableau."""
     total = QPolynomial.zero()
-    for tab in enumerate_klein_refinements(lr):
-        total = total + hall_multiplicity(tab)
+    for _, form in _priced_refinements(lr):
+        total = total + _expansion(form)
     return total
 
 
@@ -175,12 +172,11 @@ def dominant_refinement(lr: LRTableau) -> KleinTableau:
     maximum is attained twice (which would contradict monicity of the
     summands and must never happen).
     """
-    refinements = enumerate_klein_refinements(lr)
-    if not refinements:
+    degrees = [(tab, form.degree) for tab, form in _priced_refinements(lr)]
+    if not degrees:
         raise NoRefinement(f"no Klein refinement for {lr.gammas}")
-    degrees = [hall_multiplicity_factored(tab).degree for tab in refinements]
-    top = max(degrees)
-    winners = [tab for tab, d in zip(refinements, degrees) if d == top]
+    top = max(d for _, d in degrees)
+    winners = [tab for tab, d in degrees if d == top]
     if len(winners) > 1:
         raise NonUniqueMaxDegree(f"degree {top} attained {len(winners)} times")
     return winners[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import NonIntegral, NonPolynomial
 from .partitions import json_record, json_typed, read_int
@@ -166,11 +166,21 @@ class QOrderFactored:
     def factor_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
+    @classmethod
+    def product(cls, forms: Iterable["QOrderFactored"]) -> "QOrderFactored":
+        """The product of clean forms: their exponents summed in one dict
+        and built into the tuple directly, since clean operands need no
+        re-check by ``from_parts``; ``one()`` for no forms."""
+        power = 0
+        exps: dict[int, int] = {}
+        for form in forms:
+            power += form.power
+            for j, e in form.factors:
+                exps[j] = exps.get(j, 0) + e
+        return cls(power, tuple(sorted(item for item in exps.items() if item[1])))
+
     def __mul__(self, other: "QOrderFactored") -> "QOrderFactored":
-        out = self.factor_dict()
-        for j, e in other.factors:
-            out[j] = out.get(j, 0) + e
-        return QOrderFactored.from_parts(self.power + other.power, out)
+        return QOrderFactored.product((self, other))
 
     def __truediv__(self, other: "QOrderFactored") -> "QOrderFactored":
         out = self.factor_dict()

@@ -13,13 +13,13 @@ r = m-1 is stored canonically as P(2, m).  ``Picket``, ``Bipicket`` and
 
 The bijection with entries-<=2 Klein tableaux is one pass each way: one
 n-ary direct sum of the summands' tableaux, and one count of summands.
-That count has two layers: ``_chain_counts`` reads the chain's columns
-once (``tableaux.chain_columns``: the 1-boxes, the forced subscripts and
+That count has two layers: ``_chain_counts`` reads the chain's one
+``tableaux.chain_columns`` pass (the 1-boxes, the forced subscripts and
 the empty columns), and ``_summand_counts`` adds a level's own
-((row, subs), ...) cells to it.  The decoder ``object_of_tableau`` reads
-it, and so does ``level_aut_orders``, which prices every level of one
-chain from a single chain count, with no tableau or object built; the
-Hall sum reads its Aut orders from there.
+((row, subs), ...) cells to it.  The decoder ``object_of_tableau`` makes
+that pass itself; ``level_aut_orders`` is handed it, by the Hall memo
+that also enumerates the chain's levels from it, and prices every level
+of the chain from a single chain count, with no tableau or object built.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ def tableau_of_object(obj: S2Object) -> KleinTableau:
     return direct_sum_tableau(*(tab for x, k in obj.summands for tab in [_indec_tableau(x)] * k))
 
 
-def _chain_counts(gs) -> dict[tuple[int, int, int], int]:
-    """The summands that the chain gs = (g0, g1, g2) (padded with its top)
-    gives every object of its level before any symbol 2_r is read, from
-    one ``chain_columns`` pass: a picket P(1, m) per box of g1 \\ g0 in
+def _chain_counts(columns) -> dict[tuple[int, int, int], int]:
+    """The summands that a chain (g0, g1, g2) (padded with its top) gives
+    every object of its level before any symbol 2_r is read, from its
+    ``chain_columns`` pass: a picket P(1, m) per box of g1 \\ g0 in
     row m, and a P(0, m) per empty column of height m, less one per
     forced subscript 2_m in row m+1 (iii), since the cells count every
     2_m of row m+1 as a P(0, m) and only the free ones are."""
-    _, caps, forced, empty = chain_columns(*gs)
+    _, caps, forced, empty = columns
     counts = {(1, m, 0): k for m, k in caps.items()}
     for m, k in empty.items():
         counts[0, m, 0] = k
@@ -248,7 +248,7 @@ def object_of_tableau(tab: KleinTableau) -> S2Object:
     if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)) or any(tab.levels[1:]):
         raise EntryTooLarge(f"tableau has entries up to {e}")
     chain, cells = _level2(tab)
-    return S2Object.make(_summand_counts(_chain_counts(chain), cells))
+    return S2Object.make(_summand_counts(_chain_counts(chain_columns(*chain)), cells))
 
 
 def enumerate_indecomposables(max_size: int) -> tuple[Indecomposable, ...]:
@@ -383,26 +383,26 @@ def aut_order(obj: S2Object) -> QOrderFactored:
     return _aut_parts(end_power(obj), [k for _, k in obj.summands])
 
 
-def level_aut_orders(low, mid, top, levels) -> tuple[QOrderFactored, ...]:
+def level_aut_orders(chain, columns, levels) -> tuple[QOrderFactored, ...]:
     """``aut_order`` of the objects whose entries-<=2 tableau has the chain
-    low <= mid <= top (padded with its top) and, in turn, each level of
+    (low, mid, top) (padded with its top) and, in turn, each level of
     ``levels``, a tuple of level-2 cells ((row m, subs), ...), as a
     tableau's ``levels[0]``; one order per level, in order.
 
-    Only plain ints are read.  The chain's columns are counted once, by
-    ``_chain_counts``, and each level's multiplicities k_y from that
-    count by ``_summand_counts``; End is sum_y k_y * (the Hom length from
-    the tableau into y), one ``_hom_len`` per distinct summand y.
+    Only plain ints are read.  ``columns`` is the chain's
+    ``chain_columns`` pass, which the caller makes once; ``_chain_counts``
+    turns it into the chain's count, and ``_summand_counts`` each level's
+    multiplicities k_y; End is sum_y k_y * (the Hom length from the
+    tableau into y), one ``_hom_len`` per distinct summand y.
     """
-    gs = (low, mid, top)
-    base = _chain_counts(gs)
+    base = _chain_counts(columns)
     orders = []
     for cells in levels:
         end = 0
         mults = []
         for y, k in _summand_counts(base, cells).items():
             if k:
-                end += k * _hom_len(gs, cells, y)
+                end += k * _hom_len(chain, cells, y)
                 mults.append(k)
         orders.append(_aut_parts(end, mults))
     return tuple(orders)

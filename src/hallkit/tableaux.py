@@ -27,17 +27,19 @@ A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``: the rows of the strip top \\ mid, the caps of
 condition (iv) (the boxes of mid \\ low per row, which are also the
 1-boxes of its objects), the forced subscripts (iii) and the empty
-columns.  The subscript enumerator ``_level_subscripts``, the
-2-restriction count in ``s2cat`` and ``validate_klein`` all read that
-pass.  The subscripts of entry ell come from ``itertools``: each row m
-draws its free ones by ``combinations_with_replacement`` over the cap
-rows below m and appends its forced m-1's, and a choice grows row by row
-only while it uses each r at most as often as strip ell-1 has boxes in
-row r (iv).  Each level's choices are memoised once per chain
-(g_{ell-2}, g_{ell-1}, g_ell).  Rows are counted, there and in
-``strip_row_counts``, in plain dicts filled per box, so a strip high up
-a tall diagram costs its columns and boxes, not its height.  A direct
-sum of any number of tableaux merges all chains and symbols in one step.
+columns.  It is the only reading of a chain: the subscript enumerator
+``_level_subscripts`` is a plain function of it, and the Hall memo
+``hall._level_terms`` hands one pass to both that enumerator and the
+2-restriction count in ``s2cat``; ``validate_klein`` and the
+embeddings' subscript chain (a strip's rows, as the chain
+(prev, prev, cur)) read it too.  The subscripts of entry ell come from
+``itertools``: each row m draws its free ones by
+``combinations_with_replacement`` over the cap rows below m and appends
+its forced m-1's, and a choice grows row by row only while it uses each
+r at most as often as strip ell-1 has boxes in row r (iv).  Rows are
+counted in plain dicts filled per box, so a strip high up a tall diagram
+costs its columns and boxes, not its height.  A direct sum of any number
+of tableaux merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
@@ -267,17 +269,6 @@ def tableau_type(tab: LRTableau) -> tuple[Partition, Partition, Partition]:
     return alpha, gs[-1], gs[0]
 
 
-def strip_row_counts(upper: Partition, lower: Partition) -> dict[int, int]:
-    """Boxes per diagram row in the skew upper \\ lower, a plain dict
-    filled per box: column i adds one to each of its rows
-    lower_i+1..upper_i, so a row with no box has no key."""
-    counts: dict[int, int] = {}
-    for u, v in zip(upper, _padded(lower, len(upper))):
-        for m in range(v + 1, u + 1):
-            counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
 def chain_columns(
     low: Partition, mid: Partition, top: Partition
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int], dict[int, int]]:
@@ -478,17 +469,13 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     return tuple(LRTableau(gs) for gs in sorted(chains))
 
 
-@lru_cache(maxsize=1 << 14)
-def _level_subscripts(
-    low: Partition, mid: Partition, top: Partition
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Every level ((row, subs), ...) that the top entry of the chain
-    (low, mid, top) can carry, in canonical order; memoised per chain,
-    whatever the entry.
+def _level_subscripts(columns) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Every level ((row, subs), ...) that the top entry of a chain
+    (low, mid, top) can carry, in canonical order, read from the chain's
+    ``chain_columns`` pass: the rows of the strip top \\ mid, the caps of
+    (iv) and the forced subscripts.
 
-    One ``chain_columns`` pass reads the rows of the strip top \\ mid,
-    the caps of (iv) and the forced subscripts.  Each row m, lowest
-    first, draws its free subscripts (ii) by
+    Each row m, lowest first, draws its free subscripts (ii) by
     ``combinations_with_replacement`` over the rows r < m that hold a cap
     (only those rows are read, so a tall strip costs no scan of the rows
     below it), in lexicographic order, and appends its forced m-1's
@@ -497,7 +484,7 @@ def _level_subscripts(
     than its cap, so (iv) is tested once per choice and row, and the
     choices come in the order of the product over the rows.
     """
-    rows, caps, forced, _ = chain_columns(low, mid, top)
+    rows, caps, forced, _ = columns
     symbols = sorted(caps)
     levels = [((), ())]  # (level, the symbols it uses)
     for m in sorted(rows):
@@ -522,12 +509,12 @@ def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
 
     Choices for distinct entries are independent, so the result is a
     cartesian product of per-entry subscript assignments; each level
-    comes in canonical order, so the product does too.  Each level is one
-    ``_level_subscripts`` entry, keyed on (g_{ell-2}, g_{ell-1}, g_ell)
-    and shared by every LR tableau through that chain.
+    comes in canonical order, so the product does too.  Each level's
+    choices are read from one ``chain_columns`` pass over its chain
+    (g_{ell-2}, g_{ell-1}, g_ell).
     """
     gs = lr.gammas
-    levels = (_level_subscripts(*gs[ell - 2 : ell + 1]) for ell in range(2, len(gs)))
+    levels = (_level_subscripts(chain_columns(*chain)) for chain in zip(gs, gs[1:], gs[2:]))
     return tuple(KleinTableau(gs, combo) for combo in product(*levels))
 
 

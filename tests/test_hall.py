@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from hallkit import caps, hall, tableaux
+from hallkit import caps, hall, s2cat, tableaux
 from hallkit.errors import NoRefinement
 from hallkit.hall import (
     dominant_refinement,
@@ -17,7 +17,7 @@ from hallkit.hall import (
     hall_polynomial,
     lr_multiplicity,
 )
-from hallkit.partitions import partitions_of
+from hallkit.partitions import contains, partitions_of
 from hallkit.qforms import QOrderFactored, QPolynomial, evaluate
 from hallkit.s2cat import aut_order, aut_order_module, object_of_tableau
 from hallkit.tableaux import (
@@ -93,7 +93,6 @@ def test_tall_chain_aut_orders_count_only_the_strip_rows():
     m = 10**7
     hall._strip_aut_order.cache_clear()
     hall._level_terms.cache_clear()
-    tableaux._level_subscripts.cache_clear()
     start = time.monotonic()
     with caps.limits(general=3 * m):
         got = hall_polynomial((2, 1), (m, m - 1), (m - 1, m - 3)).total
@@ -223,10 +222,10 @@ def test_memo_holds_one_entry_per_restriction():
 
 
 def test_level_memos_hold_one_entry_per_level():
-    # a level's subscript choices, and its terms (each choice with its
-    # factor), are one miss each per chain (g_{ell-2}, g_{ell-1}, g_ell),
-    # whatever ell, the padded chain of ell = e+1 included; the terms hold
-    # exactly the enumerated choices, in their order
+    # a level's terms (each subscript choice with its factor) are one miss
+    # per chain (g_{ell-2}, g_{ell-1}, g_ell), whatever ell, the padded
+    # chain of ell = e+1 included; the terms hold exactly the choices
+    # enumerated from the chain's columns, in their order
     tabs = [
         tab
         for n in range(7)
@@ -236,16 +235,43 @@ def test_level_memos_hold_one_entry_per_level():
         for gamma in partitions_of(n - k)
         for tab in enumerate_klein(alpha, beta, gamma)
     ]
-    tableaux._level_subscripts.cache_clear()
     hall._level_terms.cache_clear()
     for tab in tabs:
         hall_multiplicity_factored(tab)
         assert tab in enumerate_klein_refinements(tab)
     chains = {restrict(tab, ell, 2).gammas for tab in tabs for ell in range(2, tab.e + 2)}
-    assert tableaux._level_subscripts.cache_info().misses == len(chains)
     assert hall._level_terms.cache_info().misses == len(chains)
     for chain in chains:
-        assert tuple(hall._level_terms(*chain)) == tableaux._level_subscripts(*chain)
+        want = tableaux._level_subscripts(tableaux.chain_columns(*chain))
+        assert tuple(hall._level_terms(*chain)) == want
+
+
+def test_each_level_memo_miss_reads_its_chain_once(monkeypatch):
+    # over every type inside beta = (5,4,3,2,1,1), from cold memos, a chain's
+    # columns are read once per miss of the memos that price it: a
+    # _level_terms miss hands its one pass to both the subscript enumerator
+    # and the Aut orders, and a _strip_aut_order miss makes its own
+    beta = (5, 4, 3, 2, 1, 1)
+    inside = [
+        lam for n in range(sum(beta) + 1) for lam in partitions_of(n) if contains(beta, lam)
+    ]
+    types = [(a, g) for a in inside for g in inside if sum(a) + sum(g) == sum(beta)]
+    assert len(types) == 1808
+    passes = 0
+
+    def counted(*chain):
+        nonlocal passes
+        passes += 1
+        return tableaux.chain_columns(*chain)
+
+    monkeypatch.setattr(hall, "chain_columns", counted)
+    monkeypatch.setattr(s2cat, "chain_columns", counted)
+    hall._level_terms.cache_clear()
+    hall._strip_aut_order.cache_clear()
+    for alpha, gamma in types:
+        hall_polynomial(alpha, beta, gamma)
+    misses = hall._level_terms.cache_info().misses + hall._strip_aut_order.cache_info().misses
+    assert passes == misses == 1694
 
 
 def test_refinement_sum_factors_over_levels():

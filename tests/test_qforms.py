@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,3 +115,26 @@ def test_degree_matches_expansion(x):
         return
     if not poly.is_zero():
         assert x.degree == poly.degree
+
+
+def _times(x, y):
+    """x * y as a pairwise product through from_parts, which drops the
+    exponents that cancel."""
+    out = x.factor_dict()
+    for j, e in y.factors:
+        out[j] = out.get(j, 0) + e
+    return QOrderFactored.from_parts(x.power + y.power, out)
+
+
+@given(st.lists(factored, max_size=5))
+def test_product_is_the_fold_of_from_parts(forms):
+    got = QOrderFactored.product(forms)
+    assert got == reduce(_times, forms, QOrderFactored.one())
+    assert all(e for _, e in got.factors)
+
+
+def test_product_examples():
+    assert QOrderFactored.product([]) == QOrderFactored.one()
+    # (q-1) and (q-1)^-1 cancel, and no zero exponent is kept
+    assert QOrderFactored.product([QO(2, {1: 1, 2: 1}), QO(1, {1: -1})]) == QO(3, {2: 1})
+    assert QOrderFactored.product([QO(2, {1: 1, 2: 1}), QO(1, {1: -1})]).factors == ((2, 1),)

@@ -21,7 +21,7 @@ from hallkit.s2cat import (
     parse_object,
     tableau_of_object,
 )
-from hallkit.tableaux import KleinTableau, enumerate_klein_entries2, restrict
+from hallkit.tableaux import KleinTableau, chain_columns, enumerate_klein_entries2, restrict
 
 T42 = Bipicket(4, 2)
 P13 = Picket(1, 3)
@@ -203,7 +203,8 @@ def test_chain_aut_orders_match_decoded_objects():
         by_chain.setdefault((tab.gammas + (tab.beta,) * 2)[:3], []).append(tab)
     for chain, group in by_chain.items():
         levels = tuple((tab.levels + ((),))[0] for tab in group)
-        for tab, order in zip(group, level_aut_orders(*chain, levels), strict=True):
+        orders = level_aut_orders(chain, chain_columns(*chain), levels)
+        for tab, order in zip(group, orders, strict=True):
             assert order == aut_order(object_of_tableau(tab)), tab
 
 
