@@ -25,8 +25,8 @@ class EntryTooLarge(HallkitError):
     """A Klein tableau with entries >= 3 was passed where <= 2 is required."""
 
 
-class NoRefinement(HallkitError):
-    """An LR tableau admits no Klein refinement."""
+class NoRefinement(HallkitError, ValueError):
+    """An LR tableau admits no Klein refinement, or a chain is no LR tableau."""
 
 
 class NonUniqueMaxDegree(HallkitError):

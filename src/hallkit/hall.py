@@ -50,7 +50,7 @@ from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
 from .s2cat import level_aut_orders
-from .tableaux import KleinTableau, LRTableau, _level_subscripts, chain_columns, enumerate_lr
+from .tableaux import KleinTableau, LRTableau, _level_subscripts, chain_columns, enumerate_lr, validate_lr
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,16 +138,21 @@ def hall_multiplicity(tab: KleinTableau) -> QPolynomial:
     return _expansion(hall_multiplicity_factored(tab))
 
 
+_NO_TABLEAU = HallBreakdown(QPolynomial.zero(), ())
+
+
 def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     """The classical Hall polynomial for the type triple, with breakdown.
 
     Each LR chain's Klein tableaux and their multiplicities come from
-    ``_priced_refinements``; the total is summed in one dict.  Zero
-    polynomial with empty breakdown when no tableau of the type exists.
+    ``_priced_refinements``; the total is summed in one dict.  A type
+    with no LR tableau gets the one shared, frozen ``_NO_TABLEAU``.
     """
+    if not (lrs := enumerate_lr(alpha, beta, gamma)):
+        return _NO_TABLEAU
     parts = []
     total: dict[int, int] = {}
-    for lr in enumerate_lr(alpha, beta, gamma):
+    for lr in lrs:
         for tab, form in _priced_refinements(lr):
             poly = _expansion(form)
             for d, c in poly.coeffs:
@@ -156,10 +161,17 @@ def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     return HallBreakdown(QPolynomial.from_dict(total), tuple(parts))
 
 
+def _checked(lr: LRTableau) -> LRTableau:
+    """lr, or NoRefinement with ``validate_lr``'s reason if it is no LR tableau."""
+    if (reason := validate_lr(lr.gammas)[1]) is not None:
+        raise NoRefinement(f"not an LR tableau: {reason}")
+    return lr
+
+
 def lr_multiplicity(lr: LRTableau) -> QPolynomial:
     """Sum of Hall multiplicities over all Klein refinements of an LR tableau."""
     total = QPolynomial.zero()
-    for _, form in _priced_refinements(lr):
+    for _, form in _priced_refinements(_checked(lr)):
         total = total + _expansion(form)
     return total
 
@@ -168,11 +180,11 @@ def dominant_refinement(lr: LRTableau) -> KleinTableau:
     """The unique refinement whose multiplicity attains the LR degree.
 
     Degrees are read off the factored forms, so no expansion is needed.
-    Raises NoRefinement when there is none and NonUniqueMaxDegree if the
-    maximum is attained twice (which would contradict monicity of the
-    summands and must never happen).
+    Raises NoRefinement when lr is no LR tableau or has none, and
+    NonUniqueMaxDegree if the maximum is attained twice (which would
+    contradict monicity of the summands and must never happen).
     """
-    degrees = [(tab, form.degree) for tab, form in _priced_refinements(lr)]
+    degrees = [(tab, form.degree) for tab, form in _priced_refinements(_checked(lr))]
     if not degrees:
         raise NoRefinement(f"no Klein refinement for {lr.gammas}")
     top = max(d for _, d in degrees)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import chain, zip_longest
 from math import comb
 from typing import Iterable, Iterator
@@ -25,8 +26,22 @@ def partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of part sizes into a Partition tuple.
 
     Trailing zeros are stripped; anything else that is not weakly
-    decreasing and positive raises ValueError.
+    decreasing and positive raises ValueError.  A hashable tuple of at
+    most 64 parts is read once per process, by a least-recently-used
+    memo of at most 2^14 entries; a longer tuple, a list or a generator
+    is read afresh, and an error is never memoised, so it is raised on
+    every call.
     """
+    if type(parts) is tuple and len(parts) <= 64:  # bounds an entry's bytes
+        try:
+            return _normalised(parts)
+        except TypeError:  # an unhashable part, or one int() refuses
+            pass
+    return _normalised.__wrapped__(parts)
+
+
+@lru_cache(maxsize=1 << 14)
+def _normalised(parts: Iterable[int]) -> Partition:
     t = tuple(map(int, parts))
     while t and t[-1] == 0:
         t = t[:-1]
@@ -108,8 +123,9 @@ def moment(lam: Partition) -> int:
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
-    """Componentwise containment mu <= lam (pad with zeros)."""
-    return all(a >= b for a, b in zip_longest(lam, mu, fillvalue=0))
+    """Componentwise containment mu <= lam (pad with zeros): no part of mu
+    past lam's length, and none above its partner."""
+    return not any(mu[len(lam):]) and all(map(operator.ge, lam, mu))
 
 
 def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:

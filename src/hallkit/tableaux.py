@@ -446,7 +446,8 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     column, so its bound len(beta) never cuts.  A node (g_ell, node
     below) links a chain, flattened once at its leaf (ell = e), so a
     chain costs O(e).  (The floorless entries-<=2 walk goes down from
-    beta instead, over ``_strips``.)
+    beta instead, over ``_strips``.)  ``partition`` memoises a tuple of
+    at most 64 parts, in at most 2^14 entries.
     """
     beta = partition(beta)
     check_diagram_size(sum(beta))

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from hallkit import caps, hall, s2cat, tableaux
-from hallkit.errors import NoRefinement
+from hallkit.errors import CapExceeded, NoRefinement
 from hallkit.hall import (
     dominant_refinement,
     expected_degree,
@@ -64,6 +64,20 @@ def test_hall_polynomial_simple_cases():
     assert hall_polynomial((1,), (1, 1), (1,)).total == poly({1: 1, 0: 1})
     assert hall_polynomial((2,), (1, 1), ()).total == QPolynomial.zero()
     assert hall_polynomial((2,), (1, 1), ()).per_tableau == ()
+
+
+def test_a_type_with_no_lr_tableau_shares_one_empty_breakdown(monkeypatch):
+    # alpha = (3, 1) is not inside beta, so the type has no LR tableau,
+    # and every such type gets the same breakdown, equal to a fresh one
+    bd = hall_polynomial((3, 1), (2, 2, 1, 1, 1), (1, 1, 1))
+    fresh = hall.HallBreakdown(QPolynomial.zero(), ())
+    assert bd.total.is_zero() and bd.per_tableau == ()
+    assert json.dumps(bd.to_json()) == json.dumps(fresh.to_json())
+    assert hall_polynomial((2,), (1, 1), ()) is bd
+    # the cap is still checked before the type is
+    monkeypatch.setenv("HALLKIT_CAP", "6")
+    with pytest.raises(CapExceeded, match="diagram of 7 boxes exceeds cap 6"):
+        hall_polynomial((3, 1), (2, 2, 1, 1, 1), (1, 1, 1))
 
 
 def test_long_single_row_chain():
@@ -151,6 +165,19 @@ def test_dominant_refinement_no_refinement():
     with pytest.raises(NoRefinement):
         # not a valid LR chain, so no refinements exist
         dominant_refinement(LRTableau(((1,), (2,), (2, 1))))
+
+
+def test_a_chain_that_is_no_lr_tableau_is_refused_unpriced():
+    # a decreasing chain: refused with validate_lr's reason, a ValueError,
+    # before either memo is read
+    chain = LRTableau(((2,), (1,)))
+    memos = (hall._level_terms, hall._strip_aut_order)
+    for memo in memos:
+        memo.cache_clear()
+    for call in (lr_multiplicity, dominant_refinement):
+        with pytest.raises(ValueError, match="not an LR tableau: chain not weakly increasing"):
+            call(chain)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 def test_dominant_degree_matches_lr_degree():

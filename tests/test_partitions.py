@@ -1,7 +1,10 @@
+from itertools import product, zip_longest
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hallkit.partitions import (
+    _normalised,
     conjugate,
     contains,
     fmt,
@@ -27,19 +30,52 @@ def test_partition_normalizes_trailing_zeros():
 
 
 def test_partition_rejects_bad_input():
-    # the messages and the order of the checks are pinned
+    # the messages and the order of the checks are pinned; a tuple, a
+    # list and a generator of the same parts raise the same error, and an
+    # error is never memoised, so a second call raises it again
     cases = [
         ((2, -1), "parts must be positive: (2, -1)"),
         ((3, -1), "parts must be positive: (3, -1)"),
         ((3, 0, 2), "parts must be positive: (3, 0, 2)"),
+        ((1, 0, 1), "parts must be positive: (1, 0, 1)"),
+        ((0, -1), "parts must be positive: (0, -1)"),
         ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+        ((2, 3), "parts must be weakly decreasing: (2, 3)"),
         ((0, -1, 0), "parts must be positive: (0, -1)"),
         (("a",), "invalid literal for int() with base 10: 'a'"),
     ]
     for parts, message in cases:
-        with pytest.raises(ValueError) as info:
-            partition(parts)
-        assert str(info.value) == message
+        for each in (parts, parts, list(parts), (x for x in parts)):
+            with pytest.raises(ValueError) as info:
+                partition(each)
+            assert str(info.value) == message
+    # a part that int() refuses, hashable or not, raises int()'s TypeError
+    for parts in ((None,), ([1],), [None], [[1]]):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="int\\(\\) argument must be"):
+                partition(parts)
+
+
+def test_partition_reads_a_tuple_once():
+    for parts in [(), (3, 2, 0, 0), (4, 4, 1), ("2", 1.0, True, 0)]:
+        want = partition(list(parts))
+        assert partition(parts) == partition(x for x in parts) == want
+        assert type(partition(parts)) is tuple
+    partition((7, 5, 5, 3))
+    hits = _normalised.cache_info().hits
+    assert partition((7, 5, 5, 3)) == (7, 5, 5, 3)
+    assert _normalised.cache_info().hits == hits + 1
+    # lists, generators and tuples of over 64 parts are read afresh,
+    # never looked up, so no entry of the memo holds more than 64 parts
+    partition([7, 5, 5, 3])
+    partition(x for x in (7, 5, 5, 3))
+    info = _normalised.cache_info()
+    assert info.hits == hits + 1
+    for long in ((1,) * 65, (1,) + (0,) * 64):
+        assert partition(long) == partition(long) == partition(list(long))
+    assert partition((1,) * 64) == (1,) * 64
+    assert sum(_normalised.cache_info()[:2]) == info.hits + info.misses + 1
+    assert _normalised.cache_info().maxsize == 1 << 14
 
 
 def test_conjugate_examples():
@@ -152,6 +188,17 @@ def test_horizontal_strip_box_count(lam, bits):
     grown = sum(1 for a, b in zip(lam, list(mu_p) + [0] * len(lam)) if a > b)
     assert sum(lam) - sum(mu_p) == grown == removed
     assert contains(lam, mu_p)
+
+
+def test_contains_is_zero_padded_containment():
+    # every pair of partitions of size <= 6, the empty one included, and
+    # each again with trailing zeros, which pad and change nothing
+    small = [lam for n in range(7) for lam in partitions_of(n)]
+    assert () in small
+    for lam, mu in product(small, repeat=2):
+        want = all(a >= b for a, b in zip_longest(lam, mu, fillvalue=0))
+        assert contains(lam, mu) == want, (lam, mu)
+        assert contains(lam + (0, 0), mu) == contains(lam, mu + (0,)) == want, (lam, mu)
 
 
 def test_partitions_of_counts():
