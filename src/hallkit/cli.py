@@ -255,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=_non_negative, default=None, help="general cap of "
                     "every suite, diagrams included; it can lower, never raise, hall's "
                     "census bound and the Aut/End sweep's 2^14 bound")
+    sp.add_argument("--subgroup-cap", type=_non_negative, default=None,
+                    help="subgroup-lattice cap; it raises (or lowers) the census bound of "
+                    "hall's census checks, up to the general cap")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -34,13 +34,21 @@ from the levels of subscript runs it appends in increasing r, without a
 second pass through ``KleinTableau.make``, which stays the normaliser
 for outside input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
-with no scan of B.  Subgroups grow by one rule, ``span`` from a base,
-here and in the oracle's walk, each coset H + g as one
+with no scan of B.  It depends on A only through that radical, so
+``preimage`` reads it from ``_preimage``, one process-wide
+least-recently-used memo of four entries keyed on (ambient, radical):
+the lifts of one embedding come in a burst (of E, reduce(E) and
+reduce(lift(E)), then of a partner lifted s <= 2 times) of at most four
+radicals, and a repeat in the burst is a lookup.  Neither B nor any
+preimage is kept per ambient.  Subgroups grow by one rule, ``span``
+from a base, here and in the oracle's walk, each coset H + g as one
 ``map(add, H, repeat(g))``, and bases come from one greedy rule
 (``_greedy_basis``), for a subgroup's generators and for the quotient
 B/p^ell A of a truncation, which keeps only the spans below each basis
 vector and packs each generator of A from the coordinates peeled off
-them (``_peel``), so no coordinate table of B is built.
+them (``_peel``), so no coordinate table of B is built.  At ell = 0 the
+quotient is B/A and every generator of A maps to 0, so no basis is
+built.
 
 A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
 only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
@@ -253,16 +261,25 @@ def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
 
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
-    """The subgroup p^{-1}A = {b : pb in A}: the cosets a/p + B[p] over a
-    in A & pB, where a/p divides each coordinate of a by p.  Coordinate i
+    """The subgroup p^{-1}A = {b : pb in A}, which depends on A only
+    through its radical A & pB; read from ``_preimage``, a memo of the
+    few radicals in use."""
+    return _preimage(ambient, A & ambient.p_power_set(1))
+
+
+# The lifts of one embedding come in a burst: E, reduce(E) and
+# reduce(lift(E)) lift two distinct radicals (lift(E) and reduce(lift(E))
+# share one), and a partner lifted s <= 2 times adds one per step, so
+# four entries serve a burst and no set outlives it for long.
+@lru_cache(maxsize=4)
+def _preimage(ambient: AmbientModule, radical: SubgroupSet) -> SubgroupSet:
+    """p^{-1}A for A & pB = radical: the cosets a/p + B[p] over a in the
+    radical, where a/p divides each coordinate of a by p.  Coordinate i
     of a/p is below p^{beta_i - 1} and that of a socle element is a
     multiple of it below p^{beta_i}, so no field of a sum reaches its
-    modulus and the packed sum is the plain one.  When A holds pB,
-    p^{-1}A is B, and its set comes from the cached grid of B; none is
-    kept."""
-    pB = ambient.p_power_set(1)
-    radical = A & pB
-    if len(radical) == len(pB):
+    modulus and the packed sum is the plain one.  A radical of pB gives
+    B, whose set comes from the cached grid of B."""
+    if len(radical) == len(ambient.p_power_set(1)):
         return frozenset(ambient.all_elements())
     socle = ambient.killed_by(1)
     return frozenset({r + k for r in map(ambient.divp, radical) for k in socle})
@@ -630,7 +647,10 @@ def truncate(E: Embedding, ell: int) -> Embedding:
     tableaux are extracted.  Each generator of A is packed from its
     coordinates over the basis, peeled off the greedy rule's spans from
     the last basis vector down, and the new subgroup is spanned from the
-    images on demand.  Each level is built once per embedding;
+    images on demand.  At ell = 0, X = A and every generator maps to 0,
+    so no basis is built: the truncation is the zero subgroup of B/A,
+    with one zero generator per generator of A.  Each level is built
+    once per embedding;
     a cached one has the order of its quotient checked against the cap
     like a new one.
     """
@@ -646,8 +666,11 @@ def truncate(E: Embedding, ell: int) -> Embedding:
     X = E.chain()[ell]
     gamma = quotient_type(amb, X)
     new_amb = AmbientModule.get(amb.p, gamma)
-    basis, spans = _greedy_basis(amb, gamma, X, amb.all_elements())
-    gens = tuple(new_amb.pack(_peel(amb, gamma, basis, spans, g)) for g in E.generators())
+    if ell == 0:  # X = A, so every generator maps to 0, packed as 0
+        gens = (0,) * len(E.generators())
+    else:
+        basis, spans = _greedy_basis(amb, gamma, X, amb.all_elements())
+        gens = tuple(new_amb.pack(_peel(amb, gamma, basis, spans, g)) for g in E.generators())
     cut = E._truncations[ell] = Embedding(new_amb, gens=gens)
     return cut
 

@@ -3,6 +3,7 @@
 Four suites, bundled so CI can run one command:
 
 * ``formulas``   -- Hom/Aut closed forms against morphism enumeration,
+                    End orders against kernel orders (``hom_order``),
                     plus the factored-order anchor values.
 * ``roundtrip``  -- the object/tableau bijection both ways and the
                     realization of tableaux as concrete embeddings.
@@ -192,6 +193,15 @@ def suite_formulas(prime: int = 2) -> SuiteReport:
             end, aut = oracle.end_aut_counts(E)
         return (evaluate(aut_order(obj), p) != aut) + (p ** end_power(obj) != end)
 
+    # |End E| as the kernel order of hom_order, with no map walk, so every
+    # object runs that is within the general cap
+    def end_kernel_bad(obj):
+        E = emb.object_embedding(obj, p)
+        return oracle.hom_order(E, E) != p ** end_power(obj)
+
+    def objects_detail(bad, skips):
+        return f"{len(bad)} objects, {len(skips)} skipped over cap, {sum(bad)} bad"
+
     def orbit_formula():
         cases = (
             emb.bipicket_embedding(p, 4, 2),
@@ -201,6 +211,7 @@ def suite_formulas(prime: int = 2) -> SuiteReport:
         return all(oracle.orbit_check(E) for E in cases), ""
 
     indecs, objs = enumerate_indecomposables(6), enumerate_objects(8)
+    obj_cases = [(obj,) for obj in objs]
     checks = [
         _one_shot("gl-order-vs-brute", gl_orders),
         _sweep("aut-order-anchors", lambda obj, want: aut_order(obj) != want, anchors,
@@ -213,9 +224,8 @@ def suite_formulas(prime: int = 2) -> SuiteReport:
                lambda tab, obj, y: hom_len_tableau(tab, y) != hom_len_obj(obj, y),
                [(tab, obj, y) for obj in objs for tab in [tableau_of_object(obj)] for y in indecs],
                lambda bad, _: f"{sum(bad)} mismatches"),
-        _sweep("aut-end-orders-vs-brute", end_aut_bad, [(obj,) for obj in objs],
-               lambda bad, skips: f"{len(bad)} objects, {len(skips)} skipped over cap, "
-               f"{sum(bad)} bad"),
+        _sweep("aut-end-orders-vs-brute", end_aut_bad, obj_cases, objects_detail),
+        _sweep("end-orders-vs-kernel", end_kernel_bad, obj_cases, objects_detail),
         _sweep("bipicket-end-length-closed-form",
                lambda x: hom_len_tableau(tableau_of_object(S2Object.of(x)), x)
                != x.m + 3 * x.r - 1,

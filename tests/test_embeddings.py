@@ -10,7 +10,7 @@ from itertools import count, product
 import pytest
 
 from hallkit import embeddings as emb
-from hallkit import oracle
+from hallkit import oracle, verify
 from hallkit.caps import general_cap, limits
 from hallkit.errors import CapExceeded, EntryTooLarge
 from hallkit.partitions import partitions_of
@@ -123,6 +123,60 @@ def test_preimage_matches_definition():
         for A in oracle.enumerate_subgroups(p, beta):
             want = frozenset(x for x in a.all_elements() if a.pmul(x) in A)
             assert emb.preimage(a, A) == want
+
+
+def test_battery_builds_each_preimage_once_and_no_level_zero_basis(monkeypatch):
+    # over 100 seeded draws of the theorem2 battery, a lift whose radical
+    # the burst already lifted is a memo hit, and truncate(E, 0) builds no
+    # greedy basis; without the memo each of the 404 lifts is a build, and
+    # with a basis at ell = 0 there are 527 bases
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return greedy(*args)
+
+    greedy = emb._greedy_basis
+    monkeypatch.setattr(emb, "_greedy_basis", counted)
+    emb._preimage.cache_clear()
+    rng = random.Random(5)
+    betas = [beta for n in range(1, 9) for beta in partitions_of(n)]
+    for i in range(100):
+        beta = betas[rng.randrange(len(betas))]
+        E = emb.random_embedding((2, 3)[i % 2], beta, rng.randrange(1, 4), rng.randrange(1 << 30))
+        assert verify._embedding_battery(E, rng) == []
+    info = emb._preimage.cache_info()
+    assert (info.hits + info.misses, info.misses, len(calls)) == (404, 180, 428)
+
+
+def test_level_zero_truncation_is_the_zero_subgroup_of_the_quotient(monkeypatch):
+    # p^0 A = A, so E|^0 is 0 <= B/A with one zero generator per
+    # generator of A, built with no greedy basis
+    monkeypatch.setattr(emb, "_greedy_basis", lambda *args: pytest.fail("basis built"))
+    rng = random.Random(8)
+    for p, beta in [(2, (3, 2, 1)), (3, (2, 2, 1)), (5, (2, 1)), (2, (1, 1, 1))]:
+        for k in (1, 2, 3):
+            E = emb.random_embedding(p, beta, k, seed=rng.randrange(1 << 30))
+            if E.exponent == 0:
+                continue
+            gamma = emb.quotient_type(E.ambient, E.subgroup)
+            want = {"p": p, "beta": list(gamma), "gens": [[0] * len(gamma)] * k}
+            assert emb.truncate(E, 0).to_json() == want
+
+
+def test_preimage_memo_stays_bounded():
+    # lifting 50 distinct subgroups leaves at most maxsize preimages held
+    rng = random.Random(11)
+    a = amb(3, (3, 2, 1))
+    seen = set()
+    while len(seen) < 50:
+        A = random_subgroup(a, rng, k=rng.randrange(1, 3))
+        if A not in seen:
+            seen.add(A)
+            emb.lift(emb.Embedding(a, subgroup=A))
+            info = emb._preimage.cache_info()
+            assert info.currsize <= info.maxsize
+    assert emb._preimage.cache_info().currsize == emb._preimage.cache_info().maxsize
 
 
 def test_module_and_quotient_types():

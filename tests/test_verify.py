@@ -52,6 +52,8 @@ def test_formulas_count_brute_force_skips():
         "hom-lengths-vs-brute": (440, 1, 0),
         "tableau-hom-lengths-agree": (19131, 0, 0),
         "aut-end-orders-vs-brute": (80, 831, 0),
+        # the kernel order needs no map walk: every object is within 512
+        "end-orders-vs-kernel": (911, 0, 0),
         "bipicket-end-length-closed-form": (21, 0, 0),
         "orbit-formula": (0, 1, 0),
     }
@@ -219,6 +221,7 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
         "tableau-hom-lengths-agree": (False, "19131 mismatches"),
         # both Aut and End are wrong for every object: two mismatches each
         "aut-end-orders-vs-brute": (False, "80 objects, 831 skipped over cap, 160 bad"),
+        "end-orders-vs-kernel": (False, "911 objects, 0 skipped over cap, 911 bad"),
         "bipicket-end-length-closed-form": (False, ""),
         "orbit-formula": skipped_anchor,
     }
@@ -230,6 +233,7 @@ def test_formulas_sweeps_fail_on_wrong_closed_forms(monkeypatch):
         "tableau-hom-lengths-agree": (19131, 0, 19131),
         # an object fails once, though both of its orders are wrong
         "aut-end-orders-vs-brute": (80, 831, 80),
+        "end-orders-vs-kernel": (911, 0, 911),
         "bipicket-end-length-closed-form": (21, 0, 21),
         "orbit-formula": (0, 1, 0),
     }
@@ -434,6 +438,19 @@ def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap):
     assert main([*argv, "--cap", str(cap)]) == 0
     flagged = without_elapsed(json.loads(capsys.readouterr().out))
     monkeypatch.setenv("HALLKIT_CAP", str(cap))
+    assert main(argv) == 0
+    assert without_elapsed(json.loads(capsys.readouterr().out)) == flagged
+
+
+def test_subgroup_cap_flag_raises_the_census_bound(capsys, monkeypatch):
+    # the default 2^10 skips the 15 beta of 7 boxes at p = 3, whose
+    # lattices reach 3^7; --subgroup-cap 2187 runs them all, as
+    # HALLKIT_SUBGROUP_CAP=2187 does
+    argv = ["verify", "--suite", "hall", "--prime", "3", "--max-beta", "7"]
+    assert main([*argv, "--subgroup-cap", "2187"]) == 0
+    flagged = without_elapsed(json.loads(capsys.readouterr().out))
+    assert [c["skipped"] for c in flagged["suites"][0]["checks"]] == [0] * 7
+    monkeypatch.setenv("HALLKIT_SUBGROUP_CAP", "2187")
     assert main(argv) == 0
     assert without_elapsed(json.loads(capsys.readouterr().out)) == flagged
 
