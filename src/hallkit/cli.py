@@ -21,13 +21,7 @@ from .errors import HallkitError
 from .hall import hall_polynomial
 from .partitions import fmt, parse, read_int
 from .s2cat import object_of_tableau, parse_object, tableau_of_object
-from .tableaux import (
-    KleinTableau,
-    ascii_diagram,
-    enumerate_klein,
-    enumerate_lr,
-    validate_klein,
-)
+from .tableaux import KleinTableau, ascii_diagram, enumerate_klein, enumerate_lr
 
 
 def _parse_tableau(text: str) -> KleinTableau:
@@ -118,11 +112,7 @@ def cmd_tableaux(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.tableau is not None:
-        tab = _parse_tableau(args.tableau)
-        ok, reason = validate_klein(tab)
-        if not ok:
-            raise ValueError(f"not a Klein tableau: {reason}")
-        obj = object_of_tableau(tab)
+        obj = object_of_tableau(_parse_tableau(args.tableau))
         payload = {"object": obj.to_json(), "text": obj.to_text()}
         _emit(payload, obj.to_text(), args.format)
     else:

@@ -30,9 +30,9 @@ p: the census of every beta with |beta| <= 7 at p = 2 reads 1,224
 types but only 44 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
 canonical tuples, so ``klein_tableau`` builds its tableau from them and
-from the levels of subscript runs it appends in increasing r, without a
-second pass through ``KleinTableau.make``, which stays the normaliser
-for outside input.
+from the levels of subscript runs it appends in increasing r, unchecked
+(``tableaux._unchecked``): the tableau of an embedding is a Klein
+tableau, and the constructors' check is for outside input.
 p^{-1}A is the union of the socle cosets a/p + B[p] over a in A & pB,
 with no scan of B.  It depends on A only through that radical, so
 ``preimage`` reads it from ``_preimage``, one process-wide
@@ -97,7 +97,7 @@ from .caps import general_cap
 from .errors import CapExceeded
 from .partitions import Partition, conjugate, json_record, json_typed, partition
 from .s2cat import S2Object, object_of_tableau
-from .tableaux import KleinTableau, LRTableau, chain_columns
+from .tableaux import KleinTableau, LRTableau, _unchecked, chain_columns
 
 SubgroupSet = frozenset  # of packed element ints, always containing 0
 
@@ -477,7 +477,7 @@ def _peel(ambient: AmbientModule, typ: Partition, basis, spans, g: int) -> tuple
 def lr_tableau(E: Embedding) -> LRTableau:
     """Chain of quotient types type(B / p^i A) for i = 0..exponent."""
     amb = E.ambient
-    return LRTableau(tuple(quotient_type(amb, Ai) for Ai in E.chain()))
+    return _unchecked(tuple(quotient_type(amb, Ai) for Ai in E.chain()))
 
 
 def _link(
@@ -523,12 +523,11 @@ def klein_tableau(E: Embedding) -> KleinTableau:
     shares, so each step is built once for an embedding and all its
     reductions.  The gammas are canonical and each level's cells get
     their subscripts appended in increasing r, so the tableau is built
-    directly, not through ``KleinTableau.make``, which stays the
-    normaliser for outside input.
+    unchecked, with no pass through the constructors' check.
     """
     amb, tabs, chain = E.ambient, E._tabs, E.chain()
     if not tabs:
-        tabs.append(KleinTableau((amb.beta,)))
+        tabs.append(_unchecked((amb.beta,), ()))
     chain = chain + chain[-1:]  # p^{e+1} A = 0 too
     pB = amb.p_power_set(1)
     for j in range(len(chain) - 2 - len(tabs), -1, -1):
@@ -536,7 +535,7 @@ def klein_tableau(E: Embedding) -> KleinTableau:
         UpB, levels = U & pB, below.levels
         if below.e:  # pU is nonzero
             levels = (_link(amb, UpB, chain[j + 2], *below.gammas[:2]),) + levels
-        tabs.append(KleinTableau((quotient_type(amb, UpB, len(U)),) + below.gammas, levels))
+        tabs.append(_unchecked((quotient_type(amb, UpB, len(U)),) + below.gammas, levels))
     return tabs[len(chain) - 2]
 
 

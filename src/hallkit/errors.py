@@ -26,7 +26,8 @@ class EntryTooLarge(HallkitError):
 
 
 class NoRefinement(HallkitError, ValueError):
-    """An LR tableau admits no Klein refinement, or a chain is no LR tableau."""
+    """A chain is no LR tableau (the ``LRTableau`` constructor's refusal),
+    or an LR tableau admits no Klein refinement."""
 
 
 class NonUniqueMaxDegree(HallkitError):

@@ -50,7 +50,7 @@ from .errors import NoRefinement, NonUniqueMaxDegree
 from .partitions import moment, partition
 from .qforms import QOrderFactored, QPolynomial
 from .s2cat import level_aut_orders
-from .tableaux import KleinTableau, LRTableau, _level_subscripts, chain_columns, enumerate_lr, validate_lr
+from .tableaux import KleinTableau, LRTableau, _level_subscripts, _unchecked, chain_columns, enumerate_lr
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,26 +104,17 @@ def _priced_refinements(lr: LRTableau) -> Iterator[tuple[KleinTableau, QOrderFac
     for combo in product(*terms):
         # the padded level is no level of the tableau
         levels = tuple(cells for cells, _ in combo[:-1])
-        yield KleinTableau(gs, levels), QOrderFactored.product(factor for _, factor in combo)
+        yield _unchecked(gs, levels), QOrderFactored.product(factor for _, factor in combo)
 
 
 def hall_multiplicity_factored(tab: KleinTableau) -> QOrderFactored:
-    """The multiplicity of one Klein tableau as a factored-form product.
-
-    ValueError, naming the level, when a level is not one of the
-    subscript choices of its chain."""
+    """The multiplicity of one Klein tableau as a factored-form product:
+    each level's factor looked up among its chain's terms, where a Klein
+    tableau, valid by construction, always finds it."""
     # level ell = e+1 reads the chain padded with g_{e+1} = g_e, and no cells
     gs = tab.gammas + (tab.beta,)
-    factors = []
     chains = zip(gs, gs[1:], gs[2:], tab.levels + ((),))
-    for ell, (low, mid, top, cells) in enumerate(chains, 2):
-        factor = _level_terms(low, mid, top).get(cells)
-        if factor is None:
-            raise ValueError(
-                f"invalid Klein tableau: level {ell} {cells} is not a subscript choice of its chain"
-            )
-        factors.append(factor)
-    return QOrderFactored.product(factors)
+    return QOrderFactored.product(_level_terms(*chain)[cells] for *chain, cells in chains)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -161,17 +152,10 @@ def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     return HallBreakdown(QPolynomial.from_dict(total), tuple(parts))
 
 
-def _checked(lr: LRTableau) -> LRTableau:
-    """lr, or NoRefinement with ``validate_lr``'s reason if it is no LR tableau."""
-    if (reason := validate_lr(lr.gammas)[1]) is not None:
-        raise NoRefinement(f"not an LR tableau: {reason}")
-    return lr
-
-
 def lr_multiplicity(lr: LRTableau) -> QPolynomial:
     """Sum of Hall multiplicities over all Klein refinements of an LR tableau."""
     total = QPolynomial.zero()
-    for _, form in _priced_refinements(_checked(lr)):
+    for _, form in _priced_refinements(lr):
         total = total + _expansion(form)
     return total
 
@@ -180,11 +164,11 @@ def dominant_refinement(lr: LRTableau) -> KleinTableau:
     """The unique refinement whose multiplicity attains the LR degree.
 
     Degrees are read off the factored forms, so no expansion is needed.
-    Raises NoRefinement when lr is no LR tableau or has none, and
+    Raises NoRefinement when lr has none, and
     NonUniqueMaxDegree if the maximum is attained twice (which would
     contradict monicity of the summands and must never happen).
     """
-    degrees = [(tab, form.degree) for tab, form in _priced_refinements(_checked(lr))]
+    degrees = [(tab, form.degree) for tab, form in _priced_refinements(lr)]
     if not degrees:
         raise NoRefinement(f"no Klein refinement for {lr.gammas}")
     top = max(d for _, d in degrees)

@@ -78,7 +78,7 @@ from .embeddings import (
 from .errors import CapExceeded
 from .partitions import Partition, partition
 from .qforms import gaussian_binomial
-from .tableaux import KleinTableau, tableau_type
+from .tableaux import KleinTableau, _unchecked, tableau_type
 from .zpn import span_exponent
 
 
@@ -227,7 +227,7 @@ def _child(
     key = (order, ApB)
     if key not in memo:
         memo[key] = quotient_type(amb, ApB, order)
-    return KleinTableau((memo[key],) + tab.gammas, levels)
+    return _unchecked((memo[key],) + tab.gammas, levels)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def census(p: int, beta) -> Census:
     if key not in _censuses:
         start = time.monotonic()
         zero, tableaux = frozenset({0}), Counter()
-        _count_subtree(amb, zero, zero, KleinTableau((amb.beta,)), tableaux, {})
+        _count_subtree(amb, zero, zero, _unchecked((amb.beta,), ()), tableaux, {})
         types = Counter()
         for tab, count in tableaux.items():
             types[(tableau_type(tab)[0], tab.base)] += count

@@ -33,8 +33,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import EntryTooLarge
 from .partitions import json_record, json_typed, partition, read_int
 from .qforms import QOrderFactored
-from .tableaux import KleinTableau, check_diagram_size, direct_sum_tableau
-from .tableaux import chain_columns
+from .tableaux import KleinTableau, _unchecked, chain_columns, check_diagram_size, direct_sum_tableau
 
 
 class Indecomposable(NamedTuple):
@@ -168,11 +167,10 @@ def parse_object(text: str) -> S2Object:
 def _indec_tableau(x: Indecomposable) -> KleinTableau:
     ell, m, r = x
     if not r:
-        gammas = [(m - ell + i,) for i in range(ell + 1)]
-        subs = {(2, m): [m - 1]} if ell == 2 else {}
-        return KleinTableau.make([partition(g) for g in gammas], subs)
-    gammas = [partition((m - 1, r - 1)), partition((m - 1, r)), partition((m, r))]
-    return KleinTableau.make(gammas, {(2, m): [r]})
+        gammas = tuple(partition((m - ell + i,)) for i in range(ell + 1))
+        return _unchecked(gammas, (((m, (m - 1,)),),) if ell == 2 else ())
+    gammas = (partition((m - 1, r - 1)), partition((m - 1, r)), partition((m, r)))
+    return _unchecked(gammas, (((m, (r,)),),))
 
 
 def tableau_of_object(obj: S2Object) -> KleinTableau:
@@ -210,17 +208,14 @@ def _summand_counts(base, cells) -> dict[tuple[int, int, int], int]:
     r = m-1) and uses a 1-box of row r; the 1-boxes left over are pickets
     P(1, m).  A P(0, m) is an empty column of height m, or a column of
     height m+1 whose only symbol is a free 2_m at the bottom: one of the
-    2_m in row m+1 beyond those forced (iii).  Raises ValueError when the
-    symbols overdraw the 1-boxes (iv).  Every count is a plain dict,
-    filled per column and per symbol, with a key only for a row or a
-    height that occurs.
+    2_m in row m+1 beyond those forced (iii).  Valid cells never overdraw
+    the 1-boxes (iv).  Every count is a plain dict, filled per column and
+    per symbol, with a key only for a row or a height that occurs.
     """
     counts = dict(base)
     for m, subs in cells:
         for r in subs:
-            left = counts[1, r, 0] = counts.get((1, r, 0), 0) - 1
-            if left < 0:
-                raise ValueError("invalid Klein tableau: condition (iv) violated")
+            counts[1, r, 0] -= 1
             if r == m - 1:
                 counts[0, r, 0] = counts.get((0, r, 0), 0) + 1
                 r = 0
@@ -239,13 +234,12 @@ def _level2(tab: KleinTableau):
 def object_of_tableau(tab: KleinTableau) -> S2Object:
     """Decode an entries-<=2 Klein tableau into its multiset of summands.
 
-    Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry,
-    or any subscript cell's entry, exceeds 2.  The summands are read by
-    ``_summand_counts``.
+    Inverse of ``tableau_of_object``; raises EntryTooLarge when any entry
+    exceeds 2.  The summands are read by ``_summand_counts``.
     """
     gs = tab.gammas
     e = len(gs) - 1
-    if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)) or any(tab.levels[1:]):
+    if any(gs[ell] != gs[ell - 1] for ell in range(3, e + 1)):
         raise EntryTooLarge(f"tableau has entries up to {e}")
     chain, cells = _level2(tab)
     return S2Object.make(_summand_counts(_chain_counts(chain_columns(*chain)), cells))

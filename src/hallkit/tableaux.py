@@ -9,37 +9,29 @@ entry ``ell >= 2`` carries a subscript ``r``, stored per entry level as
 tuple is what enumeration yields, restriction slices and the Hall
 memos key on; ``cells()`` is the one flat (entry, row, subs) view.
 
+A tableau is checked once, where it is built: the constructors, and so
+``make``, ``from_text`` and ``from_json``, refuse what ``validate_lr`` or
+``validate_klein`` refuses, so no consumer checks a tableau again.  Code
+that builds only valid tableaux (the enumerators, restriction, direct
+sums, the bijection, the embeddings' fold and the census) goes through
+the one unchecked builder, ``_unchecked``, off the validators.
+
 Every enumeration walks one horizontal strip at a time, column by
 column from the last, and cuts a branch at the first column where the
 lattice property fails (``validate_lr`` compares the same suffix counts,
-``_suffix_counts``) or where the chain can no longer reach its ends.
-There are two walks.  ``enumerate_lr`` climbs a typed chain up from its
-floor gamma to beta, once the type's sizes and containments allow one,
-by ``_strips_up``: each strip is bounded by the one below it, so the
-lattice cut fires where the strip is chosen, and a branch is also cut
-when the strips still to come cannot fill the columns up to beta.
-``enumerate_klein_entries2`` has no floor, so it goes down from beta to
-depth <= 2 by ``_strips``, each strip bounded by the one above it.  Both
-yield each strip with its own suffix counts, kept in the frames they
-already link, so the next strip reads its bound with no recount.
+``_suffix_counts``) or where the chain can no longer reach its ends:
+``enumerate_lr`` climbs a typed chain up from gamma to beta by
+``_strips_up``, and ``enumerate_klein_entries2``, with no floor, goes
+down from beta by ``_strips``.  Each strip comes with its own suffix
+counts, so the next strip reads its bound with no recount.
 
 A chain (low, mid, top) is read in one pass over its columns,
-``chain_columns``: the rows of the strip top \\ mid, the caps of
-condition (iv) (the boxes of mid \\ low per row, which are also the
-1-boxes of its objects), the forced subscripts (iii) and the empty
-columns.  It is the only reading of a chain: the subscript enumerator
-``_level_subscripts`` is a plain function of it, and the Hall memo
-``hall._level_terms`` hands one pass to both that enumerator and the
-2-restriction count in ``s2cat``; ``validate_klein`` and the
-embeddings' subscript chain (a strip's rows, as the chain
-(prev, prev, cur)) read it too.  The subscripts of entry ell come from
-``itertools``: each row m draws its free ones by
-``combinations_with_replacement`` over the cap rows below m and appends
-its forced m-1's, and a choice grows row by row only while it uses each
-r at most as often as strip ell-1 has boxes in row r (iv).  Rows are
-counted in plain dicts filled per box, so a strip high up a tall diagram
-costs its columns and boxes, not its height.  A direct sum of any number
-of tableaux merges all chains and symbols in one step.
+``chain_columns``, shared by every reader of a chain: the subscript
+enumerator ``_level_subscripts``, the Hall memo ``hall._level_terms``,
+``validate_klein`` and the embeddings' subscript chain.  Rows are counted
+in plain dicts filled per box, so a strip high up a tall diagram costs
+its columns and boxes, not its height.  A direct sum of any number of
+tableaux merges all chains and symbols in one step.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from itertools import accumulate, combinations_with_replacement, product, zip_lo
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .caps import general_cap
-from .errors import CapExceeded, RangeError
+from .errors import CapExceeded, NoRefinement, RangeError
 from .partitions import (
     Partition,
     conjugate,
@@ -71,13 +63,13 @@ Cell = tuple[int, int]  # (entry, row)
 
 @dataclass(frozen=True, slots=True)
 class LRTableau:
-    """Chain of partitions [g0, ..., ge]; entry ell fills g_ell \\ g_{ell-1}."""
+    """Chain of partitions [g0, ..., ge]; entry ell fills g_ell \\ g_{ell-1}.
+    The constructor refuses any other chain (``_refuse``)."""
 
     gammas: tuple[Partition, ...]
 
     def __post_init__(self):
-        if not self.gammas:
-            raise ValueError("an LR tableau needs at least one partition")
+        _refuse(self.gammas, validate_lr(self.gammas)[1], NoRefinement, "an LR")
 
     @property
     def e(self) -> int:
@@ -108,10 +100,15 @@ class KleinTableau(LRTableau):
 
     ``levels[ell-2]`` holds the cells ((row, subs), ...) of entry ell,
     for ell = 2..e, sorted by row, with subs a weakly increasing tuple;
-    empty cells are omitted, and an empty strip's level is ().
+    empty cells are omitted, and an empty strip's level is ().  The
+    constructor, and so ``make`` and both readers, refuses any other data
+    (``_refuse``).
     """
 
     levels: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
+
+    def __post_init__(self):
+        _refuse(self.gammas, validate_klein(self)[1], ValueError, "a Klein")
 
     @classmethod
     def make(
@@ -119,21 +116,10 @@ class KleinTableau(LRTableau):
         gammas: Sequence[Sequence[int]],
         subscripts: Mapping[Cell, Iterable[int]] | None = None,
     ) -> "KleinTableau":
-        """Group (entry, row) cells into levels; ValueError on an entry outside 2..e."""
+        """The tableau of any part sequences and (entry, row) cells: the
+        cells grouped into levels (``_levels``), then the constructor's check."""
         gs = tuple(partition(g) for g in gammas)
-        if not gs:
-            return cls(gs)  # the empty chain's own error, before any entry range
-        e = len(gs) - 1
-        levels: list[list] = [[] for _ in range(e - 1)]
-        for (entry, row), subs in (subscripts or {}).items():
-            subs = tuple(sorted(int(r) for r in subs))
-            if not subs:
-                continue
-            entry = int(entry)
-            if not 2 <= entry <= e:
-                raise ValueError(f"subscript cell for entry {entry} outside 2..{e}")
-            levels[entry - 2].append((int(row), subs))
-        return cls(gs, tuple(tuple(sorted(level)) for level in levels))
+        return cls(gs, _levels(gs, subscripts or {}))
 
     def cells(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """The flat view: (entry, row, subs) per cell, by entry and row."""
@@ -166,12 +152,12 @@ class KleinTableau(LRTableau):
         """Inverse of ``to_json``; ValueError on any malformed field."""
         with json_record("tableau"):
             gammas = [json_typed(g, list, int) for g in json_typed(data["gammas"], list)]
-            subs = _cells(
+            cells = (
                 ((json_typed(item["entry"], int), json_typed(item["row"], int)),
                  json_typed(item["subs"], list, int))
                 for item in json_typed(data.get("subscripts", []), list)
             )
-            return _readable(cls.make(gammas, subs))
+            return _read(cls, gammas, cells)
 
     def to_text(self) -> str:
         """The LR chain's text, then ';entry@row:r1+r2,...'."""
@@ -191,7 +177,49 @@ class KleinTableau(LRTableau):
             cell, _, values = chunk.partition(":")
             ell, _, m = cell.partition("@")
             cells.append(((read_int(ell), read_int(m)), list(map(read_int, values.split("+")))))
-        return _readable(cls.make(gammas, _cells(cells)))
+        return _read(cls, gammas, cells)
+
+
+def _refuse(gammas, reason: str | None, error: type[Exception], what: str) -> None:
+    """The constructors' check: an empty chain as such, then ``error("not
+    <what> tableau: <reason>")`` on the validator's reason, or on gammas
+    that are not ``partition``'s canonical tuples, the chains' memo keys."""
+    if not gammas:
+        raise ValueError("an LR tableau needs at least one partition")
+    if reason is None and gammas != tuple(map(partition, gammas)):
+        reason = "gammas are not a tuple of canonical partitions"
+    if reason is not None:
+        raise error(f"not {what} tableau: {reason}")
+
+
+def _unchecked(gammas: tuple[Partition, ...], levels=None) -> LRTableau:
+    """An LRTableau, or with levels a KleinTableau, built with no check:
+    the one path around ``_refuse``, for code that builds only valid
+    tableaux, so that validation stays off its hot paths."""
+    tab = object.__new__(LRTableau if levels is None else KleinTableau)
+    object.__setattr__(tab, "gammas", gammas)
+    if levels is not None:
+        object.__setattr__(tab, "levels", levels)
+    return tab
+
+
+def _levels(gs: tuple[Partition, ...], subscripts: Mapping[Cell, Iterable[int]]) -> tuple:
+    """(entry, row) cells as one sorted level per entry 2..e, empty cells
+    dropped; ValueError on an entry outside 2..e, except on the empty
+    chain, which the constructor refuses as such."""
+    if not gs:
+        return ()
+    e = len(gs) - 1
+    levels: list[list] = [[] for _ in range(e - 1)]
+    for (entry, row), subs in subscripts.items():
+        subs = tuple(sorted(int(r) for r in subs))
+        if not subs:
+            continue
+        entry = int(entry)
+        if not 2 <= entry <= e:
+            raise ValueError(f"subscript cell for entry {entry} outside 2..{e}")
+        levels[entry - 2].append((int(row), subs))
+    return tuple(tuple(sorted(level)) for level in levels)
 
 
 def check_diagram_size(boxes: int) -> None:
@@ -201,26 +229,23 @@ def check_diagram_size(boxes: int) -> None:
         raise CapExceeded(f"diagram of {boxes} boxes exceeds cap {cap}")
 
 
-def _readable(tab: KleinTableau) -> KleinTableau:
-    """tab, as the two readers accept it: CapExceeded when its top
-    partition has more boxes than the general cap, as an object's diagram
-    would, and ValueError when its top strip is empty (e >= 1), since that
-    chain is the tableau of no embedding and decodes as the chain below
-    it (``restrict`` pads on purpose)."""
-    check_diagram_size(sum(tab.beta))
-    if tab.e and tab.gammas[-1] == tab.gammas[-2]:
-        raise ValueError(f"empty top strip: entry {tab.e} has no box")
-    return tab
-
-
-def _cells(items: Iterable[tuple[Cell, list[int]]]) -> dict[Cell, list[int]]:
-    """Subscripts per (entry, row) cell; ValueError when a cell repeats."""
+def _read(cls, gammas, items: Iterable[tuple[Cell, list[int]]]) -> KleinTableau:
+    """The readers' tableau, refused in this order: a repeated cell, a part
+    or a cell's entry range, CapExceeded when the top partition has more
+    boxes than the general cap, an empty top strip (the tableau of no
+    embedding, decoding as the chain below it), then ``_refuse``."""
     cells: dict[Cell, list[int]] = {}
     for (ell, m), subs in items:
         if (ell, m) in cells:
             raise ValueError(f"cell ({ell},{m}) is given twice")
         cells[ell, m] = subs
-    return cells
+    gs = tuple(partition(g) for g in gammas)
+    levels = _levels(gs, cells)
+    if gs:
+        check_diagram_size(sum(gs[-1]))
+        if len(gs) > 1 and gs[-1] == gs[-2]:
+            raise ValueError(f"empty top strip: entry {len(gs) - 1} has no box")
+    return cls(gs, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +329,29 @@ def chain_columns(
 
 
 def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
-    """Check conditions (i)-(iv) on top of LR validity."""
+    """Check conditions (i)-(iv) on top of LR validity, and the form of
+    the levels that ``KleinTableau`` documents, which ``make`` gives and
+    a tableau built unchecked may lack."""
     ok, reason = validate_lr(tab.gammas)
     if not ok:
         return False, reason
     gs = tuple(partition(g) for g in tab.gammas)
     e = len(gs) - 1
-    # make gives one level per entry 2..e; a tableau built directly may not
     if len(tab.levels) != max(e - 1, 0):
         return False, f"{len(tab.levels)} subscript levels for entries 2..{e}"
-    declared = {(ell, m): subs for ell, m, subs in tab.cells()}
-    for (ell, m), subs in declared.items():
-        if any(subs[i] > subs[i + 1] for i in range(len(subs) - 1)):
-            return False, f"cell ({ell},{m}) subscripts not weakly increasing"
-    for ell in range(2, e + 1):
+    for ell, level in enumerate(tab.levels, 2):
+        rows = [m for m, subs in level if subs]
+        if len(rows) < len(level) or any(a >= b for a, b in zip(rows, rows[1:])):
+            return False, f"level {ell} is not one nonempty cell per row, rows increasing"
+        for m, subs in level:
+            if any(a > b for a, b in zip(subs, subs[1:])):
+                return False, f"cell ({ell},{m}) subscripts not weakly increasing"
+    for ell, level in enumerate(tab.levels, 2):
         counts, caps, forced, _ = chain_columns(*gs[ell - 2 : ell + 1])
+        declared = dict(level)
         usage: Counter[int] = Counter()
-        rows = set(counts) | {m for (l2, m) in declared if l2 == ell}
-        for m in sorted(rows):
-            subs = declared.get((ell, m), ())
+        for m in sorted(set(counts) | set(declared)):
+            subs = declared.get(m, ())
             need = counts.get(m, 0)
             if len(subs) != need:
                 return False, f"cell ({ell},{m}) has {len(subs)} subscripts, needs {need}"
@@ -445,9 +474,7 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     yields them; strip 1 has none below it and at most one box per
     column, so its bound len(beta) never cuts.  A node (g_ell, node
     below) links a chain, flattened once at its leaf (ell = e), so a
-    chain costs O(e).  (The floorless entries-<=2 walk goes down from
-    beta instead, over ``_strips``.)  ``partition`` memoises a tuple of
-    at most 64 parts, in at most 2^14 entries.
+    chain costs O(e).
     """
     beta = partition(beta)
     check_diagram_size(sum(beta))
@@ -467,7 +494,7 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
             continue
         for mu, suffix in _strips_up(node[0], beta, lower, sizes[ell], e - ell - 1):
             stack.append((ell + 1, (mu, node), suffix))
-    return tuple(LRTableau(gs) for gs in sorted(chains))
+    return tuple(_unchecked(gs) for gs in sorted(chains))
 
 
 def _level_subscripts(columns) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -516,7 +543,7 @@ def enumerate_klein_refinements(lr: LRTableau) -> tuple[KleinTableau, ...]:
     """
     gs = lr.gammas
     levels = (_level_subscripts(chain_columns(*chain)) for chain in zip(gs, gs[1:], gs[2:]))
-    return tuple(KleinTableau(gs, combo) for combo in product(*levels))
+    return tuple(_unchecked(gs, combo) for combo in product(*levels))
 
 
 def enumerate_klein(alpha, beta, gamma) -> tuple[KleinTableau, ...]:
@@ -551,7 +578,7 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
             chains.append((mid, beta))
             for a in range(b, len(mid) + 1):
                 chains += ((lam, mid, beta) for lam, _ in _strips(mid, upper, a))
-    out = [tab for gs in chains for tab in enumerate_klein_refinements(LRTableau(gs))]
+    out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)
 
@@ -576,20 +603,22 @@ def restrict(tab: KleinTableau, ell: int, u: int) -> KleinTableau:
         gammas += (tab.gammas[e],)
     # the new entries 2..u are the old shift+2..ell, padded at ell = e+1;
     # u <= 1 keeps none
-    return KleinTableau(gammas, (tab.levels + ((),))[shift : max(ell - 1, shift)])
+    return _unchecked(gammas, (tab.levels + ((),))[shift : max(ell - 1, shift)])
 
 
 def direct_sum_tableau(*tabs: KleinTableau) -> KleinTableau:
     """Tableau of a direct sum of any number of summands: merge the chains
     levelwise and, per (entry, row) cell, the symbol multisets, then
-    normalise once.  The empty sum is the tableau of the zero object."""
+    group them into levels once.  The empty sum is the tableau of the
+    zero object.  The sum of Klein tableaux, which the summands are by
+    construction, is one, so it is built unchecked."""
     e = max((tab.e for tab in tabs), default=0)
-    gammas = [merge(*(tab.gammas[min(ell, tab.e)] for tab in tabs)) for ell in range(e + 1)]
+    gammas = tuple(merge(*(tab.gammas[min(ell, tab.e)] for tab in tabs)) for ell in range(e + 1))
     cells: dict[Cell, list[int]] = {}
     for tab in tabs:
         for entry, m, ss in tab.cells():
             cells.setdefault((entry, m), []).extend(ss)
-    return KleinTableau.make(gammas, cells)
+    return _unchecked(gammas, _levels(gammas, cells))
 
 
 # ---------------------------------------------------------------------------

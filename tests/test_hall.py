@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,6 @@ from hallkit.tableaux import (
     enumerate_klein_refinements,
     enumerate_lr,
     restrict,
-    validate_klein,
 )
 
 
@@ -116,15 +116,23 @@ def test_tall_chain_aut_orders_count_only_the_strip_rows():
 
 def test_levels_outside_their_chain_are_refused():
     # a level that is not one of its chain's subscript choices has no
-    # factor: 1,1/2,1/2,2 fails the lattice property at level 2, whose
-    # strip has no subscript to draw, and 1/2/3;2@3:1 misses the forced
-    # subscript 2 of its box in row 3 (iii)
-    for text in ("1,1/2,1/2,2", "1/2/3;2@3:1"):
-        tab = KleinTableau.from_text(text)
-        assert not validate_klein(tab)[0]
-        for multiplicity in (hall_multiplicity, hall_multiplicity_factored):
-            with pytest.raises(ValueError, match="level 2"):
-                multiplicity(tab)
+    # factor, and no tableau reaches the multiplicity with one: the reader
+    # refuses 1,1/2,1/2,2, which fails the lattice property at level 2,
+    # whose strip has no subscript to draw, and 1/2/3;2@3:1, which misses
+    # the forced subscript 2 of its box in row 3 (iii)
+    for text, reason in [
+        ("1,1/2,1/2,2", "lattice permutation fails at level 2"),
+        ("1/2/3;2@3:1", "cell (2,3) misses forced subscript 2 (iii)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^not a Klein tableau: {re.escape(reason)}$"):
+            KleinTableau.from_text(text)
+
+
+def test_a_type_that_is_no_partition_is_a_value_error():
+    # an int where a partition belongs is refused as bad input, not as a
+    # TypeError from deep inside the walk
+    with pytest.raises(ValueError, match="^parts must be an iterable of integers, not int$"):
+        hall_polynomial(3, 3, 0)
 
 
 def test_breakdown_sums_to_total():
@@ -169,14 +177,13 @@ def test_dominant_refinement_no_refinement():
 
 def test_a_chain_that_is_no_lr_tableau_is_refused_unpriced():
     # a decreasing chain: refused with validate_lr's reason, a ValueError,
-    # before either memo is read
-    chain = LRTableau(((2,), (1,)))
+    # as it is built, so neither memo is read
     memos = (hall._level_terms, hall._strip_aut_order)
     for memo in memos:
         memo.cache_clear()
     for call in (lr_multiplicity, dominant_refinement):
         with pytest.raises(ValueError, match="not an LR tableau: chain not weakly increasing"):
-            call(chain)
+            call(LRTableau(((2,), (1,))))
     assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 

@@ -56,6 +56,14 @@ def test_partition_rejects_bad_input():
                 partition(parts)
 
 
+def test_partition_refuses_a_value_that_is_not_iterable():
+    # a value that is no iterable at all, such as the int a caller passes
+    # for a one-part partition, is a ValueError like any other bad input
+    for value in (3, 0, None, 2.5):
+        with pytest.raises(ValueError, match=f"^parts must be an iterable of integers, not {type(value).__name__}$"):
+            partition(value)
+
+
 def test_partition_reads_a_tuple_once():
     for parts in [(), (3, 2, 0, 0), (4, 4, 1), ("2", 1.0, True, 0)]:
         want = partition(list(parts))

@@ -116,8 +116,10 @@ def test_object_of_tableau_rejects_cells_of_other_entries():
         KleinTableau.make([(), (1,), (2,)], {(2, 2): [1], (5, 2): [1]})
     with pytest.raises(ValueError, match="entry 2 outside 2..1"):
         KleinTableau.make([(), (1,)], {(2, 2): [1]})
+    with pytest.raises(ValueError, match=r"cell \(3,2\) has 1 subscripts, needs 0"):
+        KleinTableau.make([(), (1,), (2,), (2,)], {(2, 2): [1], (3, 2): [1]})
     with pytest.raises(EntryTooLarge):
-        object_of_tableau(KleinTableau.make([(), (1,), (2,), (2,)], {(2, 2): [1], (3, 2): [1]}))
+        object_of_tableau(KleinTableau.make([(), (1,), (2,), (3,)], {(2, 2): [1], (3, 3): [2]}))
     assert object_of_tableau(KleinTableau.make([(), (1,), (2,)], {(2, 2): [1]})) == S2Object.of(
         Picket(2, 2)
     )

@@ -1,13 +1,24 @@
 import random
+import re
 import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallkit import tableaux
-from hallkit.errors import CapExceeded, RangeError
+from hallkit.embeddings import klein_tableau, realize
+from hallkit.errors import CapExceeded, EntryTooLarge, NoRefinement, RangeError
+from hallkit.hall import dominant_refinement, hall_multiplicity, hall_multiplicity_factored, lr_multiplicity
 from hallkit.partitions import conjugate, contains, partitions_of, row_length
-from hallkit.s2cat import enumerate_objects, tableau_of_object
+from hallkit.qforms import QPolynomial
+from hallkit.s2cat import (
+    Bipicket,
+    enumerate_objects,
+    hom_len_tableau,
+    object_of_tableau,
+    tableau_of_object,
+)
 from hallkit.tableaux import (
     KleinTableau,
     LRTableau,
@@ -73,37 +84,47 @@ def test_validate_lr_reasons(gammas, reason):
 CHAIN = [(2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 2)]
 
 
+def _raw(gammas, cells=None):
+    """The tableau that make would build from these fields, unchecked,
+    for tests that hand the validator input it refuses."""
+    gs = tuple(map(tuple, gammas))
+    return tableaux._unchecked(gs, tableaux._levels(gs, cells or {}))
+
+
 @pytest.mark.parametrize(
     "tab, reason",
     [
-        # built directly, a tableau can carry a level past its last entry
-        (KleinTableau(((1,), (2,)), (((2, (1,)),),)), "1 subscript levels for entries 2..1"),
+        # built unchecked, a tableau can carry a level past its last entry
+        (tableaux._unchecked(((1,), (2,)), (((2, (1,)),),)), "1 subscript levels for entries 2..1"),
         (
-            KleinTableau(tuple(CHAIN), (((2, (1,)), (3, (2, 1))), ((4, (2,)),))),
+            tableaux._unchecked(tuple(CHAIN), (((2, (1,)), (3, (2, 1))), ((4, (2,)),))),
             "cell (2,3) subscripts not weakly increasing",
         ),
-        (KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [2]}), "cell (3,4) has 0 subscripts, needs 1"),
+        (_raw(CHAIN, {(2, 2): [1], (2, 3): [2]}), "cell (3,4) has 0 subscripts, needs 1"),
         (
-            KleinTableau.make(CHAIN, {(2, 1): [1], (2, 2): [1], (2, 3): [2], (3, 4): [2]}),
+            _raw(CHAIN, {(2, 1): [1], (2, 2): [1], (2, 3): [2], (3, 4): [2]}),
             "cell (2,1) has 1 subscripts, needs 0",
         ),
         (
-            KleinTableau.make(CHAIN, {(2, 2): [2], (2, 3): [2], (3, 4): [2]}),
+            _raw(CHAIN, {(2, 2): [2], (2, 3): [2], (3, 4): [2]}),
             "cell (2,2) subscript out of range (ii)",
         ),
         (
-            KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [1], (3, 4): [2]}),
+            _raw(CHAIN, {(2, 2): [1], (2, 3): [1], (3, 4): [2]}),
             "cell (2,3) misses forced subscript 2 (iii)",
         ),
         (
-            KleinTableau.make(CHAIN, {(2, 2): [1], (2, 3): [2], (3, 4): [1]}),
+            _raw(CHAIN, {(2, 2): [1], (2, 3): [2], (3, 4): [1]}),
             "too many symbols 3_1 for row 1 (iv)",
         ),
-        (KleinTableau.make([(1,), (2,), (2, 1)]), "lattice permutation fails at level 2"),
+        (_raw([(1,), (2,), (2, 1)]), "lattice permutation fails at level 2"),
     ],
 )
 def test_validate_klein_reasons(tab, reason):
     assert validate_klein(tab) == (False, reason)
+    # the constructor refuses the same fields with the same reason
+    with pytest.raises(ValueError, match=f"^{re.escape('not a Klein tableau: ' + reason)}$"):
+        KleinTableau(tab.gammas, tab.levels)
 
 
 def test_make_refuses_cells_outside_the_entries():
@@ -328,7 +349,7 @@ def _brute_force_refinements(lr):
             if k:
                 options = sorted({tuple(sorted(t)) for t in product(range(1, m), repeat=k)})
                 cells.append([((ell, m), subs) for subs in options])
-    tabs = (KleinTableau.make(gs, dict(combo)) for combo in product(*cells))
+    tabs = (_raw(gs, dict(combo)) for combo in product(*cells))
     return sorted((t for t in tabs if validate_klein(t)[0]), key=lambda t: list(t.cells()))
 
 
@@ -381,7 +402,7 @@ def test_valid_iff_all_two_restrictions_valid():
             (ell, m): [rng.randrange(1, m) for _ in range(cnt)]
             for ell, m, cnt in cells
         }
-        tab = KleinTableau.make(lr.gammas, subs)
+        tab = _raw(lr.gammas, subs)
         whole, _ = validate_klein(tab)
         parts = all(
             validate_klein(restrict(tab, ell, 2))[0] for ell in range(2, tab.e + 1)
@@ -526,3 +547,153 @@ def test_ascii_diagram_is_bounded_by_the_general_cap(monkeypatch):
     monkeypatch.setenv("HALLKIT_CAP", "8")
     with pytest.raises(CapExceeded, match="diagram of 9 boxes exceeds cap 8"):
         ascii_diagram(tab)
+
+
+def test_constructors_refuse_what_the_validators_refuse():
+    # a chain that is no LR tableau, and a level that is no subscript
+    # choice of its chain, are refused where the tableau is built
+    with pytest.raises(NoRefinement, match=r"^not an LR tableau: chain not weakly increasing at level 1$"):
+        LRTableau(((2,), (1,)))
+    for build in (
+        lambda: KleinTableau.from_text("1,1/2,1/2,2"),
+        lambda: KleinTableau.from_json({"gammas": [[1, 1], [2, 1], [2, 2]]}),
+    ):
+        with pytest.raises(ValueError, match=r"^not a Klein tableau: lattice permutation fails at level 2$"):
+            build()
+    with pytest.raises(ValueError, match=r"^not a Klein tableau: cell \(2,3\) misses forced subscript 2 \(iii\)$"):
+        KleinTableau.make([(1,), (2,), (3,)], {(2, 3): [1]})
+    # built directly, levels must have make's form, and gammas must be
+    # partition's canonical tuples
+    for levels in ((((2, (1,)), (2, (1,))),), (((3, (2,)), (2, (1,))),), (((2, ()), (3, (2,))),)):
+        with pytest.raises(ValueError, match="level 2 is not one nonempty cell per row, rows increasing"):
+            KleinTableau(tuple(CHAIN[:3]), levels)
+    for gammas in (((2, 0),), [(2,)], ([2],)):
+        for cls in (LRTableau, KleinTableau):
+            with pytest.raises(ValueError, match="gammas are not a tuple of canonical partitions"):
+                cls(gammas)
+    # an empty chain is refused as such by both
+    for cls in (LRTableau, KleinTableau):
+        with pytest.raises(ValueError, match="^an LR tableau needs at least one partition$"):
+            cls(())
+
+
+def test_readers_refuse_in_order_cap_then_top_strip_then_validity():
+    # 2/1 has no empty top strip and fails validity; 1/1 is valid with an
+    # empty top strip; the over-cap chains also fail one or both
+    with pytest.raises(ValueError, match="^not a Klein tableau: chain not weakly increasing at level 1$"):
+        KleinTableau.from_text("2/1")
+    with pytest.raises(ValueError, match="^empty top strip: entry 1 has no box$"):
+        KleinTableau.from_text("1/1")
+    with pytest.raises(ValueError, match="^empty top strip: entry 2 has no box$"):
+        KleinTableau.from_text("2/1/1")
+    with pytest.raises(CapExceeded):
+        KleinTableau.from_text("99999999999/100000000000")
+    with pytest.raises(CapExceeded):
+        KleinTableau.from_text("2/100000000000")
+    with pytest.raises(CapExceeded):
+        KleinTableau.from_text("100000000000/100000000000")
+
+
+# every LR chain with |beta| <= 5; the test draws those with e >= 2, and
+# chains of any small partitions
+LR_CHAINS = sorted(
+    {
+        lr.gammas
+        for n in range(6)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+        for lr in enumerate_lr(alpha, beta, gamma)
+    }
+)
+small_partitions = st.lists(st.integers(1, 3), max_size=3).map(lambda ps: tuple(sorted(ps, reverse=True)))
+chains = st.one_of(
+    st.sampled_from([gs for gs in LR_CHAINS if len(gs) > 2]),
+    st.lists(small_partitions, min_size=1, max_size=4).map(tuple),
+)
+
+
+@st.composite
+def chains_and_cells(draw):
+    """A chain and (entry, row) cells for entries 2..e: a refinement of an
+    LR chain, as it is or with one cell redrawn, or cells of any small
+    subscripts, in any order."""
+    gs = draw(chains)
+    e = len(gs) - 1
+    if e < 2:
+        return gs, {}
+    cell = st.tuples(st.integers(2, e), st.integers(1, 4))
+    subs = st.lists(st.integers(0, 4), max_size=3)
+    way = draw(st.sampled_from(["refinement", "refinement", "redrawn", "any"]))
+    if gs in LR_CHAINS and way != "any":
+        tab = draw(st.sampled_from(enumerate_klein_refinements(LRTableau(gs))))
+        cells = {(ell, m): list(ss) for ell, m, ss in tab.cells()}
+        if way == "redrawn":
+            cells[draw(cell)] = draw(subs)
+        return gs, cells
+    return gs, draw(st.dictionaries(cell, subs, max_size=3))
+
+
+def _consume(tab):
+    """Call every public function that takes a Klein tableau; each returns
+    or raises only its documented domain error."""
+    hall_multiplicity(tab)
+    hall_multiplicity_factored(tab)
+    hom_len_tableau(tab, Bipicket(4, 2))
+    assert ascii_diagram(tab) and tableau_type(tab)[1] == tab.beta
+    assert validate_klein(direct_sum_tableau(tab, tab)) == (True, None)
+    for ell in range(tab.e + 3):
+        for u in range(ell + 2):
+            try:
+                assert validate_klein(restrict(tab, ell, u)) == (True, None)
+            except RangeError:
+                assert not u <= ell <= tab.e + 1
+    try:
+        obj = object_of_tableau(tab)
+        E = realize(tab, 2)
+    except EntryTooLarge:
+        assert any(g != tab.gammas[2] for g in tab.gammas[3:])
+        return
+    # a tableau whose top strip has a box is the tableau of its object
+    if tab.e == 0 or tab.gammas[-1] != tab.gammas[-2]:
+        assert tableau_of_object(obj) == tab == klein_tableau(E)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(chains_and_cells())
+def test_every_build_is_checked_and_every_built_tableau_is_consumable(drawn):
+    gs, cells = drawn
+    raw = _raw(gs, cells)
+    reason = validate_klein(raw)[1]
+    # the same cells, rows and subscripts reversed, built directly
+    flipped = tableaux._unchecked(
+        gs, tuple(tuple((m, ss[::-1]) for m, ss in level[::-1]) for level in raw.levels)
+    )
+    read = f"empty top strip: entry {raw.e} has no box" if raw.e and gs[-1] == gs[-2] else None
+    builds = [
+        (lambda: KleinTableau(gs, raw.levels), raw, reason),
+        (lambda: KleinTableau(gs, flipped.levels), flipped, validate_klein(flipped)[1]),
+        (lambda: KleinTableau.make(gs, cells), raw, reason),
+        (lambda: KleinTableau.from_text(raw.to_text()), raw, reason),
+        (lambda: KleinTableau.from_json(raw.to_json()), raw, reason),
+    ]
+    for i, (build, want, why) in enumerate(builds):
+        refusal = read if i >= 3 and read else why and f"not a Klein tableau: {why}"
+        if refusal:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == refusal
+        else:
+            assert build() == want
+    lr_reason = validate_lr(gs)[1]
+    if lr_reason:
+        with pytest.raises(NoRefinement) as info:
+            LRTableau(gs)
+        assert str(info.value) == f"not an LR tableau: {lr_reason}"
+    else:
+        lr = LRTableau(gs)
+        assert lr_multiplicity(lr) == sum(map(hall_multiplicity, enumerate_klein_refinements(lr)), QPolynomial.zero())
+        assert dominant_refinement(lr) in enumerate_klein_refinements(lr)
+    if reason is None:
+        _consume(KleinTableau(gs, raw.levels))
