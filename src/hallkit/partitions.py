@@ -26,18 +26,18 @@ def partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of part sizes into a Partition tuple.
 
     Trailing zeros are stripped; anything else that is not weakly
-    decreasing and positive, or not iterable at all, raises ValueError.
-    A hashable tuple of at most 64 parts is read once per process, by a
-    least-recently-used memo of at most 2^14 entries; a longer tuple, a
-    list or a generator is read afresh, and an error is never memoised,
-    so it is raised on every call.
+    decreasing and positive, or not an iterable of parts (a str or bytes
+    too), raises ValueError.  A hashable tuple of at most 64 parts is read
+    once per process, by a least-recently-used memo of at most 2^14
+    entries; a longer tuple, a list or a generator is read afresh, and an
+    error is never memoised, so it is raised on every call.
     """
     if type(parts) is tuple and len(parts) <= 64:  # bounds an entry's bytes
         try:
             return _normalised(parts)
         except TypeError:  # an unhashable part, or one int() refuses
             pass
-    if not hasattr(parts, "__iter__"):
+    if isinstance(parts, (str, bytes)) or not hasattr(parts, "__iter__"):
         raise ValueError(f"parts must be an iterable of integers, not {type(parts).__name__}")
     return _normalised.__wrapped__(parts)
 

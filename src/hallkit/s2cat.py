@@ -74,6 +74,13 @@ def bipicket(m: int, r: int) -> Indecomposable:
     return Bipicket(m, r)
 
 
+def _named(ell: int, m: int, r: int) -> Indecomposable:
+    """The summand (ell, m, r) names, checked by ``Picket`` or ``Bipicket``."""
+    if r and ell != 2:
+        raise ValueError(f"invalid bipicket ({ell},{m},{r}): a bipicket has ell = 2")
+    return Bipicket(m, r) if r else Picket(ell, m)
+
+
 @dataclass(frozen=True)
 class S2Object:
     """Multiset of indecomposables with positive multiplicities."""
@@ -84,17 +91,19 @@ class S2Object:
     def make(
         cls, mults: Mapping[tuple[int, int, int], int] | Iterable[tuple[tuple[int, int, int], int]]
     ) -> "S2Object":
-        """Merge (summand, k) pairs; a plain (ell, m, r) key is named here.
-        Pickets come first, then bipickets, each in tuple order."""
+        """Merge (summand, k) pairs, k an int, naming each key by ``_named``;
+        pickets come first, then bipickets, each in tuple order."""
         items = mults.items() if isinstance(mults, Mapping) else mults
         agg: dict[tuple[int, int, int], int] = {}
         for x, k in items:
+            if type(k) is not int:
+                raise ValueError(f"multiplicity {k!r} is not an int")
             if k < 0:
                 raise ValueError("multiplicities must be >= 0")
             if k:
                 agg[x] = agg.get(x, 0) + k
         ordered = sorted(agg.items(), key=lambda it: (it[0][2] > 0, it[0]))
-        return cls(tuple((Indecomposable._make(x), k) for x, k in ordered))
+        return cls(tuple((_named(*x), k) for x, k in ordered))
 
     @classmethod
     def of(cls, *indecs: Indecomposable) -> "S2Object":

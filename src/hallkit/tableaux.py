@@ -16,14 +16,14 @@ that builds only valid tableaux (the enumerators, restriction, direct
 sums, the bijection, the embeddings' fold and the census) goes through
 the one unchecked builder, ``_unchecked``, off the validators.
 
-Every enumeration walks one horizontal strip at a time, column by
-column from the last, and cuts a branch at the first column where the
-lattice property fails (``validate_lr`` compares the same suffix counts,
-``_suffix_counts``) or where the chain can no longer reach its ends:
-``enumerate_lr`` climbs a typed chain up from gamma to beta by
-``_strips_up``, and ``enumerate_klein_entries2``, with no floor, goes
-down from beta by ``_strips``.  Each strip comes with its own suffix
-counts, so the next strip reads its bound with no recount.
+Every enumeration climbs one horizontal strip at a time up to beta by
+the one strip walker ``_strips_up``, column by column from the last, and
+cuts a branch at the first column where the lattice property fails
+(``validate_lr`` compares the same suffix counts, ``_suffix_counts``) or
+where the chain can no longer reach beta: ``enumerate_lr`` climbs from
+gamma, ``enumerate_klein_entries2`` from each bottom.  Each strip comes
+with its own suffix counts, so the next strip reads its bound with no
+recount.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``, shared by every reader of a chain: the subscript
@@ -377,39 +377,6 @@ def _unlink(node) -> Iterator:
         yield item
 
 
-def _strips(
-    mu: Partition, upper: Sequence[int], size: int
-) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-    """Each (lam, suffix) such that mu \\ lam is a horizontal strip of
-    size boxes, at most one per column, with suffix counts at least
-    ``upper``, the strip above's (zeros at the top).  ``suffix`` is the
-    strip's own, ``_suffix_counts(mu, lam)``, which the strip below reads
-    as its upper.  Only the floorless entries-<=2 walk goes down.
-
-    The fixed columns are a linked node (lam_i, s_i, node of column i+1)
-    on a (0, 0, None) sentinel, s_i being the strip's boxes in columns
-    >= i.  A frame holds the node of its columns >= i and the boxes left
-    to drop, and is cut when the boxes left overflow the i columns left
-    or when s_i < upper[i] (lattice).  A leaf's node is flattened in one
-    loop into lam and suffix, so a strip over n columns costs O(n).
-    """
-    stack = [(len(mu), size, (0, 0, None))]
-    while stack:
-        i, remaining, fixed = stack.pop()
-        s = fixed[1]
-        if remaining > i or s < upper[i]:
-            continue
-        if not i:
-            yield _flatten(fixed)
-            continue
-        i -= 1
-        v = mu[i]
-        stack.append((i, remaining, (v, s, fixed)))
-        # dropping column i must leave lam weakly decreasing
-        if remaining and fixed[0] < v:
-            stack.append((i, remaining - 1, (v - 1, s + 1, fixed)))
-
-
 def _strips_up(
     lam: Partition, top: Partition, lower: Sequence[int], size: int, above: int
 ) -> Iterator[tuple[Partition, tuple[int, ...]]]:
@@ -559,25 +526,34 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     """All Klein tableaux with the given top partition and entries <= 2.
 
     These are canonical chains: the top strip is nonempty unless e = 0.
-    Each strip of b boxes under beta is walked once, with no floor, as the
-    chain (mid, beta) and as the top of every (lam, mid, beta) whose
-    bottom strip has a >= b boxes (lattice) and reads the suffix counts
-    that ``_strips`` yields with mid.
-    The result is memoised per beta, since the bijection, orbit and
-    realization checks each ask for every beta up to |beta| 10 to 12.
+    Each bottom gamma, listed column by column at most two boxes below
+    beta, d boxes short of it, is (beta,) when d = 0, (gamma, beta) when
+    beta \\ gamma is a horizontal strip, and the bottom of each (gamma,
+    mid, beta) that ``_strips_up`` climbs with a boxes, d/2 <= a < d
+    (lattice), and one strip above, whose cuts leave beta \\ mid a strip
+    within the lattice bound.  The result is memoised per beta, since the
+    bijection, orbit and realization checks each ask for every beta up to
+    |beta| 10 to 12.
     """
     return _entries2(partition(beta))
 
 
 @lru_cache(maxsize=1 << 9)
 def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
-    zeros = (0,) * (len(beta) + 1)
-    chains = [(beta,)]
-    for b in range(1, len(beta) + 1):
-        for mid, upper in _strips(beta, zeros, b):
-            chains.append((mid, beta))
-            for a in range(b, len(mid) + 1):
-                chains += ((lam, mid, beta) for lam, _ in _strips(mid, upper, a))
+    free = (len(beta),) * (len(beta) + 1)
+    # the bottoms, behind a sentinel column beta_1 high
+    bottoms = [beta[:1]]
+    for b in beta:
+        bottoms = [g + (c,) for g in bottoms for c in range(max(b - 2, 0), min(b, g[-1]) + 1)]
+    chains = []
+    for gamma in (partition(g[1:]) for g in bottoms):
+        d = sum(beta) - sum(gamma)
+        if not d:
+            chains.append((beta,))
+        elif is_horizontal_strip(beta, gamma):
+            chains.append((gamma, beta))
+        for a in range((d + 1) // 2, d):
+            chains += ((gamma, mid, beta) for mid, _ in _strips_up(gamma, beta, free, a, 1))
     out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

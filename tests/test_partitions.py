@@ -3,6 +3,7 @@ from itertools import product, zip_longest
 import pytest
 from hypothesis import given, strategies as st
 
+from hallkit.hall import hall_polynomial
 from hallkit.partitions import (
     _normalised,
     conjugate,
@@ -58,10 +59,13 @@ def test_partition_rejects_bad_input():
 
 def test_partition_refuses_a_value_that_is_not_iterable():
     # a value that is no iterable at all, such as the int a caller passes
-    # for a one-part partition, is a ValueError like any other bad input
-    for value in (3, 0, None, 2.5):
+    # for a one-part partition, is a ValueError like any other bad input;
+    # so is text, which would be read as its characters, '10' as (1,)
+    for value in (3, 0, None, 2.5, "10", b"10", ""):
         with pytest.raises(ValueError, match=f"^parts must be an iterable of integers, not {type(value).__name__}$"):
             partition(value)
+    with pytest.raises(ValueError, match="^parts must be an iterable of integers, not str$"):
+        hall_polynomial("10", "10", "")
 
 
 def test_partition_reads_a_tuple_once():

@@ -50,6 +50,27 @@ def test_a_summand_is_its_tuple():
     assert obj.to_text() == "2*P(1,3) + P(2,5) + T(4,2)"
 
 
+def test_make_names_every_summand_through_its_constructor():
+    # a key that is not a picket or bipicket, or a multiplicity that is
+    # not an int, is refused on every path through make, so no object
+    # holds a summand whose tableau is not a Klein tableau
+    for mults, message in [
+        ({(3, 4, 0): 1}, r"^invalid picket P_3\^4$"),
+        ({(2, 4, 3): 1}, r"^invalid bipicket T\(4,3\)$"),
+        ({(0, 0, 0): 1}, r"^invalid picket P_0\^0$"),
+        ({(1, 5, 2): 1}, r"^invalid bipicket \(1,5,2\): a bipicket has ell = 2$"),
+        ({(1, 2, 0): 1.5}, r"^multiplicity 1.5 is not an int$"),
+        ({(1, 2, 0): True}, r"^multiplicity True is not an int$"),
+        ({(1, 2, 0): -1}, r"^multiplicities must be >= 0$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            S2Object.make(mults)
+    with pytest.raises(ValueError, match=r"^invalid picket P_3\^4$"):
+        S2Object.of(Indecomposable(3, 4, 0))
+    # a zero multiplicity names no summand
+    assert S2Object.make({(1, 2, 0): 0, (2, 4, 2): 1}) == S2Object.of(T42)
+
+
 def test_zero_picket_is_refused():
     # P(0,0) is the zero module, not an indecomposable
     with pytest.raises(ValueError, match=r"^invalid picket P_0\^0$"):
