@@ -29,7 +29,7 @@ through one bounded ``lru_cache`` keyed on the tuple of layer orders and
 p: the census of every beta with |beta| <= 7 at p = 2 reads 1,224
 types but only 44 distinct order vectors, so almost every reading is a
 lookup, and a miss still validates its partition.  The cached types are
-canonical tuples, so ``klein_tableau`` builds its tableau from them and
+canonical tuples, so ``_on_top`` builds each tableau from them and
 from the levels of subscript runs it appends in increasing r, unchecked
 (``tableaux._unchecked``): the tableau of an embedding is a Klein
 tableau, and the constructors' check is for outside input.
@@ -50,21 +50,13 @@ them (``_peel``), so no coordinate table of B is built.  At ell = 0 the
 quotient is B/A and every generator of A maps to 0, so no basis is
 built.
 
-A Klein tableau is a fold up the p-chain.  Level ell of A <= B reads
-only p^{ell-2} A, p^ell A and the layers p^r B, so it is level ell - 1
-of pA <= B, and the types of B/p^i A, i >= 1, are the gammas of pA:
-each step puts the type of B/U in front of the gammas of pU's tableau
-and, when pU is nonzero, the entry-2 level of U in front of its levels,
-from (beta,) for the zero subgroup up to A.  The two read different
-data.  The type reads |U| and U & pB, since p^i B & U =
-p^i B & (U & pB) for i >= 1 (``quotient_type`` with ``order``); the
-level (``_link``) reads U & pB, p^2 U and the types g^1 = type(B/pU)
-and g^2 = type(B/p^2 U), and not |U|.  Each caller hands the tableau
+A Klein tableau is a fold up the p-chain, from (beta,) for the zero
+subgroup up to A, and one function, ``_on_top``, is its step: it puts
+the tableau of U on top of that of pU.  Each caller hands the tableau
 below down: an embedding keeps the tableaux of its own p-chain, which
 its reductions share (their chains are tails of it with the same
 bottom), and the oracle's census puts each subgroup on the tableau of
-its parent pA in the tree it walks, with one level per (U & pB, p^2 U,
-g^1) and one type per (|U|, U & pB).  The ambient holds no tableau.
+its parent pA in the tree it walks.  The ambient holds no tableau.
 In a link's r-loop the sum X_r = p^2 U + pY is ``span(amb, p2U, pY)``,
 which is pY itself, with no coset built, when pY holds p^2 U.
 
@@ -285,19 +277,21 @@ def _preimage(ambient: AmbientModule, radical: SubgroupSet) -> SubgroupSet:
     return frozenset({r + k for r in map(ambient.divp, radical) for k in socle})
 
 
+def _log(order: int, p: int) -> int:
+    """The d with p^d = order, for a power of p, in exact integers."""
+    d = 0
+    while order > 1:
+        order //= p
+        d += 1
+    return d
+
+
 @lru_cache(maxsize=1 << 14)
 def _layer_type(orders: tuple[int, ...], p: int) -> Partition:
     """Type of a module M from the orders |p^i M|, i = 0, 1, ..., ending
     at 1: p^{i-1}M / p^i M has order p^d with d the number of parts >= i.
     Memoised on (orders, p); see the module docstring."""
-    dims = []
-    for big, small in zip(orders, orders[1:]):
-        ratio, d = big // small, 0
-        while ratio > 1:
-            ratio //= p
-            d += 1
-        dims.append(d)
-    return conjugate(partition(dims))
+    return conjugate(partition([_log(big // small, p) for big, small in zip(orders, orders[1:])]))
 
 
 def quotient_type(ambient: AmbientModule, X: SubgroupSet, order: int | None = None) -> Partition:
@@ -488,9 +482,7 @@ def _link(
     Its chain of types of B / X_r, with X_r = p^2 U + p(U & p^r B), over
     r = 1..n-1, n the exponent of B, grows from g1 to g2; the boxes
     appearing at step r get subscript r.  U enters only through U & pB,
-    since U & p^r B = (U & pB) & p^r B for r >= 1, and g2 is fixed by
-    p2U, so the level is a function of (U & pB, p^2 U, g1), the key of
-    the census's level memo (``oracle._count_subtree``).
+    since U & p^r B = (U & pB) & p^r B for r >= 1 (see ``_on_top``).
     """
     subs: dict[int, list[int]] = {}
     Y, prev_Y, prev_type = UpB, None, g1
@@ -514,28 +506,53 @@ def _link(
     return tuple(sorted((m, tuple(rs)) for m, rs in subs.items()))
 
 
+def _on_top(
+    amb: AmbientModule, below: KleinTableau, order: int, UpB: SubgroupSet, p2U: SubgroupSet, memo: dict
+) -> KleinTableau:
+    """The Klein tableau of U <= B, from ``below``, that of pU, with
+    order = |U|, UpB = U & pB and p2U = p^2 U: the one step of every
+    tableau fold.  Level ell of U reads only p^{ell-2} U, p^ell U and the
+    layers p^r B, so it is level ell - 1 of pU, and the types of B/p^i U,
+    i >= 1, are the gammas of pU.  So the step puts type(B/U) in front of
+    below's gammas and, when pU is nonzero, U's entry-2 level (``_link``)
+    in front of its levels.  The type reads |U| and U & pB, since
+    p^i B & U = p^i B & (U & pB) for i >= 1 (``quotient_type`` with
+    ``order``); the level reads U & pB, p^2 U and the first two gammas of
+    pU, g^1 = type(B/pU) and g^2 = type(B/p^2 U), which p^2 U fixes.
+    ``memo``, a dict the caller owns, keeps each level on
+    (U & pB, p^2 U, g^1) and each type on (|U|, U & pB): ``klein_tableau``
+    passes a fresh one, and the census one per call, across which both
+    repeat.  The gammas are canonical and each level's cells get their
+    subscripts in increasing r, so the tableau is built unchecked.
+    """
+    levels = below.levels
+    if below.e:  # pU is nonzero
+        key = (UpB, p2U, below.base)
+        level = memo.get(key)
+        if level is None:
+            level = memo[key] = _link(amb, UpB, p2U, *below.gammas[:2])
+        levels = (level,) + levels
+    key = (order, UpB)
+    gamma = memo.get(key)
+    if gamma is None:
+        gamma = memo[key] = quotient_type(amb, UpB, order)
+    return _unchecked((gamma,) + below.gammas, levels)
+
+
 def klein_tableau(E: Embedding) -> KleinTableau:
     """Subscripted tableau of an embedding, folded up its p-chain from
-    (beta,) for the zero subgroup: each step puts type(B/U), read from
-    |U| and U & pB, in front of the gammas of pU's tableau and, when pU
-    is nonzero, U's entry-2 level (``_link``) in front of its levels.
-    The tableaux are kept bottom-up in ``E._tabs``, the list a reduction
-    shares, so each step is built once for an embedding and all its
-    reductions.  The gammas are canonical and each level's cells get
-    their subscripts appended in increasing r, so the tableau is built
-    unchecked, with no pass through the constructors' check.
+    (beta,) for the zero subgroup by ``_on_top``.  The tableaux are kept
+    bottom-up in ``E._tabs``, the list a reduction shares, so each step
+    is built once for an embedding and all its reductions.
     """
     amb, tabs, chain = E.ambient, E._tabs, E.chain()
     if not tabs:
         tabs.append(_unchecked((amb.beta,), ()))
     chain = chain + chain[-1:]  # p^{e+1} A = 0 too
-    pB = amb.p_power_set(1)
+    pB, memo = amb.p_power_set(1), {}
     for j in range(len(chain) - 2 - len(tabs), -1, -1):
-        U, below = chain[j], tabs[-1]
-        UpB, levels = U & pB, below.levels
-        if below.e:  # pU is nonzero
-            levels = (_link(amb, UpB, chain[j + 2], *below.gammas[:2]),) + levels
-        tabs.append(_unchecked((quotient_type(amb, UpB, len(U)),) + below.gammas, levels))
+        U = chain[j]
+        tabs.append(_on_top(amb, tabs[-1], len(U), U & pB, chain[j + 2], memo))
     return tabs[len(chain) - 2]
 
 

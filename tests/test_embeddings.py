@@ -589,8 +589,9 @@ def test_inherited_chains_match_recomputed():
 
 
 def test_reductions_read_the_links_of_their_parent(monkeypatch):
-    # E's fold stores the tableau of each p^s A, s >= 1, on the ambient, so
-    # the tableau of reduce(E, s) is a lookup, and a restriction of E's
+    # E's fold keeps the tableau of each p^s A, s >= 1, on the embedding
+    # (``_tabs``, which its reductions share), so the tableau of
+    # reduce(E, s) is a lookup, and a restriction of E's
     calls = []
 
     def counted(*args):

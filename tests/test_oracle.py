@@ -199,9 +199,10 @@ def test_census_links_each_key_once(monkeypatch):
     # a child A of C outside pB is a leaf: it gets no call of its own.
     # The children with A & pB = X share their entry-2 level, whose body
     # runs once per key (X, pC, type(B/C)) of a census, and the census
-    # reads the type of B/A once per key (|A|, X)
+    # reads the type of B/A once per key (|A|, X); ``_link``'s own type
+    # reads pass no order and are not counted
     entered, levels, types = [], Counter(), Counter()
-    step, link, quotient = oracle._count_subtree, oracle._link, oracle.quotient_type
+    step, link, quotient = oracle._count_subtree, emb._link, emb.quotient_type
 
     def count_subtree(amb, C, *args):
         entered.append(C)
@@ -211,13 +212,14 @@ def test_census_links_each_key_once(monkeypatch):
         levels[ApB, pC, g1] += 1
         return link(amb, ApB, pC, g1, g2)
 
-    def counted_type(amb, ApB, order):
-        types[order, ApB] += 1
+    def counted_type(amb, ApB, order=None):
+        if order is not None:
+            types[order, ApB] += 1
         return quotient(amb, ApB, order)
 
     monkeypatch.setattr(oracle, "_count_subtree", count_subtree)
-    monkeypatch.setattr(oracle, "_link", counted_link)
-    monkeypatch.setattr(oracle, "quotient_type", counted_type)
+    monkeypatch.setattr(emb, "_link", counted_link)
+    monkeypatch.setattr(emb, "quotient_type", counted_type)
     monkeypatch.setattr(oracle, "_censuses", {})
     nodes = links = typed = subgroups = 0
     for n in range(8):
@@ -237,6 +239,27 @@ def test_census_links_each_key_once(monkeypatch):
     # the work of the benchmark's census pass: 272 nodes, 393 level bodies
     # and 649 types for its 6,590 subgroups
     assert (nodes, links, typed, subgroups) == (272, 393, 649, 6590)
+
+
+def test_tableau_folds_share_one_step(monkeypatch):
+    # the fold of an embedding takes one step per link of its p-chain, and
+    # every tableau of a census but the zero subgroup's comes out of a step
+    out = []
+    step = emb._on_top
+
+    def counted(*args):
+        out.append(step(*args))
+        return out[-1]
+
+    monkeypatch.setattr(emb, "_on_top", counted)
+    monkeypatch.setattr(oracle, "_on_top", counted)
+    E = emb.random_embedding(3, (4, 2, 1), 2, seed=5)
+    assert emb.klein_tableau(E) == out[-1] and len(out) == E.exponent > 1
+    out.clear()
+    monkeypatch.setattr(oracle, "_censuses", {})
+    tableaux = oracle.census(2, (3, 2, 1)).tableaux
+    zero = emb.klein_tableau(emb.Embedding(emb.AmbientModule.get(2, (3, 2, 1)), gens=()))
+    assert set(tableaux) - set(out) == {zero} and set(out) <= set(tableaux)
 
 
 def test_census_tree_is_walked_lazily(monkeypatch):

@@ -3,11 +3,13 @@
     python3 tools/pairs.py --workload hall_sweep --against HEAD~1 --pairs 10
 
 The revision is extracted with ``git archive`` into a temporary
-directory, and both trees are byte-compiled first (``python -m
+directory, and the change is a copy, made at the start, of this
+checkout's tracked and untracked-unignored files as they stand,
+uncommitted edits included; so an edit made during the run reaches
+neither side.  Both copies are byte-compiled first (``python -m
 compileall -q src perfbench``), so no pass pays for compiling.  Each
-pair runs ``perfbench/run.py`` once in each tree, one run at a time;
-the side that runs first alternates from pair to pair.  The change is
-this checkout as it stands, uncommitted edits included.
+pair runs ``perfbench/run.py`` once in each copy, one run at a time;
+the side that runs first alternates from pair to pair.
 
 The result goes to ``BENCH_<workload>.json`` at the root of the
 checkout (or to ``--out``): for each end-to-end metric of
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +51,15 @@ def extract(rev: str, dest: Path) -> str:
     if archive.wait():
         raise RuntimeError(f"git archive {sha} failed")
     return sha
+
+
+def snapshot(dest: Path) -> None:
+    """Copy this checkout's tracked and untracked-unignored files, as they
+    stand, into dest."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if (ROOT / name).is_file():  # a tracked file may be deleted; "" ends the list
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def compile_tree(tree: Path) -> None:
@@ -94,9 +106,11 @@ def main() -> int:
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        parent_tree = Path(tmp) / "parent"
-        parent_sha = extract(args.against, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        edits = bool(git("status", "--porcelain"))
+        change = {"sha": git("rev-parse", "HEAD"), "uncommitted_edits": edits}
+        snapshot(trees["change"])
+        parent_sha = extract(args.against, trees["parent"])
         for tree in trees.values():
             compile_tree(tree)
         for i in range(args.pairs):
@@ -128,7 +142,7 @@ def main() -> int:
         "max_ops": args.max_ops or None,
         "pairs": args.pairs,
         "parent": {"rev": args.against, "sha": parent_sha},
-        "change": {"sha": git("rev-parse", "HEAD"), "uncommitted_edits": bool(git("status", "--porcelain"))},
+        "change": change,
         "python": platform.python_version(),
         "correct": correct,
         "metrics": metrics,
