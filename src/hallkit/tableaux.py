@@ -17,13 +17,16 @@ sums, the bijection, the embeddings' fold and the census) goes through
 the one unchecked builder, ``_unchecked``, off the validators.
 
 Every enumeration climbs one horizontal strip at a time up to beta by
-the one strip walker ``_strips_up``, column by column from the last, and
-cuts a branch at the first column where the lattice property fails
-(``validate_lr`` compares the same suffix counts, ``_suffix_counts``) or
-where the chain can no longer reach beta: ``enumerate_lr`` climbs from
-gamma, ``enumerate_klein_entries2`` from each bottom.  Each strip comes
-with its own suffix counts, so the next strip reads its bound with no
-recount.
+the one strip walker ``_strips_up``, column by column from the last,
+which cuts a branch where the chain can no longer reach beta and yields
+each strip with its own suffix counts (``_suffix_counts``, which
+``validate_lr`` compares).  ``enumerate_lr`` reads its chains from one
+table of climb states per beta (``_climb``): the LR walk is Markov, so a
+state (alpha with its climbed columns removed, g) is walked once,
+whatever type climbs through it, and keeps a child's group of chains
+only when that group's first strip has suffix counts at most its own
+strip's (the lattice test, once per group).  ``enumerate_klein_entries2``
+climbs from each bottom whose columns can serve a strip of the size.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``, shared by every reader of a chain: the subscript
@@ -40,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product, zip_longest
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .caps import general_cap
@@ -370,49 +374,43 @@ def validate_klein(tab: KleinTableau) -> tuple[bool, str | None]:
 # enumeration
 
 
-def _unlink(node) -> Iterator:
-    """The items of a linked node (item, next node or None), in order."""
-    while node:
-        item, node = node
-        yield item
-
-
 def _strips_up(
-    lam: Partition, top: Partition, lower: Sequence[int], size: int, above: int
+    lam: Partition, top: Partition, size: int, above: int
 ) -> Iterator[tuple[Partition, tuple[int, ...]]]:
     """Each (mu, suffix) such that mu \\ lam is a horizontal strip of
-    size boxes inside top, with suffix counts at most ``lower``, the strip
-    below's, that the ``above`` strips still to come can fill up to top.
-    ``suffix`` is the strip's own, ``_suffix_counts(mu, lam)`` padded to
-    len(top) + 1 entries, which the strip above reads as its lower.
+    size boxes inside top that the ``above`` strips still to come can
+    fill up to top.  ``suffix`` is the strip's own, ``_suffix_counts(mu,
+    lam)`` padded to len(top) + 1 entries, which the strip above is
+    bounded by (the lattice test, made by the caller).
 
     The fixed columns are a linked node (mu_i, s_i, node of column i+1)
     on a (0, 0, None) sentinel, filled from the last column of top.  A
     frame holds the node of its columns >= i, the boxes left to add and
-    room, the boxes still missing from top there, and is cut when the
-    boxes left overflow the i columns left, when s_i > lower[i]
-    (lattice) or when room > above * s_i (each strip above has at most
-    s_i boxes there).  A column is kept only when top_i - lam_i <= above
+    room, the boxes still missing from top there.  A frame is pushed
+    only when the boxes left fit the i columns left and room <= above *
+    s_i (each strip above has at most s_i boxes there), so none is cut
+    after its push.  A column is kept only when top_i - lam_i <= above
     and it does not fall below its right neighbour's new height, and it
     gains a box only when 0 <= top_i - lam_i - 1 <= above: each strip
     above adds at most one box to it.
     """
+    if size > len(top):
+        return
     low = _padded(lam, len(top))
     stack = [(len(top), size, 0, (0, 0, None))]
     while stack:
         i, remaining, room, fixed = stack.pop()
-        s = fixed[1]
-        if remaining > i or s > lower[i] or room > above * s:
-            continue
         if not i:
             yield _flatten(fixed)
             continue
+        s = fixed[1]
         i -= 1
         v, gap = low[i], top[i] - low[i]
-        if gap <= above and v >= fixed[0]:
-            stack.append((i, remaining, room + gap, (v, s, fixed)))
-        if remaining and 0 < gap <= above + 1:
-            stack.append((i, remaining - 1, room + gap - 1, (v + 1, s + 1, fixed)))
+        room += gap
+        if remaining <= i and gap <= above and v >= fixed[0] and room <= above * s:
+            stack.append((i, remaining, room, (v, s, fixed)))
+        if remaining and 0 < gap <= above + 1 and remaining - 1 <= i and room - 1 <= above * (s + 1):
+            stack.append((i, remaining - 1, room - 1, (v + 1, s + 1, fixed)))
 
 
 def _flatten(fixed) -> tuple[Partition, tuple[int, ...]]:
@@ -427,21 +425,79 @@ def _flatten(fixed) -> tuple[Partition, tuple[int, ...]]:
     return tuple(parts), tuple(suffix)
 
 
+# the entry of the state ((), beta): one group with no strip, the end of
+# a chain; its empty suffix passes every lattice test
+_END = (((), None, None),)
+
+
+@lru_cache(maxsize=1 << 9)
+def _climbs(beta: Partition) -> dict:
+    """The table of climb states under beta, filled by ``_climb``."""
+    return {((), beta): _END}
+
+
+def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> None:
+    """Put into the table the entry of the state (rest, g) under beta and
+    of every state it climbs through.
+
+    rest is alpha with the columns already climbed removed, so the strip
+    from g has len(rest) boxes and rest[0] - 1 strips follow it, and the
+    child state of a strip g' is (rest with its first column removed,
+    g').  An entry is a group (suffix, child state, kept) per first strip
+    g' that some chain to beta goes through, where suffix is the strip's
+    suffix counts and kept is the positions of the child's groups that
+    the lattice test lets follow it, those whose suffix is at most this
+    one's column by column, or None for all of them.  Groups hold states
+    and positions, not other groups, so no entry nests another, and a
+    state is walked once per table, whatever type climbs through it.
+
+    The states not yet in the table are walked on explicit lists, one
+    layer at a time (the states of a layer share their rest), with no
+    recursion, and then finished from the last layer back, so every
+    child is finished before its parents.  Each walked state is dropped
+    as it is finished, and an entry holds no other entry, so the garbage
+    collector's work stays linear in the states of a deep chain.
+    """
+    walked = []
+    layer = [state]
+    while layer:
+        rest = layer[0][0]
+        above = tuple([a - 1 for a in rest if a > 1])
+        children = {}
+        for state in layer:
+            strips = _strips_up(state[1], beta, len(rest), rest[0] - 1)
+            strips = tuple([(s, (above, mu)) for mu, s in strips])
+            walked.append((state, strips))
+            for _, child in strips:
+                if child not in table:
+                    children[child] = None
+        layer = list(children)
+    while walked:
+        state, strips = walked.pop()
+        groups = []
+        for s, child in strips:
+            entry = table[child]
+            kept = [i for i, grp in enumerate(entry) if all(map(le, grp[0], s))]
+            if kept:
+                groups.append((s, child, None if len(kept) == len(entry) else tuple(kept)))
+        table[state] = tuple(groups)
+
+
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     """All LR tableaux of type (alpha, beta, gamma), sorted by their chains.
 
     CapExceeded, before any other work, when beta has more boxes than the
     general cap.  A type with |alpha| + |gamma| != |beta|, or with alpha
-    or gamma outside beta, has none and is not walked.  Otherwise strips
-    ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are added to
-    gamma, up under beta, by a depth-first walk over ``_strips_up``, so
-    that the lattice cut fires where each strip is chosen; the last strip
-    has nothing above it, so it ends at beta.  Each child reads its
-    lower, the suffix counts of the strip just added, as ``_strips_up``
-    yields them; strip 1 has none below it and at most one box per
-    column, so its bound len(beta) never cuts.  A node (g_ell, node
-    below) links a chain, flattened once at its leaf (ell = e), so a
-    chain costs O(e).
+    or gamma outside beta, has none and is not walked.  Otherwise the
+    chains are read from beta's table of climb states (``_climb``), from
+    the state (alpha, gamma): strips ell = 1, ..., e of
+    conjugate(alpha)[ell-1] boxes each are added to gamma, up under beta,
+    each strip kept only under the one below it (lattice), and the last
+    strip ends at beta.  Every type of one beta shares the table, so a
+    state another type has climbed through is read, not walked.  The
+    groups are read depth first on an explicit stack into one path list,
+    g_0, ..., g_ell, and a chain is copied from it once, at its end, so
+    a chain costs O(e).
     """
     beta = partition(beta)
     check_diagram_size(sum(beta))
@@ -450,18 +506,22 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
         contains(beta, alpha) and contains(beta, gamma)
     ):
         return ()
-    sizes = conjugate(alpha)
-    e = len(sizes)
-    chains = []
-    stack = [(0, (gamma, None), (len(beta),) * (len(beta) + 1))]
+    table, start = _climbs(beta), (alpha, gamma)
+    if start not in table:
+        _climb(table, beta, start)
+    chains, path = [], []
+    stack = [(0, gamma, table[start], None)]
     while stack:
-        ell, node, lower = stack.pop()
-        if ell == e:
-            chains.append(tuple(_unlink(node))[::-1])
-            continue
-        for mu, suffix in _strips_up(node[0], beta, lower, sizes[ell], e - ell - 1):
-            stack.append((ell + 1, (mu, node), suffix))
-    return tuple(_unchecked(gs) for gs in sorted(chains))
+        ell, g, groups, kept = stack.pop()
+        del path[ell:]
+        path.append(g)
+        for _, child, below in groups if kept is None else map(groups.__getitem__, kept):
+            if child is None:
+                chains.append(tuple(path))
+            else:
+                stack.append((ell + 1, child[1], table[child], below))
+    chains.sort()
+    return tuple([_unchecked(gs) for gs in chains])
 
 
 def _level_subscripts(columns) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -529,31 +589,37 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     Each bottom gamma, listed column by column at most two boxes below
     beta, d boxes short of it, is (beta,) when d = 0, (gamma, beta) when
     beta \\ gamma is a horizontal strip, and the bottom of each (gamma,
-    mid, beta) that ``_strips_up`` climbs with a boxes, d/2 <= a < d
-    (lattice), and one strip above, whose cuts leave beta \\ mid a strip
-    within the lattice bound.  The result is memoised per beta, since the
-    bijection, orbit and realization checks each ask for every beta up to
-    |beta| 10 to 12.
+    mid, beta) that ``_strips_up`` climbs with a boxes and one strip
+    above, whose cuts leave beta \\ mid a strip within the lattice bound.
+    Only the a that some strip can serve are walked: d/2 <= a (lattice),
+    a <= n1, the columns short of beta (a box per column), and a <= d -
+    max(n2, 1), where n2 columns are two boxes short (each takes a box of
+    both strips) and the top strip is nonempty.  The result is memoised
+    per beta, since the bijection, orbit and realization checks each ask
+    for every beta up to |beta| 10 to 12.
     """
     return _entries2(partition(beta))
 
 
 @lru_cache(maxsize=1 << 9)
 def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
-    free = (len(beta),) * (len(beta) + 1)
     # the bottoms, behind a sentinel column beta_1 high
     bottoms = [beta[:1]]
     for b in beta:
         bottoms = [g + (c,) for g in bottoms for c in range(max(b - 2, 0), min(b, g[-1]) + 1)]
     chains = []
-    for gamma in (partition(g[1:]) for g in bottoms):
-        d = sum(beta) - sum(gamma)
+    for g in bottoms:
+        gaps = [b - c for b, c in zip(beta, g[1:])]
+        gamma, d = partition(g[1:]), sum(gaps)
         if not d:
             chains.append((beta,))
         elif is_horizontal_strip(beta, gamma):
             chains.append((gamma, beta))
-        for a in range((d + 1) // 2, d):
-            chains += ((gamma, mid, beta) for mid, _ in _strips_up(gamma, beta, free, a, 1))
+        # a column two boxes short takes one box of each strip, and the
+        # top strip is nonempty
+        a_max = min(d - max(gaps.count(2), 1), len(gaps) - gaps.count(0))
+        for a in range((d + 1) // 2, a_max + 1):
+            chains += ((gamma, mid, beta) for mid, _ in _strips_up(gamma, beta, a, 1))
     out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

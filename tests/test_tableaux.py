@@ -187,10 +187,11 @@ def _unpruned_chains(beta, sizes):
 
 
 def test_lr_chains_match_unpruned_walk(monkeypatch):
-    # the lattice, room and column cuts of the upward strip walker lose no
-    # chain, and a type outside the size and containment check has none
+    # the lattice, room and column cuts of the climb table lose no chain,
+    # and a type outside the size and containment check has none
     strips, walked = tableaux._strips_up, []
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: walked.append(args) or strips(*args))
+    tableaux._climbs.cache_clear()
     triples = chains = zero = rejected = 0
     for n in range(9):
         for beta in partitions_of(n):
@@ -232,13 +233,14 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
     # walk climb from their bottoms
     up, seen = tableaux._strips_up, {"up": 0}
 
-    def checked_up(lam, top, lower, size, above):
-        for mu, suffix in up(lam, top, lower, size, above):
+    def checked_up(lam, top, size, above):
+        for mu, suffix in up(lam, top, size, above):
             assert suffix == tableaux._suffix_counts(tableaux._padded(mu, len(top)), lam), (mu, lam)
             seen["up"] += 1
             yield mu, suffix
 
     monkeypatch.setattr(tableaux, "_strips_up", checked_up)
+    tableaux._climbs.cache_clear()
     for n in range(9):
         for beta in partitions_of(n):
             tableaux._entries2.__wrapped__(beta)  # past the per-beta memo
@@ -246,21 +248,97 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
                 for alpha in partitions_of(k):
                     for gamma in partitions_of(n - k):
                         enumerate_lr(alpha, beta, gamma)
-    assert seen == {"up": 3439}
+    assert seen == {"up": 1801}
 
 
 def test_lr_walk_work_on_the_sweep_beta(monkeypatch):
     # every type inside (5,4,3,2,1,1), as the hall_sweep benchmark walks
-    # them: the upward walk calls its successor at most 7,200 times (the
-    # walk down from beta to the floor gamma called its own 11,621 times)
+    # them, from a cleared table: each climb state is walked once, 1,807
+    # successor calls (a fresh upward walk per type made 7,168, the walk
+    # down from beta to the floor gamma 11,621)
     beta = (5, 4, 3, 2, 1, 1)
     inside = [a for k in range(sum(beta) + 1) for a in partitions_of(k) if contains(beta, a)]
     types = [(a, g) for a in inside for g in inside if sum(a) + sum(g) == sum(beta)]
     strips, calls = tableaux._strips_up, []
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
+    tableaux._climbs.cache_clear()
     chains = sum(len(enumerate_lr(alpha, beta, gamma)) for alpha, gamma in types)
     assert (len(types), chains) == (1808, 2208)
-    assert len(calls) <= 7200, len(calls)
+    assert len(calls) <= 1807, len(calls)
+
+
+def _fresh_strips_up(lam, top, lower, size, above):
+    """The strip walker with the lattice bound ``lower`` inside it, as
+    the fresh walk per type called it: each (mu, suffix) of a strip of
+    size boxes on lam inside top, suffix at most lower, that the above
+    strips still to come can fill up to top."""
+    low = lam + (0,) * (len(top) - len(lam))
+    stack = [(len(top), size, 0, (0, 0, None))]
+    while stack:
+        i, remaining, room, fixed = stack.pop()
+        s = fixed[1]
+        if remaining > i or s > lower[i] or room > above * s:
+            continue
+        if not i:
+            parts, suffix = [], []
+            while fixed:
+                v, t, fixed = fixed
+                if v:
+                    parts.append(v)
+                suffix.append(t)
+            yield tuple(parts), tuple(suffix)
+            continue
+        i -= 1
+        v, gap = low[i], top[i] - low[i]
+        if gap <= above and v >= fixed[0]:
+            stack.append((i, remaining, room + gap, (v, s, fixed)))
+        if remaining and 0 < gap <= above + 1:
+            stack.append((i, remaining - 1, room + gap - 1, (v + 1, s + 1, fixed)))
+
+
+def _fresh_lr(alpha, beta, gamma):
+    """The reference: one depth-first walk per type, each strip bounded
+    by the suffix counts of the strip below it; the sorted chains."""
+    if sum(alpha) + sum(gamma) != sum(beta) or not (contains(beta, alpha) and contains(beta, gamma)):
+        return []
+    sizes = conjugate(alpha)
+    e = len(sizes)
+    chains = []
+    stack = [(0, (gamma,), (len(beta),) * (len(beta) + 1))]
+    while stack:
+        ell, chain, lower = stack.pop()
+        if ell == e:
+            chains.append(chain)
+            continue
+        for mu, suffix in _fresh_strips_up(chain[-1], beta, lower, sizes[ell], e - ell - 1):
+            stack.append((ell + 1, chain + (mu,), suffix))
+    return sorted(chains)
+
+
+def test_climb_table_matches_a_fresh_walk_per_type():
+    # every type with |beta| <= 9, in order, read first from a cleared
+    # table (which the types of each beta fill as they go) and then from
+    # the warm one, gives the chains of a fresh walk per type
+    triples = [
+        (alpha, beta, gamma)
+        for n in range(10)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for gamma in partitions_of(n - k)
+    ]
+    want = [_fresh_lr(*t) for t in triples]
+    tableaux._climbs.cache_clear()
+    for _ in ("cold", "warm"):
+        assert [[lr.gammas for lr in enumerate_lr(*t)] for t in triples] == want
+    # item 16's triples at |beta| = 27, 36 and 45
+    for alpha, beta, gamma, count in [
+        ((4, 3, 2, 2, 1), (6, 6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), 49),
+        ((6, 5, 4, 3, 2), (8, 7, 6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1, 1), 392),
+        ((6, 5, 4, 3, 2, 1), tuple(range(9, 0, -1)), (6, 5, 4, 3, 3, 2, 1), 3700),
+    ]:
+        got = [lr.gammas for lr in enumerate_lr(alpha, beta, gamma)]
+        assert len(got) == count and got == _fresh_lr(alpha, beta, gamma)
 
 
 def test_deep_chains_are_walked_in_linear_time():
