@@ -16,17 +16,16 @@ that builds only valid tableaux (the enumerators, restriction, direct
 sums, the bijection, the embeddings' fold and the census) goes through
 the one unchecked builder, ``_unchecked``, off the validators.
 
-Every enumeration climbs one horizontal strip at a time up to beta by
-the one strip walker ``_strips_up``, column by column from the last,
-which cuts a branch where the chain can no longer reach beta and yields
-each strip with its own suffix counts (``_suffix_counts``, which
-``validate_lr`` compares).  ``enumerate_lr`` reads its chains from one
-table of climb states per beta (``_climb``): the LR walk is Markov, so a
-state (alpha with its climbed columns removed, g) is walked once,
-whatever type climbs through it, and keeps a child's group of chains
+Every enumeration reads its chains (``_chains``) from a table of climb
+states under beta (``_climb``), climbed one horizontal strip at a time,
+column by column from the last, by the one strip walker ``_strips_up``,
+which cuts a branch that can no longer reach beta and yields each strip
+with its suffix counts (``_suffix_counts``, as ``validate_lr`` compares).
+The LR walk is Markov, so a state (alpha with its climbed columns
+removed, g) is walked once per table and keeps a child's group of chains
 only when that group's first strip has suffix counts at most its own
-strip's (the lattice test, once per group).  ``enumerate_klein_entries2``
-climbs from each bottom whose columns can serve a strip of the size.
+(the lattice test, once per group).  ``enumerate_lr`` reads beta's shared
+table under the diagram cap, ``enumerate_klein_entries2`` a fresh one.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``, shared by every reader of a chain: the subscript
@@ -484,29 +483,34 @@ def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> 
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
-    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains.
-
-    CapExceeded, before any other work, when beta has more boxes than the
-    general cap.  A type with |alpha| + |gamma| != |beta|, or with alpha
-    or gamma outside beta, has none and is not walked.  Otherwise the
-    chains are read from beta's table of climb states (``_climb``), from
-    the state (alpha, gamma): strips ell = 1, ..., e of
-    conjugate(alpha)[ell-1] boxes each are added to gamma, up under beta,
-    each strip kept only under the one below it (lattice), and the last
-    strip ends at beta.  Every type of one beta shares the table, so a
-    state another type has climbed through is read, not walked.  The
-    groups are read depth first on an explicit stack into one path list,
-    g_0, ..., g_ell, and a chain is copied from it once, at its end, so
-    a chain costs O(e).
-    """
+    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains,
+    read by ``_chains`` from beta's table of climb states, which every type
+    of one beta shares.  CapExceeded, before any other work, when beta has
+    more boxes than the general cap."""
     beta = partition(beta)
     check_diagram_size(sum(beta))
-    alpha, gamma = partition(alpha), partition(gamma)
+    chains = _chains(_climbs(beta), beta, partition(alpha), partition(gamma))
+    return tuple([_unchecked(gs) for gs in chains])
+
+
+def _chains(table: dict, beta: Partition, alpha: Partition, gamma: Partition) -> list:
+    """The sorted chains of the LR tableaux of type (alpha, beta, gamma),
+    read from a table of climb states under beta (``_climb``).
+
+    A type with |alpha| + |gamma| != |beta|, or with alpha or gamma
+    outside beta, has none and is not walked.  Otherwise the chains start
+    at the state (alpha, gamma), climbed first if the table lacks it:
+    strips ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are added
+    to gamma, up under beta, each strip kept only under the one below it
+    (lattice), and the last strip ends at beta.  The groups are read depth
+    first on an explicit stack into one path list, g_0, ..., g_ell, and a
+    chain is copied from it once, at its end, so a chain costs O(e).
+    """
     if sum(alpha) + sum(gamma) != sum(beta) or not (
         contains(beta, alpha) and contains(beta, gamma)
     ):
-        return ()
-    table, start = _climbs(beta), (alpha, gamma)
+        return []
+    start = (alpha, gamma)
     if start not in table:
         _climb(table, beta, start)
     chains, path = [], []
@@ -521,7 +525,7 @@ def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
             else:
                 stack.append((ell + 1, child[1], table[child], below))
     chains.sort()
-    return tuple([_unchecked(gs) for gs in chains])
+    return chains
 
 
 def _level_subscripts(columns) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -583,20 +587,16 @@ def enumerate_klein(alpha, beta, gamma) -> tuple[KleinTableau, ...]:
 
 
 def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
-    """All Klein tableaux with the given top partition and entries <= 2.
-
-    These are canonical chains: the top strip is nonempty unless e = 0.
-    Each bottom gamma, listed column by column at most two boxes below
-    beta, d boxes short of it, is (beta,) when d = 0, (gamma, beta) when
-    beta \\ gamma is a horizontal strip, and the bottom of each (gamma,
-    mid, beta) that ``_strips_up`` climbs with a boxes and one strip
-    above, whose cuts leave beta \\ mid a strip within the lattice bound.
-    Only the a that some strip can serve are walked: d/2 <= a (lattice),
-    a <= n1, the columns short of beta (a box per column), and a <= d -
-    max(n2, 1), where n2 columns are two boxes short (each takes a box of
-    both strips) and the top strip is nonempty.  The result is memoised
-    per beta, since the bijection, orbit and realization checks each ask
-    for every beta up to |beta| 10 to 12.
+    """All Klein tableaux with the given top partition and entries <= 2,
+    sorted by e, chain and levels: those of the types (alpha, beta, gamma)
+    whose alpha has parts <= 2.  Each bottom gamma, listed column by column
+    at most two boxes below beta, d boxes short of it, has its chains read
+    by ``_chains`` for alpha = (2^t, 1^(d-2t)), t = 0..d//2, from one fresh
+    table of climb states per beta.  The diagram cap, which
+    ``enumerate_lr`` checks, does not apply: the orbit identity reads every
+    beta up to |beta| 12 under any cap and never skips.  Memoised per beta,
+    since the bijection, orbit and realization checks each ask for every
+    beta up to |beta| 10 to 12.
     """
     return _entries2(partition(beta))
 
@@ -607,19 +607,13 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     bottoms = [beta[:1]]
     for b in beta:
         bottoms = [g + (c,) for g in bottoms for c in range(max(b - 2, 0), min(b, g[-1]) + 1)]
-    chains = []
+    # a fresh table, dropped on return: beta's shared one would keep its states
+    table, chains = _climbs.__wrapped__(beta), []
     for g in bottoms:
-        gaps = [b - c for b, c in zip(beta, g[1:])]
-        gamma, d = partition(g[1:]), sum(gaps)
-        if not d:
-            chains.append((beta,))
-        elif is_horizontal_strip(beta, gamma):
-            chains.append((gamma, beta))
-        # a column two boxes short takes one box of each strip, and the
-        # top strip is nonempty
-        a_max = min(d - max(gaps.count(2), 1), len(gaps) - gaps.count(0))
-        for a in range((d + 1) // 2, a_max + 1):
-            chains += ((gamma, mid, beta) for mid, _ in _strips_up(gamma, beta, a, 1))
+        gamma = partition(g[1:])
+        d = sum(beta) - sum(gamma)
+        for t in range(d // 2 + 1):
+            chains += _chains(table, beta, (2,) * t + (1,) * (d - 2 * t), gamma)
     out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

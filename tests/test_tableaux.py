@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallkit import tableaux
+from hallkit.caps import limits
 from hallkit.embeddings import klein_tableau, realize
 from hallkit.errors import CapExceeded, EntryTooLarge, NoRefinement, RangeError
 from hallkit.hall import dominant_refinement, hall_multiplicity, hall_multiplicity_factored, lr_multiplicity
@@ -230,7 +231,8 @@ def test_entries2_chains_match_unpruned_walk():
 def test_strips_yield_their_own_suffix_counts(monkeypatch):
     # every strip the walker yields comes with the suffix counts of its
     # skew, padded to len(beta) + 1, as enumerate_lr and the entries-<=2
-    # walk climb from their bottoms
+    # enumerator climb their tables (the latter's top strips are states
+    # of its own table, so they are yielded too)
     up, seen = tableaux._strips_up, {"up": 0}
 
     def checked_up(lam, top, size, above):
@@ -248,7 +250,29 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
                 for alpha in partitions_of(k):
                     for gamma in partitions_of(n - k):
                         enumerate_lr(alpha, beta, gamma)
-    assert seen == {"up": 1801}
+    assert seen == {"up": 2168}
+
+
+def test_entries2_walk_work(monkeypatch):
+    # every beta with |beta| <= 12, past the per-beta memo: one fresh
+    # table per beta makes 12,069 walker calls (the strip sizes bounded
+    # by hand per bottom made 8,400)
+    strips, calls = tableaux._strips_up, []
+    monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
+    betas = [beta for n in range(13) for beta in partitions_of(n)]
+    total = sum(len(tableaux._entries2.__wrapped__(beta)) for beta in betas)
+    assert (len(betas), total, len(calls)) == (272, 10158, 12069)
+
+
+def test_entries2_enumerator_ignores_the_diagram_cap():
+    # cold memos and a diagram cap of 0: the entries-<=2 enumerator reads
+    # its chains past enumerate_lr's cap check, so every beta with
+    # |beta| <= 12 still gives its tableaux
+    tableaux._entries2.cache_clear()
+    tableaux._climbs.cache_clear()
+    with limits(general=0):
+        total = sum(len(enumerate_klein_entries2(b)) for n in range(13) for b in partitions_of(n))
+    assert total == 10158
 
 
 def test_lr_walk_work_on_the_sweep_beta(monkeypatch):

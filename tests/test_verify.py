@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hallkit import embeddings as emb
-from hallkit import oracle, verify
+from hallkit import oracle, tableaux, verify
 from hallkit.caps import limits
 from hallkit.cli import main
 from hallkit.hall import hall_multiplicity_factored, hall_polynomial
@@ -433,7 +433,10 @@ def test_capped_report_is_pinned(capsys):
 @pytest.mark.parametrize("cap", [0, 4, 16])
 def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap):
     # --cap N puts N in force for every bound, diagrams included, as
-    # HALLKIT_CAP=N does
+    # HALLKIT_CAP=N does, from cold memos, so that no earlier test's
+    # tableaux stand in for a walk under the cap
+    tableaux._entries2.cache_clear()
+    tableaux._climbs.cache_clear()
     argv = ["verify", "--suite", "hall", "--max-beta", "5"]
     assert main([*argv, "--cap", str(cap)]) == 0
     flagged = without_elapsed(json.loads(capsys.readouterr().out))
@@ -457,7 +460,10 @@ def test_subgroup_cap_flag_raises_the_census_bound(capsys, monkeypatch):
 
 def test_hall_skips_betas_over_the_diagram_cap():
     # at cap 4 the seven beta of size 5 have no breakdowns: each symbolic
-    # check runs the cases of |beta| <= 4 and counts those seven skipped
+    # check runs the cases of |beta| <= 4 and counts those seven skipped,
+    # from cold memos
+    tableaux._entries2.cache_clear()
+    tableaux._climbs.cache_clear()
     with limits(general=4):
         rep = verify.suite_hall(prime=2, max_beta=5)
     assert rep.passed
