@@ -8,11 +8,12 @@ carries exactly the fields of a sum with u_i >= m_i into their guards,
 and those fields get m_i subtracted, with no per-coordinate loop.  All
 subgroup-lattice operations (intersection, preimage, sums) work on
 exact element sets, which is simple and fast enough under the caps.
-Each ambient memoises x -> px: ``pmul`` multiplies an element once,
-and ``scale`` (every p-chain link, every ``klein_tableau`` level),
-the greedy basis's candidate test and the oracle's subgroup walk read
-the memo after that; it holds only elements they multiplied.  The
-canonical submodules p^r B are never mapped: ``scale`` of p^r B is the
+``AmbientModule.get`` interns the ambients of up to 2^9 (p, beta) in a
+module-level ``lru_cache``, and each memoises x -> px: ``pmul``
+multiplies an element once, and ``scale`` (every p-chain link, every
+``klein_tableau`` level), the greedy basis's candidate test and the
+oracle's subgroup walk read the memo after that; it holds only elements
+they multiplied.  The canonical submodules p^r B are never mapped: ``scale`` of p^r B is the
 cached set p^{r+1} B (``p_power_set``), found from |A| through a table
 of the orders |p^r B|, and ``preimage`` of a subgroup holding pB is B.
 Division by p is defined on pB only, where each field is p times that
@@ -104,8 +105,6 @@ class AmbientModule:
     """The module (+) Z/p^{beta_i}; an element is one int with a guarded
     bit field per coordinate (see the module docstring)."""
 
-    _cache: dict[tuple[int, Partition], "AmbientModule"] = {}
-
     def __init__(self, p: int, beta):
         # the cap comes first, so trial division takes at most isqrt(cap) steps
         limit = general_cap()
@@ -137,13 +136,10 @@ class AmbientModule:
 
     @classmethod
     def get(cls, p: int, beta) -> "AmbientModule":
-        key = (p, partition(beta))
-        amb = cls._cache.get(key)
-        # p too, as __init__ does, for a module of order 1 (beta empty)
-        if amb is None or max(p, amb.size) > general_cap():
-            amb = cls(p, beta)
-            cls._cache[key] = amb
-        return amb
+        """The interned ambient of (p, beta); one over the cap in force (p
+        too, for beta empty) is refused by the constructor, cached or not."""
+        amb = _ambient(p, partition(beta))
+        return amb if max(p, amb.size) <= general_cap() else cls(p, beta)
 
     # -- element encoding -------------------------------------------------
 
@@ -257,6 +253,11 @@ def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
     through its radical A & pB; read from ``_preimage``, a memo of the
     few radicals in use."""
     return _preimage(ambient, A & ambient.p_power_set(1))
+
+
+@lru_cache(maxsize=1 << 9)
+def _ambient(p: int, beta: Partition) -> AmbientModule:
+    return AmbientModule(p, beta)
 
 
 # The lifts of one embedding come in a burst: E, reduce(E) and

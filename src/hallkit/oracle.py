@@ -20,27 +20,27 @@ phi -> (phi(g_t) + A_F)_t on Hom(B_E, B_F), whose image order is the
 order of a span over Z/p^N (``zpn.span_exponent``);
 ``adjointness_check`` reads it, and tests compare it with the walk.
 
-The census of M(beta) is one read-only ``Census`` record per (p, beta).
-It counts each subgroup once, by the Klein tableau of its embedding, in
-a depth-first walk of the tree where the parent of A is pA.  Only
-C <= pB has children, the C < A <= p^{-1}C with pA = C, and each
-child's tableau is put on top of C's by the tableau fold's step,
-``embeddings._on_top``, which reads A only through |A|, A & pB and
-p^2 A = pC, so the census builds no embedding and no p-chain.  A child
-outside pB is a leaf.  So a node walks only the X between C and
-p^{-1}C & pB (``_fibre``, by ``_walk``): an X with pX = C is an inner
-child, and the leaves with A & pB = X are counted per order in closed
-form (``_leaf_count``), never built, each (|A|, X) adding its tableau
-once, with its multiplicity.  One dict per ``census`` call is the
-step's memo, so its levels and types, which repeat across siblings and
-across nodes, are built once per census, and the dict is dropped when
-the census returns.  Over the 42 beta with |beta| <= 7
-and at most five parts at p = 2 the census walks 753 X for 6,590
-subgroups, enters 272 of them, builds 393 levels and reads 649 types.
-A tableau of type
-(alpha, beta, gamma) carries the subgroup's type alpha (the conjugate
-of its strip sizes) and quotient type gamma (its base), so a type
-pair's count is the sum of its tableaux' counts:
+The census of M(beta) is one read-only ``Census`` record per (p, beta),
+kept in a module-level ``lru_cache`` of 2^9 records (``_census``) under
+the census bound, which ``census`` checks on every call.  It counts each
+subgroup once, by the Klein tableau of its embedding, in a depth-first
+walk of the tree where the parent of A is pA.  Only C <= pB has children,
+the C < A <= p^{-1}C with pA = C, and each child's tableau is put on top
+of C's by the tableau fold's step, ``embeddings._on_top``, which reads A
+only through |A|, A & pB and p^2 A = pC, so the census builds no
+embedding and no p-chain.  A child outside pB is a leaf.  So a node walks
+only the X between C and p^{-1}C & pB (``_fibre``, by ``_walk``): an X
+with pX = C is an inner child, and the leaves with A & pB = X are
+counted per order in closed form (``_leaf_count``), never built, each
+(|A|, X) adding its tableau once, with its multiplicity.  One dict per
+enumeration is the step's memo, so its levels and types, which repeat
+across siblings and across nodes, are built once per census, and the
+dict is dropped when the census returns.  Over the 42 beta with
+|beta| <= 7 and at most five parts at p = 2 the census walks 753 X for 6,590
+subgroups, enters 272 of them, builds 393 levels and reads 649 types.  A
+tableau of type (alpha, beta, gamma) carries the subgroup's type alpha
+(the conjugate of its strip sizes) and quotient type gamma (its base),
+so a type pair's count is the sum of its tableaux' counts:
 g^beta_{alpha,gamma}(p) = sum over T of g_T(p).
 
 The subgroup enumeration and the census are bounded by the smaller of
@@ -218,24 +218,22 @@ class Census:
     elapsed: float
 
 
-_censuses: dict[tuple[int, Partition], Census] = {}
-
-
 def census(p: int, beta) -> Census:
-    """The census of M(beta), from one enumeration cached per (p, beta);
+    """The census of M(beta), enumerated once per (p, beta) by ``_census``;
     the census bound is checked on every call, cached or not."""
-    amb = _lattice_ambient(p, beta)
-    key = (p, amb.beta)
-    if key not in _censuses:
-        start = time.monotonic()
-        zero, tableaux = frozenset({0}), Counter()
-        _count_subtree(amb, zero, zero, _unchecked((amb.beta,), ()), tableaux, {})
-        types = Counter()
-        for tab, count in tableaux.items():
-            types[(tableau_type(tab)[0], tab.base)] += count
-        elapsed = time.monotonic() - start
-        _censuses[key] = Census(MappingProxyType(tableaux), MappingProxyType(types), elapsed)
-    return _censuses[key]
+    return _census(p, _lattice_ambient(p, beta).beta)
+
+
+@lru_cache(maxsize=1 << 9)
+def _census(p: int, beta: Partition) -> Census:
+    amb = AmbientModule.get(p, beta)
+    start = time.monotonic()
+    zero, tableaux = frozenset({0}), Counter()
+    _count_subtree(amb, zero, zero, _unchecked((beta,), ()), tableaux, {})
+    types = Counter()
+    for tab, count in tableaux.items():
+        types[(tableau_type(tab)[0], tab.base)] += count
+    return Census(MappingProxyType(tableaux), MappingProxyType(types), time.monotonic() - start)
 
 
 def hall_census(p: int, beta) -> dict[tuple[Partition, Partition], int]:

@@ -326,7 +326,7 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_domain_error_exits_one(capsys):
+def test_domain_error_exits_one(capsys, cold):
     code, out, err = run(capsys, "embed", "tableau", "--prime", "2", "--beta", "25", "--gens", "")
     assert code == 1
     assert json.loads(err)["error"] == "CapExceeded"
@@ -345,7 +345,7 @@ def test_non_prime_exits_one(capsys):
         ("oracle", "hall", "--beta", "1", "--alpha", "1"),
     ],
 )
-def test_prime_above_cap_exits_one_at_once(capsys, argv):
+def test_prime_above_cap_exits_one_at_once(capsys, argv, cold):
     # the cap is checked before any trial division by the primes up to sqrt(p)
     start = time.monotonic()
     code, _, err = run(capsys, *argv, "--prime", "1000000000000000003")
@@ -362,7 +362,7 @@ def test_prime_above_cap_exits_one_at_once(capsys, argv):
         ("embed", "type", "--prime", "3", "--beta", "100000000", "--gens", ""),
     ],
 )
-def test_huge_ambient_exits_one_at_once(capsys, argv):
+def test_huge_ambient_exits_one_at_once(capsys, argv, cold):
     # the order p^|beta| is neither computed nor printed in full
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
@@ -372,7 +372,7 @@ def test_huge_ambient_exits_one_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_huge_diagram_exits_one_at_once(capsys, fmt):
+def test_huge_diagram_exits_one_at_once(capsys, fmt, cold):
     # a diagram of 10^11 boxes, over the general cap, is refused before
     # any row is built, in either format
     start = time.monotonic()
@@ -388,7 +388,7 @@ HUGE = "100000000000"
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [("hall",), ("tableaux", "lr", "--count")])
-def test_huge_type_exits_one_at_once(capsys, argv, fmt):
+def test_huge_type_exits_one_at_once(capsys, argv, fmt, cold):
     # beta = alpha = (10^11) asks for a chain of 10^11 one-box strips: its
     # diagram is over the general cap, so the type is refused before
     # alpha is conjugated or any strip is walked
@@ -403,7 +403,7 @@ def test_huge_type_exits_one_at_once(capsys, argv, fmt):
 
 
 @pytest.mark.parametrize("text", ["99999999999/" + HUGE, '{"gammas": [[99999999999], [%s]]}' % HUGE])
-def test_huge_tableau_exits_one_at_once(capsys, text):
+def test_huge_tableau_exits_one_at_once(capsys, text, cold):
     # the tableau readers refuse a diagram over the general cap, as the
     # object reader does for P(1,10^11), the object of this tableau
     start = time.monotonic()
@@ -417,7 +417,7 @@ def test_huge_tableau_exits_one_at_once(capsys, text):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_huge_object_exits_one_at_once(capsys, fmt):
+def test_huge_object_exits_one_at_once(capsys, fmt, cold):
     # 99,999,999 copies of P(1,1) make a diagram of that many boxes, over
     # the general cap: refused before any summand tableau is merged
     start = time.monotonic()
@@ -746,7 +746,7 @@ def test_non_canonical_flag_numbers_exit_two(capsys, flags):
 
 @pytest.mark.parametrize("env", ["HALLKIT_CAP", "HALLKIT_SUBGROUP_CAP"])
 @pytest.mark.parametrize("text", ["1_6", "+16", "\u0661\u0666", "", "16.0"])
-def test_non_canonical_cap_env_exits_one(capsys, monkeypatch, env, text):
+def test_non_canonical_cap_env_exits_one(capsys, monkeypatch, env, text, cold):
     # the caps read their environment variables by read_int too: a value
     # it refuses is one JSON diagnostic naming the variable, not a cap
     monkeypatch.setenv(env, text)

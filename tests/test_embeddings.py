@@ -125,7 +125,7 @@ def test_preimage_matches_definition():
             assert emb.preimage(a, A) == want
 
 
-def test_battery_builds_each_preimage_once_and_no_level_zero_basis(monkeypatch):
+def test_battery_builds_each_preimage_once_and_no_level_zero_basis(monkeypatch, cold):
     # over 100 seeded draws of the theorem2 battery, a lift whose radical
     # the burst already lifted is a memo hit, and truncate(E, 0) builds no
     # greedy basis; without the memo each of the 404 lifts is a build, and
@@ -138,7 +138,6 @@ def test_battery_builds_each_preimage_once_and_no_level_zero_basis(monkeypatch):
 
     greedy = emb._greedy_basis
     monkeypatch.setattr(emb, "_greedy_basis", counted)
-    emb._preimage.cache_clear()
     rng = random.Random(5)
     betas = [beta for n in range(1, 9) for beta in partitions_of(n)]
     for i in range(100):
@@ -164,7 +163,7 @@ def test_level_zero_truncation_is_the_zero_subgroup_of_the_quotient(monkeypatch)
             assert emb.truncate(E, 0).to_json() == want
 
 
-def test_preimage_memo_stays_bounded():
+def test_preimage_memo_stays_bounded(cold):
     # lifting 50 distinct subgroups leaves at most maxsize preimages held
     rng = random.Random(11)
     a = amb(3, (3, 2, 1))
@@ -286,19 +285,14 @@ def test_quotient_type_builds_no_p0_set():
         assert 0 not in a._powers
 
 
-def _clear_pmul_memos():
-    for a in emb.AmbientModule._cache.values():
-        a._times_p.clear()
-
-
-def _functor_readings(p, beta, k, seed, cold):
+def _functor_readings(p, beta, k, seed, clear=None):
     """Klein and LR tableaux, every truncation and the lift of a seeded
-    embedding, each read from a fresh copy of it; with cold, after
-    clearing every cached ambient's x -> px memo."""
+    embedding, each read from a fresh copy of it; with clear, after
+    calling it, which drops every interned ambient with its x -> px memo."""
 
     def read(f):
-        if cold:
-            _clear_pmul_memos()
+        if clear:
+            clear()
         return f(emb.random_embedding(p, beta, k, seed=seed))
 
     e = emb.random_embedding(p, beta, k, seed=seed).exponent
@@ -310,14 +304,14 @@ def _functor_readings(p, beta, k, seed, cold):
     ]
 
 
-def test_pmul_memo_is_invisible():
+def test_pmul_memo_is_invisible(cold):
     rng = random.Random(8)
     for p, max_size in ((2, 6), (3, 4), (5, 3)):
         for n in range(1, max_size + 1):
             for beta in partitions_of(n):
                 k, seed = rng.randrange(1, 4), rng.randrange(1 << 30)
-                cold = _functor_readings(p, beta, k, seed, cold=True)
-                assert _functor_readings(p, beta, k, seed, cold=False) == cold, (p, beta)
+                from_cold = _functor_readings(p, beta, k, seed, clear=cold)
+                assert _functor_readings(p, beta, k, seed) == from_cold, (p, beta)
 
 
 def test_types_match_torsion_counts():
@@ -644,7 +638,7 @@ def test_klein_forgets_to_lr():
             assert emb.klein_tableau(E).gammas == emb.lr_tableau(E).gammas
 
 
-def test_cap_enforced():
+def test_cap_enforced(cold):
     with pytest.raises(CapExceeded):
         emb.AmbientModule(2, (30,))
     assert general_cap() >= 1 << 10
@@ -662,7 +656,7 @@ def test_prime_above_cap_fails_on_the_cap():
         emb.AmbientModule.get(3, ())
 
 
-def test_huge_ambient_fails_on_the_cap_at_once():
+def test_huge_ambient_fails_on_the_cap_at_once(cold):
     # |beta| is compared with the cap's bit length before p^|beta| is
     # formed, so neither a 47,713-digit order nor a 10^8-fold power is built
     start = time.monotonic()
@@ -682,7 +676,7 @@ def test_huge_ambient_fails_on_the_cap_at_once():
         emb.AmbientModule(2, (4,))
 
 
-def test_env_cap_override(monkeypatch):
+def test_env_cap_override(monkeypatch, cold):
     monkeypatch.setenv("HALLKIT_CAP", "16")
     assert general_cap() == 16
     with pytest.raises(CapExceeded):

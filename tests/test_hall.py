@@ -66,7 +66,7 @@ def test_hall_polynomial_simple_cases():
     assert hall_polynomial((2,), (1, 1), ()).per_tableau == ()
 
 
-def test_a_type_with_no_lr_tableau_shares_one_empty_breakdown(monkeypatch):
+def test_a_type_with_no_lr_tableau_shares_one_empty_breakdown(monkeypatch, cold):
     # alpha = (3, 1) is not inside beta, so the type has no LR tableau,
     # and every such type gets the same breakdown, equal to a fresh one
     bd = hall_polynomial((3, 1), (2, 2, 1, 1, 1), (1, 1, 1))
@@ -100,13 +100,11 @@ def test_long_floor_walk():
     assert got == poly({k: 1 for k in range(1000)})
 
 
-def test_tall_chain_aut_orders_count_only_the_strip_rows():
+def test_tall_chain_aut_orders_count_only_the_strip_rows(cold):
     # beta = (10^7, 10^7 - 1): the Aut orders of every level's
     # restrictions count the rows that hold boxes, so the rows below them
     # cost nothing
     m = 10**7
-    hall._strip_aut_order.cache_clear()
-    hall._level_terms.cache_clear()
     start = time.monotonic()
     with caps.limits(general=3 * m):
         got = hall_polynomial((2, 1), (m, m - 1), (m - 1, m - 3)).total
@@ -175,12 +173,10 @@ def test_dominant_refinement_no_refinement():
         dominant_refinement(LRTableau(((1,), (2,), (2, 1))))
 
 
-def test_a_chain_that_is_no_lr_tableau_is_refused_unpriced():
+def test_a_chain_that_is_no_lr_tableau_is_refused_unpriced(cold):
     # a decreasing chain: refused with validate_lr's reason, a ValueError,
     # as it is built, so neither memo is read
     memos = (hall._level_terms, hall._strip_aut_order)
-    for memo in memos:
-        memo.cache_clear()
     for call in (lr_multiplicity, dominant_refinement):
         with pytest.raises(ValueError, match="not an LR tableau: chain not weakly increasing"):
             call(LRTableau(((2,), (1,))))
@@ -236,13 +232,11 @@ def test_memoised_factors_match_direct_product():
         assert hall_multiplicity_factored(tab) == want
 
 
-def test_memo_holds_one_entry_per_restriction():
+def test_memo_holds_one_entry_per_restriction(cold):
     # each 1-restriction the telescoping product reads is its own memo key:
     # one miss per distinct chain (g_{ell-1}, g_ell), the padded (g_e, g_e)
-    # of ell = e+1 included, none shared or merged; the level terms are
-    # cleared too, so every level reads its strip again
-    hall._strip_aut_order.cache_clear()
-    hall._level_terms.cache_clear()
+    # of ell = e+1 included, none shared or merged; the level terms start
+    # cold too, so every level reads its strip again
     keys = set()
     for n in range(7):
         for beta in partitions_of(n):
@@ -255,7 +249,7 @@ def test_memo_holds_one_entry_per_restriction():
     assert hall._strip_aut_order.cache_info().misses == len(keys)
 
 
-def test_level_memos_hold_one_entry_per_level():
+def test_level_memos_hold_one_entry_per_level(cold):
     # a level's terms (each subscript choice with its factor) are one miss
     # per chain (g_{ell-2}, g_{ell-1}, g_ell), whatever ell, the padded
     # chain of ell = e+1 included; the terms hold exactly the choices
@@ -269,7 +263,6 @@ def test_level_memos_hold_one_entry_per_level():
         for gamma in partitions_of(n - k)
         for tab in enumerate_klein(alpha, beta, gamma)
     ]
-    hall._level_terms.cache_clear()
     for tab in tabs:
         hall_multiplicity_factored(tab)
         assert tab in enumerate_klein_refinements(tab)
@@ -280,7 +273,7 @@ def test_level_memos_hold_one_entry_per_level():
         assert tuple(hall._level_terms(*chain)) == want
 
 
-def test_each_level_memo_miss_reads_its_chain_once(monkeypatch):
+def test_each_level_memo_miss_reads_its_chain_once(monkeypatch, cold):
     # over every type inside beta = (5,4,3,2,1,1), from cold memos, a chain's
     # columns are read once per miss of the memos that price it: a
     # _level_terms miss hands its one pass to both the subscript enumerator
@@ -300,8 +293,6 @@ def test_each_level_memo_miss_reads_its_chain_once(monkeypatch):
 
     monkeypatch.setattr(hall, "chain_columns", counted)
     monkeypatch.setattr(s2cat, "chain_columns", counted)
-    hall._level_terms.cache_clear()
-    hall._strip_aut_order.cache_clear()
     for alpha, gamma in types:
         hall_polynomial(alpha, beta, gamma)
     misses = hall._level_terms.cache_info().misses + hall._strip_aut_order.cache_info().misses
@@ -342,8 +333,7 @@ def test_refinement_sum_factors_over_levels():
             assert product_of_sums == evaluate(want, q), (lr, q)
 
 
-def test_expansion_memo_expands_each_distinct_product_once():
-    hall._expansion.cache_clear()
+def test_expansion_memo_expands_each_distinct_product_once(cold):
     forms = set()
     for n in range(8):
         for beta in partitions_of(n):

@@ -54,7 +54,7 @@ def test_enumerate_subgroups_order_pinned():
     assert digest.hexdigest() == PINNED_ENUMERATION_ORDER_DIGEST
 
 
-def test_subgroup_cap():
+def test_subgroup_cap(cold):
     with pytest.raises(CapExceeded):
         list(oracle.enumerate_subgroups(2, (11,)))
 
@@ -152,7 +152,7 @@ def _subspaces(k, j, p):
     return num // den
 
 
-def test_census_tree_fibres(monkeypatch):
+def test_census_tree_fibres(monkeypatch, cold):
     # the fibre {A : pA = C} has sum_j [k choose j]_p p^{u(k-j)} subgroups,
     # u = dim C/pC and k = dim(p^{-1}C / C) - u, when C <= pB, and none
     # otherwise; the tree gives C exactly the fibre's A other than C.
@@ -170,7 +170,6 @@ def test_census_tree_fibres(monkeypatch):
             children[C] += sum(count for _, count in leaves)
             yield X, inner, leaves
 
-    monkeypatch.setattr(oracle, "_censuses", {})
     inner = 0
     for p, max_size in ((2, 6), (3, 4)):
         for n in range(max_size + 1):
@@ -195,7 +194,7 @@ def test_census_tree_fibres(monkeypatch):
     assert inner == 157
 
 
-def test_census_links_each_key_once(monkeypatch):
+def test_census_links_each_key_once(monkeypatch, cold):
     # a child A of C outside pB is a leaf: it gets no call of its own.
     # The children with A & pB = X share their entry-2 level, whose body
     # runs once per key (X, pC, type(B/C)) of a census, and the census
@@ -220,7 +219,6 @@ def test_census_links_each_key_once(monkeypatch):
     monkeypatch.setattr(oracle, "_count_subtree", count_subtree)
     monkeypatch.setattr(emb, "_link", counted_link)
     monkeypatch.setattr(emb, "quotient_type", counted_type)
-    monkeypatch.setattr(oracle, "_censuses", {})
     nodes = links = typed = subgroups = 0
     for n in range(8):
         for beta in partitions_of(n):
@@ -241,7 +239,7 @@ def test_census_links_each_key_once(monkeypatch):
     assert (nodes, links, typed, subgroups) == (272, 393, 649, 6590)
 
 
-def test_tableau_folds_share_one_step(monkeypatch):
+def test_tableau_folds_share_one_step(monkeypatch, cold):
     # the fold of an embedding takes one step per link of its p-chain, and
     # every tableau of a census but the zero subgroup's comes out of a step
     out = []
@@ -256,16 +254,14 @@ def test_tableau_folds_share_one_step(monkeypatch):
     E = emb.random_embedding(3, (4, 2, 1), 2, seed=5)
     assert emb.klein_tableau(E) == out[-1] and len(out) == E.exponent > 1
     out.clear()
-    monkeypatch.setattr(oracle, "_censuses", {})
     tableaux = oracle.census(2, (3, 2, 1)).tableaux
     zero = emb.klein_tableau(emb.Embedding(emb.AmbientModule.get(2, (3, 2, 1)), gens=()))
     assert set(tableaux) - set(out) == {zero} and set(out) <= set(tableaux)
 
 
-def test_census_tree_is_walked_lazily(monkeypatch):
+def test_census_tree_is_walked_lazily(cold):
     # the root of (1^7) at p = 2 has 29,211 children, which take about
     # 40 MB as element sets; the walk holds one path of the tree at a time
-    monkeypatch.setattr(oracle, "_censuses", {})
     tracemalloc.start()
     try:
         oracle.census(2, (1,) * 7)
@@ -419,7 +415,7 @@ def test_hom_counts_need_one_prime():
         oracle.adjointness_check(E, F, 1)
 
 
-def test_aut_count_module_reads_its_cap(monkeypatch):
+def test_aut_count_module_reads_its_cap(monkeypatch, cold):
     # a value in force overrides the environment
     monkeypatch.setenv("HALLKIT_CAP", "4")
     with limits(general=64):
@@ -508,7 +504,7 @@ def _full_rank_maps(E, F):
             yield images
 
 
-def test_block_rank_test_matches_full_elimination():
+def test_block_rank_test_matches_full_elimination(cold):
     # every object of size <= 5 whose End(B) has at most 2^12 maps
     budget = 1 << 12
     for p, want_checked in ((2, 77), (3, 38)):
@@ -539,7 +535,7 @@ def test_block_rank_test_matches_full_elimination():
         assert checked == want_checked
 
 
-def test_hom_cap():
+def test_hom_cap(cold):
     # ambient fits the cap but the hom space does not
     big = emb.Embedding.from_coords(2, (2,) * 8, [])
     with pytest.raises(CapExceeded):
@@ -636,7 +632,7 @@ def test_census_matches_birkhoff_count():
                         assert by_alpha.get(alpha, 0) == want, (p, alpha, beta)
 
 
-def test_type_memo_one_miss_per_order_vector(monkeypatch):
+def test_type_memo_one_miss_per_order_vector(monkeypatch, cold):
     memo = emb._layer_type
     keys = set()
 
@@ -645,8 +641,6 @@ def test_type_memo_one_miss_per_order_vector(monkeypatch):
         return memo(orders, p)
 
     monkeypatch.setattr(emb, "_layer_type", spy)
-    monkeypatch.setattr(oracle, "_censuses", {})
-    memo.cache_clear()
     for n in range(8):
         for beta in partitions_of(n):
             oracle.hall_census(2, beta)

@@ -68,7 +68,7 @@ def test_partition_refuses_a_value_that_is_not_iterable():
         hall_polynomial("10", "10", "")
 
 
-def test_partition_reads_a_tuple_once():
+def test_partition_reads_a_tuple_once(cold):
     for parts in [(), (3, 2, 0, 0), (4, 4, 1), ("2", 1.0, True, 0)]:
         want = partition(list(parts))
         assert partition(parts) == partition(x for x in parts) == want

@@ -187,12 +187,11 @@ def _unpruned_chains(beta, sizes):
     return sorted(gs for gs in chains if validate_lr(gs)[0])
 
 
-def test_lr_chains_match_unpruned_walk(monkeypatch):
+def test_lr_chains_match_unpruned_walk(monkeypatch, cold):
     # the lattice, room and column cuts of the climb table lose no chain,
     # and a type outside the size and containment check has none
     strips, walked = tableaux._strips_up, []
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: walked.append(args) or strips(*args))
-    tableaux._climbs.cache_clear()
     triples = chains = zero = rejected = 0
     for n in range(9):
         for beta in partitions_of(n):
@@ -228,7 +227,7 @@ def test_entries2_chains_match_unpruned_walk():
     assert total == 3065
 
 
-def test_strips_yield_their_own_suffix_counts(monkeypatch):
+def test_strips_yield_their_own_suffix_counts(monkeypatch, cold):
     # every strip the walker yields comes with the suffix counts of its
     # skew, padded to len(beta) + 1, as enumerate_lr and the entries-<=2
     # enumerator climb their tables (the latter's top strips are states
@@ -242,7 +241,6 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
             yield mu, suffix
 
     monkeypatch.setattr(tableaux, "_strips_up", checked_up)
-    tableaux._climbs.cache_clear()
     for n in range(9):
         for beta in partitions_of(n):
             tableaux._entries2.__wrapped__(beta)  # past the per-beta memo
@@ -253,7 +251,7 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch):
     assert seen == {"up": 2168}
 
 
-def test_entries2_walk_work(monkeypatch):
+def test_entries2_walk_work(monkeypatch, cold):
     # every beta with |beta| <= 12, past the per-beta memo: one fresh
     # table per beta makes 12,069 walker calls (the strip sizes bounded
     # by hand per bottom made 8,400)
@@ -264,18 +262,16 @@ def test_entries2_walk_work(monkeypatch):
     assert (len(betas), total, len(calls)) == (272, 10158, 12069)
 
 
-def test_entries2_enumerator_ignores_the_diagram_cap():
+def test_entries2_enumerator_ignores_the_diagram_cap(cold):
     # cold memos and a diagram cap of 0: the entries-<=2 enumerator reads
     # its chains past enumerate_lr's cap check, so every beta with
     # |beta| <= 12 still gives its tableaux
-    tableaux._entries2.cache_clear()
-    tableaux._climbs.cache_clear()
     with limits(general=0):
         total = sum(len(enumerate_klein_entries2(b)) for n in range(13) for b in partitions_of(n))
     assert total == 10158
 
 
-def test_lr_walk_work_on_the_sweep_beta(monkeypatch):
+def test_lr_walk_work_on_the_sweep_beta(monkeypatch, cold):
     # every type inside (5,4,3,2,1,1), as the hall_sweep benchmark walks
     # them, from a cleared table: each climb state is walked once, 1,807
     # successor calls (a fresh upward walk per type made 7,168, the walk
@@ -285,7 +281,6 @@ def test_lr_walk_work_on_the_sweep_beta(monkeypatch):
     types = [(a, g) for a in inside for g in inside if sum(a) + sum(g) == sum(beta)]
     strips, calls = tableaux._strips_up, []
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
-    tableaux._climbs.cache_clear()
     chains = sum(len(enumerate_lr(alpha, beta, gamma)) for alpha, gamma in types)
     assert (len(types), chains) == (1808, 2208)
     assert len(calls) <= 1807, len(calls)
@@ -339,7 +334,7 @@ def _fresh_lr(alpha, beta, gamma):
     return sorted(chains)
 
 
-def test_climb_table_matches_a_fresh_walk_per_type():
+def test_climb_table_matches_a_fresh_walk_per_type(cold):
     # every type with |beta| <= 9, in order, read first from a cleared
     # table (which the types of each beta fill as they go) and then from
     # the warm one, gives the chains of a fresh walk per type
@@ -352,7 +347,6 @@ def test_climb_table_matches_a_fresh_walk_per_type():
         for gamma in partitions_of(n - k)
     ]
     want = [_fresh_lr(*t) for t in triples]
-    tableaux._climbs.cache_clear()
     for _ in ("cold", "warm"):
         assert [[lr.gammas for lr in enumerate_lr(*t)] for t in triples] == want
     # item 16's triples at |beta| = 27, 36 and 45
@@ -398,7 +392,7 @@ def test_enumerate_klein_examples():
     assert len(enumerate_klein((2, 1), (2, 1), ())) == 1
 
 
-def test_tall_strip_reads_only_its_capped_rows(monkeypatch):
+def test_tall_strip_reads_only_its_capped_rows(monkeypatch, cold):
     # one level whose strips sit at height 10^7: the subscripts are drawn
     # from the rows that hold caps, with no scan of the rows below
     m = 10**7
@@ -633,7 +627,7 @@ def test_ascii_diagram_examples():
     assert ascii_diagram(LRTableau(((),))) == "(empty)"
 
 
-def test_ascii_diagram_is_bounded_by_the_general_cap(monkeypatch):
+def test_ascii_diagram_is_bounded_by_the_general_cap(monkeypatch, cold):
     # a diagram with more boxes than the general cap is refused before any
     # row is built
     tab = KleinTableau.from_text("3,2,1/3,3,2/4,3,2;2@4:2")
@@ -672,7 +666,7 @@ def test_constructors_refuse_what_the_validators_refuse():
             cls(())
 
 
-def test_readers_refuse_in_order_cap_then_top_strip_then_validity():
+def test_readers_refuse_in_order_cap_then_top_strip_then_validity(cold):
     # 2/1 has no empty top strip and fails validity; 1/1 is valid with an
     # empty top strip; the over-cap chains also fail one or both
     with pytest.raises(ValueError, match="^not a Klein tableau: chain not weakly increasing at level 1$"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hallkit import embeddings as emb
-from hallkit import oracle, tableaux, verify
+from hallkit import oracle, verify
 from hallkit.caps import limits
 from hallkit.cli import main
 from hallkit.hall import hall_multiplicity_factored, hall_polynomial
@@ -22,7 +22,7 @@ def tally(rep) -> dict[str, tuple[int, int, int]]:
     return {c.name: (c.run, c.skipped, c.failed) for c in rep.checks}
 
 
-def test_theorem2_skips_embeddings_over_cap():
+def test_theorem2_skips_embeddings_over_cap(cold):
     # 729-element ambients at p = 3 exceed the cap: those embeddings are
     # skipped and counted instead of aborting the suite.
     with limits(general=512):
@@ -34,7 +34,7 @@ def test_theorem2_skips_embeddings_over_cap():
     assert check.skip_reason == "skipped over cap: ambient order 3^8 exceeds cap 512"
 
 
-def test_formulas_count_brute_force_skips():
+def test_formulas_count_brute_force_skips(cold):
     # End(T(4,2)) has 2^10 maps: over the cap, so the pair is skipped in the
     # sweep and the anchor checks that need it report themselves skipped.
     with limits(general=512):
@@ -62,7 +62,7 @@ def test_formulas_count_brute_force_skips():
     assert anchor.skip_reason == anchor.detail
 
 
-def test_formulas_skip_anchors_over_an_env_cap(capsys, monkeypatch):
+def test_formulas_skip_anchors_over_an_env_cap(capsys, monkeypatch, cold):
     # at HALLKIT_CAP=32 the 2^6-element ambient of T(4,2) is over the cap:
     # the anchor and orbit checks that build it report themselves skipped
     monkeypatch.setenv("HALLKIT_CAP", "32")
@@ -103,7 +103,7 @@ HALL_4_CAPPED = {
 }
 
 
-def test_hall_skips_betas_over_cap():
+def test_hall_skips_betas_over_cap(cold):
     # |M(beta)| = 16 > 8 for the five beta of size 4: their censuses are
     # skipped and counted, and the report is still produced.
     with limits(general=8):
@@ -114,7 +114,7 @@ def test_hall_skips_betas_over_cap():
     assert tally(rep) == HALL_4_CAPPED
 
 
-def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
+def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch, cold):
     # --cap is the general cap: it may lower the census bound, but the
     # betas of size 5 (|M(beta)| = 32) stay over a subgroup cap of 16
     monkeypatch.setenv("HALLKIT_SUBGROUP_CAP", "16")
@@ -126,7 +126,7 @@ def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch):
     assert (checks["counts-match-oracle"].run, checks["counts-match-oracle"].skipped) == (12, 7)
 
 
-def test_census_checks_count_their_skipped_betas(capsys):
+def test_census_checks_count_their_skipped_betas(capsys, cold):
     # at cap 0 all 7 beta censuses of size <= 3 are skipped: every census
     # check says so in its counts and in its detail
     code = main(["verify", "--suite", "hall", "--cap", "0", "--max-beta", "3", "--count", "5"])
@@ -143,7 +143,7 @@ def test_census_checks_count_their_skipped_betas(capsys):
     assert (checks["counts-match-oracle"]["run"], checks["counts-match-oracle"]["skipped"]) == (0, 7)
 
 
-def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
+def test_hall_symbolic_checks_run_on_every_beta(monkeypatch, cold):
     # the betas of size 4 are over the cap, yet the symbolic checks compute
     # every one of their triples; the symmetry check reuses the mirrored
     # triple's polynomial, so no triple is computed twice
@@ -169,7 +169,7 @@ def test_hall_symbolic_checks_run_on_every_beta(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_roundtrip_skips_realizations_over_cap():
+def test_roundtrip_skips_realizations_over_cap(cold):
     # at p = 3 the realizations with |beta| = 4 need 81 > 64 elements
     with limits(general=64):
         rep = verify.suite_roundtrip(max_beta=4, realize_max=4)
@@ -183,7 +183,7 @@ def test_roundtrip_skips_realizations_over_cap():
     }
 
 
-def test_cli_verify_reports_skips_over_cap(capsys):
+def test_cli_verify_reports_skips_over_cap(capsys, cold):
     code = main(["verify", "--suite", "hall", "--max-beta", "4", "--cap", "8"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["passed"] is True
@@ -422,7 +422,7 @@ def without_elapsed(payload: dict) -> dict:
     return payload
 
 
-def test_capped_report_is_pinned(capsys):
+def test_capped_report_is_pinned(capsys, cold):
     # every suite skips something at cap 16
     code = main(["verify", "--max-beta", "5", "--count", "20", "--cap", "16"])
     payload = without_elapsed(json.loads(capsys.readouterr().out))
@@ -431,12 +431,10 @@ def test_capped_report_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("cap", [0, 4, 16])
-def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap):
+def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap, cold):
     # --cap N puts N in force for every bound, diagrams included, as
     # HALLKIT_CAP=N does, from cold memos, so that no earlier test's
     # tableaux stand in for a walk under the cap
-    tableaux._entries2.cache_clear()
-    tableaux._climbs.cache_clear()
     argv = ["verify", "--suite", "hall", "--max-beta", "5"]
     assert main([*argv, "--cap", str(cap)]) == 0
     flagged = without_elapsed(json.loads(capsys.readouterr().out))
@@ -445,7 +443,7 @@ def test_cap_flag_equals_env_cap(capsys, monkeypatch, cap):
     assert without_elapsed(json.loads(capsys.readouterr().out)) == flagged
 
 
-def test_subgroup_cap_flag_raises_the_census_bound(capsys, monkeypatch):
+def test_subgroup_cap_flag_raises_the_census_bound(capsys, monkeypatch, cold):
     # the default 2^10 skips the 15 beta of 7 boxes at p = 3, whose
     # lattices reach 3^7; --subgroup-cap 2187 runs them all, as
     # HALLKIT_SUBGROUP_CAP=2187 does
@@ -458,12 +456,10 @@ def test_subgroup_cap_flag_raises_the_census_bound(capsys, monkeypatch):
     assert without_elapsed(json.loads(capsys.readouterr().out)) == flagged
 
 
-def test_hall_skips_betas_over_the_diagram_cap():
+def test_hall_skips_betas_over_the_diagram_cap(cold):
     # at cap 4 the seven beta of size 5 have no breakdowns: each symbolic
     # check runs the cases of |beta| <= 4 and counts those seven skipped,
     # from cold memos
-    tableaux._entries2.cache_clear()
-    tableaux._climbs.cache_clear()
     with limits(general=4):
         rep = verify.suite_hall(prime=2, max_beta=5)
     assert rep.passed
