@@ -24,8 +24,8 @@ with its suffix counts (``_suffix_counts``, as ``validate_lr`` compares).
 The LR walk is Markov, so a state (alpha with its climbed columns
 removed, g) is walked once per table and keeps a child's group of chains
 only when that group's first strip has suffix counts at most its own
-(the lattice test, once per group).  ``enumerate_lr`` reads beta's shared
-table under the diagram cap, ``enumerate_klein_entries2`` a fresh one.
+(the lattice test, once per group).  ``_climbs`` keeps one table, the
+last beta's, read by ``enumerate_lr`` and ``enumerate_klein_entries2``.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``, shared by every reader of a chain: the subscript
@@ -429,9 +429,10 @@ def _flatten(fixed) -> tuple[Partition, tuple[int, ...]]:
 _END = (((), None, None),)
 
 
-@lru_cache(maxsize=1 << 9)
+@lru_cache(maxsize=1)
 def _climbs(beta: Partition) -> dict:
-    """The table of climb states under beta, filled by ``_climb``."""
+    """The table of climb states under beta, filled by ``_climb``, kept
+    only for the beta being read: every reader reads one beta at a time."""
     return {((), beta): _END}
 
 
@@ -484,33 +485,32 @@ def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
     """All LR tableaux of type (alpha, beta, gamma), sorted by their chains,
-    read by ``_chains`` from beta's table of climb states, which every type
-    of one beta shares.  CapExceeded, before any other work, when beta has
+    read by ``_chains``.  CapExceeded, before any other work, when beta has
     more boxes than the general cap."""
     beta = partition(beta)
     check_diagram_size(sum(beta))
-    chains = _chains(_climbs(beta), beta, partition(alpha), partition(gamma))
-    return tuple([_unchecked(gs) for gs in chains])
+    return tuple([_unchecked(gs) for gs in _chains(beta, partition(alpha), partition(gamma))])
 
 
-def _chains(table: dict, beta: Partition, alpha: Partition, gamma: Partition) -> list:
+def _chains(beta: Partition, alpha: Partition, gamma: Partition) -> list:
     """The sorted chains of the LR tableaux of type (alpha, beta, gamma),
-    read from a table of climb states under beta (``_climb``).
+    read from beta's table of climb states (``_climbs``), shared by its types.
 
     A type with |alpha| + |gamma| != |beta|, or with alpha or gamma
-    outside beta, has none and is not walked.  Otherwise the chains start
-    at the state (alpha, gamma), climbed first if the table lacks it:
-    strips ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are added
-    to gamma, up under beta, each strip kept only under the one below it
-    (lattice), and the last strip ends at beta.  The groups are read depth
-    first on an explicit stack into one path list, g_0, ..., g_ell, and a
-    chain is copied from it once, at its end, so a chain costs O(e).
+    outside beta, has none, and no table is read.  Otherwise the chains
+    start at the state (alpha, gamma), climbed first if the table lacks
+    it: strips ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are
+    added to gamma, up under beta, each strip kept only under the one
+    below it (lattice), and the last strip ends at beta.  The groups are
+    read depth first on an explicit stack into one path list, g_0, ...,
+    g_ell, and a chain is copied from it once, at its end, so a chain
+    costs O(e).
     """
     if sum(alpha) + sum(gamma) != sum(beta) or not (
         contains(beta, alpha) and contains(beta, gamma)
     ):
         return []
-    start = (alpha, gamma)
+    table, start = _climbs(beta), (alpha, gamma)
     if start not in table:
         _climb(table, beta, start)
     chains, path = [], []
@@ -591,9 +591,9 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     sorted by e, chain and levels: those of the types (alpha, beta, gamma)
     whose alpha has parts <= 2.  Each bottom gamma, listed column by column
     at most two boxes below beta, d boxes short of it, has its chains read
-    by ``_chains`` for alpha = (2^t, 1^(d-2t)), t = 0..d//2, from one fresh
-    table of climb states per beta.  The diagram cap, which
-    ``enumerate_lr`` checks, does not apply: the orbit identity reads every
+    by ``_chains`` for alpha = (2^t, 1^(d-2t)), t = 0..d//2, from beta's
+    table of climb states.  The diagram cap, which ``enumerate_lr``
+    checks, does not apply: the orbit identity reads every
     beta up to |beta| 12 under any cap and never skips.  Memoised per beta,
     since the bijection, orbit and realization checks each ask for every
     beta up to |beta| 10 to 12.
@@ -607,13 +607,12 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     bottoms = [beta[:1]]
     for b in beta:
         bottoms = [g + (c,) for g in bottoms for c in range(max(b - 2, 0), min(b, g[-1]) + 1)]
-    # a fresh table, dropped on return: beta's shared one would keep its states
-    table, chains = _climbs.__wrapped__(beta), []
+    chains = []
     for g in bottoms:
         gamma = partition(g[1:])
         d = sum(beta) - sum(gamma)
         for t in range(d // 2 + 1):
-            chains += _chains(table, beta, (2,) * t + (1,) * (d - 2 * t), gamma)
+            chains += _chains(beta, (2,) * t + (1,) * (d - 2 * t), gamma)
     out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
     out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
     return tuple(out)

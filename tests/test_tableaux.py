@@ -1,6 +1,8 @@
+import gc
 import random
 import re
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -229,9 +231,9 @@ def test_entries2_chains_match_unpruned_walk():
 
 def test_strips_yield_their_own_suffix_counts(monkeypatch, cold):
     # every strip the walker yields comes with the suffix counts of its
-    # skew, padded to len(beta) + 1, as enumerate_lr and the entries-<=2
-    # enumerator climb their tables (the latter's top strips are states
-    # of its own table, so they are yielded too)
+    # skew, padded to len(beta) + 1, as the entries-<=2 enumerator and
+    # then enumerate_lr climb beta's one table (enumerate_lr walks only
+    # the states that the former left unclimbed)
     up, seen = tableaux._strips_up, {"up": 0}
 
     def checked_up(lam, top, size, above):
@@ -248,18 +250,19 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch, cold):
                 for alpha in partitions_of(k):
                     for gamma in partitions_of(n - k):
                         enumerate_lr(alpha, beta, gamma)
-    assert seen == {"up": 2168}
+    assert seen == {"up": 1338}
 
 
 def test_entries2_walk_work(monkeypatch, cold):
-    # every beta with |beta| <= 12, past the per-beta memo: one fresh
-    # table per beta makes 12,069 walker calls (the strip sizes bounded
+    # every beta with |beta| <= 12, past the per-beta memo: one table
+    # climbed per beta makes 12,069 walker calls (the strip sizes bounded
     # by hand per bottom made 8,400)
     strips, calls = tableaux._strips_up, []
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
     betas = [beta for n in range(13) for beta in partitions_of(n)]
     total = sum(len(tableaux._entries2.__wrapped__(beta)) for beta in betas)
     assert (len(betas), total, len(calls)) == (272, 10158, 12069)
+    assert tableaux._climbs.cache_info().misses == 272
 
 
 def test_entries2_enumerator_ignores_the_diagram_cap(cold):
@@ -284,6 +287,7 @@ def test_lr_walk_work_on_the_sweep_beta(monkeypatch, cold):
     chains = sum(len(enumerate_lr(alpha, beta, gamma)) for alpha, gamma in types)
     assert (len(types), chains) == (1808, 2208)
     assert len(calls) <= 1807, len(calls)
+    assert tableaux._climbs.cache_info().misses == 1
 
 
 def _fresh_strips_up(lam, top, lower, size, above):
@@ -337,18 +341,19 @@ def _fresh_lr(alpha, beta, gamma):
 def test_climb_table_matches_a_fresh_walk_per_type(cold):
     # every type with |beta| <= 9, in order, read first from a cleared
     # table (which the types of each beta fill as they go) and then from
-    # the warm one, gives the chains of a fresh walk per type
-    triples = [
-        (alpha, beta, gamma)
-        for n in range(10)
-        for beta in partitions_of(n)
-        for k in range(n + 1)
-        for alpha in partitions_of(k)
-        for gamma in partitions_of(n - k)
-    ]
-    want = [_fresh_lr(*t) for t in triples]
-    for _ in ("cold", "warm"):
-        assert [[lr.gammas for lr in enumerate_lr(*t)] for t in triples] == want
+    # the warm one, before the next beta's table replaces it, gives the
+    # chains of a fresh walk per type
+    for n in range(10):
+        for beta in partitions_of(n):
+            triples = [
+                (alpha, beta, gamma)
+                for k in range(n + 1)
+                for alpha in partitions_of(k)
+                for gamma in partitions_of(n - k)
+            ]
+            want = [_fresh_lr(*t) for t in triples]
+            for _ in ("cold", "warm"):
+                assert [[lr.gammas for lr in enumerate_lr(*t)] for t in triples] == want
     # item 16's triples at |beta| = 27, 36 and 45
     for alpha, beta, gamma, count in [
         ((4, 3, 2, 2, 1), (6, 6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), 49),
@@ -371,6 +376,21 @@ def test_deep_chains_are_walked_in_linear_time():
     assert lr.gammas == ((),) + tuple((k,) for k in range(1, 40001))
     assert wide.gammas == ((), ones)
     assert middle - start < 1 and end - middle < 1
+
+
+def test_climb_table_lives_while_its_beta_is_read(cold):
+    # the 40,000 climb states of a deep chain go once a type of another
+    # beta is walked: only the table of the beta being read is kept
+    tracemalloc.start()
+    try:
+        with limits(general=10**6):
+            enumerate_lr((40000,), (40000,), ())
+        assert len(enumerate_lr((2, 1), (3, 2, 1), (2, 1))) == 2
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * 10**6, kept
 
 
 def test_klein_refinement_examples():
