@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="prime of formulas and hall; roundtrip and theorem2 run p = 2 and 3",
     )
     sp.add_argument(
-        "--max-beta", type=_non_negative, default=7, help="largest |beta| that hall checks"
+        "--max-beta", type=_non_negative, default=7,
+        help="largest |beta| of hall's census and symbolic checks; its orbit-identity "
+        f"check always runs to |beta| <= {verify.ORBIT_MAX_SIZE}",
     )
     sp.add_argument("--seed", type=_integer, default=20260808, help="random seed of theorem2")
     sp.add_argument(

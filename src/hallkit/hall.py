@@ -136,28 +136,18 @@ def hall_polynomial(alpha, beta, gamma) -> HallBreakdown:
     """The classical Hall polynomial for the type triple, with breakdown.
 
     Each LR chain's Klein tableaux and their multiplicities come from
-    ``_priced_refinements``; the total is summed in one dict.  A type
-    with no LR tableau gets the one shared, frozen ``_NO_TABLEAU``.
+    ``_priced_refinements``; the total is their ``QPolynomial.sum``.  A
+    type with no LR tableau gets the one shared, frozen ``_NO_TABLEAU``.
     """
     if not (lrs := enumerate_lr(alpha, beta, gamma)):
         return _NO_TABLEAU
-    parts = []
-    total: dict[int, int] = {}
-    for lr in lrs:
-        for tab, form in _priced_refinements(lr):
-            poly = _expansion(form)
-            for d, c in poly.coeffs:
-                total[d] = total.get(d, 0) + c
-            parts.append((tab, poly))
-    return HallBreakdown(QPolynomial.from_dict(total), tuple(parts))
+    parts = tuple((tab, _expansion(form)) for lr in lrs for tab, form in _priced_refinements(lr))
+    return HallBreakdown(QPolynomial.sum(poly for _, poly in parts), parts)
 
 
 def lr_multiplicity(lr: LRTableau) -> QPolynomial:
     """Sum of Hall multiplicities over all Klein refinements of an LR tableau."""
-    total = QPolynomial.zero()
-    for _, form in _priced_refinements(lr):
-        total = total + _expansion(form)
-    return total
+    return QPolynomial.sum(_expansion(form) for _, form in _priced_refinements(lr))
 
 
 def dominant_refinement(lr: LRTableau) -> KleinTableau:

@@ -1,16 +1,19 @@
 """Exact arithmetic in the indeterminate q.
 
-Two forms live here.  ``QPolynomial`` is an integer polynomial in q.
+Two forms live here.  ``QPolynomial`` is an integer polynomial in q,
+stored as one coefficient per exponent up to its degree.
 ``QOrderFactored`` is a group order kept in the factored shape
 q^a * prod_j (q^j - 1)^{e_j}; exponents may go negative mid-computation,
 which is what makes quotients of automorphism-group orders exact and
-cancellation-friendly.  Expansion back to a polynomial checks that every
-division is exact and raises ``NonPolynomial`` otherwise.
+cancellation-friendly.  Expansion multiplies the factors out on one
+coefficient list and divides the negative ones out of it; any division
+that is not exact raises ``NonPolynomial``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import prod
 from typing import Iterable, Mapping
 
@@ -18,22 +21,26 @@ from .errors import NonIntegral, NonPolynomial
 from .partitions import json_record, json_typed, read_int
 
 
-def _clean(coeffs: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    items = tuple(sorted((int(e), int(c)) for e, c in coeffs.items() if c != 0))
-    if any(e < 0 for e, _ in items):
-        raise ValueError("negative exponents are not allowed in QPolynomial")
-    return items
+def _trim(coeffs: list[int]) -> tuple[int, ...]:
+    """coeffs without its trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True, slots=True)
 class QPolynomial:
-    """Integer polynomial in q, stored as sorted (exponent, coefficient) pairs."""
+    """Integer polynomial in q: ``coeffs[e]`` is the coefficient of q^e,
+    with no trailing zero, so the zero polynomial is ``()``."""
 
-    coeffs: tuple[tuple[int, int], ...] = ()
+    coeffs: tuple[int, ...] = ()
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, int]) -> "QPolynomial":
-        return cls(_clean(coeffs))
+        terms = {int(e): int(c) for e, c in coeffs.items() if c != 0}
+        if any(e < 0 for e in terms):
+            raise ValueError("negative exponents are not allowed in QPolynomial")
+        return cls(tuple(terms.get(e, 0) for e in range(max(terms, default=-1) + 1)))
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -41,14 +48,15 @@ class QPolynomial:
 
     @classmethod
     def one(cls) -> "QPolynomial":
-        return cls(((0, 1),))
+        return cls((1,))
 
     @classmethod
-    def q_power(cls, n: int, coeff: int = 1) -> "QPolynomial":
-        return cls.from_dict({n: coeff})
+    def sum(cls, polys: Iterable["QPolynomial"]) -> "QPolynomial":
+        """Coefficient-wise sum; the zero polynomial for none."""
+        return cls(_trim(list(map(sum, zip_longest(*(p.coeffs for p in polys), fillvalue=0)))))
 
     def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
+        return {e: c for e, c in enumerate(self.coeffs) if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,57 +64,46 @@ class QPolynomial:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else -1
+        return len(self.coeffs) - 1
 
     @property
     def leading_coefficient(self) -> int:
-        return self.coeffs[-1][1] if self.coeffs else 0
+        return self.coeffs[-1] if self.coeffs else 0
 
     def is_monic(self) -> bool:
         return self.leading_coefficient == 1
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        out = self.as_dict()
-        for e, c in other.coeffs:
-            out[e] = out.get(e, 0) + c
-        return QPolynomial.from_dict(out)
+        return QPolynomial.sum((self, other))
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPolynomial.from_dict(out)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for e1, c1 in enumerate(self.coeffs):
+            for e2, c2 in enumerate(other.coeffs):
+                out[e1 + e2] += c1 * c2
+        return QPolynomial(_trim(out))
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Exact polynomial division; raises NonPolynomial on any remainder."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = self.as_dict()
-        quot: dict[int, int] = {}
-        de, dc = other.coeffs[-1]
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            if e < de or c % dc != 0:
-                raise NonPolynomial(f"{self} is not divisible by {other}")
-            qe, qc = e - de, c // dc
-            quot[qe] = qc
-            for oe, oc in other.coeffs:
-                k = oe + qe
-                nc = rem.get(k, 0) - oc * qc
-                if nc:
-                    rem[k] = nc
-                else:
-                    rem.pop(k, None)
-        return QPolynomial.from_dict(quot)
+        rem = list(self.coeffs)
+        de, dc = other.degree, other.leading_coefficient
+        quot = [0] * max(len(rem) - de, 0)
+        # a coefficient that dc does not divide leaves its remainder in rem
+        for qe in reversed(range(len(quot))):
+            quot[qe] = qc = rem[qe + de] // dc
+            for oe, oc in enumerate(other.coeffs):
+                rem[qe + oe] -= oc * qc
+        if any(rem):
+            raise NonPolynomial(f"{self} is not divisible by {other}")
+        return QPolynomial(tuple(quot))
 
     def evaluate(self, q0: int) -> int:
-        return sum(c * q0**e for e, c in self.coeffs)
+        return sum(c * q0**e for e, c in enumerate(self.coeffs))
 
     def to_json(self) -> dict:
-        return {"coeffs": {str(e): c for e, c in reversed(self.coeffs)}}
+        return {"coeffs": {str(e): c for e, c in reversed(self.as_dict().items())}}
 
     @classmethod
     def from_json(cls, data: dict) -> "QPolynomial":
@@ -120,7 +117,7 @@ class QPolynomial:
         if not self.coeffs:
             return "0"
         chunks: list[str] = []
-        for e, c in reversed(self.coeffs):
+        for e, c in reversed(self.as_dict().items()):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -163,9 +160,6 @@ class QOrderFactored:
     def q_power(cls, n: int) -> "QOrderFactored":
         return cls(n, ())
 
-    def factor_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     @classmethod
     def product(cls, forms: Iterable["QOrderFactored"]) -> "QOrderFactored":
         """The product of clean forms: their exponents summed in one dict
@@ -183,13 +177,8 @@ class QOrderFactored:
         return QOrderFactored.product((self, other))
 
     def __truediv__(self, other: "QOrderFactored") -> "QOrderFactored":
-        out = self.factor_dict()
-        for j, e in other.factors:
-            out[j] = out.get(j, 0) - e
-        # both operands are already clean, so the quotient's exponent tuple
-        # is built here, not re-checked by from_parts
-        factors = tuple(sorted(item for item in out.items() if item[1]))
-        return QOrderFactored(self.power - other.power, factors)
+        inverse = QOrderFactored(-other.power, tuple((j, -e) for j, e in other.factors))
+        return QOrderFactored.product((self, inverse))
 
     @property
     def degree(self) -> int:
@@ -197,21 +186,31 @@ class QOrderFactored:
         return self.power + sum(j * e for j, e in self.factors)
 
     def expand(self) -> QPolynomial:
-        """Multiply out; exact-divide by the negative content.
+        """Multiply out on one coefficient list: times each (q^j - 1)^e
+        with e > 0, then divided by each with e < 0, then shifted by q^power.
 
         Raises NonPolynomial when the result is not a polynomial, which
         signals a violated invariant upstream.
         """
-        num = QPolynomial.q_power(max(self.power, 0))
-        den = QPolynomial.q_power(max(-self.power, 0))
-        for j, e in self.factors:
-            base = QPolynomial.from_dict({j: 1, 0: -1})
+        coeffs = [1]
+        for j, e in sorted(self.factors, key=lambda f: f[1] < 0):
             for _ in range(abs(e)):
                 if e > 0:
-                    num = num * base
+                    # c * (q^j - 1): shift up by j, subtract c
+                    coeffs[:0] = [0] * j
+                    for i in range(len(coeffs) - j):
+                        coeffs[i] -= coeffs[i + j]
                 else:
-                    den = den * base
-        return num.exact_div(den)
+                    # c / (q^j - 1) from the top: quotient to coeffs[j:], remainder to coeffs[:j]
+                    for i in range(len(coeffs) - 1, j - 1, -1):
+                        coeffs[i - j] += coeffs[i]
+                    if any(coeffs[:j]):
+                        raise NonPolynomial(f"{self} is not a polynomial")
+                    del coeffs[:j]
+        low = max(-self.power, 0)
+        if any(coeffs[:low]):
+            raise NonPolynomial(f"{self} is not a polynomial")
+        return QPolynomial((0,) * self.power + tuple(coeffs[low:]))
 
     def evaluate(self, q0: int) -> int:
         """Exact big-integer value at q = q0; NonIntegral if not an integer."""

@@ -100,6 +100,12 @@ def test_long_floor_walk():
     assert got == poly({k: 1 for k in range(1000)})
 
 
+def test_high_degree_total_with_two_terms():
+    # one Klein tableau whose multiplicity has degree 2,000 and only two
+    # nonzero coefficients
+    assert hall_polynomial((2000,), (2000, 2000), (2000,)).total == poly({2000: 1, 1999: 1})
+
+
 def test_tall_chain_aut_orders_count_only_the_strip_rows(cold):
     # beta = (10^7, 10^7 - 1): the Aut orders of every level's
     # restrictions count the rows that hold boxes, so the rows below them
