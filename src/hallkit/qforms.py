@@ -1,13 +1,13 @@
 """Exact arithmetic in the indeterminate q.
 
-Two forms live here.  ``QPolynomial`` is an integer polynomial in q,
-stored as one coefficient per exponent up to its degree.
-``QOrderFactored`` is a group order kept in the factored shape
-q^a * prod_j (q^j - 1)^{e_j}; exponents may go negative mid-computation,
-which is what makes quotients of automorphism-group orders exact and
-cancellation-friendly.  Expansion multiplies the factors out on one
-coefficient list and divides the negative ones out of it; any division
-that is not exact raises ``NonPolynomial``.
+Two forms live here, both integer vectors with no trailing zero.
+``QPolynomial`` is an integer polynomial in q, one coefficient per
+exponent up to its degree.  ``QOrderFactored`` is a group order
+q^a * prod_j (q^j - 1)^{e_j}, one exponent per j from 1; exponents may
+go negative, which keeps quotients of automorphism-group orders exact.
+Sums and products add the vectors entry-wise.  Expansion multiplies the
+factors out on one coefficient list and divides the negative ones out
+of it; any division that is not exact raises ``NonPolynomial``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import NonIntegral, NonPolynomial
+from .caps import general_cap
+from .errors import CapExceeded, NonIntegral, NonPolynomial
 from .partitions import json_record, json_typed, read_int
 
 
@@ -26,6 +27,23 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _entrywise_sum(vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Entry-wise sum, trimmed; a lone vector comes back as it is."""
+    if len(vectors) == 1:
+        return vectors[0]
+    return _trim(list(map(sum, zip_longest(*vectors, fillvalue=0))))
+
+
+def _dense(entries: Mapping[int, int], start: int, what: str) -> tuple[int, ...]:
+    """The vector of entries, index start first, with no trailing zero;
+    CapExceeded before anything is allocated when the largest index
+    passes the general cap."""
+    top = max(entries, default=start - 1)
+    if top > (cap := general_cap()):
+        raise CapExceeded(f"{what} {top} exceeds cap {cap}")
+    return tuple(entries.get(i, 0) for i in range(start, top + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +58,7 @@ class QPolynomial:
         terms = {int(e): int(c) for e, c in coeffs.items() if c != 0}
         if any(e < 0 for e in terms):
             raise ValueError("negative exponents are not allowed in QPolynomial")
-        return cls(tuple(terms.get(e, 0) for e in range(max(terms, default=-1) + 1)))
+        return cls(_dense(terms, 0, "exponent"))
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -53,7 +71,7 @@ class QPolynomial:
     @classmethod
     def sum(cls, polys: Iterable["QPolynomial"]) -> "QPolynomial":
         """Coefficient-wise sum; the zero polynomial for none."""
-        return cls(_trim(list(map(sum, zip_longest(*(p.coeffs for p in polys), fillvalue=0)))))
+        return cls(_entrywise_sum([p.coeffs for p in polys]))
 
     def as_dict(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
@@ -138,19 +156,19 @@ class QPolynomial:
 class QOrderFactored:
     """A group order in factored form q^power * prod_j (q^j - 1)^{e_j}.
 
-    ``factors`` maps j to the (possibly negative) exponent e_j; zero
-    exponents are never stored.
+    ``factors[j - 1]`` is the (possibly negative) exponent e_j, with no
+    trailing zero, so the unit is ``()``; zeros inside are kept.
     """
 
     power: int = 0
-    factors: tuple[tuple[int, int], ...] = ()
+    factors: tuple[int, ...] = ()
 
     @classmethod
     def from_parts(cls, power: int, factors: Mapping[int, int]) -> "QOrderFactored":
-        items = tuple(sorted((int(j), int(e)) for j, e in factors.items() if e != 0))
-        if any(j < 1 for j, _ in items):
+        exps = {int(j): int(e) for j, e in factors.items() if e != 0}
+        if any(j < 1 for j in exps):
             raise ValueError("factor indices must be >= 1")
-        return cls(int(power), items)
+        return cls(int(power), _dense(exps, 1, "factor index"))
 
     @classmethod
     def one(cls) -> "QOrderFactored":
@@ -162,28 +180,27 @@ class QOrderFactored:
 
     @classmethod
     def product(cls, forms: Iterable["QOrderFactored"]) -> "QOrderFactored":
-        """The product of clean forms: their exponents summed in one dict
-        and built into the tuple directly, since clean operands need no
-        re-check by ``from_parts``; ``one()`` for no forms."""
+        """The product of forms: their powers added and their nonempty
+        exponent vectors summed entry-wise; ``one()`` for no forms."""
         power = 0
-        exps: dict[int, int] = {}
+        vectors = []
         for form in forms:
             power += form.power
-            for j, e in form.factors:
-                exps[j] = exps.get(j, 0) + e
-        return cls(power, tuple(sorted(item for item in exps.items() if item[1])))
+            if form.factors:
+                vectors.append(form.factors)
+        return cls(power, _entrywise_sum(vectors))
 
     def __mul__(self, other: "QOrderFactored") -> "QOrderFactored":
         return QOrderFactored.product((self, other))
 
     def __truediv__(self, other: "QOrderFactored") -> "QOrderFactored":
-        inverse = QOrderFactored(-other.power, tuple((j, -e) for j, e in other.factors))
+        inverse = QOrderFactored(-other.power, tuple(-e for e in other.factors))
         return QOrderFactored.product((self, inverse))
 
     @property
     def degree(self) -> int:
         """Degree of the expansion, valid whenever the expansion exists."""
-        return self.power + sum(j * e for j, e in self.factors)
+        return self.power + sum(j * e for j, e in enumerate(self.factors, 1))
 
     def expand(self) -> QPolynomial:
         """Multiply out on one coefficient list: times each (q^j - 1)^e
@@ -193,7 +210,7 @@ class QOrderFactored:
         signals a violated invariant upstream.
         """
         coeffs = [1]
-        for j, e in sorted(self.factors, key=lambda f: f[1] < 0):
+        for j, e in sorted(enumerate(self.factors, 1), key=lambda f: f[1] < 0):
             for _ in range(abs(e)):
                 if e > 0:
                     # c * (q^j - 1): shift up by j, subtract c
@@ -219,7 +236,7 @@ class QOrderFactored:
             num *= q0**self.power
         else:
             den *= q0 ** (-self.power)
-        for j, e in self.factors:
+        for j, e in enumerate(self.factors, 1):
             val = q0**j - 1
             if e > 0:
                 num *= val**e
@@ -231,9 +248,10 @@ class QOrderFactored:
 
     def __str__(self) -> str:
         bits = [f"q^{self.power}"] if self.power else []
-        for j, e in self.factors:
-            base = f"(q^{j}-1)" if j > 1 else "(q-1)"
-            bits.append(base if e == 1 else f"{base}^{e}")
+        for j, e in enumerate(self.factors, 1):
+            if e:
+                base = f"(q^{j}-1)" if j > 1 else "(q-1)"
+                bits.append(base if e == 1 else f"{base}^{e}")
         return "*".join(bits) if bits else "1"
 
 
@@ -244,7 +262,7 @@ def gl_order(m: int) -> QOrderFactored:
     """
     if m < 0:
         raise ValueError("rank must be >= 0")
-    return QOrderFactored.from_parts(m * (m - 1) // 2, {j: 1 for j in range(1, m + 1)})
+    return QOrderFactored(m * (m - 1) // 2, (1,) * m)
 
 
 def gaussian_binomial(n: int, k: int, q0: int) -> int:

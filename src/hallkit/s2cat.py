@@ -369,16 +369,15 @@ def _aut_parts(end: int, mults) -> QOrderFactored:
     the units of End modulo its radical, a product of matrix rings over the
     residue field; hence #Aut = #End * prod(|GL_k| / q^(k^2)) over the
     multiplicities k.  With |GL_k| = q^(k(k-1)/2) prod_{j<=k} (q^j - 1),
-    that is one exponent vector: q to the power
-    end - sum k^2 + sum k(k-1)/2 = end - sum k(k+1)/2, and (q^j - 1) to
-    the number of summands of multiplicity at least j.
+    that is q to the power end - sum k^2 + sum k(k-1)/2 =
+    end - sum k(k+1)/2, and the exponent vector whose entry j, for j up
+    to the largest k, is the number of summands of multiplicity >= j.
     """
     ks = sorted(mults)
     power = end - sum(k * (k + 1) // 2 for k in ks)
     # with ks ascending, len(ks) - bisect_left(ks, j) of them are >= j
     top = ks[-1] if ks else 0
-    factors = tuple((j, len(ks) - bisect_left(ks, j)) for j in range(1, top + 1))
-    return QOrderFactored(power, factors)
+    return QOrderFactored(power, tuple(len(ks) - bisect_left(ks, j) for j in range(1, top + 1)))
 
 
 def aut_order(obj: S2Object) -> QOrderFactored:

@@ -167,10 +167,9 @@ def suite_formulas(prime: int = 2) -> SuiteReport:
         return counts == want, f"{counts} vs {want}"
 
     anchors = [
-        (S2Object.of(Bipicket(4, 2)), QOrderFactored.from_parts(8, {1: 1})),
-        (S2Object.of(Picket(1, 4), Picket(0, 3), Picket(0, 2)),
-         QOrderFactored.from_parts(20, {1: 3})),
-        (S2Object.of(Bipicket(4, 2), Picket(1, 3)), QOrderFactored.from_parts(20, {1: 2})),
+        (S2Object.of(Bipicket(4, 2)), QOrderFactored(8, (1,))),
+        (S2Object.of(Picket(1, 4), Picket(0, 3), Picket(0, 2)), QOrderFactored(20, (3,))),
+        (S2Object.of(Bipicket(4, 2), Picket(1, 3)), QOrderFactored(20, (2,))),
     ]
 
     # embeddings are built inside the capped callables, so an ambient

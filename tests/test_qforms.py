@@ -4,7 +4,8 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from hallkit.errors import NonIntegral, NonPolynomial
+from hallkit.caps import limits
+from hallkit.errors import CapExceeded, NonIntegral, NonPolynomial
 from hallkit.qforms import QOrderFactored, QPolynomial, evaluate, gl_order
 
 # exponent -> coefficient, zero coefficients included, and negative
@@ -129,8 +130,8 @@ def test_degree_matches_expansion(x):
 def _times(x, y):
     """x * y as a pairwise product through from_parts, which drops the
     exponents that cancel."""
-    out = dict(x.factors)
-    for j, e in y.factors:
+    out = dict(enumerate(x.factors, 1))
+    for j, e in enumerate(y.factors, 1):
         out[j] = out.get(j, 0) + e
     return QOrderFactored.from_parts(x.power + y.power, out)
 
@@ -139,14 +140,14 @@ def _times(x, y):
 def test_product_is_the_fold_of_from_parts(forms):
     got = QOrderFactored.product(forms)
     assert got == reduce(_times, forms, QOrderFactored.one())
-    assert all(e for _, e in got.factors)
+    assert not got.factors or got.factors[-1]
 
 
 def test_product_examples():
     assert QOrderFactored.product([]) == QOrderFactored.one()
     # (q-1) and (q-1)^-1 cancel, and no zero exponent is kept
     assert QOrderFactored.product([QO(2, {1: 1, 2: 1}), QO(1, {1: -1})]) == QO(3, {2: 1})
-    assert QOrderFactored.product([QO(2, {1: 1, 2: 1}), QO(1, {1: -1})]).factors == ((2, 1),)
+    assert QOrderFactored.product([QO(2, {1: 1, 2: 1}), QO(1, {1: -1})]).factors == (0, 1)
 
 
 def _nonzero(d):
@@ -259,3 +260,80 @@ def test_sum_examples():
 def test_expand_refuses_a_non_polynomial(form):
     with pytest.raises(NonPolynomial):
         form.expand()
+
+
+# j -> exponent of (q^j - 1), zero exponents included
+exponents = st.dictionaries(st.integers(1, 6), st.integers(-2, 2), max_size=4)
+forms = st.tuples(st.integers(-3, 6), exponents)
+
+# one factor of QOrderFactored.__str__: q^a, or (q-1) or (q^j-1) with an optional ^e
+FACTOR = re.compile(r"q\^(-?\d+)|\(q(?:\^(\d+))?-1\)(?:\^(-?\d+))?")
+
+
+def _parse_form(text):
+    """(power, [(j, e), ...] in the order written) of a rendered form."""
+    power, factors = 0, []
+    for chunk in text.split("*") if text != "1" else []:
+        a, j, e = FACTOR.fullmatch(chunk).groups()
+        if a is not None:
+            assert not factors and not power
+            power = int(a)
+        else:
+            factors.append((int(j or 1), int(e or 1)))
+    return power, factors
+
+
+def _check_form(x, power, d):
+    """x is the form q^power * prod (q^j - 1)^d[j], by every reader."""
+    d = _nonzero(d)
+    assert x.power == power
+    assert dict((j, e) for j, e in enumerate(x.factors, 1) if e) == d
+    assert len(x.factors) == max(d, default=0)
+    assert x.degree == power + sum(j * e for j, e in d.items())
+    assert _parse_form(str(x)) == (power, sorted(d.items()))
+
+
+@given(forms)
+def test_from_parts_against_a_dict(form):
+    power, d = form
+    _check_form(QOrderFactored.from_parts(power, d), power, d)
+
+
+@given(st.lists(forms, max_size=4), exponents)
+def test_product_and_quotient_against_a_dict(fs, x):
+    # x and then x inverted: their exponents cancel in the product, which
+    # leaves trailing zeros whenever x holds the largest j and interior
+    # zeros wherever x alone has a j
+    fs = [*fs, (1, x), (-1, {j: -e for j, e in x.items()})]
+    got = QOrderFactored.product(QOrderFactored.from_parts(*f) for f in fs)
+    _check_form(got, sum(a for a, _ in fs), reduce(_add, (d for _, d in fs), {}))
+    (pa, da), (pb, db) = fs[0], fs[-1]
+    quotient = QOrderFactored.from_parts(pa, da) / QOrderFactored.from_parts(pb, db)
+    _check_form(quotient, pa - pb, _add(da, {j: -e for j, e in db.items()}))
+
+
+def test_vector_examples():
+    # an interior zero is kept and rendered as nothing; a trailing one goes
+    x = QO(1, {1: 1, 2: 1, 3: -2}) * QO(0, {2: -1})
+    assert x.factors == (1, 0, -2) and str(x) == "q^1*(q-1)*(q^3-1)^-2"
+    assert (x / QO(0, {3: -2})).factors == (1,)
+    assert QO(0, {1: 0, 4: 0}).factors == () and str(QO(0, {2: 0})) == "1"
+    assert gl_order(3).factors == (1, 1, 1)
+
+
+def test_vector_readers_refuse_an_index_above_the_cap():
+    # a vector is as long as its largest index, so that index is checked
+    # against the general cap before anything is allocated
+    with limits(general=1000):
+        for read in [
+            lambda: QPolynomial.from_dict({5000: 1}),
+            lambda: QPolynomial.from_json({"coeffs": {"5000": 1}}),
+            lambda: QOrderFactored.from_parts(0, {5000: 1}),
+        ]:
+            with pytest.raises(CapExceeded, match="5000 exceeds cap 1000"):
+                read()
+        assert QPolynomial.from_dict({1000: 1}).degree == 1000
+        assert QOrderFactored.from_parts(0, {1000: 1}).degree == 1000
+    # a total of degree 20,000 round-trips at the default cap
+    poly = QPolynomial.from_dict({20000: 1, 19999: 1})
+    assert QPolynomial.from_json(poly.to_json()) == poly
