@@ -24,8 +24,8 @@ with its suffix counts (``_suffix_counts``, as ``validate_lr`` compares).
 The LR walk is Markov, so a state (alpha with its climbed columns
 removed, g) is walked once per table and keeps a child's group of chains
 only when that group's first strip has suffix counts at most its own
-(the lattice test, once per group).  ``_climbs`` keeps one table, the
-last beta's, read by ``enumerate_lr`` and ``enumerate_klein_entries2``.
+(the lattice test, once per group).  Groups, tabled by strip,
+descending, and read last-in-first-out, leave the table in chain order.
 
 A chain (low, mid, top) is read in one pass over its columns,
 ``chain_columns``, shared by every reader of a chain: the subscript
@@ -444,19 +444,20 @@ def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> 
     from g has len(rest) boxes and rest[0] - 1 strips follow it, and the
     child state of a strip g' is (rest with its first column removed,
     g').  An entry is a group (suffix, child state, kept) per first strip
-    g' that some chain to beta goes through, where suffix is the strip's
-    suffix counts and kept is the positions of the child's groups that
-    the lattice test lets follow it, those whose suffix is at most this
-    one's column by column, or None for all of them.  Groups hold states
-    and positions, not other groups, so no entry nests another, and a
-    state is walked once per table, whatever type climbs through it.
+    g' that some chain to beta goes through, sorted here by g',
+    descending, for ``_chains``'s last-in-first-out read; suffix is the
+    strip's suffix counts and kept is the positions of the child's groups
+    that the lattice test lets follow it, those whose suffix is at most
+    this one's column by column, or None for all of them.  Groups hold
+    states and positions, not other groups, so no entry nests another,
+    and a state is walked once per table, whatever type climbs through it.
 
     The states not yet in the table are walked on explicit lists, one
     layer at a time (the states of a layer share their rest), with no
     recursion, and then finished from the last layer back, so every
     child is finished before its parents.  Each walked state is dropped
-    as it is finished, and an entry holds no other entry, so the garbage
-    collector's work stays linear in the states of a deep chain.
+    as it is finished, so the garbage collector's work stays linear in
+    the states of a deep chain.
     """
     walked = []
     layer = [state]
@@ -465,7 +466,7 @@ def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> 
         above = tuple([a - 1 for a in rest if a > 1])
         children = {}
         for state in layer:
-            strips = _strips_up(state[1], beta, len(rest), rest[0] - 1)
+            strips = sorted(_strips_up(state[1], beta, len(rest), rest[0] - 1), reverse=True)
             strips = tuple([(s, (above, mu)) for mu, s in strips])
             walked.append((state, strips))
             for _, child in strips:
@@ -484,9 +485,9 @@ def _climb(table: dict, beta: Partition, state: tuple[Partition, Partition]) -> 
 
 
 def enumerate_lr(alpha, beta, gamma) -> tuple[LRTableau, ...]:
-    """All LR tableaux of type (alpha, beta, gamma), sorted by their chains,
-    read by ``_chains``.  CapExceeded, before any other work, when beta has
-    more boxes than the general cap."""
+    """All LR tableaux of type (alpha, beta, gamma), in chain order, as
+    ``_chains`` reads them from the table.  CapExceeded, before any other
+    work, when beta has more boxes than the general cap."""
     beta = partition(beta)
     check_diagram_size(sum(beta))
     return tuple([_unchecked(gs) for gs in _chains(beta, partition(alpha), partition(gamma))])
@@ -501,10 +502,10 @@ def _chains(beta: Partition, alpha: Partition, gamma: Partition) -> list:
     start at the state (alpha, gamma), climbed first if the table lacks
     it: strips ell = 1, ..., e of conjugate(alpha)[ell-1] boxes each are
     added to gamma, up under beta, each strip kept only under the one
-    below it (lattice), and the last strip ends at beta.  The groups are
-    read depth first on an explicit stack into one path list, g_0, ...,
-    g_ell, and a chain is copied from it once, at its end, so a chain
-    costs O(e).
+    below it (lattice), and the last strip ends at beta.  The groups, by
+    strip descending (``_climb``), are read last-in-first-out on an
+    explicit stack into one path list, g_0, ..., g_ell, so the chains come
+    out sorted; each is copied from it once, at its end, in O(e).
     """
     if sum(alpha) + sum(gamma) != sum(beta) or not (
         contains(beta, alpha) and contains(beta, gamma)
@@ -524,7 +525,6 @@ def _chains(beta: Partition, alpha: Partition, gamma: Partition) -> list:
                 chains.append(tuple(path))
             else:
                 stack.append((ell + 1, child[1], table[child], below))
-    chains.sort()
     return chains
 
 
@@ -591,12 +591,12 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     sorted by e, chain and levels: those of the types (alpha, beta, gamma)
     whose alpha has parts <= 2.  Each bottom gamma, listed column by column
     at most two boxes below beta, d boxes short of it, has its chains read
-    by ``_chains`` for alpha = (2^t, 1^(d-2t)), t = 0..d//2, from beta's
-    table of climb states.  The diagram cap, which ``enumerate_lr``
-    checks, does not apply: the orbit identity reads every
-    beta up to |beta| 12 under any cap and never skips.  Memoised per beta,
-    since the bijection, orbit and realization checks each ask for every
-    beta up to |beta| 10 to 12.
+    by ``_chains`` from beta's table for alpha = (2^t, 1^(d-2t)), t <= d//2;
+    the chains, sorted by e and chain, are refined in turn, levels in order.
+    The diagram cap, which ``enumerate_lr`` checks, does not apply: the
+    orbit identity reads every beta up to |beta| 12 under any cap and never
+    skips.  Memoised per beta, since the bijection, orbit and realization
+    checks each ask for every beta up to |beta| 10 to 12.
     """
     return _entries2(partition(beta))
 
@@ -611,11 +611,11 @@ def _entries2(beta: Partition) -> tuple[KleinTableau, ...]:
     for g in bottoms:
         gamma = partition(g[1:])
         d = sum(beta) - sum(gamma)
-        for t in range(d // 2 + 1):
+        # a column two boxes short of beta gets a box in each strip, so t >= their count
+        for t in range(sum(b - c == 2 for b, c in zip(beta, g[1:])), d // 2 + 1):
             chains += _chains(beta, (2,) * t + (1,) * (d - 2 * t), gamma)
-    out = [tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))]
-    out.sort(key=lambda t: (len(t.gammas), t.gammas, t.levels))
-    return tuple(out)
+    chains.sort(key=lambda gs: (len(gs), gs))
+    return tuple([tab for gs in chains for tab in enumerate_klein_refinements(_unchecked(gs))])
 
 
 # ---------------------------------------------------------------------------

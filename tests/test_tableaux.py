@@ -255,14 +255,44 @@ def test_strips_yield_their_own_suffix_counts(monkeypatch, cold):
 
 def test_entries2_walk_work(monkeypatch, cold):
     # every beta with |beta| <= 12, past the per-beta memo: one table
-    # climbed per beta makes 12,069 walker calls (the strip sizes bounded
-    # by hand per bottom made 8,400)
-    strips, calls = tableaux._strips_up, []
+    # climbed per beta makes 10,050 walker calls in 11,532 reads of a
+    # type, each bottom asked only for t >= its two-box columns; 2,494
+    # reads find no chain (the strip sizes bounded by hand per bottom
+    # made 8,400 walker calls)
+    strips, chains, calls, reads = tableaux._strips_up, tableaux._chains, [], []
+
+    def counted(*args):
+        got = chains(*args)
+        reads.append(len(got))
+        return got
+
     monkeypatch.setattr(tableaux, "_strips_up", lambda *args: calls.append(1) or strips(*args))
+    monkeypatch.setattr(tableaux, "_chains", counted)
     betas = [beta for n in range(13) for beta in partitions_of(n)]
     total = sum(len(tableaux._entries2.__wrapped__(beta)) for beta in betas)
-    assert (len(betas), total, len(calls)) == (272, 10158, 12069)
+    assert (len(betas), total, len(calls)) == (272, 10158, 10050)
+    assert (len(reads), reads.count(0)) == (11532, 2494)
     assert tableaux._climbs.cache_info().misses == 272
+
+
+def test_chains_leave_the_table_sorted(cold):
+    # every type with |beta| <= 9 reads its chains sorted with no sort of
+    # its own, from a cold table and from one that every other type of
+    # beta warmed first, in reverse order: the chain order is the table's,
+    # fixed where _climb tables a state, whichever type climbs it
+    for n in range(10):
+        for beta in partitions_of(n):
+            inside = [a for k in range(n + 1) for a in partitions_of(k) if contains(beta, a)]
+            types = [(a, g) for a in inside for g in inside if sum(a) + sum(g) == n]
+            for i, (alpha, gamma) in enumerate(types):
+                cold()
+                chains = tableaux._chains(beta, alpha, gamma)
+                assert chains == sorted(chains), (alpha, beta, gamma)
+                cold()
+                for other in reversed(types[:i] + types[i + 1 :]):
+                    tableaux._chains(beta, *other)
+                warm = tableaux._chains(beta, alpha, gamma)
+                assert warm == sorted(warm) == chains, (alpha, beta, gamma)
 
 
 def test_entries2_enumerator_ignores_the_diagram_cap(cold):
