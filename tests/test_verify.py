@@ -114,6 +114,14 @@ def test_hall_skips_betas_over_cap(cold):
     assert tally(rep) == HALL_4_CAPPED
 
 
+def test_hall_reads_each_census_once(cold):
+    # one census read per beta serves all three census checks, and the
+    # census memo keeps only the record being read
+    verify.suite_hall(2, 7)
+    info = oracle._census.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (45, 0, 1)
+
+
 def test_hall_cap_never_raises_the_subgroup_cap(monkeypatch, cold):
     # --cap is the general cap: it may lower the census bound, but the
     # betas of size 5 (|M(beta)| = 32) stay over a subgroup cap of 16
