@@ -17,7 +17,7 @@ they multiplied.  The canonical submodules p^r B are never mapped: ``scale`` of 
 cached set p^{r+1} B (``p_power_set``), found from |A| through a table
 of the orders |p^r B|, and ``preimage`` of a subgroup holding pB is B.
 Division by p is defined on pB only, where each field is p times that
-of the root with no carry, so ``divp`` is one integer division.
+of the root with no carry, so ``roots`` finds each by one division.
 
 Each construction exists once.  ``direct_sum`` packs any number of
 summands into one ambient, so an object's embedding is one sum.  One
@@ -84,7 +84,7 @@ import random
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .caps import general_cap
 from .errors import CapExceeded
@@ -172,12 +172,14 @@ class AmbientModule:
         low = (1 << self._w) - 1
         return sum((k * ((x >> s) & low) % m) << s for m, s in zip(self.mods, self._shifts))
 
-    def divp(self, y: int) -> int:
-        """The root x of y = px with coordinates y_i / p, for y in pB only:
-        each field of y is p x_i with no carry, so the packed y is p times
-        the packed x and one integer division finds it; off pB the
-        quotient is no such root."""
-        return y // self.p
+    def roots(self, X: Iterable[int], socle: Collection[int]) -> SubgroupSet:
+        """The set x/p + k over x in X <= pB and k in socle <= B[p]; for
+        X = C & p^{j+1} B and socle p^j B[p] it is {y in p^j B : py in C}.
+        Each field of x is p times that of x/p, so one integer division
+        finds x/p; field i of x/p is below p^{beta_i - 1} and that of k a
+        multiple of it below p^{beta_i}, so the packed sum has no carry."""
+        p = self.p
+        return frozenset({x // p + k for x in X for k in socle})
 
     def _grid(self, steps: tuple[int, ...]) -> tuple[int, ...]:
         """The elements whose coordinate i is a multiple of steps[i], in
@@ -267,15 +269,11 @@ def _ambient(p: int, beta: Partition) -> AmbientModule:
 @lru_cache(maxsize=4)
 def _preimage(ambient: AmbientModule, radical: SubgroupSet) -> SubgroupSet:
     """p^{-1}A for A & pB = radical: the cosets a/p + B[p] over a in the
-    radical, where a/p divides each coordinate of a by p.  Coordinate i
-    of a/p is below p^{beta_i - 1} and that of a socle element is a
-    multiple of it below p^{beta_i}, so no field of a sum reaches its
-    modulus and the packed sum is the plain one.  A radical of pB gives
+    radical, summed by ``AmbientModule.roots``.  A radical of pB gives
     B, whose set comes from the cached grid of B."""
     if len(radical) == len(ambient.p_power_set(1)):
         return frozenset(ambient.all_elements())
-    socle = ambient.killed_by(1)
-    return frozenset({r + k for r in map(ambient.divp, radical) for k in socle})
+    return ambient.roots(radical, ambient.killed_by(1))
 
 
 def _log(order: int, p: int) -> int:
@@ -641,7 +639,7 @@ def lift(E: Embedding, s: int = 1) -> Embedding:
     amb, chain = E.ambient, [E.subgroup]
     for _ in range(s):
         radical = chain[0] & amb.p_power_set(1)
-        chain = [preimage(amb, radical), radical]
+        chain = [_preimage(amb, radical), radical]
     return _from_chain(amb, chain if len(chain[0]) > 1 else chain[:1])
 
 

@@ -175,11 +175,11 @@ def _fibre(amb: AmbientModule, C: SubgroupSet) -> Iterator[tuple[SubgroupSet, bo
     dim(Q & K) = (parts of beta above 1) - u."""
     p, s = amb.p, len(amb.beta)
     # the socle of pB, pB[p]: C and every X lie in pB, so it is all they meet of B[p]
-    socle = frozenset(amb._grid(tuple(p ** max(1, b - 1) for b in amb.beta)))
+    socle = amb.p_power_set(1).intersection(amb.killed_by(1))
     dim = lambda order: _log(order, p)
     u = dim(len(C & socle))
-    # x in pB with px in C: c/p plus a socle element of pB, c in C & p^2 B (see ``preimage``)
-    inside = frozenset(r + k for r in map(amb.divp, C & amb.p_power_set(2)) for k in socle)
+    # x in pB with px in C: c/p plus a socle element of pB, c in C & p^2 B
+    inside = amb.roots(C & amb.p_power_set(2), socle)
     q = dim(len(inside) // len(C))
     m = sum(b > 1 for b in amb.beta) - u
     for X in _walk(amb, C, _greedy_basis(amb, (1,) * q, C, sorted(inside))[0], (1,) * q):

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -6,6 +7,7 @@ import re
 import time
 from collections import Counter
 from itertools import count, product
+from pathlib import Path
 
 import pytest
 
@@ -250,14 +252,47 @@ def test_scale_is_exact_on_every_subgroup():
                 assert emb.scale(a, A) is a.p_power_set(r + 1)
 
 
-def test_divp_divides_each_coordinate_on_pB():
+def test_roots_divides_each_coordinate_on_pB():
     for p in (2, 3, 5, 7):
         for beta in [(3, 1, 1), (2, 2, 1), (4, 2)]:
             a = amb(p, beta)
             for y in a.p_power_set(1):
-                x = a.divp(y)
+                (x,) = a.roots((y,), (0,))
                 assert a.coords(x) == tuple(u // p for u in a.coords(y))
                 assert a.pmul(x) == y
+
+
+def test_roots_is_its_definition():
+    # roots(X & p^{j+1} B, p^j B[p]) = {y in p^j B : py in X}: at j = 0 the
+    # socle is B[p], at j = 1 it is pB[p], which misses each coordinate
+    # with beta_i = 1; the reference finds the socle in p^j B by pmul
+    rng = random.Random(57)
+    for p in (2, 3, 5):
+        for beta in [(3, 1, 1), (2, 2, 1), (3, 2)]:
+            a = amb(p, beta)
+            for j in (0, 1):
+                pjB = a.p_power_set(j)
+                socle = frozenset(y for y in pjB if a.pmul(y) == 0)
+                for _ in range(6):
+                    X = random_subgroup(a, rng, k=rng.randrange(4))
+                    want = frozenset(y for y in pjB if a.pmul(y) in X)
+                    assert a.roots(X & a.p_power_set(j + 1), socle) == want
+
+
+def test_no_module_but_embeddings_uses_a_private_attribute():
+    # the packed encoding is the ambient's: outside embeddings.py no
+    # module reads or sets an x._name, so none adds, multiplies or divides
+    # packed elements on its own
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(Path(emb.__file__).parent.glob("*.py"))
+        if path.name != "embeddings.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+    assert found == []
 
 
 def test_quotient_type_builds_no_p0_set():
