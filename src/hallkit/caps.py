@@ -5,7 +5,9 @@ enumerations and diagram boxes (env ``HALLKIT_CAP``, default 2**20) and
 a stricter cap on full subgroup-lattice enumeration (env
 ``HALLKIT_SUBGROUP_CAP``, default 2**10).  ``limits`` puts values in
 force over the environment for one block; the CLI runs each command
-inside ``limits`` of its ``--cap`` and ``--subgroup-cap`` flags.
+inside ``limits`` of its ``--cap`` and ``--subgroup-cap`` flags.  A
+negative cap is a ValueError wherever it is read, from the environment
+or from ``limits``, as it is a usage error of the flags.
 """
 
 import os
@@ -19,13 +21,20 @@ DEFAULT_SUBGROUP_CAP = 1 << 10
 _in_force = dict.fromkeys(("HALLKIT_CAP", "HALLKIT_SUBGROUP_CAP"))
 
 
+def _checked(env: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{env}: must be >= 0, got {value}")
+    return value
+
+
 def _read(env: str, default: int) -> int:
     value = _in_force[env]
     if value is None and (text := os.environ.get(env)) is not None:
         try:
-            return read_int(text)
+            value = read_int(text)
         except ValueError as exc:
             raise ValueError(f"{env}: {exc}") from None
+        return _checked(env, value)
     return default if value is None else value
 
 
@@ -42,10 +51,10 @@ def limits(general: int | None = None, subgroup: int | None = None):
     """Put the given caps in force over the environment for one block; a
     None leaves that cap as it was."""
     saved = dict(_in_force)
-    for env, value in zip(_in_force, (general, subgroup)):
-        if value is not None:
-            _in_force[env] = value
     try:
+        for env, value in zip(_in_force, (general, subgroup)):
+            if value is not None:
+                _in_force[env] = _checked(env, value)
         yield
     finally:
         _in_force.update(saved)

@@ -10,12 +10,13 @@ subgroup-lattice operations (intersection, preimage, sums) work on
 exact element sets, which is simple and fast enough under the caps.
 ``AmbientModule.get`` interns the ambients of up to 2^9 (p, beta) in a
 module-level ``lru_cache``, and each memoises x -> px: ``pmul``
-multiplies an element once, and ``scale`` (every p-chain link, every
-``klein_tableau`` level), the greedy basis's candidate test and the
-oracle's subgroup walk read the memo after that; it holds only elements
-they multiplied.  The canonical submodules p^r B are never mapped: ``scale`` of p^r B is the
-cached set p^{r+1} B (``p_power_set``), found from |A| through a table
-of the orders |p^r B|, and ``preimage`` of a subgroup holding pB is B.
+multiplies an element once, and the ambient's ``scale`` (every p-chain
+link, every ``klein_tableau`` level), the greedy basis's candidate test
+and the oracle's subgroup walk read the memo after that; it holds only
+elements they multiplied.  The canonical submodules p^r B are never
+mapped: ``scale`` of p^r B is the cached set p^{r+1} B
+(``p_power_set``), found from |A| through a table of the orders
+|p^r B|, and ``preimage`` of a subgroup holding pB is B.
 Division by p is defined on pB only, where each field is p times that
 of the root with no carry, so ``roots`` finds each by one division.
 
@@ -168,6 +169,20 @@ class AmbientModule:
             self._times_p[x] = u
         return u
 
+    def scale(self, A: SubgroupSet) -> SubgroupSet:
+        """The subgroup pA.  For A = p^r B it is the cached p^{r+1} B: the
+        orders |p^r B| are distinct, so |A| names the only candidate r, and
+        A is p^r B when r = 0 (A <= B) or when one set comparison says so.
+        Otherwise ``pmul`` multiplies the elements the memo lacks, and the
+        rest is a lookup."""
+        r = self._power_orders.get(len(A))
+        if r is not None and (r == 0 or A == self.p_power_set(r)):
+            return self.p_power_set(r + 1)
+        memo = self._times_p
+        for x in A.difference(memo):
+            self.pmul(x)
+        return frozenset(map(memo.__getitem__, A))
+
     def smul(self, k: int, x: int) -> int:
         low = (1 << self._w) - 1
         return sum((k * ((x >> s) & low) % m) << s for m, s in zip(self.mods, self._shifts))
@@ -233,21 +248,6 @@ def span(
             cur = add(cur, g)
         H = grown
     return frozenset(H)
-
-
-def scale(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
-    """The subgroup pA.  For A = p^r B it is the cached p^{r+1} B: the
-    orders |p^r B| are distinct, so |A| names the only candidate r, and
-    A is p^r B when r = 0 (A <= B) or when one set comparison says so.
-    Otherwise ``pmul`` multiplies the elements the ambient's memo lacks,
-    and the rest is a lookup."""
-    r = ambient._power_orders.get(len(A))
-    if r is not None and (r == 0 or A == ambient.p_power_set(r)):
-        return ambient.p_power_set(r + 1)
-    memo = ambient._times_p
-    for x in A.difference(memo):
-        ambient.pmul(x)
-    return frozenset(map(memo.__getitem__, A))
 
 
 def preimage(ambient: AmbientModule, A: SubgroupSet) -> SubgroupSet:
@@ -363,7 +363,7 @@ class Embedding:
         if chain is None:
             chain = self._achain = [self.subgroup]
         while len(chain[-1]) > 1:
-            chain.append(scale(self.ambient, chain[-1]))
+            chain.append(self.ambient.scale(chain[-1]))
         return chain
 
     @property
@@ -484,14 +484,10 @@ def _link(
     since U & p^r B = (U & pB) & p^r B for r >= 1 (see ``_on_top``).
     """
     subs: dict[int, list[int]] = {}
-    Y, prev_Y, prev_type = UpB, None, g1
+    Y, prev_type = UpB, g1
     for r in range(1, amb.beta[0]):
         Y = Y & amb.p_power_set(r)
-        if Y == prev_Y:
-            continue
-        prev_Y = Y
-        pY = scale(amb, Y)
-        cur = quotient_type(amb, span(amb, p2U, pY))
+        cur = quotient_type(amb, span(amb, p2U, amb.scale(Y)))
         if cur == prev_type:
             continue
         # the rows of the strip cur \ prev_type, the first count of its chain

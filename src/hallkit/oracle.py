@@ -219,17 +219,16 @@ class Census:
 
 
 def census(p: int, beta) -> Census:
-    """The census of M(beta), kept by ``_census`` for the (p, beta) read
-    last; the census bound is checked on every call, cached or not."""
-    return _census(p, _lattice_ambient(p, beta).beta)
+    """The census of M(beta), kept by ``_census`` for the interned ambient
+    read last; the census bound is checked on every call, cached or not."""
+    return _census(_lattice_ambient(p, beta))
 
 
 @lru_cache(maxsize=1)
-def _census(p: int, beta: Partition) -> Census:
-    amb = AmbientModule.get(p, beta)
+def _census(amb: AmbientModule) -> Census:
     start = time.monotonic()
     zero, tableaux = frozenset({0}), Counter()
-    _count_subtree(amb, zero, zero, _unchecked((beta,), ()), tableaux, {})
+    _count_subtree(amb, zero, zero, _unchecked((amb.beta,), ()), tableaux, {})
     types = Counter()
     for tab, count in tableaux.items():
         types[(tableau_type(tab)[0], tab.base)] += count

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallkit.caps import general_cap
+from hallkit.caps import general_cap, limits, subgroup_cap
 from hallkit.cli import main
 from hallkit.hall import hall_polynomial
 from hallkit.partitions import parse
@@ -755,6 +755,35 @@ def test_non_canonical_cap_env_exits_one(capsys, monkeypatch, env, text, cold):
     assert json.loads(err) == {"error": "ValueError", "message": f"{env}: not an integer: {text!r}"}
     monkeypatch.setenv(env, " 16 ")
     assert run(capsys, "oracle", "hall", "--prime", "2", "--beta", "2,1", "--alpha", "1")[0] == 0
+
+
+@pytest.mark.parametrize("env", ["HALLKIT_CAP", "HALLKIT_SUBGROUP_CAP"])
+def test_negative_cap_env_exits_one(capsys, monkeypatch, env, cold):
+    # a negative cap is refused where it is read, as the flags refuse it:
+    # no check is skipped over it and no order is compared with it
+    monkeypatch.setenv(env, "-1")
+    want = {"error": "ValueError", "message": f"{env}: must be >= 0, got -1"}
+    for argv in (
+        ("verify", "--suite", "hall", "--max-beta", "3"),
+        ("oracle", "hall", "--beta", "2,1", "--alpha", "1", "--gamma", "1,1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == want
+    monkeypatch.setenv(env, "0")
+    assert (general_cap() if env == "HALLKIT_CAP" else subgroup_cap()) == 0
+
+
+def test_limits_refuses_a_negative_cap():
+    before = general_cap(), subgroup_cap()
+    for general, subgroup, env in ((-1, None, "HALLKIT_CAP"), (8, -5, "HALLKIT_SUBGROUP_CAP")):
+        with pytest.raises(ValueError, match=f"^{env}: must be >= 0, got -"):
+            with limits(general, subgroup):
+                pass
+        # nothing of a refused call stays in force
+        assert (general_cap(), subgroup_cap()) == before
+    with limits(0, 0):
+        assert (general_cap(), subgroup_cap()) == (0, 0)
 
 
 def test_wide_diagram_renders_in_linear_time(capsys):

@@ -100,10 +100,10 @@ def test_subgroup_identities():
         soc = frozenset(a.killed_by(1))
         for _ in range(20):
             A = random_subgroup(a, rng)
-            pA = emb.scale(a, A)
+            pA = a.scale(A)
             assert emb.preimage(a, pA) == union_of_cosets(a, A, soc)
-            assert emb.scale(a, emb.preimage(a, pA)) == pA
-            assert emb.scale(a, frozenset({0})) == frozenset({0})
+            assert a.scale(emb.preimage(a, pA)) == pA
+            assert a.scale(frozenset({0})) == frozenset({0})
 
 
 def test_span_from_a_base_matches_union_of_cosets():
@@ -187,7 +187,7 @@ def test_module_and_quotient_types():
     T = emb.bipicket_embedding(2, 4, 2)
     assert emb.module_type(T.ambient, T.subgroup) == (2,)
     assert emb.quotient_type(T.ambient, T.subgroup) == (3, 1)
-    pA = emb.scale(T.ambient, T.subgroup)
+    pA = T.ambient.scale(T.subgroup)
     assert emb.quotient_type(T.ambient, pA) == (3, 2)
 
 
@@ -212,8 +212,8 @@ def test_pmul_memo_matches_coordinates():
         for _ in range(10):
             A = random_subgroup(a, rng, k=rng.randrange(3))
             want = frozenset(times_p(a, x) for x in A)
-            assert emb.scale(a, A) == want
-            assert emb.scale(a, A) == want
+            assert a.scale(A) == want
+            assert a.scale(A) == want
 
 
 def canonical_level(ambient, A):
@@ -230,7 +230,7 @@ def test_scale_memoises_exactly_the_subgroup():
         for k in range(3):
             a = emb.AmbientModule(p, beta)
             A = random_subgroup(a, rng, k=k)
-            pA = emb.scale(a, A)
+            pA = a.scale(A)
             r = canonical_level(a, A)
             if r is None:
                 assert a._times_p.keys() == A
@@ -246,10 +246,10 @@ def test_scale_is_exact_on_every_subgroup():
     for p, beta in [(2, (3, 2, 1)), (3, (2, 1, 1)), (5, (2, 1))]:
         a = amb(p, beta)
         for A in oracle.enumerate_subgroups(p, beta):
-            assert emb.scale(a, A) == frozenset(times_p(a, x) for x in A)
+            assert a.scale(A) == frozenset(times_p(a, x) for x in A)
             r = canonical_level(a, A)
             if r is not None:
-                assert emb.scale(a, A) is a.p_power_set(r + 1)
+                assert a.scale(A) is a.p_power_set(r + 1)
 
 
 def test_roots_divides_each_coordinate_on_pB():
@@ -291,6 +291,39 @@ def test_no_module_but_embeddings_uses_a_private_attribute():
         if isinstance(node, ast.Attribute)
         and node.attr.startswith("_")
         and not node.attr.startswith("__")
+    ]
+    assert found == []
+
+
+def test_only_the_ambient_touches_its_private_attributes():
+    # the ambient's privates (the fields it sets on self and its private
+    # methods) are read or set only inside AmbientModule's own methods,
+    # embeddings.py included: pA, x/p and every packed sum are its methods
+    def is_private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    paths = sorted(Path(emb.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    (cls,) = (
+        node
+        for node in ast.walk(trees["embeddings.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "AmbientModule"
+    )
+    privates = {
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and is_private(node.attr)
+    } | {node.name for node in cls.body if isinstance(node, ast.FunctionDef) and is_private(node.name)}
+    assert {"_times_p", "_power_orders", "_grids", "_powers", "_grid", "_w"} <= privates
+    inside = {id(node) for node in ast.walk(cls)}
+    found = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in privates and id(node) not in inside
     ]
     assert found == []
 
@@ -473,7 +506,7 @@ def test_lift_reduce_identities():
             assert emb.lift(emb.reduce(up)).subgroup == up.subgroup
             assert emb.reduce(emb.lift(down)).subgroup == down.subgroup
             # p p^{-1} A = A cap rad B
-            assert emb.scale(a, emb.preimage(a, E.subgroup)) == E.subgroup & a.p_power_set(1)
+            assert a.scale(emb.preimage(a, E.subgroup)) == E.subgroup & a.p_power_set(1)
     with pytest.raises(ValueError):
         emb.reduce(E, -1)
 
